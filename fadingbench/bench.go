@@ -52,6 +52,7 @@ type bench struct {
 // keptFrame is one served frame kept for the byte-for-byte check.
 type keptFrame struct {
 	spec  service.SessionSpec
+	key   string // the spec's JSON
 	index uint64
 	frame []byte
 }
@@ -220,17 +221,25 @@ func (b *bench) noteToken(tok string) {
 }
 
 // keeper returns the frame hook that keeps the seeded sample of a
-// session's frames for the byte-for-byte check.
+// session's frames for the byte-for-byte check. A frame already kept (every
+// setup re-reads the same warm-up blocks, and churn repeats specs) is not
+// kept twice.
 func (b *bench) keeper(spec service.SessionSpec) func(uint64, []byte) {
 	return func(index uint64, frame []byte) {
 		if !b.in.keepFrame(b.w, spec.Seed, index) {
 			return
 		}
+		key := string(specJSON(spec))
 		b.mu.Lock()
-		if len(b.kept) < maxKept {
-			b.kept = append(b.kept, keptFrame{spec: spec, index: index, frame: bytes.Clone(frame)})
+		defer b.mu.Unlock()
+		for _, k := range b.kept {
+			if k.index == index && k.key == key {
+				return
+			}
 		}
-		b.mu.Unlock()
+		if len(b.kept) < maxKept {
+			b.kept = append(b.kept, keptFrame{spec: spec, key: key, index: index, frame: bytes.Clone(frame)})
+		}
 	}
 }
 

@@ -35,15 +35,14 @@ func (b *bench) checkFrames() {
 	var enc service.FrameEncoder
 	block := &rayleigh.Block{}
 	for _, k := range b.kept {
-		key := string(specJSON(k.spec))
-		st, ok := streams[key]
+		st, ok := streams[k.key]
 		if !ok {
 			var err error
 			if st, err = service.NewStreamFromSpec(&k.spec, service.Limits{}); err != nil {
 				b.ops.record(opCheck, fmt.Errorf("reference stream: %w", err))
 				continue
 			}
-			streams[key] = st
+			streams[k.key] = st
 		}
 		cur, err := st.NewCursor()
 		if err == nil {

@@ -4,13 +4,14 @@
 #
 #   bash fadingbench/run.sh --workload paper-eq22 --seed 1 --seconds 10 --trace 0
 #
-# Everything the build writes (Go build cache, temporary files, the binary)
-# and the traced run's spans go under .bench_build/ in the checkout.
+# Everything the build writes (Go build cache, temporary files, the go
+# command's configuration and telemetry, the binary) and the traced run's
+# spans go under .bench_build/ in the checkout.
 set -euo pipefail
 
 out="$(pwd)/.bench_build"
-mkdir -p "$out/gocache" "$out/tmp"
-export GOCACHE="$out/gocache" GOTMPDIR="$out/tmp" GOPATH="$out/gopath" GOTOOLCHAIN=local
+mkdir -p "$out/gocache" "$out/tmp" "$out/config"
+export GOCACHE="$out/gocache" GOTMPDIR="$out/tmp" GOPATH="$out/gopath" XDG_CONFIG_HOME="$out/config" GOTOOLCHAIN=local
 
 (cd fadingbench && go build -o "$out/fadingbench" .)
 exec "$out/fadingbench" "$@"

@@ -55,13 +55,13 @@ var workloads = []*workload{
 		name: "nakagami-eq22", newKernel: newInvGammaKernel, fading: chanspec.FadingNakagamiM,
 		reps1: 100, reps2: 100, ref1: 4700, ref2: 9500,
 		n: 3, chunk: 16, perSlice: 1, libPerSlice: 8,
-		warmServed: 4, warmLib: 1, checkEvery: 16, statBlocks: 24, replayBlocks: 3,
+		warmServed: 4, warmLib: 1, checkEvery: 16, statBlocks: 24, replayBlocks: 8,
 	},
 	{
 		name: "churn-n32", newKernel: newGEMMKernel, churn: true,
 		reps1: 8, reps2: 8, ref1: 170, ref2: 310,
 		n: 32, perSlice: 2, libPerSlice: 10,
-		warmServed: 2, warmLib: 1, checkEvery: 16, statBlocks: 8, replayBlocks: 2,
+		warmServed: 2, warmLib: 1, checkEvery: 16, statBlocks: 8, replayBlocks: 4,
 	},
 }
 
