@@ -102,15 +102,18 @@ func (b *bench) tracedPass(u *endToEnd) ([]metric, string, error) {
 	blocks /= float64(b.w.n * blockLen)
 	_, tracedServed := rates(servedSlices, m2.ref)
 
+	// The replay keeps its spans apart, so that the block it decomposes and
+	// its parts are timed in the same stretch of the run.
+	rt := newTracer()
 	runtime.GOMAXPROCS(1)
-	err = b.replay(tr)
+	err = b.replay(rt)
 	runtime.GOMAXPROCS(2)
 	if err != nil {
 		return nil, "", err
 	}
-	b.timeTokens(tr)
+	b.timeTokens(rt)
 
-	ms := b.layerMetrics(tr)
+	ms := b.layerMetrics(tr, rt)
 	delta := func(name string) float64 { return after[name] - before[name] }
 	hits, misses := delta("fadingd_spec_cache_hits_total"), delta("fadingd_spec_cache_misses_total")
 	cacheRatio := 0.0
@@ -139,7 +142,11 @@ func (b *bench) tracedPass(u *endToEnd) ([]metric, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	return ms, b.gapSummary(ms) + "; spans in " + path, nil
+	rpath, err := rt.write(".bench_build/spans", fmt.Sprintf("%s-seed%d-replay.jsonl", b.w.name, b.seed))
+	if err != nil {
+		return nil, "", err
+	}
+	return ms, b.gapSummary(ms) + "; spans in " + path + " and " + rpath, nil
 }
 
 // replay drives the run's specs through the layer calls in the order core
@@ -317,8 +324,9 @@ func (b *bench) timeTokens(tr *tracer) {
 	}
 }
 
-// layerMetrics derives the per-layer timings from the traced spans.
-func (b *bench) layerMetrics(tr *tracer) []metric {
+// layerMetrics derives the per-layer timings from the spans of the traced
+// phases (the HTTP spans) and of the replay (everything else).
+func (b *bench) layerMetrics(phases, tr *tracer) []metric {
 	med := func(name string) float64 { return zeroNaN(median(tr.durations(name))) }
 	n := float64(b.w.n)
 	ifft := med("dsp.ifft")
@@ -347,8 +355,8 @@ func (b *bench) layerMetrics(tr *tracer) []metric {
 		{"core.self_us", block - n*dblock - color - apply, "us"},
 		{"core.replay_self_us", zeroNaN(median(tr.selfTimes("replay.block"))), "us"},
 		{"service.encode_us", med("service.encode"), "us"},
-		{"http.first_byte_ms_p50", med("http.first_byte") / 1e3, "ms"},
-		{"http.frame_gap_us_p50", med("http.frame"), "us"},
+		{"http.first_byte_ms_p50", zeroNaN(median(phases.durations("http.first_byte"))) / 1e3, "ms"},
+		{"http.frame_gap_us_p50", zeroNaN(median(phases.durations("http.frame"))), "us"},
 		{"corrmodel.covariance_us", med("corrmodel.covariance"), "us"},
 		{"cmplxmat.eigen_ms", zeroNaN(median(eigens)) / 1e3, "ms"},
 		{"core.coloring_self_ms", zeroNaN(median(coloringSelf)) / 1e3, "ms"},
