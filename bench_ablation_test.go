@@ -1,10 +1,9 @@
 package rayleigh
 
-// Ablation and application-workload benchmarks. These are not tied to a
-// specific table or figure of the paper (those live in bench_test.go); they
-// quantify the design choices DESIGN.md calls out and the downstream
-// workloads the paper's introduction motivates (diversity receivers, OFDM,
-// MIMO arrays).
+// Ablation benchmarks. These are not tied to a specific table or figure of
+// the paper (those live in bench_test.go); they quantify the design choices
+// behind the engine: the Doppler substrate, the autocorrelation estimator
+// and the eigendecomposition setup cost.
 
 import (
 	"math"
@@ -14,8 +13,6 @@ import (
 	"repro/internal/corrmodel"
 	"repro/internal/doppler"
 	"repro/internal/dsp"
-	"repro/internal/mimo"
-	"repro/internal/ofdm"
 	"repro/internal/randx"
 	"repro/internal/stats"
 )
@@ -107,108 +104,6 @@ func BenchmarkAblationFFTvsDirectAutocorrelation(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkWorkloadDiversityBER runs the diversity-receiver workload the
-// paper's introduction motivates: BPSK with 2-branch MRC over branches whose
-// correlation is set by the antenna spacing. The reported metric is the BER
-// ratio between half-wavelength and two-wavelength spacing — the diversity
-// loss caused by correlation, which only an accurate correlated-envelope
-// generator can expose.
-func BenchmarkWorkloadDiversityBER(b *testing.B) {
-	const symbols = 30000
-	covNear, err := (&corrmodel.SpatialModel{
-		N: 2, SpacingWavelengths: 0.25, AngularSpread: math.Pi / 18, MeanAngle: 0, Power: 1,
-	}).Covariance()
-	if err != nil {
-		b.Fatal(err)
-	}
-	covFar, err := (&corrmodel.SpatialModel{
-		N: 2, SpacingWavelengths: 2, AngularSpread: math.Pi / 18, MeanAngle: 0, Power: 1,
-	}).Covariance()
-	if err != nil {
-		b.Fatal(err)
-	}
-	var ratio float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		near, err := mimo.SimulateDiversityBER(mimo.DiversityConfig{
-			BranchCovariance: covNear.Matrix, SNRdB: 10, Scheme: mimo.MaximalRatio, Symbols: symbols, Seed: 1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		far, err := mimo.SimulateDiversityBER(mimo.DiversityConfig{
-			BranchCovariance: covFar.Matrix, SNRdB: 10, Scheme: mimo.MaximalRatio, Symbols: symbols, Seed: 2,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if far.BER > 0 {
-			ratio = near.BER / far.BER
-		}
-	}
-	b.ReportMetric(ratio, "BER_ratio_corr_vs_uncorr")
-}
-
-// BenchmarkWorkloadAlamouti runs the 2×1 Alamouti space-time block code over
-// correlated transmit fading and reports the BER penalty of a closely spaced
-// array relative to independent antennas.
-func BenchmarkWorkloadAlamouti(b *testing.B) {
-	const symbols = 30000
-	correlated := cmplxmat.MustFromRows([][]complex128{
-		{1, 0.95},
-		{0.95, 1},
-	})
-	var penalty float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		indep, err := mimo.SimulateAlamoutiBER(mimo.AlamoutiConfig{
-			TxCovariance: cmplxmat.Identity(2), SNRdB: 10, Symbols: symbols, QuasiStatic: true, Seed: 3,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		corr, err := mimo.SimulateAlamoutiBER(mimo.AlamoutiConfig{
-			TxCovariance: correlated, SNRdB: 10, Symbols: symbols, QuasiStatic: true, Seed: 4,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if indep.BER > 0 {
-			penalty = corr.BER / indep.BER
-		}
-	}
-	b.ReportMetric(penalty, "BER_penalty_correlated_array")
-}
-
-// BenchmarkWorkloadOFDMLink runs the QPSK-over-OFDM link with correlated
-// subcarrier fading and reports the measured SER against the closed-form
-// flat-Rayleigh value (the per-subcarrier marginal is unaffected by the
-// correlation, so the ratio should hover around one).
-func BenchmarkWorkloadOFDMLink(b *testing.B) {
-	fading, err := ofdm.NewSubcarrierFading(ofdm.SubcarrierFadingConfig{
-		Subcarriers:         16,
-		SubcarrierSpacingHz: 15e3,
-		MaxDopplerHz:        50,
-		RMSDelaySpread:      1e-6,
-		Seed:                5,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var ratio float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := ofdm.SimulateLink(ofdm.TransceiverConfig{
-			Fading: fading, SNRdB: 15, OFDMSymbols: 2000, Seed: int64(i),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		ratio = res.SER / ofdm.TheoreticalQPSKRayleighSER(15)
-	}
-	b.ReportMetric(ratio, "SER_vs_theory_ratio")
 }
 
 // BenchmarkEigenDecompositionScaling measures the Hermitian eigendecomposition

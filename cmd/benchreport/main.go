@@ -261,12 +261,11 @@ func nonstationaryBenchmark(name string, k *cmplxmat.Matrix) []result {
 	}
 }
 
-// sessionCreateBenchmarks measures the fadingd session-create path, the
-// service-level counterpart of the loadtest churn mode: cold is a distinct
-// spec per op (every create pays the full covariance/eigen/Doppler-plan
-// setup), warm is one spec repeated (every create after the first reuses the
-// content-addressed setup artifact). The cold/warm gap is the cache's win
-// and is gated like every other family.
+// sessionCreateBenchmarks measures the fadingd session-create path: cold is
+// a distinct spec per op (every create pays the full
+// covariance/eigen/Doppler-plan setup), warm is one spec repeated (every
+// create after the first reuses the content-addressed setup artifact). The
+// cold/warm gap is the cache's win and is gated like every other family.
 func sessionCreateBenchmarks(n int) []result {
 	svc := service.New(service.Config{Workers: 1, MaxSessions: -1})
 	defer svc.Close()

@@ -4,8 +4,7 @@
 // vocabulary), receive a session ID, and stream blocks of correlated
 // Rayleigh envelopes as NDJSON or compact binary frames, resuming at any
 // block with ?from=k. The wire protocol, spec schema and capacity tuning are
-// documented in docs/service.md; a load generator lives in
-// cmd/fadingd/loadtest.
+// documented in docs/service.md; cmd/slorun drives load against it.
 //
 // Usage:
 //
@@ -16,7 +15,6 @@
 //	        [-idle-timeout 2m] [-create-timeout 30s]
 //	        [-token-key id:hexsecret[,id2:hexsecret...]] [-token-key-file path]
 //	        [-token-ttl 1h]
-//	fadingd deploy [-replicas 3] [-port 8080] [-o deploy]
 //
 // The timeout flags bound how long a client may hold a connection without
 // progress (slowloris defense) and how long one session create may spend in
@@ -26,8 +24,8 @@
 // With -token-key (or -token-key-file), session creates return a signed
 // self-describing token and any replica sharing a verifying key serves any
 // block of the session — the stateless scale-out contract of docs/cluster.md.
-// The `deploy` verb emits a ready-to-run docker-compose recipe: N replicas
-// sharing a signing key behind a round-robin proxy.
+// deploy/ holds a ready-to-run docker-compose recipe: N replicas sharing a
+// signing key behind a round-robin proxy.
 package main
 
 import (
@@ -48,12 +46,6 @@ import (
 )
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "deploy" {
-		if err := runDeploy(os.Args[2:], os.Stdout); err != nil {
-			log.Fatalf("fadingd deploy: %v", err)
-		}
-		return
-	}
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
 		workers      = flag.Int("workers", 0, "generation pool size (0 = GOMAXPROCS)")
@@ -146,7 +138,9 @@ func main() {
 }
 
 // loadKeyring resolves the -token-key/-token-key-file pair into a keyring;
-// both empty means tokens stay disabled.
+// both empty means tokens stay disabled. A named key file that holds no key
+// is an error, not a request to disable tokens: a replica whose secret mount
+// came up empty would otherwise serve token-less and 404 every resume.
 func loadKeyring(keySpec, keyFile string) (*token.Keyring, error) {
 	if keyFile != "" {
 		if keySpec != "" {
@@ -157,6 +151,9 @@ func loadKeyring(keySpec, keyFile string) (*token.Keyring, error) {
 			return nil, fmt.Errorf("read -token-key-file: %w", err)
 		}
 		keySpec = strings.TrimSpace(string(data))
+		if keySpec == "" {
+			return nil, fmt.Errorf("-token-key-file %s holds no key", keyFile)
+		}
 	}
 	if keySpec == "" {
 		return nil, nil

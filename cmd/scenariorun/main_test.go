@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -55,6 +56,25 @@ func TestFilterByTag(t *testing.T) {
 	got := filter(specs, false, "ofdm")
 	if len(got) != 1 || got[0].Name != "a" {
 		t.Errorf("tag filter returned %v", names(got))
+	}
+}
+
+// TestPaperSelection pins `-run paper` over the committed scenarios/ to the
+// paper's E5–E9 experiments, so a rename or retag cannot silently drop one.
+func TestPaperSelection(t *testing.T) {
+	specs, err := scenario.LoadDir(filepath.Join("..", "..", "scenarios"))
+	if err != nil {
+		t.Fatalf("LoadDir: %v", err)
+	}
+	want := []string{
+		"eq22-snapshot",                  // E5/E9: snapshot statistics vs Eq. (22), (14)-(15)
+		"paper-e6-indefinite-explicit",   // E6: indefinite covariance forcing
+		"realtime-eq22-covariance",       // E7: Eq. (19) Doppler-gain correction
+		"realtime-jakes-autocorrelation", // E8: autocorrelation vs J0
+		"realtime-unit-variance-defect",  // E7: the unit-variance defect of [6]
+	}
+	if got := names(filter(specs, false, "paper")); !slices.Equal(got, want) {
+		t.Errorf("-run paper selects %v, want %v", got, want)
 	}
 }
 

@@ -122,17 +122,16 @@
 // generation artifact through a content-addressed setup cache, so only the
 // first create of a spec pays the O(N³) setup. Endpoints, the spec schema,
 // the binary frame layout, the sharding/cache design and capacity tuning are
-// documented in docs/service.md; a load generator (with a session-churn
-// mode) lives in cmd/fadingd/loadtest.
+// documented in docs/service.md; cmd/slorun drives load against it, and
+// fadingbench/ is the end-to-end throughput benchmark (BENCHMARK.json).
 //
 // The service scales horizontally without shared state: every session
 // create returns a signed, self-describing token (internal/token) carrying
 // the full canonical spec, seed and blocks budget behind an HMAC, so any
 // replica holding the verifying key can rebuild the exact stream from the
 // token alone — the token is the source of truth and the session table is a
-// cache. "cmd/fadingd deploy" emits a docker-compose recipe for such a
-// fleet (committed under deploy/), the loadtest's -replicas mode and the
-// SLO lab's scaling sweep measure horizontal-scaling efficiency, and the
+// cache. deploy/ holds a docker-compose recipe for such a fleet, the SLO
+// lab's scaling sweep measures horizontal-scaling efficiency, and the
 // corpus replayer's -token mode proves byte-identical token-only resume for
 // every generated spec. The token format, key-rotation procedure and
 // statelessness contract are documented in docs/cluster.md.

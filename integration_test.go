@@ -182,9 +182,9 @@ func TestIntegrationUnequalPowersThroughPublicAPI(t *testing.T) {
 		{0.1, 0.3 + 0.1i, 1},
 	}
 	envVars := []float64{0.5, 1, 2}
-	gen, err := NewFromEnvelopePowers(correlation, envVars, 109)
+	gen, err := NewFromPowers(PowersConfig{Correlation: correlation, EnvelopeVariances: envVars, Seed: 109})
 	if err != nil {
-		t.Fatalf("NewFromEnvelopePowers: %v", err)
+		t.Fatalf("NewFromPowers: %v", err)
 	}
 	const draws = 120000
 	env := make([][]float64, 3)

@@ -7,8 +7,7 @@
 // the repository root, so adding a workload — a new OFDM spacing, a MIMO
 // array, an indefinite-covariance stress case — means writing a spec, not
 // Go code. cmd/scenariorun drives the specs from the command line and CI;
-// cmd/validate expresses the paper's E5–E9 experiments as specs and runs
-// them through the same engine.
+// the paper's E5–E9 experiments are the specs tagged "paper".
 //
 // Everything is deterministic: a spec carries its own seed, the engine
 // derives every stream from it, and the report contains no timestamps, so

@@ -9,9 +9,8 @@ import (
 
 // Sampler is a concurrency-safe collector of latency samples in
 // milliseconds. Every measurement path of the lab — block inter-arrival
-// times, session-create round trips — funnels through one, and
-// cmd/fadingd/loadtest shares the same type so the loadtest and the SLO
-// harness report percentiles the same way.
+// times, session-create round trips — funnels through one, so every
+// percentile the lab reports is digested the same way.
 type Sampler struct {
 	mu sync.Mutex
 	ms []float64

@@ -214,23 +214,6 @@ func NewFromPowers(cfg PowersConfig) (*Generator, error) {
 	return &Generator{backend: b, workers: cfg.Parallel}, nil
 }
 
-// NewFromEnvelopePowers builds a Generator from a correlation-coefficient
-// matrix of the complex Gaussians and the desired envelope variances σr²_j
-// (the paper's Eq. (11) conversion is applied internally), enabling unequal
-// envelope powers. It is equivalent to NewFromPowers with Parallel 0 (this
-// signature used to drop the worker count entirely, forcing SnapshotsInto
-// sequential, and cannot name a generation method).
-//
-// Deprecated: use NewFromPowers, whose PowersConfig carries the worker count
-// and the generation method. The examples-build CI step rejects new uses.
-func NewFromEnvelopePowers(correlation [][]complex128, envelopeVariances []float64, seed int64) (*Generator, error) {
-	return NewFromPowers(PowersConfig{
-		Correlation:       correlation,
-		EnvelopeVariances: envelopeVariances,
-		Seed:              seed,
-	})
-}
-
 // N returns the number of envelopes per snapshot.
 func (g *Generator) N() int { return g.backend.N() }
 

@@ -137,14 +137,14 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestNewFromEnvelopePowers(t *testing.T) {
+func TestNewFromPowers(t *testing.T) {
 	rho := [][]complex128{
 		{1, 0.5},
 		{0.5, 1},
 	}
-	gen, err := NewFromEnvelopePowers(rho, []float64{1, 2}, 3)
+	gen, err := NewFromPowers(PowersConfig{Correlation: rho, EnvelopeVariances: []float64{1, 2}, Seed: 3})
 	if err != nil {
-		t.Fatalf("NewFromEnvelopePowers: %v", err)
+		t.Fatalf("NewFromPowers: %v", err)
 	}
 	// Check Eq. (15): average envelope variance over many snapshots matches
 	// the requested σr².
@@ -166,10 +166,10 @@ func TestNewFromEnvelopePowers(t *testing.T) {
 		}
 	}
 
-	if _, err := NewFromEnvelopePowers(nil, []float64{1}, 0); err == nil {
+	if _, err := NewFromPowers(PowersConfig{EnvelopeVariances: []float64{1}}); err == nil {
 		t.Errorf("nil correlation did not error")
 	}
-	if _, err := NewFromEnvelopePowers(rho, []float64{1}, 0); err == nil {
+	if _, err := NewFromPowers(PowersConfig{Correlation: rho, EnvelopeVariances: []float64{1}}); err == nil {
 		t.Errorf("size mismatch did not error")
 	}
 }

@@ -174,8 +174,6 @@ func TestNewFromPowersParallelIdentity(t *testing.T) {
 	}
 	parallel := build(4)
 	if parallel.workers != 4 {
-		// The original NewFromEnvelopePowers dropped the worker count on the
-		// floor, silently serializing SnapshotsInto.
 		t.Fatalf("NewFromPowers(Parallel: 4) set workers = %d, want 4", parallel.workers)
 	}
 	sequential := build(1)
@@ -193,23 +191,6 @@ func TestNewFromPowersParallelIdentity(t *testing.T) {
 		for j := range a[i].Gaussian {
 			if a[i].Gaussian[j] != b[i].Gaussian[j] || a[i].Envelopes[j] != b[i].Envelopes[j] {
 				t.Fatalf("snapshot %d envelope %d: sequential and 4-worker powers paths differ", i, j)
-			}
-		}
-	}
-
-	// The legacy signature must keep producing the sequential sequence.
-	legacy, err := NewFromEnvelopePowers(correlation, variances, 77)
-	if err != nil {
-		t.Fatalf("NewFromEnvelopePowers: %v", err)
-	}
-	if legacy.workers != 0 {
-		t.Fatalf("NewFromEnvelopePowers set workers = %d, want 0", legacy.workers)
-	}
-	c := run(legacy)
-	for i := range a {
-		for j := range a[i].Gaussian {
-			if a[i].Gaussian[j] != c[i].Gaussian[j] {
-				t.Fatalf("snapshot %d envelope %d: legacy constructor diverged", i, j)
 			}
 		}
 	}
