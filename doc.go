@@ -48,8 +48,9 @@
 // RealTimeConfig.Fading plus FadingParams) reshapes the correlated Rayleigh
 // field any backend produces: FadingRician adds a deterministic
 // line-of-sight component after coloring (K-factor, mean power preserved),
-// FadingNakagamiM applies the exact probability-integral transform onto a
-// Nakagami-m envelope, FadingSuzuki multiplies by correlated lognormal
+// FadingNakagamiM applies the probability-integral transform onto a
+// Nakagami-m envelope (tabulated per m, error ≤ 1e-7; see docs/models.md),
+// FadingSuzuki multiplies by correlated lognormal
 // shadowing with its own coherence length, and FadingNonstationaryDoppler
 // drives real-time blocks through a piecewise Doppler-velocity trajectory
 // (each segment carries its own Jakes autocorrelation; snapshot modes

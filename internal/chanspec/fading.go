@@ -17,11 +17,13 @@ const (
 	// correlation of the scattered part while the envelope becomes Rician
 	// with K-factor params.k_factor.
 	FadingRician = "rician"
-	// FadingNakagamiM maps the Rayleigh envelope through the exact
+	// FadingNakagamiM maps the Rayleigh envelope through the
 	// probability-integral transform onto a Nakagami-m envelope of the same
 	// mean power Ω: u = 1 − exp(−r²/Ω), r' = sqrt(Ω·P⁻¹(m, u)/m), with the
 	// phase (and hence the instantaneous spatial correlation structure)
-	// inherited from the Gaussian.
+	// inherited from the Gaussian. The map is tabulated per m with a stated
+	// error bound of 1e-7 and solved exactly outside the table (see
+	// docs/models.md).
 	FadingNakagamiM = "nakagami_m"
 	// FadingSuzuki multiplies the Rayleigh envelope by correlated lognormal
 	// shadowing: z' = z·10^{σ_dB·g(t)/20}, where g(t) is a unit-variance

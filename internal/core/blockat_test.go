@@ -4,11 +4,13 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/chanspec"
 	"repro/internal/cmplxmat"
 	"repro/internal/doppler"
+	"repro/internal/fading"
 )
 
-func newBlockAtGenerator(t testing.TB, m int, seed int64) *RealTimeGenerator {
+func newBlockAtGenerator(t testing.TB, m int, seed int64, tr Transform) *RealTimeGenerator {
 	t.Helper()
 	k := cmplxmat.MustFromRows([][]complex128{
 		{1, 0.3782 + 0.4753i, 0.0878 + 0.2207i},
@@ -19,6 +21,7 @@ func newBlockAtGenerator(t testing.TB, m int, seed int64) *RealTimeGenerator {
 		Covariance: k,
 		Filter:     doppler.FilterSpec{M: m, NormalizedDoppler: 0.05},
 		Seed:       seed,
+		Transform:  tr,
 	})
 	if err != nil {
 		t.Fatalf("NewRealTimeGenerator: %v", err)
@@ -32,7 +35,7 @@ func newBlockAtGenerator(t testing.TB, m int, seed int64) *RealTimeGenerator {
 func TestGenerateBlockAtMatchesBlocksInto(t *testing.T) {
 	const blocks = 7
 	for _, workers := range []int{1, 3} {
-		batched := newBlockAtGenerator(t, 128, 42)
+		batched := newBlockAtGenerator(t, 128, 42, nil)
 		dst := make([]*Block, blocks)
 		for i := range dst {
 			dst[i] = NewBlock(batched.N(), batched.BlockLength())
@@ -45,7 +48,7 @@ func TestGenerateBlockAtMatchesBlocksInto(t *testing.T) {
 			t.Fatalf("GenerateBlocksInto(second): %v", err)
 		}
 
-		random := newBlockAtGenerator(t, 128, 42)
+		random := newBlockAtGenerator(t, 128, 42, nil)
 		scratch, err := random.NewBlockScratch()
 		if err != nil {
 			t.Fatalf("NewBlockScratch: %v", err)
@@ -68,7 +71,7 @@ func TestGenerateBlockAtMatchesBlocksInto(t *testing.T) {
 // the random-access path needs no locking.
 func TestGenerateBlockAtConcurrent(t *testing.T) {
 	const blocks = 12
-	gen := newBlockAtGenerator(t, 64, 7)
+	gen := newBlockAtGenerator(t, 64, 7, nil)
 	want := make([]*Block, blocks)
 	for i := range want {
 		want[i] = NewBlock(gen.N(), gen.BlockLength())
@@ -77,7 +80,7 @@ func TestGenerateBlockAtConcurrent(t *testing.T) {
 		t.Fatalf("GenerateBlocksInto: %v", err)
 	}
 
-	shared := newBlockAtGenerator(t, 64, 7)
+	shared := newBlockAtGenerator(t, 64, 7, nil)
 	var wg sync.WaitGroup
 	errs := make([]error, 4)
 	mismatches := make([]int, 4)
@@ -112,23 +115,38 @@ func TestGenerateBlockAtConcurrent(t *testing.T) {
 }
 
 // TestGenerateBlockAtNoAllocs locks in the steady-state allocation behavior
-// the service generation path depends on.
+// the service generation path depends on, with and without a fading
+// transform.
 func TestGenerateBlockAtNoAllocs(t *testing.T) {
-	gen := newBlockAtGenerator(t, 256, 3)
-	scratch, err := gen.NewBlockScratch()
+	nakagami, err := fading.New(chanspec.FadingNakagamiM, &chanspec.FadingParams{M: 2.5}, []float64{1, 1, 1}, 3)
 	if err != nil {
-		t.Fatalf("NewBlockScratch: %v", err)
+		t.Fatal(err)
 	}
-	b := NewBlock(gen.N(), gen.BlockLength())
-	var i uint64
-	allocs := testing.AllocsPerRun(50, func() {
-		if err := gen.GenerateBlockAt(i%16, b, scratch); err != nil {
-			t.Fatalf("GenerateBlockAt: %v", err)
-		}
-		i++
-	})
-	if allocs != 0 {
-		t.Fatalf("GenerateBlockAt allocated %.1f times per block, want 0", allocs)
+	for _, tc := range []struct {
+		name string
+		tr   Transform
+	}{
+		{chanspec.FadingRayleigh, nil},
+		{chanspec.FadingNakagamiM, nakagami},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			gen := newBlockAtGenerator(t, 256, 3, tc.tr)
+			scratch, err := gen.NewBlockScratch()
+			if err != nil {
+				t.Fatalf("NewBlockScratch: %v", err)
+			}
+			b := NewBlock(gen.N(), gen.BlockLength())
+			var i uint64
+			allocs := testing.AllocsPerRun(50, func() {
+				if err := gen.GenerateBlockAt(i%16, b, scratch); err != nil {
+					t.Fatalf("GenerateBlockAt: %v", err)
+				}
+				i++
+			})
+			if allocs != 0 {
+				t.Fatalf("GenerateBlockAt allocated %.1f times per block, want 0", allocs)
+			}
+		})
 	}
 }
 

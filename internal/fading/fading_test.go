@@ -126,6 +126,87 @@ func TestNakagamiEnvelopeDistribution(t *testing.T) {
 	}
 }
 
+// nakagamiForwardError is the oracle for the Nakagami transform: how far G
+// misses the equation the transform inverts, checked forward on the side
+// where it is well conditioned, without reusing the inversion.
+func nakagamiForwardError(m, p, g float64) float64 {
+	if p <= math.Ln2 {
+		return math.Abs(math.Log(stats.RegularizedGammaP(m, g)) - math.Log(-math.Expm1(-p)))
+	}
+	return math.Abs(math.Log(stats.RegularizedGammaQ(m, g)) + p)
+}
+
+// applyNakagamiAt runs the m transform on real samples with |z|²/Ω = p for
+// each p, returning the envelopes and G = m·p·scale² read back from them.
+func applyNakagamiAt(t *testing.T, m, omega float64, ps []float64) (r, g []float64) {
+	t.Helper()
+	tr, err := New(chanspec.FadingNakagamiM, &chanspec.FadingParams{M: m}, []float64{omega}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	z := make([]complex128, len(ps))
+	for i, p := range ps {
+		z[i] = complex(math.Sqrt(p*omega), 0)
+	}
+	r = make([]float64, len(ps))
+	tr.Apply(0, 0, z, r)
+	g = make([]float64, len(ps))
+	for i, p := range ps {
+		s := real(z[i]) / math.Sqrt(p*omega)
+		g[i] = m * p * s * s
+	}
+	return r, g
+}
+
+// TestNakagamiInversionOracle bounds the transform's error over shapes from
+// 0.5 to 50 and p = |z|²/Ω from 1e-6 to 40, across both edges of the
+// transform's table, and checks the envelope never decreases in p.
+func TestNakagamiInversionOracle(t *testing.T) {
+	const (
+		n     = 100000
+		omega = 1.7
+		tol   = 1e-7
+	)
+	ps := make([]float64, n)
+	for i := range ps {
+		ps[i] = 1e-6 * math.Pow(40/1e-6, float64(i)/(n-1))
+	}
+	for _, m := range []float64{0.5, 0.6, 0.9, 1, 1.5, 2.5, 5, 10, 20, 50} {
+		r, g := applyNakagamiAt(t, m, omega, ps)
+		var worst, worstP float64
+		for i, p := range ps {
+			if i > 0 && r[i] < r[i-1] {
+				t.Fatalf("m=%g: envelope decreases from %.17g at p=%g to %.17g at p=%g", m, r[i-1], ps[i-1], r[i], p)
+			}
+			if e := nakagamiForwardError(m, p, g[i]); !(e <= worst) {
+				worst, worstP = e, p
+			}
+		}
+		if !(worst <= tol) {
+			t.Errorf("m=%g: forward error %.3g at p=%.6g exceeds %g", m, worst, worstP, tol)
+		}
+		t.Logf("m=%g: max forward error %.3g at p=%.4g", m, worst, worstP)
+	}
+}
+
+// TestNakagamiUpperTail is the regression test for the saturated upper
+// tail: past p ≈ 37.4, 1 − e^{−p} rounds to 1, and inverting P there mapped
+// every such sample onto one clamped G. The envelope must keep increasing
+// and meet the oracle.
+func TestNakagamiUpperTail(t *testing.T) {
+	const m = 2.5
+	ps := []float64{30, 36, 37.5, 40, 60}
+	r, g := applyNakagamiAt(t, m, 1.7, ps)
+	for i, p := range ps {
+		if i > 0 && !(r[i] > r[i-1]) {
+			t.Errorf("envelope %.17g at p=%g does not exceed %.17g at p=%g", r[i], p, r[i-1], ps[i-1])
+		}
+		if e := nakagamiForwardError(m, p, g[i]); !(e <= 1e-7) {
+			t.Errorf("p=%g: G=%.17g, forward error %.3g exceeds 1e-7", p, g[i], e)
+		}
+	}
+}
+
 func TestSuzukiLogMomentsAndRandomAccess(t *testing.T) {
 	const (
 		nBlocks   = 400

@@ -27,6 +27,7 @@ func newRician(k, phaseRad float64, powers []float64) *rician {
 	return t
 }
 
+// fadinglint:allocfree
 func (t *rician) Apply(env int, _ uint64, z []complex128, r []float64) {
 	los := t.los[env]
 	s := t.scale

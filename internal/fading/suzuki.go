@@ -44,6 +44,7 @@ func (t *suzuki) knot(env int, i uint64) float64 {
 	return math.Sqrt(-2*math.Log(1-u1)) * math.Cos(2*math.Pi*u2)
 }
 
+// fadinglint:allocfree
 func (t *suzuki) Apply(env int, offset uint64, z []complex128, r []float64) {
 	c := t.coherence
 	lastKnot := ^uint64(0)
