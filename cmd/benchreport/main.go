@@ -343,7 +343,7 @@ func main() {
 		name string
 		k    *cmplxmat.Matrix
 	}{
-		{"N=3", scenario.Eq22Covariance()},
+		{"N=3", chanspec.Eq22Covariance()},
 		{"N=16", exponentialCovariance(16)},
 	}
 	for _, t := range targets {
@@ -379,7 +379,7 @@ func main() {
 	// composite envelope models on the snapshot path, the trajectory model on
 	// the real-time path it requires.
 	rep.Benchmarks = append(rep.Benchmarks, fadingModelBenchmarks("N=3", eq23)...)
-	rep.Benchmarks = append(rep.Benchmarks, nonstationaryBenchmark("N=3", scenario.Eq22Covariance())...)
+	rep.Benchmarks = append(rep.Benchmarks, nonstationaryBenchmark("N=3", chanspec.Eq22Covariance())...)
 	rep.Benchmarks = append(rep.Benchmarks, sessionCreateBenchmarks(16)...)
 
 	data, err := json.MarshalIndent(rep, "", "  ")

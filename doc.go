@@ -80,11 +80,13 @@
 //
 // Setting Config.Parallel / RealTimeConfig.Parallel fans SnapshotsInto
 // chunks and BlocksInto blocks across a worker pool. Every unit of work
-// draws from its own random stream, derived deterministically (and in work
-// order) from the seed before generation starts, so seeded output is
-// bit-identical for every worker count — parallelism changes wall-clock
-// time, never values. The batched streams are distinct from the streams
-// behind Snapshot/Block: a batched run reproduces other batched runs, not an
+// draws from its own random stream, derived deterministically from the seed
+// and its position, so seeded output is bit-identical for every worker
+// count — parallelism changes wall-clock time, never values. Real-time
+// generation has one block sequence: Block, BlockInto, BlocksInto and every
+// Stream cursor produce the same block k. Snapshots keep two streams: the
+// chunk streams behind SnapshotsInto are distinct from the stream behind
+// Snapshot, so a batched run reproduces other batched runs, not an
 // element-wise sequence of single-draw calls.
 //
 // Measured throughput and allocation figures live in BENCH_core.json at the

@@ -19,8 +19,9 @@ const (
 	// part keeps the target spatial correlation.
 	FadingRician = chanspec.FadingRician
 	// FadingNakagamiM maps each Rayleigh envelope onto a Nakagami-m envelope
-	// of the same mean power through the exact probability-integral transform,
-	// preserving the sample phase.
+	// of the same mean power through the probability-integral transform,
+	// preserving the sample phase. The transform reads a per-m table, so the
+	// envelope's CDF is within 1e-7 of Nakagami-m for 0.5 ≤ m ≤ 50.
 	FadingNakagamiM = chanspec.FadingNakagamiM
 	// FadingSuzuki multiplies the Rayleigh envelope by correlated lognormal
 	// shadowing with coherence length FadingParams.ShadowCoherence samples.

@@ -29,40 +29,79 @@ func newBlockAtGenerator(t testing.TB, m int, seed int64, tr Transform) *RealTim
 	return gen
 }
 
-// TestGenerateBlockAtMatchesBlocksInto pins the resume contract: block i of
-// the batched sequence is reproducible in isolation, for any worker count
-// and regardless of how the batched run was sliced into calls.
+// TestGenerateBlockAtMatchesBlocksInto pins the one-sequence contract: block
+// i is the same from GenerateBlock, GenerateBlockInto and GenerateBlocksInto
+// (any worker count, any slicing into calls, any interleaving of the three),
+// and GenerateBlockAt reproduces it in isolation.
 func TestGenerateBlockAtMatchesBlocksInto(t *testing.T) {
 	const blocks = 7
-	for _, workers := range []int{1, 3} {
-		batched := newBlockAtGenerator(t, 128, 42, nil)
-		dst := make([]*Block, blocks)
-		for i := range dst {
-			dst[i] = NewBlock(batched.N(), batched.BlockLength())
+	blocksInto := func(workers int) func(*testing.T, *RealTimeGenerator, []*Block) {
+		return func(t *testing.T, g *RealTimeGenerator, dst []*Block) {
+			// Two calls: the second must continue the sequence.
+			if err := g.GenerateBlocksInto(dst[:3], workers); err != nil {
+				t.Fatalf("GenerateBlocksInto(first): %v", err)
+			}
+			if err := g.GenerateBlocksInto(dst[3:], workers); err != nil {
+				t.Fatalf("GenerateBlocksInto(second): %v", err)
+			}
 		}
-		// Two calls: the second must continue the sequence.
-		if err := batched.GenerateBlocksInto(dst[:3], workers); err != nil {
-			t.Fatalf("GenerateBlocksInto(first): %v", err)
-		}
-		if err := batched.GenerateBlocksInto(dst[3:], workers); err != nil {
-			t.Fatalf("GenerateBlocksInto(second): %v", err)
-		}
+	}
+	sources := []struct {
+		name string
+		fill func(*testing.T, *RealTimeGenerator, []*Block)
+	}{
+		{"GenerateBlock", func(t *testing.T, g *RealTimeGenerator, dst []*Block) {
+			for i := range dst {
+				dst[i] = g.GenerateBlock()
+			}
+		}},
+		{"GenerateBlockInto", func(t *testing.T, g *RealTimeGenerator, dst []*Block) {
+			for _, b := range dst {
+				if err := g.GenerateBlockInto(b); err != nil {
+					t.Fatalf("GenerateBlockInto: %v", err)
+				}
+			}
+		}},
+		{"GenerateBlocksInto/workers=1", blocksInto(1)},
+		{"GenerateBlocksInto/workers=3", blocksInto(3)},
+		{"interleaved", func(t *testing.T, g *RealTimeGenerator, dst []*Block) {
+			dst[0] = g.GenerateBlock()
+			if err := g.GenerateBlocksInto(dst[1:4], 2); err != nil {
+				t.Fatalf("GenerateBlocksInto: %v", err)
+			}
+			if err := g.GenerateBlockInto(dst[4]); err != nil {
+				t.Fatalf("GenerateBlockInto: %v", err)
+			}
+			if err := g.GenerateBlocksInto(dst[5:], 1); err != nil {
+				t.Fatalf("GenerateBlocksInto: %v", err)
+			}
+		}},
+	}
+	for _, src := range sources {
+		t.Run(src.name, func(t *testing.T) {
+			gen := newBlockAtGenerator(t, 128, 42, nil)
+			dst := make([]*Block, blocks)
+			for i := range dst {
+				dst[i] = NewBlock(gen.N(), gen.BlockLength())
+			}
+			src.fill(t, gen, dst)
 
-		random := newBlockAtGenerator(t, 128, 42, nil)
-		scratch, err := random.NewBlockScratch()
-		if err != nil {
-			t.Fatalf("NewBlockScratch: %v", err)
-		}
-		got := NewBlock(random.N(), random.BlockLength())
-		// Access out of order on purpose.
-		for _, i := range []int{6, 0, 3, 5, 1, 4, 2} {
-			if err := random.GenerateBlockAt(uint64(i), got, scratch); err != nil {
-				t.Fatalf("GenerateBlockAt(%d): %v", i, err)
+			random := newBlockAtGenerator(t, 128, 42, nil)
+			scratch, err := random.NewBlockScratch()
+			if err != nil {
+				t.Fatalf("NewBlockScratch: %v", err)
 			}
-			if n := blockMismatchCount(dst[i], got); n != 0 {
-				t.Fatalf("workers=%d block %d: %d mismatched values between GenerateBlockAt and GenerateBlocksInto", workers, i, n)
+			got := NewBlock(random.N(), random.BlockLength())
+			// Access out of order on purpose.
+			for _, i := range []int{6, 0, 3, 5, 1, 4, 2} {
+				if err := random.GenerateBlockAt(uint64(i), got, scratch); err != nil {
+					t.Fatalf("GenerateBlockAt(%d): %v", i, err)
+				}
+				if n := blockMismatchCount(dst[i], got); n != 0 {
+					t.Fatalf("block %d: %d mismatched values between GenerateBlockAt and %s", i, n, src.name)
+				}
 			}
-		}
+		})
 	}
 }
 

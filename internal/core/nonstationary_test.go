@@ -44,8 +44,8 @@ func TestNonstationaryValidation(t *testing.T) {
 }
 
 // TestNonstationarySegmentVariance pins the per-segment σ²_g: blocks in
-// different trajectory legs carry their own Eq. (19) variance, and the
-// sequential path walks the trajectory in block order.
+// different trajectory legs carry their own Eq. (19) variance, and
+// GenerateBlock walks the trajectory in block order.
 func TestNonstationarySegmentVariance(t *testing.T) {
 	g := newSegmentedGenerator(t, 31, 512, testTrajectory, nil)
 	want0 := g.segments[0].sigmaG2

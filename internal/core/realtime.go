@@ -38,7 +38,7 @@ type RealTimeConfig struct {
 	// Covariance is the desired covariance matrix K of the complex Gaussian
 	// processes.
 	Covariance *cmplxmat.Matrix
-	// Filter is the Doppler filter specification shared by the N generators
+	// Filter is the Doppler filter specification shared by the N envelopes
 	// (IDFT length M and normalized Doppler fm). With DopplerSegments set,
 	// only M is read and NormalizedDoppler must be zero (each segment brings
 	// its own).
@@ -46,7 +46,8 @@ type RealTimeConfig struct {
 	// InputVariance is σ²_orig, the variance of the real Gaussian sequences
 	// feeding each Doppler filter. Zero selects the paper's 1/2.
 	InputVariance float64
-	// Seed seeds the random streams (one derived stream per envelope).
+	// Seed seeds the random streams (one derived stream per block and
+	// envelope).
 	Seed int64
 	// AssumeUnitVariance, when true, skips the Eq. (19) correction and feeds
 	// the coloring step with σ²_g = 1 regardless of the true Doppler filter
@@ -58,18 +59,18 @@ type RealTimeConfig struct {
 	// Coloring overrides the coloring matrix applied to the Doppler panel
 	// (see SnapshotConfig.Coloring): the backend registry threads the
 	// conventional methods' colorings through here, so baseline-backed
-	// real-time streams reuse the whole batched engine, including random
+	// real-time streams reuse the whole block engine, including random
 	// access and worker-count invariance.
 	Coloring *cmplxmat.Matrix
 	// Transform, when non-nil, post-processes every generated row (the
 	// channel-model zoo's Rician/Nakagami/Suzuki sample transforms). It is
-	// applied inside the block fill, so every path — sequential, batched,
-	// random-access, worker-pooled — produces identical transformed output.
+	// applied inside the block fill, so transformed block k is still a pure
+	// function of the configuration and k.
 	Transform Transform
 	// DopplerSegments, when non-empty, replaces the single Doppler design
 	// with a piecewise trajectory: block k is generated with the Doppler
 	// panel of the segment covering k (the last segment persists past the
-	// trajectory end). Only the Doppler generators and the σ_g scaling
+	// trajectory end). Only the Doppler generator and the σ_g scaling
 	// change per segment; the per-block random streams are unchanged, so
 	// GenerateBlockAt stays O(1) and byte-identical across resume points
 	// and worker counts.
@@ -125,63 +126,53 @@ func (b *Block) ensureShape(n, m int) {
 }
 
 // rtSegment is one leg of the (possibly trivial) Doppler trajectory: the
-// block range it covers, its N Doppler generators, and the coloring matrix
+// block range it covers, its Doppler generator, and the coloring matrix
 // rescaled to its Eq. (19) output variance. A stationary generator has
 // exactly one segment starting at block 0.
 type rtSegment struct {
 	start    uint64 // first block index covered
 	spec     doppler.FilterSpec
-	gens     []*doppler.Generator
-	coloring *cmplxmat.Matrix // L/σ_g of this segment
+	gen      *doppler.Generator // shared by the N envelopes, like the filter
+	coloring *cmplxmat.Matrix   // L/σ_g of this segment
 	sigmaG2  float64
 }
 
-// BlockScratch is the per-worker workspace of the parallel block fan-out and
-// of random-access block generation: the N×M input and output panels of the
-// coloring GEMM, the worker's Doppler generators (one set per trajectory
-// segment), and a reusable set of per-envelope RNGs reseeded for every
-// block. For power-of-two M the generators are the generator-shared sets
-// (read-only after construction, so concurrent BlockInto calls are safe);
-// for other lengths each worker gets private generators because the
-// Bluestein IDFT plan owns convolution scratch.
+// BlockScratch is the workspace of one block-generating goroutine: the N×M
+// input and output panels of the coloring GEMM, one Doppler generator per
+// trajectory segment, and the two RNGs reseeded for every block (the block's
+// root and the row stream split from it). For power-of-two M the generators
+// are the segments' own (read-only after construction, so concurrent
+// GenerateBlockAt calls are safe); for other lengths each scratch gets
+// private ones because the Bluestein IDFT plan owns convolution scratch.
 type BlockScratch struct {
 	w, z    *cmplxmat.Matrix
-	segGens [][]*doppler.Generator // indexed like RealTimeGenerator.segments
+	segGens []*doppler.Generator // indexed like RealTimeGenerator.segments
 	root    *randx.RNG
-	rngs    []*randx.RNG
+	row     *randx.RNG
 }
 
-// RealTimeGenerator implements the combined algorithm of Section 5. The
-// generation hot path is batched: each block draws the N Doppler processes
-// into the rows of an N×M panel and colors all M time instants with a single
-// cache-blocked matrix-matrix product.
+// RealTimeGenerator implements the combined algorithm of Section 5. Block k
+// is a pure function of the configuration and k: its N Doppler rows draw from
+// streams derived from the seed and k alone into an N×M panel, and all M time
+// instants are colored with a single cache-blocked matrix-matrix product.
 type RealTimeGenerator struct {
 	snapshot *SnapshotGenerator
 	segments []rtSegment
-	rngs     []*randx.RNG
-	// batchRoot is the frozen root of the per-block stream sets: block i of
-	// the batched/random-access paths draws from batchRoot.SplitAt(i). It is
-	// never advanced, so GenerateBlockAt stays a pure function of the seed
-	// and the block index.
-	batchRoot *randx.RNG
-	// batchNext is the index of the next block GenerateBlocksInto will
-	// produce, so consecutive batched calls continue one deterministic block
-	// sequence.
-	batchNext uint64
-	// seqNext is the index of the next block of the sequential
-	// GenerateBlock path; it selects the Doppler segment and the transform
-	// offset of that path.
-	seqNext   uint64
+	// blockRoot is the frozen root of the per-block streams: block k draws
+	// from blockRoot.SplitAt(k). It is never advanced, so GenerateBlockAt
+	// stays a pure function of the seed and the block index.
+	blockRoot *randx.RNG
+	// next is the index of the block the next GenerateBlock,
+	// GenerateBlockInto or GenerateBlocksInto call produces.
+	next      uint64
 	n         int
 	m         int
-	sigmaG2   float64
 	inputVar  float64
 	transform Transform
-	w, z      *cmplxmat.Matrix // sequential-path GEMM panels
-	scratches []*BlockScratch  // cached worker workspaces (GenerateBlocksInto)
+	scratches []*BlockScratch // worker workspaces, built on first use
 }
 
-// NewRealTimeGenerator validates the configuration and builds the N Doppler
+// NewRealTimeGenerator validates the configuration and builds the Doppler
 // generators plus the coloring pipeline. The critical difference from the
 // method in [6] is step 6: the sample variance handed to the coloring step is
 // the Doppler-filter output variance of Eq. (19), not an assumed constant.
@@ -219,74 +210,52 @@ func NewRealTimeGenerator(cfg RealTimeConfig) (*RealTimeGenerator, error) {
 		}
 	}
 
-	// Segment 0 first, with the RNG splits interleaved exactly as the
-	// stationary generator always made them (generator j, then split j), so
-	// stationary output is unchanged and segmented output shares its stream
-	// layout. Doppler generator construction consumes no randomness.
+	// One Doppler generator per segment: the N envelopes share its filter and
+	// input variance (Fig. 3), so they share the generator too, and step 6
+	// takes σ²_g from Eq. (19) once per segment.
 	segments := make([]rtSegment, len(specs))
-	root := randx.New(cfg.Seed)
-	rngs := make([]*randx.RNG, n)
-	gens0 := make([]*doppler.Generator, n)
-	for j := 0; j < n; j++ {
-		g, err := doppler.NewGenerator(specs[0], inputVar)
+	for si, spec := range specs {
+		dg, err := doppler.NewGenerator(spec, inputVar)
 		if err != nil {
-			return nil, fmt.Errorf("core: Doppler generator %d: %w", j, err)
+			// fadingd returns this text in its 400 body; keep it stable.
+			if si == 0 {
+				return nil, fmt.Errorf("core: Doppler generator 0: %w", err)
+			}
+			return nil, fmt.Errorf("core: Doppler segment %d generator 0: %w", si, err)
 		}
-		gens0[j] = g
-		rngs[j] = root.Split()
-	}
-
-	// Step 6 of the combined algorithm: σ²_g from Eq. (19), identical within
-	// a segment because its N generators share one filter and input variance.
-	sigmaG2 := gens0[0].OutputVariance()
-	if cfg.AssumeUnitVariance {
-		sigmaG2 = 1
+		sigmaG2 := dg.OutputVariance()
+		if cfg.AssumeUnitVariance {
+			sigmaG2 = 1
+		}
+		segments[si] = rtSegment{start: starts[si], spec: spec, gen: dg, sigmaG2: sigmaG2}
 	}
 
 	snap, err := NewSnapshotGenerator(SnapshotConfig{
 		Covariance:     cfg.Covariance,
-		SampleVariance: sigmaG2,
+		SampleVariance: segments[0].sigmaG2,
 		Seed:           cfg.Seed,
 		Coloring:       cfg.Coloring,
 	})
 	if err != nil {
 		return nil, err
 	}
-	batchRoot := root.Split()
-	segments[0] = rtSegment{start: starts[0], spec: specs[0], gens: gens0, coloring: snap.coloring, sigmaG2: sigmaG2}
-	for si := 1; si < len(specs); si++ {
-		gens := make([]*doppler.Generator, n)
-		for j := 0; j < n; j++ {
-			g, err := doppler.NewGenerator(specs[si], inputVar)
-			if err != nil {
-				return nil, fmt.Errorf("core: Doppler segment %d generator %d: %w", si, j, err)
-			}
-			gens[j] = g
-		}
-		segSigma := gens[0].OutputVariance()
-		if cfg.AssumeUnitVariance {
-			segSigma = 1
-		}
-		coloring, err := ScaleColoring(snap.rawL, segSigma)
-		if err != nil {
+	segments[0].coloring = snap.coloring
+	for si := 1; si < len(segments); si++ {
+		if segments[si].coloring, err = ScaleColoring(snap.rawL, segments[si].sigmaG2); err != nil {
 			return nil, err
 		}
-		segments[si] = rtSegment{start: starts[si], spec: specs[si], gens: gens, coloring: coloring, sigmaG2: segSigma}
 	}
 
-	m := cfg.Filter.M
 	return &RealTimeGenerator{
-		snapshot:  snap,
-		segments:  segments,
-		rngs:      rngs,
-		batchRoot: batchRoot,
+		snapshot: snap,
+		segments: segments,
+		// Block streams hang off the seed root's (n+1)-th split; moving them
+		// would change every block a seed produces.
+		blockRoot: randx.New(cfg.Seed).SplitAt(uint64(n)),
 		n:         n,
-		m:         m,
-		sigmaG2:   sigmaG2,
+		m:         cfg.Filter.M,
 		inputVar:  inputVar,
 		transform: cfg.Transform,
-		w:         cmplxmat.New(n, m),
-		z:         cmplxmat.New(n, m),
 	}, nil
 }
 
@@ -298,7 +267,7 @@ func (g *RealTimeGenerator) BlockLength() int { return g.m }
 
 // SampleVariance returns the σ²_g used in the whitening step (of the first
 // trajectory segment when the Doppler is nonstationary).
-func (g *RealTimeGenerator) SampleVariance() float64 { return g.sigmaG2 }
+func (g *RealTimeGenerator) SampleVariance() float64 { return g.segments[0].sigmaG2 }
 
 // Diagnostics returns the positive semi-definiteness forcing record.
 func (g *RealTimeGenerator) Diagnostics() *ForcedPSD { return g.snapshot.Diagnostics() }
@@ -328,10 +297,9 @@ func (g *RealTimeGenerator) TheoreticalAutocorrelationAt(block uint64, lag int) 
 	return doppler.TheoreticalAutocorrelation(g.segments[g.segmentIndexAt(block)].spec.NormalizedDoppler, lag)
 }
 
-// GenerateBlock produces one block: each of the N Doppler generators emits M
-// time samples, and the whole N×M panel is colored by L/σ_g in a single
-// matrix-matrix product (steps 7–8 of the combined algorithm, batched over
-// the block).
+// GenerateBlock returns the block at the generator's position and advances
+// the position by one (steps 7–8 of the combined algorithm, batched over the
+// block).
 func (g *RealTimeGenerator) GenerateBlock() *Block {
 	b := NewBlock(g.n, g.m)
 	// GenerateBlockInto cannot fail on a freshly shaped block.
@@ -339,43 +307,113 @@ func (g *RealTimeGenerator) GenerateBlock() *Block {
 	return b
 }
 
-// GenerateBlockInto produces the next block into b, reusing its storage when
-// it already has the right shape (rows of wrong length are reallocated). It
-// continues the same per-envelope random streams as GenerateBlock, produces
-// identical values, and performs no steady-state heap allocation for
-// power-of-two M.
+// GenerateBlockInto generates the block at the generator's position into b,
+// reusing its storage when it already has the right shape (rows of wrong
+// length are reallocated), and advances the position by one. It produces the
+// values of GenerateBlock and, once its workspace exists, performs no heap
+// allocation for power-of-two M.
 //
 // fadinglint:allocfree
 func (g *RealTimeGenerator) GenerateBlockInto(b *Block) error {
-	if b == nil {
-		return fmt.Errorf("core: nil destination block: %w", ErrBadInput)
+	scratches, err := g.workerScratches(1)
+	if err != nil {
+		return err
 	}
-	b.ensureShape(g.n, g.m)
-	seg := &g.segments[g.segmentIndexAt(g.seqNext)]
-	g.fillBlock(seg.gens, seg, g.rngs, g.w, g.z, b, g.seqNext)
-	g.seqNext++
+	if err := g.GenerateBlockAt(g.next, b, scratches[0]); err != nil {
+		return err
+	}
+	g.next++
 	return nil
 }
 
-// fillBlock is the batched hot path: Doppler rows into w, one ColorBlock GEMM
-// into z, then a single fused pass that stores the colored samples and their
-// envelopes (the envelope is computed once per sample, straight from the
-// colored value). With a fading transform configured, the pass instead copies
-// the row and hands it to the transform, which rewrites samples and envelopes
-// in place; index is the block's position in its sequence, giving the
-// transform its global sample offset.
+// NewBlockScratch builds a workspace for GenerateBlockAt.
+func (g *RealTimeGenerator) NewBlockScratch() (*BlockScratch, error) {
+	segGens := make([]*doppler.Generator, len(g.segments))
+	for si := range g.segments {
+		if g.m&(g.m-1) == 0 {
+			segGens[si] = g.segments[si].gen
+			continue
+		}
+		dg, err := doppler.NewGenerator(g.segments[si].spec, g.inputVar)
+		if err != nil {
+			return nil, fmt.Errorf("core: Doppler segment %d: %w", si, err)
+		}
+		segGens[si] = dg
+	}
+	return &BlockScratch{
+		w:       cmplxmat.New(g.n, g.m),
+		z:       cmplxmat.New(g.n, g.m),
+		segGens: segGens,
+		root:    randx.New(0),
+		row:     randx.New(0),
+	}, nil
+}
+
+// workerScratches returns the first count cached worker workspaces, building
+// the missing ones; they persist across calls so a streaming caller pays
+// their construction once.
+func (g *RealTimeGenerator) workerScratches(count int) ([]*BlockScratch, error) {
+	for len(g.scratches) < count {
+		s, err := g.NewBlockScratch()
+		if err != nil {
+			return nil, err
+		}
+		g.scratches = append(g.scratches, s)
+	}
+	return g.scratches[:count], nil
+}
+
+// GenerateBlockAt generates block index into b using the caller-owned
+// scratch s: the same values every other path of this generator produces at
+// that position, regardless of call order, batch sizes or worker counts.
+// Random access is what makes streams resumable — serving block k to a
+// resuming client is bit-identical to having streamed from 0. The block's
+// Doppler segment and fading-transform offset are derived from index, so the
+// contract holds for every model of the zoo, including nonstationary
+// trajectories.
+//
+// The call reads only construction-time generator state, so concurrent
+// GenerateBlockAt calls with distinct b and s are safe (any M; non-power-of-
+// two scratches carry private Doppler generators). With a pre-shaped b and
+// power-of-two M it performs no heap allocation: the scratch's RNGs are
+// reseeded in place from the O(1) split derivation.
 //
 // fadinglint:allocfree
-func (g *RealTimeGenerator) fillBlock(gens []*doppler.Generator, seg *rtSegment, rngs []*randx.RNG, w, z *cmplxmat.Matrix, b *Block, index uint64) {
+func (g *RealTimeGenerator) GenerateBlockAt(index uint64, b *Block, s *BlockScratch) error {
+	if b == nil {
+		return fmt.Errorf("core: nil destination block: %w", ErrBadInput)
+	}
+	if s == nil {
+		return fmt.Errorf("core: nil block scratch: %w", ErrBadInput)
+	}
+	b.ensureShape(g.n, g.m)
+	g.fillBlock(index, b, s)
+	return nil
+}
+
+// fillBlock is the block hot path: row j's Doppler process draws from the
+// j-th split of the block's root into row j of w, one ColorBlock GEMM colors
+// w into z, then a single fused pass stores the colored samples and their
+// envelopes (the envelope is computed once per sample, straight from the
+// colored value). With a fading transform configured, the pass instead
+// copies the row and hands it to the transform, which rewrites samples and
+// envelopes in place; index gives the transform its global sample offset.
+//
+// fadinglint:allocfree
+func (g *RealTimeGenerator) fillBlock(index uint64, b *Block, s *BlockScratch) {
+	si := g.segmentIndexAt(index)
+	seg := &g.segments[si]
+	s.root.Reseed(g.blockRoot.SplitSeedAt(index))
 	for j := 0; j < g.n; j++ {
+		s.row.Reseed(s.root.SplitSeed())
 		// Row length equals the generator's M by construction.
-		_ = gens[j].BlockInto(rngs[j], w.RowView(j))
+		_ = s.segGens[si].BlockInto(s.row, s.w.RowView(j))
 	}
 	// Dimensions are fixed at construction, so ColorBlock cannot fail.
-	_ = cmplxmat.ColorBlock(seg.coloring, w, z)
+	_ = cmplxmat.ColorBlock(seg.coloring, s.w, s.z)
 	offset := index * uint64(g.m)
 	for j := 0; j < g.n; j++ {
-		zr := z.RowView(j)
+		zr := s.z.RowView(j)
 		gj := b.Gaussian[j]
 		ej := b.Envelopes[j]
 		if g.transform != nil {
@@ -391,97 +429,13 @@ func (g *RealTimeGenerator) fillBlock(gens []*doppler.Generator, seg *rtSegment,
 	b.SampleVariance = seg.sigmaG2
 }
 
-// GenerateBlocks produces count consecutive blocks from the generator's
-// persistent streams (the sequential equivalent of calling GenerateBlock in a
-// loop).
-func (g *RealTimeGenerator) GenerateBlocks(count int) ([]*Block, error) {
-	if count <= 0 {
-		return nil, fmt.Errorf("core: block count %d must be positive: %w", count, ErrBadInput)
-	}
-	out := make([]*Block, count)
-	for i := range out {
-		out[i] = g.GenerateBlock()
-	}
-	return out, nil
-}
-
-// NewBlockScratch builds a worker workspace for GenerateBlocksInto.
-func (g *RealTimeGenerator) NewBlockScratch() (*BlockScratch, error) {
-	segGens := make([][]*doppler.Generator, len(g.segments))
-	for si := range g.segments {
-		if g.m&(g.m-1) == 0 {
-			segGens[si] = g.segments[si].gens
-			continue
-		}
-		// Non-power-of-two M: the Bluestein scratch inside each generator's
-		// IDFT plan is not safe to share across workers.
-		gens := make([]*doppler.Generator, g.n)
-		for j := range gens {
-			dg, err := doppler.NewGenerator(g.segments[si].spec, g.inputVar)
-			if err != nil {
-				return nil, fmt.Errorf("core: Doppler generator %d: %w", j, err)
-			}
-			gens[j] = dg
-		}
-		segGens[si] = gens
-	}
-	rngs := make([]*randx.RNG, g.n)
-	for j := range rngs {
-		rngs[j] = randx.New(0)
-	}
-	return &BlockScratch{
-		w:       cmplxmat.New(g.n, g.m),
-		z:       cmplxmat.New(g.n, g.m),
-		segGens: segGens,
-		root:    randx.New(0),
-		rngs:    rngs,
-	}, nil
-}
-
-// GenerateBlockAt generates block index of the deterministic batched block
-// sequence into b using the caller-owned scratch s: the same values
-// GenerateBlocksInto would place at position index of a from-construction
-// run, regardless of call order, batch sizes or worker counts. Random access
-// is what makes streams resumable — serving block k to a resuming client is
-// bit-identical to having streamed from 0. The block's Doppler segment and
-// fading-transform offset are derived from index, so the contract holds for
-// every model of the zoo, including nonstationary trajectories.
-//
-// The call reads only construction-time generator state, so concurrent
-// GenerateBlockAt calls with distinct b and s are safe (any M; non-power-of-
-// two scratches carry private Doppler generators). With a pre-shaped b and
-// power-of-two M it performs no heap allocation: the scratch's RNG set is
-// reseeded in place from the O(1) split derivation.
-//
-// fadinglint:allocfree
-func (g *RealTimeGenerator) GenerateBlockAt(index uint64, b *Block, s *BlockScratch) error {
-	if b == nil {
-		return fmt.Errorf("core: nil destination block: %w", ErrBadInput)
-	}
-	if s == nil {
-		return fmt.Errorf("core: nil block scratch: %w", ErrBadInput)
-	}
-	s.root.Reseed(g.batchRoot.SplitSeedAt(index))
-	for _, r := range s.rngs {
-		r.Reseed(s.root.SplitSeed())
-	}
-	b.ensureShape(g.n, g.m)
-	si := g.segmentIndexAt(index)
-	g.fillBlock(s.segGens[si], &g.segments[si], s.rngs, s.w, s.z, b, index)
-	return nil
-}
-
-// GenerateBlocksInto fills dst with len(dst) consecutive blocks. Every block
-// draws from its own stream set, derived deterministically (and in block
-// order) from the generator seed, so the output is bit-identical for every
-// worker count; workers > 1 fans the blocks across that many goroutines, each
-// with a private BlockScratch. Entries of dst must be non-nil; their storage
-// is reused when already shaped.
-//
-// The per-block streams are distinct from the persistent streams behind
-// GenerateBlock: a batched run reproduces other batched runs, not a sequence
-// of GenerateBlock calls. Consecutive calls continue one deterministic block
-// sequence, every position of which GenerateBlockAt reproduces in isolation.
+// GenerateBlocksInto fills dst with the len(dst) blocks at the generator's
+// position and advances the position past them, so consecutive calls (and
+// GenerateBlock/GenerateBlockInto calls between them) walk one block
+// sequence. workers > 1 fans the blocks across that many goroutines, each
+// with its own workspace; since every block is GenerateBlockAt of its index,
+// the output is bit-identical for every worker count. Entries of dst must be
+// non-nil; their storage is reused when already shaped.
 func (g *RealTimeGenerator) GenerateBlocksInto(dst []*Block, workers int) error {
 	if len(dst) == 0 {
 		return fmt.Errorf("core: empty block destination: %w", ErrBadInput)
@@ -491,58 +445,35 @@ func (g *RealTimeGenerator) GenerateBlocksInto(dst []*Block, workers int) error 
 			return fmt.Errorf("core: nil destination block %d: %w", i, ErrBadInput)
 		}
 	}
-	// Derive all streams up front, in block order from the frozen batch root:
-	// this is what pins the output regardless of scheduling, and what keeps
-	// the sequence random-access (GenerateBlockAt reproduces any position).
-	blockRngs := make([][]*randx.RNG, len(dst))
-	for i := range dst {
-		root := g.batchRoot.SplitAt(g.batchNext + uint64(i))
-		rs := make([]*randx.RNG, g.n)
-		for j := range rs {
-			rs[j] = root.Split()
-		}
-		blockRngs[i] = rs
+	workers = max(1, min(workers, len(dst)))
+	scratches, err := g.workerScratches(workers)
+	if err != nil {
+		return err
 	}
-	base := g.batchNext
-	g.batchNext += uint64(len(dst))
-	workers = min(workers, len(dst))
-	if workers <= 1 {
+	base := g.next
+	g.next += uint64(len(dst))
+	// Blocks and scratches are non-nil, so GenerateBlockAt cannot fail.
+	if workers == 1 {
 		for i, b := range dst {
-			b.ensureShape(g.n, g.m)
-			idx := base + uint64(i)
-			seg := &g.segments[g.segmentIndexAt(idx)]
-			g.fillBlock(seg.gens, seg, blockRngs[i], g.w, g.z, b, idx)
+			_ = g.GenerateBlockAt(base+uint64(i), b, scratches[0])
 		}
 		return nil
 	}
-	// Worker workspaces persist across calls so a streaming caller pays their
-	// construction once, not per batch.
-	for len(g.scratches) < workers {
-		s, err := g.NewBlockScratch()
-		if err != nil {
-			return err
-		}
-		g.scratches = append(g.scratches, s)
-	}
-	scratches := g.scratches[:workers]
 	var wg sync.WaitGroup
 	var next atomic.Int64
 	next.Store(-1)
 	wg.Add(workers)
-	for wk := 0; wk < workers; wk++ {
-		go func(s *BlockScratch) {
+	for _, s := range scratches {
+		go func() {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1))
 				if i >= len(dst) {
 					return
 				}
-				dst[i].ensureShape(g.n, g.m)
-				idx := base + uint64(i)
-				si := g.segmentIndexAt(idx)
-				g.fillBlock(s.segGens[si], &g.segments[si], blockRngs[i], s.w, s.z, dst[i], idx)
+				_ = g.GenerateBlockAt(base+uint64(i), dst[i], s)
 			}
-		}(scratches[wk])
+		}()
 	}
 	wg.Wait()
 	return nil

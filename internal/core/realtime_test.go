@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/cmplxmat"
@@ -97,13 +98,38 @@ func TestRealTimeBlockShape(t *testing.T) {
 	if b.SampleVariance != g.SampleVariance() {
 		t.Errorf("block records sample variance %g, generator %g", b.SampleVariance, g.SampleVariance())
 	}
+}
 
-	blocks, err := g.GenerateBlocks(3)
-	if err != nil || len(blocks) != 3 {
-		t.Errorf("GenerateBlocks = %d blocks, %v", len(blocks), err)
+// TestNewRealTimeGeneratorFootprint bounds what construction allocates at
+// N = 32, M = 4096: less than one N×M complex panel. Every fadingd session
+// and setup-cache entry holds a generator, so GEMM panels or per-envelope
+// Doppler generators built at construction would multiply across them; block
+// workspaces are built on first use instead.
+func TestNewRealTimeGeneratorFootprint(t *testing.T) {
+	const n, m = 32, 4096
+	k := cmplxmat.New(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			k.Set(i, j, complex(math.Pow(0.5, math.Abs(float64(i-j))), 0))
+		}
 	}
-	if _, err := g.GenerateBlocks(0); err == nil {
-		t.Errorf("GenerateBlocks(0) did not error")
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	g, err := NewRealTimeGenerator(RealTimeConfig{
+		Covariance: k,
+		Filter:     doppler.FilterSpec{M: m, NormalizedDoppler: 0.05},
+		Seed:       1,
+	})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatalf("NewRealTimeGenerator: %v", err)
+	}
+	runtime.KeepAlive(g)
+	const panel = n * m * 16
+	if got := after.TotalAlloc - before.TotalAlloc; got >= panel {
+		t.Errorf("NewRealTimeGenerator allocated %.2f MiB, want < %.2f MiB (one %d×%d complex panel)",
+			float64(got)/(1<<20), float64(panel)/(1<<20), n, m)
 	}
 }
 

@@ -192,7 +192,7 @@ func (g *SnapshotGenerator) GenerateInto(gaussian []complex128, env []float64) e
 // ColorInto applies step 7, Z = (L/σ_g)·W, writing the colored samples into
 // gaussian and their moduli into env without allocating. Unlike GenerateInto
 // it consumes no generator state, so concurrent calls with distinct arguments
-// are safe; it is the kernel under the batched and parallel generation paths.
+// are safe.
 func (g *SnapshotGenerator) ColorInto(w, gaussian []complex128, env []float64) error {
 	if len(w) != g.n {
 		return fmt.Errorf("core: %d samples for %d envelopes: %w", len(w), g.n, ErrBadInput)
@@ -250,32 +250,6 @@ func (g *SnapshotGenerator) colorRealInto(w, gaussian []complex128) {
 		}
 		gaussian[i] = complex(re, im)
 	}
-}
-
-// GenerateFromSamples applies step 7 to a caller-supplied vector W of
-// (nominally i.i.d.) complex Gaussian samples whose variance matches the
-// generator's SampleVariance. The real-time combination of Section 5 used to
-// route every time instant through here; it now colors whole blocks at once
-// (see RealTimeGenerator), and this entry point remains for callers bringing
-// their own sample vectors.
-func (g *SnapshotGenerator) GenerateFromSamples(w []complex128) (Snapshot, error) {
-	s := Snapshot{Gaussian: make([]complex128, g.n), Envelopes: make([]float64, g.n)}
-	if err := g.ColorInto(w, s.Gaussian, s.Envelopes); err != nil {
-		return Snapshot{}, err
-	}
-	return s, nil
-}
-
-// GenerateBatch produces count independent snapshots.
-func (g *SnapshotGenerator) GenerateBatch(count int) ([]Snapshot, error) {
-	if count <= 0 {
-		return nil, fmt.Errorf("core: batch count %d must be positive: %w", count, ErrBadInput)
-	}
-	out := make([]Snapshot, count)
-	for i := range out {
-		out[i] = g.Generate()
-	}
-	return out, nil
 }
 
 // batchChunkSize is the number of snapshots drawn from one derived stream in
@@ -378,9 +352,9 @@ func (g *SnapshotGenerator) fillChunk(dst []Snapshot, c int, rng *randx.RNG, p *
 // correlation-coefficient matrix of the Gaussians and desired Rayleigh
 // envelope variances σr²_j: the Gaussian powers follow Eq. (11) and the
 // off-diagonal covariances are ρ_{k,j}·σg_k·σg_j. This is the "start from
-// envelope powers" conversion announced in step 1 of the algorithm, shared
-// by the public NewFromPowers entry point (which routes the result through
-// the backend registry) and NewSnapshotGeneratorFromEnvelopePowers.
+// envelope powers" conversion announced in step 1 of the algorithm, used by
+// the public NewFromPowers entry point (which routes the result through the
+// backend registry).
 func CovarianceFromEnvelopePowers(correlation *cmplxmat.Matrix, envelopeVariances []float64) (*cmplxmat.Matrix, error) {
 	if correlation == nil {
 		return nil, fmt.Errorf("core: nil correlation matrix: %w", ErrBadInput)
@@ -395,17 +369,6 @@ func CovarianceFromEnvelopePowers(correlation *cmplxmat.Matrix, envelopeVariance
 		return nil, err
 	}
 	return CovarianceFromCorrelation(correlation, gaussPowers)
-}
-
-// NewSnapshotGeneratorFromEnvelopePowers chains CovarianceFromEnvelopePowers
-// and NewSnapshotGenerator: the generalized-engine "start from envelope
-// powers" constructor.
-func NewSnapshotGeneratorFromEnvelopePowers(correlation *cmplxmat.Matrix, envelopeVariances []float64, seed int64) (*SnapshotGenerator, error) {
-	k, err := CovarianceFromEnvelopePowers(correlation, envelopeVariances)
-	if err != nil {
-		return nil, err
-	}
-	return NewSnapshotGenerator(SnapshotConfig{Covariance: k, Seed: seed})
 }
 
 // CovarianceFromCorrelation builds K from a correlation-coefficient matrix ρ

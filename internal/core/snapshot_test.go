@@ -186,9 +186,13 @@ func TestSnapshotFromEnvelopePowers(t *testing.T) {
 		{0.6, 1},
 	})
 	envVars := []float64{0.5, 2}
-	g, err := NewSnapshotGeneratorFromEnvelopePowers(rho, envVars, 7)
+	k, err := CovarianceFromEnvelopePowers(rho, envVars)
 	if err != nil {
-		t.Fatalf("NewSnapshotGeneratorFromEnvelopePowers: %v", err)
+		t.Fatalf("CovarianceFromEnvelopePowers: %v", err)
+	}
+	g, err := NewSnapshotGenerator(SnapshotConfig{Covariance: k, Seed: 7})
+	if err != nil {
+		t.Fatalf("NewSnapshotGenerator: %v", err)
 	}
 	const draws = 200000
 	env := make([][]float64, 2)
@@ -212,13 +216,13 @@ func TestSnapshotFromEnvelopePowers(t *testing.T) {
 
 func TestSnapshotFromEnvelopePowersValidation(t *testing.T) {
 	rho := cmplxmat.Identity(2)
-	if _, err := NewSnapshotGeneratorFromEnvelopePowers(nil, []float64{1, 1}, 0); err == nil {
+	if _, err := CovarianceFromEnvelopePowers(nil, []float64{1, 1}); err == nil {
 		t.Errorf("nil correlation did not error")
 	}
-	if _, err := NewSnapshotGeneratorFromEnvelopePowers(rho, []float64{1}, 0); err == nil {
+	if _, err := CovarianceFromEnvelopePowers(rho, []float64{1}); err == nil {
 		t.Errorf("size mismatch did not error")
 	}
-	if _, err := NewSnapshotGeneratorFromEnvelopePowers(rho, []float64{1, -1}, 0); err == nil {
+	if _, err := CovarianceFromEnvelopePowers(rho, []float64{1, -1}); err == nil {
 		t.Errorf("negative envelope variance did not error")
 	}
 }
@@ -275,28 +279,22 @@ func TestSnapshotIndefiniteCovarianceStillGenerates(t *testing.T) {
 	}
 }
 
-func TestGenerateBatchAndFromSamples(t *testing.T) {
+func TestColorInto(t *testing.T) {
 	g, err := NewSnapshotGenerator(SnapshotConfig{Covariance: cmplxmat.Identity(2), Seed: 9})
 	if err != nil {
 		t.Fatalf("NewSnapshotGenerator: %v", err)
 	}
-	batch, err := g.GenerateBatch(10)
-	if err != nil || len(batch) != 10 {
-		t.Errorf("GenerateBatch = %d snapshots, %v", len(batch), err)
+	gaussian := make([]complex128, 2)
+	env := make([]float64, 2)
+	if err := g.ColorInto([]complex128{1}, gaussian, env); err == nil {
+		t.Errorf("ColorInto with wrong sample length did not error")
 	}
-	if _, err := g.GenerateBatch(0); err == nil {
-		t.Errorf("GenerateBatch(0) did not error")
-	}
-	if _, err := g.GenerateFromSamples([]complex128{1}); err == nil {
-		t.Errorf("GenerateFromSamples with wrong length did not error")
-	}
-	s, err := g.GenerateFromSamples([]complex128{1, 1i})
-	if err != nil {
-		t.Fatalf("GenerateFromSamples: %v", err)
+	if err := g.ColorInto([]complex128{1, 1i}, gaussian, env); err != nil {
+		t.Fatalf("ColorInto: %v", err)
 	}
 	// Identity covariance with unit sample variance: Z = W.
-	if s.Gaussian[0] != 1 || s.Gaussian[1] != 1i {
-		t.Errorf("identity coloring altered the samples: %v", s.Gaussian)
+	if gaussian[0] != 1 || gaussian[1] != 1i {
+		t.Errorf("identity coloring altered the samples: %v", gaussian)
 	}
 }
 

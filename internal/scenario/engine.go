@@ -281,21 +281,13 @@ func collectRealtime(data *runData) error {
 
 	n := data.target.Rows()
 	blks := make([]*core.Block, blocks)
-	if workers := spec.Generation.Workers; workers > 1 {
-		// Parallel block generation: bit-identical for every worker count,
-		// but on per-block streams distinct from the sequential
-		// GenerateBlock path (toggling workers across the 1/2 boundary
-		// changes the sample values, never their statistics).
-		for i := range blks {
-			blks[i] = core.NewBlock(n, gen.BlockLength())
-		}
-		if err := gen.GenerateBlocksInto(blks, workers); err != nil {
-			return err
-		}
-	} else {
-		for b := range blks {
-			blks[b] = gen.GenerateBlock()
-		}
+	for i := range blks {
+		blks[i] = core.NewBlock(n, gen.BlockLength())
+	}
+	// Blocks 0..blocks-1 of the served sequence, bit-identical for every
+	// worker count.
+	if err := gen.GenerateBlocksInto(blks, spec.Generation.Workers); err != nil {
+		return err
 	}
 	series := make([][]complex128, n)
 	segCount := make([]float64, len(segments))

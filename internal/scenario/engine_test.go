@@ -118,10 +118,10 @@ func TestBatchedIdentities(t *testing.T) {
 	}
 }
 
-// TestRealtimeWorkersCollection pins the parallel realtime collection path:
-// with workers > 1 the engine generates through GenerateBlocksInto, whose
-// output is worker-count invariant, so gate observations must be identical
-// for every workers > 1 setting.
+// TestRealtimeWorkersCollection pins the realtime collection path: the
+// engine generates through GenerateBlocksInto, whose output is worker-count
+// invariant, so gate observations must be identical for every workers
+// setting, the inline workers = 1 included.
 func TestRealtimeWorkersCollection(t *testing.T) {
 	build := func(workers int) *Spec {
 		return &Spec{
@@ -136,21 +136,21 @@ func TestRealtimeWorkersCollection(t *testing.T) {
 			},
 		}
 	}
-	res2, err := Run(build(2))
-	if err != nil {
-		t.Fatalf("workers=2: %v", err)
-	}
-	if !res2.Passed {
-		t.Fatalf("workers=2 scenario failed: %+v", res2.Gates)
-	}
-	res4, err := Run(build(4))
-	if err != nil {
-		t.Fatalf("workers=4: %v", err)
-	}
-	a, _ := json.Marshal(res2.Gates)
-	b, _ := json.Marshal(res4.Gates)
-	if string(a) != string(b) {
-		t.Errorf("worker count leaked into gate observations:\n%s\n%s", a, b)
+	var want []byte
+	for _, workers := range []int{1, 2, 4} {
+		res, err := Run(build(workers))
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if !res.Passed {
+			t.Fatalf("workers=%d scenario failed: %+v", workers, res.Gates)
+		}
+		got, _ := json.Marshal(res.Gates)
+		if want == nil {
+			want = got
+		} else if string(got) != string(want) {
+			t.Errorf("worker count leaked into gate observations:\n%s\n%s", want, got)
+		}
 	}
 }
 

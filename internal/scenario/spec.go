@@ -196,11 +196,8 @@ type GenerationSpec struct {
 	// zero selects the paper's 1/2.
 	InputVariance float64 `json:"input_variance,omitempty"`
 	// Workers is the worker count of the batched paths (batched and
-	// realtime modes); values <= 1 select the sequential path. In realtime
-	// mode, workers > 1 generates the blocks through GenerateBlocksInto,
-	// whose per-block streams differ from the sequential GenerateBlock
-	// streams (both are deterministic, and output is worker-count
-	// invariant).
+	// realtime modes); values <= 1 generate on the calling goroutine. The
+	// output is bit-identical for every value.
 	Workers int `json:"workers,omitempty"`
 	// Method selects the generation backend realizing the covariance target:
 	// "generalized" (the default) or one of the conventional methods of the

@@ -293,7 +293,7 @@ func (g *Generator) Diagnostics() Diagnostics {
 // internal scratch, so drive each generator from one goroutine at a time
 // (the BlocksInto worker fan-out stays inside a single call and is fine).
 // Servers and other concurrent hosts should use Stream, whose cursors
-// generate the equivalent batched block sequence without shared state.
+// generate the same block sequence without shared state.
 type RealTime struct {
 	inner   *core.RealTimeGenerator
 	workers int
@@ -321,10 +321,10 @@ type RealTimeConfig struct {
 	InputVariance float64
 	// Seed seeds the random streams.
 	Seed int64
-	// Parallel is the worker count of the batched generation path
-	// (BlocksInto). Values <= 1 select the sequential path; the output of a
-	// seeded run is bit-identical for every setting because every block draws
-	// from its own stream set, derived in block order before generation starts.
+	// Parallel is the worker count of BlocksInto. Values <= 1 generate on
+	// the calling goroutine; the output of a seeded run is bit-identical for
+	// every setting because block k is a pure function of the configuration
+	// and k.
 	Parallel int
 	// Method selects the generation backend (same vocabulary and failure
 	// classes as Config.Method). A conventional method contributes its own
@@ -424,7 +424,9 @@ func (r *RealTime) BlockLength() int { return r.inner.BlockLength() }
 // backend's unit-variance assumption.
 func (r *RealTime) SampleVariance() float64 { return r.inner.SampleVariance() }
 
-// Block generates the next block of time-correlated envelopes.
+// Block generates the next block of time-correlated envelopes. Block,
+// BlockInto and BlocksInto share one position, so any mix of them walks the
+// block sequence a Stream serves.
 func (r *RealTime) Block() Block {
 	b := r.inner.GenerateBlock()
 	return Block{Gaussian: b.Gaussian, Envelopes: b.Envelopes}
@@ -432,9 +434,9 @@ func (r *RealTime) Block() Block {
 
 // BlockInto generates the next block into b, reusing its storage when it
 // already holds N rows of BlockLength samples (an empty or wrong-shaped block
-// is [re]allocated in place). It continues the same random streams as Block
-// and produces identical values; with a pre-shaped destination and a
-// power-of-two IDFT length the call performs no steady-state heap allocation.
+// is [re]allocated in place). It produces the values Block would; with a
+// pre-shaped destination and a power-of-two IDFT length the call performs no
+// steady-state heap allocation.
 // This is the streaming API for feeding live channel simulators sample block
 // by sample block.
 func (r *RealTime) BlockInto(b *Block) error {
@@ -450,17 +452,14 @@ func (r *RealTime) BlockInto(b *Block) error {
 	return nil
 }
 
-// BlocksInto fills dst with len(dst) consecutive blocks, reusing the storage
-// of every pre-shaped entry; nil entries are replaced by freshly allocated
+// BlocksInto fills dst with the next len(dst) blocks, reusing the storage of
+// every pre-shaped entry; nil entries are replaced by freshly allocated
 // blocks, and duplicate non-nil pointers are rejected with ErrInvalidConfig
-// (aliased entries would silently clobber each other). When RealTimeConfig.Parallel > 1 the blocks fan out across that many
-// workers, each with private Doppler generators and GEMM panels, and the
-// output is bit-identical for every worker count: every block draws from its
-// own stream set, derived in block order from the seed before generation
-// starts.
-//
-// The per-block streams are distinct from the streams behind Block/BlockInto:
-// a batched run reproduces other batched runs, not a sequence of Block calls.
+// (aliased entries would silently clobber each other). When
+// RealTimeConfig.Parallel > 1 the blocks fan out across that many workers,
+// each with its own GEMM panels, and the output is bit-identical for every
+// worker count. With pre-shaped entries and Parallel <= 1 the call performs
+// no steady-state heap allocation.
 func (r *RealTime) BlocksInto(dst []*Block) error {
 	if len(dst) == 0 {
 		return fmt.Errorf("rayleigh: empty block destination: %w", ErrInvalidConfig)

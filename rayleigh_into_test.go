@@ -155,6 +155,23 @@ func TestBlockIntoDoesNotAllocate(t *testing.T) {
 	}
 }
 
+func TestBlocksIntoDoesNotAllocate(t *testing.T) {
+	for _, parallel := range []int{0, 1} {
+		r := newIntoRealTime(t, 512, parallel)
+		dst := make([]*Block, 8)
+		if err := r.BlocksInto(dst); err != nil { // shape the storage once
+			t.Fatalf("BlocksInto: %v", err)
+		}
+		if n := testing.AllocsPerRun(10, func() {
+			if err := r.BlocksInto(dst); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("Parallel=%d: BlocksInto allocates %v per run", parallel, n)
+		}
+	}
+}
+
 func TestBlocksIntoWorkerCountInvariance(t *testing.T) {
 	const count = 6
 	var want []*Block

@@ -17,10 +17,8 @@ import (
 // Cursors — so one Stream may be shared freely across goroutines as long as
 // each Cursor stays confined to a single goroutine at a time.
 //
-// The block sequence is exactly the batched sequence of
-// RealTime.BlocksInto from the same configuration (and is bit-identical for
-// every worker count); it is distinct from the sequential RealTime.Block
-// stream, like every batched path in this package.
+// The block sequence is exactly the sequence RealTime.Block, BlockInto and
+// BlocksInto (at any Parallel) walk from the same configuration.
 type Stream struct {
 	inner *core.RealTimeGenerator
 }

@@ -22,36 +22,102 @@ func streamTestConfig(seed int64, parallel int) RealTimeConfig {
 	}
 }
 
-// TestStreamMatchesBlocksInto pins the Stream sequence to the batched
-// RealTime sequence: same config, same blocks, bit for bit.
+// TestStreamMatchesBlocksInto pins the one real-time block sequence: block k
+// is the same, bit for bit, from RealTime.Block, RealTime.BlockInto,
+// RealTime.BlocksInto (Parallel 1 and 4, uneven batches), Cursor.Next and
+// Cursor.BlockAt in reverse order. The Suzuki transform depends on the
+// sample offset and the nonstationary trajectory changes segment at block 4,
+// inside the second batch.
 func TestStreamMatchesBlocksInto(t *testing.T) {
-	const blocks = 5
-	rt, err := NewRealTime(streamTestConfig(11, 2))
-	if err != nil {
-		t.Fatalf("NewRealTime: %v", err)
+	const blocks = 8
+	configs := map[string]RealTimeConfig{
+		FadingRayleigh: streamTestConfig(11, 0),
+		FadingSuzuki: {
+			Covariance:        streamTestCovariance,
+			IDFTPoints:        128,
+			NormalizedDoppler: 0.05,
+			Seed:              13,
+			Fading:            FadingSuzuki,
+			FadingParams:      &FadingParams{ShadowSigmaDB: 4, ShadowCoherence: 48},
+		},
+		FadingNonstationaryDoppler: {
+			Covariance: streamTestCovariance,
+			IDFTPoints: 128,
+			Seed:       17,
+			Fading:     FadingNonstationaryDoppler,
+			FadingParams: &FadingParams{Segments: []DopplerSegment{
+				{Blocks: 4, NormalizedDoppler: 0.02},
+				{Blocks: 4, NormalizedDoppler: 0.1},
+			}},
+		},
 	}
-	want := make([]*Block, blocks)
-	if err := rt.BlocksInto(want); err != nil {
-		t.Fatalf("BlocksInto: %v", err)
+	newRealTime := func(t *testing.T, cfg RealTimeConfig, parallel int) *RealTime {
+		t.Helper()
+		cfg.Parallel = parallel
+		rt, err := NewRealTime(cfg)
+		if err != nil {
+			t.Fatalf("NewRealTime: %v", err)
+		}
+		return rt
 	}
+	for name, cfg := range configs {
+		t.Run(name, func(t *testing.T) {
+			s, err := NewStream(cfg)
+			if err != nil {
+				t.Fatalf("NewStream: %v", err)
+			}
+			cur, err := s.NewCursor()
+			if err != nil {
+				t.Fatalf("NewCursor: %v", err)
+			}
+			want := make([]*Block, blocks)
+			for i := range want {
+				if pos := cur.Position(); pos != uint64(i) {
+					t.Fatalf("cursor position %d before block %d", pos, i)
+				}
+				want[i] = &Block{}
+				if err := cur.Next(want[i]); err != nil {
+					t.Fatalf("Next(%d): %v", i, err)
+				}
+			}
 
-	s, err := NewStream(streamTestConfig(11, 0))
-	if err != nil {
-		t.Fatalf("NewStream: %v", err)
-	}
-	cur, err := s.NewCursor()
-	if err != nil {
-		t.Fatalf("NewCursor: %v", err)
-	}
-	var got Block
-	for i := 0; i < blocks; i++ {
-		if pos := cur.Position(); pos != uint64(i) {
-			t.Fatalf("cursor position %d before block %d", pos, i)
-		}
-		if err := cur.Next(&got); err != nil {
-			t.Fatalf("Next(%d): %v", i, err)
-		}
-		assertBlocksEqual(t, i, want[i], &got)
+			rt := newRealTime(t, cfg, 0)
+			for i := range want {
+				got := rt.Block()
+				assertBlocksEqual(t, i, want[i], &got)
+			}
+			rt = newRealTime(t, cfg, 0)
+			var got Block
+			for i := range want {
+				if err := rt.BlockInto(&got); err != nil {
+					t.Fatalf("BlockInto(%d): %v", i, err)
+				}
+				assertBlocksEqual(t, i, want[i], &got)
+			}
+			for _, parallel := range []int{1, 4} {
+				rt := newRealTime(t, cfg, parallel)
+				dst := make([]*Block, blocks)
+				if err := rt.BlocksInto(dst[:3]); err != nil {
+					t.Fatalf("BlocksInto(Parallel=%d, first): %v", parallel, err)
+				}
+				if err := rt.BlocksInto(dst[3:]); err != nil {
+					t.Fatalf("BlocksInto(Parallel=%d, second): %v", parallel, err)
+				}
+				for i := range want {
+					assertBlocksEqual(t, i, want[i], dst[i])
+				}
+			}
+			back, err := s.NewCursor()
+			if err != nil {
+				t.Fatalf("NewCursor: %v", err)
+			}
+			for i := blocks - 1; i >= 0; i-- {
+				if err := back.BlockAt(uint64(i), &got); err != nil {
+					t.Fatalf("BlockAt(%d): %v", i, err)
+				}
+				assertBlocksEqual(t, i, want[i], &got)
+			}
+		})
 	}
 }
 
