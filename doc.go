@@ -71,12 +71,16 @@
 //     matrix-matrix product. With reused destinations the steady-state heap
 //     traffic is amortized O(1) per snapshot.
 //
-//   - RealTime.BlockInto fills a reusable Block; the N Doppler processes are
-//     drawn into the rows of an N×M panel, the IDFTs run through per-length
-//     transform plans with precomputed twiddle factors and bit-reversal
-//     permutations, and the whole panel is colored with a single
-//     matrix-matrix product. With a pre-shaped Block and a power-of-two IDFT
-//     length the call performs no heap allocation at all.
+//   - RealTime.BlockInto fills a reusable Block. Coloring acts across the N
+//     envelopes and the IDFT along time, so the block colors the Doppler
+//     spectra before transforming them, with the same result as Fig. 3's
+//     order up to rounding. Each of the N Doppler processes draws only its
+//     band: the B = 2·k_m bins where the Eq. (21) filter is non-zero (408 of
+//     4096 at fm = 0.05). One matrix-matrix product colors the N×B band
+//     panel, and each colored row is inverse-transformed in the Block's own
+//     storage through a per-length plan with precomputed twiddle factors and
+//     bit-reversal permutations. With a pre-shaped Block and a power-of-two
+//     IDFT length the call performs no heap allocation at all.
 //
 // Setting Config.Parallel / RealTimeConfig.Parallel fans SnapshotsInto
 // chunks and BlocksInto blocks across a worker pool. Every unit of work

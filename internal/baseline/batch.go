@@ -10,7 +10,10 @@ import (
 
 // batchChunkSize is the number of snapshots drawn from one derived stream in
 // GenerateBatchInto, matching the core engine's chunk size so the methods are
-// benchmarkable on equal footing.
+// benchmarkable on equal footing. As in the core engine, chunk c draws from
+// the (c+1)-th split of the batch root: chunks are visited in index order and
+// a reused RNG is reseeded with root.SplitSeed() for each, which reproduces
+// root.Split() without allocating a child.
 const batchChunkSize = 64
 
 // colorBatch is the shared batched engine of the coloring-based methods
@@ -24,6 +27,8 @@ type colorBatch struct {
 	coloring *cmplxmat.Matrix
 	w, z     *cmplxmat.Matrix
 	wRows    [][]complex128
+	// rng is reseeded for every chunk (see batchChunkSize).
+	rng *randx.RNG
 	// fRow is the real-sample scratch of the Salz–Winters fill (nil for the
 	// complex methods).
 	fRow []float64
@@ -39,6 +44,9 @@ func (cb *colorBatch) reset(coloring *cmplxmat.Matrix, realSamples bool) {
 	cb.wRows = make([][]complex128, rows)
 	for k := 0; k < rows; k++ {
 		cb.wRows[k] = cb.w.RowView(k)
+	}
+	if cb.rng == nil {
+		cb.rng = randx.New(0)
 	}
 	if realSamples {
 		cb.fRow = make([]float64, batchChunkSize)
@@ -65,17 +73,6 @@ func checkBatchDst(n int, gaussian [][]complex128, env [][]float64) error {
 	return nil
 }
 
-// chunkRNGs derives one stream per chunk from root, in index order before any
-// generation starts — the same discipline as the core engine's batched path.
-func chunkRNGs(root *randx.RNG, draws int) []*randx.RNG {
-	chunks := (draws + batchChunkSize - 1) / batchChunkSize
-	rngs := make([]*randx.RNG, chunks)
-	for c := range rngs {
-		rngs[c] = root.Split()
-	}
-	return rngs
-}
-
 // generateBatch runs the chunked ColorBlock path for a complex n×n coloring:
 // sample k of snapshot ci is draw k·cols+ci of the chunk stream (contiguous
 // row fills, no gather).
@@ -86,16 +83,12 @@ func (cb *colorBatch) generateBatch(n int, root *randx.RNG, gaussian [][]complex
 	if err := checkBatchDst(n, gaussian, env); err != nil {
 		return err
 	}
-	rngs := chunkRNGs(root, len(gaussian))
-	for c, rng := range rngs {
-		lo := c * batchChunkSize
-		hi := lo + batchChunkSize
-		if hi > len(gaussian) {
-			hi = len(gaussian)
-		}
+	for lo := 0; lo < len(gaussian); lo += batchChunkSize {
+		hi := min(lo+batchChunkSize, len(gaussian))
+		cb.rng.Reseed(root.SplitSeed())
 		cols := hi - lo
 		for _, row := range cb.wRows {
-			rng.FillComplexNormal(row[:cols], 1)
+			cb.rng.FillComplexNormal(row[:cols], 1)
 		}
 		// Panel dimensions are fixed at Setup, so ColorBlock cannot fail.
 		_ = cmplxmat.ColorBlock(cb.coloring, cb.w, cb.z)
@@ -126,17 +119,13 @@ func (cb *colorBatch) generateBatchReal2N(n int, root *randx.RNG, gaussian [][]c
 	if err := checkBatchDst(n, gaussian, env); err != nil {
 		return err
 	}
-	rngs := chunkRNGs(root, len(gaussian))
-	for c, rng := range rngs {
-		lo := c * batchChunkSize
-		hi := lo + batchChunkSize
-		if hi > len(gaussian) {
-			hi = len(gaussian)
-		}
+	for lo := 0; lo < len(gaussian); lo += batchChunkSize {
+		hi := min(lo+batchChunkSize, len(gaussian))
+		cb.rng.Reseed(root.SplitSeed())
 		cols := hi - lo
 		for _, row := range cb.wRows {
 			f := cb.fRow[:cols]
-			rng.FillNormal(f, 1)
+			cb.rng.FillNormal(f, 1)
 			for q, v := range f {
 				row[q] = complex(v, 0)
 			}

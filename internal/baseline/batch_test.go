@@ -140,6 +140,26 @@ func TestGenerateBatchIntoIsDeterministic(t *testing.T) {
 	}
 }
 
+// TestGenerateBatchIntoDoesNotAllocate: once Setup has run, chunk streams
+// come from one reused RNG reseeded per chunk, so a pre-shaped batch
+// allocates nothing on any method.
+func TestGenerateBatchIntoDoesNotAllocate(t *testing.T) {
+	for _, tc := range allMethods(t) {
+		if err := tc.m.Setup(tc.k); err != nil {
+			t.Fatalf("%s Setup: %v", tc.m.Name(), err)
+		}
+		g, e := batchDst(1024, tc.m.N())
+		root := randx.New(31)
+		if n := testing.AllocsPerRun(10, func() {
+			if err := tc.m.GenerateBatchInto(root, g, e); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s GenerateBatchInto allocates %v per run", tc.m.Name(), n)
+		}
+	}
+}
+
 func TestGenerateBatchIntoMatchesCovariance(t *testing.T) {
 	for _, tc := range allMethods(t) {
 		if err := tc.m.Setup(tc.k); err != nil {

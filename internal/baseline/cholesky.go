@@ -188,6 +188,7 @@ type ErtelReedPair struct {
 	power float64
 	rho   float64
 	ready bool
+	rng   *randx.RNG // reseeded for every batch chunk
 }
 
 // Name implements Method.
@@ -216,6 +217,9 @@ func (c *ErtelReedPair) Setup(k *cmplxmat.Matrix) error {
 	c.power = power
 	c.rho = rho
 	c.ready = true
+	if c.rng == nil {
+		c.rng = randx.New(0)
+	}
 	return nil
 }
 
@@ -265,16 +269,12 @@ func (c *ErtelReedPair) GenerateBatchInto(root *randx.RNG, gaussian [][]complex1
 	if err := checkBatchDst(2, gaussian, env); err != nil {
 		return err
 	}
-	rngs := chunkRNGs(root, len(gaussian))
-	for chunk, rng := range rngs {
-		lo := chunk * batchChunkSize
-		hi := lo + batchChunkSize
-		if hi > len(gaussian) {
-			hi = len(gaussian)
-		}
+	for lo := 0; lo < len(gaussian); lo += batchChunkSize {
+		hi := min(lo+batchChunkSize, len(gaussian))
+		c.rng.Reseed(root.SplitSeed())
 		for i := lo; i < hi; i++ {
 			// GenerateInto cannot fail: readiness and shapes were checked.
-			_ = c.GenerateInto(rng, gaussian[i], env[i])
+			_ = c.GenerateInto(c.rng, gaussian[i], env[i])
 		}
 	}
 	return nil

@@ -21,6 +21,17 @@ func (m *Matrix) RowView(i int) []complex128 {
 // an explicit stride; everything else should go through At/Set/RowView.
 func (m *Matrix) Data() []complex128 { return m.data }
 
+// View returns an r×c matrix over the leading r·c entries of data, sharing
+// that storage (writes through either are visible in both). It lets several
+// narrower shapes reuse one workspace, as the real-time generator's band
+// panels do across Doppler segments of different bandwidths.
+func View(r, c int, data []complex128) *Matrix {
+	if r <= 0 || c <= 0 || len(data) < r*c {
+		panic(fmt.Sprintf("cmplxmat: View %dx%d over %d entries", r, c, len(data)))
+	}
+	return &Matrix{rows: r, cols: c, data: data[: r*c : r*c]}
+}
+
 // MulVecInto computes dst = a·x without allocating. dst must have length
 // a.Rows() and must not alias x.
 //

@@ -2,6 +2,7 @@ package cmplxmat
 
 import (
 	"errors"
+	"fmt"
 	"math/cmplx"
 	"math/rand"
 	"testing"
@@ -200,5 +201,51 @@ func TestIntoKernelsDoNotAllocate(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("ColorBlock allocates %v per run", n)
+	}
+}
+
+func TestViewSharesLeadingStorage(t *testing.T) {
+	data := make([]complex128, 12)
+	v := View(2, 5, data)
+	if r, c := v.Dims(); r != 2 || c != 5 {
+		t.Fatalf("View dims %dx%d, want 2x5", r, c)
+	}
+	v.Set(1, 4, 7)
+	if data[9] != 7 {
+		t.Errorf("write through View not visible in data: %v", data)
+	}
+	if len(v.Data()) != 10 || cap(v.Data()) != 10 {
+		t.Errorf("View backing len/cap %d/%d, want 10/10", len(v.Data()), cap(v.Data()))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Errorf("View over too little data did not panic")
+		}
+	}()
+	View(3, 5, data)
+}
+
+// BenchmarkColorBlock times the real-time coloring GEMM at N = 32 on the two
+// panel widths a block can present at M = 4096, fm = 0.05: all M time samples,
+// or the B = 2·k_m = 408 non-zero Doppler bins the generator colors.
+func BenchmarkColorBlock(b *testing.B) {
+	const n = 32
+	rng := rand.New(rand.NewSource(23))
+	l := New(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j <= i; j++ {
+			l.Set(i, j, complex(rng.NormFloat64(), 0))
+		}
+	}
+	for _, cols := range []int{4096, 408} {
+		w := randomMatrix(rng, n, cols)
+		z := New(n, cols)
+		b.Run(fmt.Sprintf("N=%d/cols=%d", n, cols), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := ColorBlock(l, w, z); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -63,25 +63,55 @@ func TestGenerateIntoDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestGenerateBatchIntoWorkerCountInvariance pins the chunk streams: chunk c
+// of a batch draws from the (c+1)-th Split of the batch root, whether the
+// chunk's RNG is a Split child or a reused RNG reseeded with SplitSeed, at
+// every worker count, and a second batch continues the split sequence.
 func TestGenerateBatchIntoWorkerCountInvariance(t *testing.T) {
-	const count = 300 // several chunks plus a ragged tail
-	runs := make([][]Snapshot, 0, 3)
-	for _, workers := range []int{1, 2, 7} {
-		g := newTestSnapshotGenerator(t, 407)
-		dst := make([]Snapshot, count)
-		if err := g.GenerateBatchInto(dst, workers); err != nil {
-			t.Fatalf("GenerateBatchInto(workers=%d): %v", workers, err)
+	sizes := []int{300, 130} // several chunks with ragged tails, in two calls
+	ref := newTestSnapshotGenerator(t, 407)
+	p := newSnapPanels(ref.N())
+	var want [][]Snapshot
+	for _, size := range sizes {
+		dst := make([]Snapshot, size)
+		for c := 0; c*batchChunkSize < size; c++ {
+			p.rng = ref.batchRoot.Split()
+			ref.fillChunk(dst, c, p)
 		}
-		runs = append(runs, dst)
+		want = append(want, dst)
 	}
-	for r := 1; r < len(runs); r++ {
-		for i := range runs[0] {
-			for j := range runs[0][i].Gaussian {
-				if runs[r][i].Gaussian[j] != runs[0][i].Gaussian[j] ||
-					runs[r][i].Envelopes[j] != runs[0][i].Envelopes[j] {
-					t.Fatalf("run %d snapshot %d envelope %d differs from sequential run", r, i, j)
+	for _, workers := range []int{1, 2, 4, 7} {
+		g := newTestSnapshotGenerator(t, 407)
+		for b, size := range sizes {
+			dst := make([]Snapshot, size)
+			if err := g.GenerateBatchInto(dst, workers); err != nil {
+				t.Fatalf("GenerateBatchInto(workers=%d): %v", workers, err)
+			}
+			for i := range dst {
+				for j := range dst[i].Gaussian {
+					if dst[i].Gaussian[j] != want[b][i].Gaussian[j] || dst[i].Envelopes[j] != want[b][i].Envelopes[j] {
+						t.Fatalf("workers=%d batch %d snapshot %d envelope %d differs from the Split reference", workers, b, i, j)
+					}
 				}
 			}
+		}
+	}
+}
+
+func TestGenerateBatchIntoDoesNotAllocate(t *testing.T) {
+	g := newTestSnapshotGenerator(t, 433)
+	dst := make([]Snapshot, 1024)
+	for i := range dst {
+		dst[i].Gaussian = make([]complex128, g.N())
+		dst[i].Envelopes = make([]float64, g.N())
+	}
+	for _, workers := range []int{0, 1} {
+		if n := testing.AllocsPerRun(10, func() {
+			if err := g.GenerateBatchInto(dst, workers); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("GenerateBatchInto(workers=%d) allocates %v per run", workers, n)
 		}
 	}
 }

@@ -137,24 +137,32 @@ type rtSegment struct {
 	sigmaG2  float64
 }
 
-// BlockScratch is the workspace of one block-generating goroutine: the N×M
-// input and output panels of the coloring GEMM, one Doppler generator per
+// BlockScratch is the workspace of one block-generating goroutine: the input
+// and output panels of the coloring GEMM, one Doppler generator per
 // trajectory segment, and the two RNGs reseeded for every block (the block's
-// root and the row stream split from it). For power-of-two M the generators
-// are the segments' own (read-only after construction, so concurrent
-// GenerateBlockAt calls are safe); for other lengths each scratch gets
-// private ones because the Bluestein IDFT plan owns convolution scratch.
+// root and the row stream split from it). The panels hold band spectra, not
+// time samples: two N×B_max backing arrays, B_max the widest segment band,
+// which every segment views at its own N×B (so they never grow with the
+// segment count). For power-of-two M the generators are the segments' own
+// (read-only after construction, so concurrent GenerateBlockAt calls are
+// safe); for other lengths each scratch gets private ones because the
+// Bluestein IDFT plan owns convolution scratch.
 type BlockScratch struct {
-	w, z    *cmplxmat.Matrix
+	w, z    []*cmplxmat.Matrix   // per segment, N×B views of the shared panels
 	segGens []*doppler.Generator // indexed like RealTimeGenerator.segments
 	root    *randx.RNG
 	row     *randx.RNG
 }
 
 // RealTimeGenerator implements the combined algorithm of Section 5. Block k
-// is a pure function of the configuration and k: its N Doppler rows draw from
-// streams derived from the seed and k alone into an N×M panel, and all M time
-// instants are colored with a single cache-blocked matrix-matrix product.
+// is a pure function of the configuration and k: its N Doppler rows draw
+// their band spectra from streams derived from the seed and k alone. Fig. 3
+// colors the N IDFT outputs at every time instant; coloring acts across
+// envelopes and the IDFT along time, so the generator colors the N×B band
+// panel with one cache-blocked matrix-matrix product first and then
+// inverse-transforms each colored row. The block is the same up to rounding,
+// and the GEMM runs over the B = 2·k_m non-zero Doppler bins instead of all
+// M time samples.
 type RealTimeGenerator struct {
 	snapshot *SnapshotGenerator
 	segments []rtSegment
@@ -329,7 +337,9 @@ func (g *RealTimeGenerator) GenerateBlockInto(b *Block) error {
 // NewBlockScratch builds a workspace for GenerateBlockAt.
 func (g *RealTimeGenerator) NewBlockScratch() (*BlockScratch, error) {
 	segGens := make([]*doppler.Generator, len(g.segments))
+	widest := 0
 	for si := range g.segments {
+		widest = max(widest, g.segments[si].gen.BandLen())
 		if g.m&(g.m-1) == 0 {
 			segGens[si] = g.segments[si].gen
 			continue
@@ -340,13 +350,20 @@ func (g *RealTimeGenerator) NewBlockScratch() (*BlockScratch, error) {
 		}
 		segGens[si] = dg
 	}
-	return &BlockScratch{
-		w:       cmplxmat.New(g.n, g.m),
-		z:       cmplxmat.New(g.n, g.m),
+	wd := make([]complex128, g.n*widest)
+	zd := make([]complex128, g.n*widest)
+	s := &BlockScratch{
+		w:       make([]*cmplxmat.Matrix, len(g.segments)),
+		z:       make([]*cmplxmat.Matrix, len(g.segments)),
 		segGens: segGens,
 		root:    randx.New(0),
 		row:     randx.New(0),
-	}, nil
+	}
+	for si, dg := range segGens {
+		s.w[si] = cmplxmat.View(g.n, dg.BandLen(), wd)
+		s.z[si] = cmplxmat.View(g.n, dg.BandLen(), zd)
+	}
+	return s, nil
 }
 
 // workerScratches returns the first count cached worker workspaces, building
@@ -391,38 +408,39 @@ func (g *RealTimeGenerator) GenerateBlockAt(index uint64, b *Block, s *BlockScra
 	return nil
 }
 
-// fillBlock is the block hot path: row j's Doppler process draws from the
-// j-th split of the block's root into row j of w, one ColorBlock GEMM colors
-// w into z, then a single fused pass stores the colored samples and their
-// envelopes (the envelope is computed once per sample, straight from the
-// colored value). With a fading transform configured, the pass instead
-// copies the row and hands it to the transform, which rewrites samples and
-// envelopes in place; index gives the transform its global sample offset.
+// fillBlock is the block hot path. Row j's Doppler process draws its band
+// spectrum (the filter's non-zero taps in ascending k) from the j-th split of
+// the block's root into row j of the N×B panel w, and one ColorBlock GEMM
+// colors w into z with the segment's L/σ_g. Each colored row is then
+// scattered into the block's own Gaussian row and inverse-transformed there
+// in place, and a single pass derives the envelopes. With a fading transform
+// configured, the transform rewrites samples and envelopes in place instead;
+// index gives it its global sample offset.
 //
 // fadinglint:allocfree
 func (g *RealTimeGenerator) fillBlock(index uint64, b *Block, s *BlockScratch) {
 	si := g.segmentIndexAt(index)
 	seg := &g.segments[si]
+	dg := s.segGens[si]
+	w, z := s.w[si], s.z[si]
 	s.root.Reseed(g.blockRoot.SplitSeedAt(index))
+	// Panel, band and row lengths are fixed at construction, so neither the
+	// band calls nor ColorBlock can fail.
 	for j := 0; j < g.n; j++ {
 		s.row.Reseed(s.root.SplitSeed())
-		// Row length equals the generator's M by construction.
-		_ = s.segGens[si].BlockInto(s.row, s.w.RowView(j))
+		_ = dg.BandInto(s.row, w.RowView(j))
 	}
-	// Dimensions are fixed at construction, so ColorBlock cannot fail.
-	_ = cmplxmat.ColorBlock(seg.coloring, s.w, s.z)
+	_ = cmplxmat.ColorBlock(seg.coloring, w, z)
 	offset := index * uint64(g.m)
 	for j := 0; j < g.n; j++ {
-		zr := s.z.RowView(j)
 		gj := b.Gaussian[j]
 		ej := b.Envelopes[j]
+		_ = dg.SynthesizeInto(z.RowView(j), gj)
 		if g.transform != nil {
-			copy(gj, zr)
 			g.transform.Apply(j, offset, gj, ej)
 			continue
 		}
-		for l, v := range zr {
-			gj[l] = v
+		for l, v := range gj {
 			ej[l] = envAbs(v)
 		}
 	}

@@ -107,12 +107,7 @@ func TestRealTimeBlockShape(t *testing.T) {
 // workspaces are built on first use instead.
 func TestNewRealTimeGeneratorFootprint(t *testing.T) {
 	const n, m = 32, 4096
-	k := cmplxmat.New(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			k.Set(i, j, complex(math.Pow(0.5, math.Abs(float64(i-j))), 0))
-		}
-	}
+	k := exponentialCovariance(n, 0.5)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)

@@ -54,21 +54,23 @@ type SnapshotGenerator struct {
 	n         int
 	w         []complex128 // scratch for the raw sample vector W
 	colReal   []float64    // flat copy of the coloring matrix when purely real, else nil
-	panels    *snapPanels  // sequential-path GEMM panels of GenerateBatchInto
+	panels    *snapPanels  // sequential-path workspace of GenerateBatchInto, built on first use
 }
 
 // snapPanels is the workspace of one batch worker: the N×chunk GEMM panels
 // with the W row views hoisted for the fill loop (Z is read back through its
-// flat backing array).
+// flat backing array), and the RNG reseeded with each chunk's stream.
 type snapPanels struct {
 	w, z  *cmplxmat.Matrix
 	wRows [][]complex128
+	rng   *randx.RNG
 }
 
 func newSnapPanels(n int) *snapPanels {
 	p := &snapPanels{
-		w: cmplxmat.New(n, batchChunkSize),
-		z: cmplxmat.New(n, batchChunkSize),
+		w:   cmplxmat.New(n, batchChunkSize),
+		z:   cmplxmat.New(n, batchChunkSize),
+		rng: randx.New(0),
 	}
 	p.wRows = make([][]complex128, n)
 	for k := 0; k < n; k++ {
@@ -126,7 +128,6 @@ func NewSnapshotGenerator(cfg SnapshotConfig) (*SnapshotGenerator, error) {
 		n:         n,
 		w:         make([]complex128, n),
 		colReal:   realEntries(scaled),
-		panels:    newSnapPanels(n),
 	}, nil
 }
 
@@ -253,8 +254,8 @@ func (g *SnapshotGenerator) colorRealInto(w, gaussian []complex128) {
 }
 
 // batchChunkSize is the number of snapshots drawn from one derived stream in
-// GenerateBatchInto. Chunk streams are split off in index order before any
-// generation happens, which is what makes the output independent of the
+// GenerateBatchInto. Chunk c draws from the (c+1)-th split of the batch root,
+// whatever worker fills it, which is what makes the output independent of the
 // worker count.
 const batchChunkSize = 64
 
@@ -264,7 +265,10 @@ const batchChunkSize = 64
 // chunks of batchChunkSize; each chunk draws from its own stream derived
 // deterministically from the generator seed, and workers > 1 fans the chunks
 // across that many goroutines. For a fixed seed the output is bit-identical
-// for every worker count, including the sequential workers <= 1 path.
+// for every worker count, including the sequential workers <= 1 path, which
+// performs no heap allocation when every entry already has length N: each
+// chunk reseeds one reused RNG with its split seed (the stream Split would
+// derive, without allocating the child).
 //
 // Note the chunk streams are distinct from the stream behind Generate: a
 // batched run reproduces other batched runs, not an element-wise sequence of
@@ -274,15 +278,23 @@ func (g *SnapshotGenerator) GenerateBatchInto(dst []Snapshot, workers int) error
 		return fmt.Errorf("core: empty batch destination: %w", ErrBadInput)
 	}
 	chunks := (len(dst) + batchChunkSize - 1) / batchChunkSize
-	rngs := make([]*randx.RNG, chunks)
-	for c := range rngs {
-		rngs[c] = g.batchRoot.Split()
-	}
 	if workers <= 1 || chunks == 1 {
+		// Built on first use: the real-time generator embeds a snapshot
+		// generator for its coloring and never draws batches.
+		if g.panels == nil {
+			g.panels = newSnapPanels(g.n)
+		}
 		for c := 0; c < chunks; c++ {
-			g.fillChunk(dst, c, rngs[c], g.panels)
+			g.panels.rng.Reseed(g.batchRoot.SplitSeed())
+			g.fillChunk(dst, c, g.panels)
 		}
 		return nil
+	}
+	// Seeds are derived in chunk order before any generation, so a chunk's
+	// stream does not depend on which worker fills it.
+	seeds := make([]int64, chunks)
+	for c := range seeds {
+		seeds[c] = g.batchRoot.SplitSeed()
 	}
 	if workers > chunks {
 		workers = chunks
@@ -300,7 +312,8 @@ func (g *SnapshotGenerator) GenerateBatchInto(dst []Snapshot, workers int) error
 				if c >= chunks {
 					return
 				}
-				g.fillChunk(dst, c, rngs[c], panels)
+				panels.rng.Reseed(seeds[c])
+				g.fillChunk(dst, c, panels)
 			}
 		}()
 	}
@@ -308,14 +321,15 @@ func (g *SnapshotGenerator) GenerateBatchInto(dst []Snapshot, workers int) error
 	return nil
 }
 
-// fillChunk generates chunk c of a batch: the chunk's raw samples are drawn
-// row by row straight into the W panel (sample k of snapshot ci is draw
-// k·cols+ci of the chunk stream — contiguous fills, no gather), the whole
-// panel is colored with a single ColorBlock GEMM, and the colored columns are
-// scattered back out with their envelopes. Ragged tail chunks color the full
-// panel and simply ignore the unused columns, which keeps the kernel shape
-// fixed without consuming extra random draws.
-func (g *SnapshotGenerator) fillChunk(dst []Snapshot, c int, rng *randx.RNG, p *snapPanels) {
+// fillChunk generates chunk c of a batch from the stream p.rng is seeded
+// with: the chunk's raw samples are drawn row by row straight into the W
+// panel (sample k of snapshot ci is draw k·cols+ci of the chunk stream —
+// contiguous fills, no gather), the whole panel is colored with a single
+// ColorBlock GEMM, and the colored columns are scattered back out with their
+// envelopes. Ragged tail chunks color the full panel and simply ignore the
+// unused columns, which keeps the kernel shape fixed without consuming extra
+// random draws.
+func (g *SnapshotGenerator) fillChunk(dst []Snapshot, c int, p *snapPanels) {
 	lo := c * batchChunkSize
 	hi := lo + batchChunkSize
 	if hi > len(dst) {
@@ -323,7 +337,7 @@ func (g *SnapshotGenerator) fillChunk(dst []Snapshot, c int, rng *randx.RNG, p *
 	}
 	cols := hi - lo
 	for _, row := range p.wRows {
-		rng.FillComplexNormal(row[:cols], g.sampleVar)
+		p.rng.FillComplexNormal(row[:cols], g.sampleVar)
 	}
 	// Dimensions are fixed at construction, so ColorBlock cannot fail.
 	_ = cmplxmat.ColorBlock(g.coloring, p.w, p.z)

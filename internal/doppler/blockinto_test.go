@@ -2,6 +2,7 @@ package doppler
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/randx"
@@ -50,5 +51,86 @@ func TestBlockIntoDoesNotAllocatePow2(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("BlockInto allocates %v per run at power-of-two M", n)
+	}
+}
+
+// TestBandSynthesisMatchesBlockInto: BandInto draws the B = 2·k_m taps of
+// BlockInto's spectrum from the same draws, and SynthesizeInto of that band
+// reproduces BlockInto's block. For power-of-two M the 1/M factor is a power
+// of two, so applying it before the transform rounds exactly as applying it
+// after does and the blocks compare equal; for Bluestein M they agree to
+// rounding.
+func TestBandSynthesisMatchesBlockInto(t *testing.T) {
+	for _, spec := range []FilterSpec{
+		{M: 512, NormalizedDoppler: 0.05},
+		{M: 64, NormalizedDoppler: 1.0 / 64},
+		{M: 256, NormalizedDoppler: 127.0 / 256},
+		{M: 1000, NormalizedDoppler: 0.05},
+	} {
+		g, err := NewGenerator(spec, 0.5)
+		if err != nil {
+			t.Fatalf("NewGenerator(%+v): %v", spec, err)
+		}
+		if g.BandLen() != 2*spec.KM() {
+			t.Fatalf("%+v: BandLen %d, want 2·k_m = %d", spec, g.BandLen(), 2*spec.KM())
+		}
+		want := make([]complex128, spec.M)
+		if err := g.BlockInto(randx.New(41), want); err != nil {
+			t.Fatal(err)
+		}
+		band := make([]complex128, g.BandLen())
+		if err := g.BandInto(randx.New(41), band); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]complex128, spec.M)
+		for i := range got {
+			got[i] = complex(float64(i), 1) // SynthesizeInto must clear the gaps
+		}
+		if err := g.SynthesizeInto(band, got); err != nil {
+			t.Fatal(err)
+		}
+		pow2 := spec.M&(spec.M-1) == 0
+		for l := range want {
+			d := want[l] - got[l]
+			if pow2 && d != 0 || math.Hypot(real(d), imag(d)) > 1e-15 {
+				t.Fatalf("%+v sample %d: synthesis %v, BlockInto %v", spec, l, got[l], want[l])
+			}
+		}
+	}
+}
+
+func TestBandLengthErrors(t *testing.T) {
+	g, err := NewGenerator(FilterSpec{M: 512, NormalizedDoppler: 0.05}, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.BandInto(randx.New(1), make([]complex128, g.BandLen()+1)); !errors.Is(err, ErrBadParameter) {
+		t.Errorf("long band: err = %v", err)
+	}
+	if err := g.SynthesizeInto(make([]complex128, g.BandLen()), make([]complex128, 511)); !errors.Is(err, ErrBadParameter) {
+		t.Errorf("short destination: err = %v", err)
+	}
+	if err := g.SynthesizeInto(make([]complex128, 3), make([]complex128, 512)); !errors.Is(err, ErrBadParameter) {
+		t.Errorf("short band: err = %v", err)
+	}
+}
+
+func TestBandSynthesisDoesNotAllocatePow2(t *testing.T) {
+	g, err := NewGenerator(FilterSpec{M: 1024, NormalizedDoppler: 0.05}, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := randx.New(43)
+	band := make([]complex128, g.BandLen())
+	dst := make([]complex128, 1024)
+	if n := testing.AllocsPerRun(20, func() {
+		if err := g.BandInto(rng, band); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.SynthesizeInto(band, dst); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("band draw and synthesis allocate %v per run at power-of-two M", n)
 	}
 }

@@ -133,15 +133,25 @@ func (e *binaryEncoder) encode(w io.Writer, index uint64, b *rayleigh.Block, gau
 	return w.Write(buf)
 }
 
-// maxFramePayload caps what DecodeBinaryFrame will allocate for one frame
-// (1 GiB), so a corrupt or adversarial header cannot demand an absurd or
+// maxFramePayload caps the payload size a frame header may declare (1 GiB),
+// so a corrupt or adversarial header cannot demand an absurd or
 // integer-overflowing buffer.
 const maxFramePayload = 1 << 30
 
+// payloadStep is the initial capacity of DecodeBinaryFrame's payload buffer,
+// which then doubles only as bytes arrive.
+const payloadStep = 64 << 10
+
 // DecodeBinaryFrame parses one binary frame from r (client-side helper used
-// by the load generator and tests). It returns the block index and the
+// by tests and replay tools). It returns the block index and the
 // envelope/gaussian payloads, gaussian nil when the frame carries none, and
-// io.EOF cleanly at end of stream.
+// io.EOF cleanly at end of stream. It accepts exactly the frames the encoder
+// writes: unknown flag bits, non-zero reserved bytes and a zero n or m with
+// the other non-zero are rejected. Payload buffers grow with the bytes that
+// arrive and rows are allocated only once their payload has been read, so a
+// header promising more than the stream holds fails with
+// io.ErrUnexpectedEOF after allocating at most about twice what was read
+// (or payloadStep).
 func DecodeBinaryFrame(r io.Reader) (index uint64, envelopes [][]float64, gaussian [][]complex128, err error) {
 	var header [24]byte
 	if _, err = io.ReadFull(r, header[:]); err != nil {
@@ -154,11 +164,16 @@ func DecodeBinaryFrame(r io.Reader) (index uint64, envelopes [][]float64, gaussi
 	index = binary.LittleEndian.Uint64(header[8:16])
 	n := int(binary.LittleEndian.Uint32(header[16:20]))
 	m := int(binary.LittleEndian.Uint32(header[20:24]))
-	if size := uint64(n) * uint64(m) * 24; size > maxFramePayload {
+	if flags&^binFlagGaussian != 0 || header[5]|header[6]|header[7] != 0 || (n == 0) != (m == 0) {
+		return 0, nil, nil, errBadHeader
+	}
+	// n and m are below 2^32, so their product cannot overflow uint64 (the
+	// product times 24 can: n = 2^31, m = 2^30 wraps it to zero).
+	if cells := uint64(n) * uint64(m); cells > maxFramePayload/24 {
 		return 0, nil, nil, errFrameTooLarge
 	}
-	payload := make([]byte, n*m*8)
-	if _, err = io.ReadFull(r, payload); err != nil {
+	payload, err := readPayload(r, n*m*8)
+	if err != nil {
 		return 0, nil, nil, err
 	}
 	envelopes = make([][]float64, n)
@@ -170,8 +185,8 @@ func DecodeBinaryFrame(r io.Reader) (index uint64, envelopes [][]float64, gaussi
 		}
 	}
 	if flags&binFlagGaussian != 0 {
-		gpayload := make([]byte, n*m*16)
-		if _, err = io.ReadFull(r, gpayload); err != nil {
+		gpayload, err := readPayload(r, n*m*16)
+		if err != nil {
 			return 0, nil, nil, err
 		}
 		gaussian = make([][]complex128, n)
@@ -187,8 +202,32 @@ func DecodeBinaryFrame(r io.Reader) (index uint64, envelopes [][]float64, gaussi
 	return index, envelopes, gaussian, nil
 }
 
+// readPayload reads exactly size bytes from r into a buffer that starts at
+// most payloadStep long and doubles only as bytes arrive. A stream that ends
+// early yields io.ErrUnexpectedEOF.
+func readPayload(r io.Reader, size int) ([]byte, error) {
+	buf := make([]byte, 0, min(size, payloadStep))
+	for len(buf) < size {
+		if len(buf) == cap(buf) {
+			buf = append(make([]byte, 0, min(size, 2*cap(buf))), buf...)
+		}
+		got, err := io.ReadFull(r, buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+got]
+		if err == io.EOF {
+			return nil, io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
+}
+
 // errBadFrame reports a corrupt binary frame.
 var errBadFrame = errInvalid("service: bad binary frame magic")
+
+// errBadHeader reports a frame header the encoder never writes.
+var errBadHeader = errInvalid("service: bad binary frame header")
 
 // errFrameTooLarge reports a frame header demanding more than
 // maxFramePayload bytes.
