@@ -1,10 +1,10 @@
-// Command benchreport reruns the throughput benchmark families of the root
-// package (snapshot generation and real-time block generation, each at
-// N = 3 and N = 16, allocating and Into variants, plus the per-backend
-// batched paths of the method registry and the fadingd session-create path
-// cold and warm against the setup cache) through testing.Benchmark and writes
-// the results as JSON: ns/op, allocs/op, bytes/op and the derived
-// samples/sec. The committed BENCH_core.json at the repository root is the
+// Command benchreport runs the engine's throughput benchmark families
+// (snapshot generation and real-time block generation, each at N = 3 and
+// N = 16, allocating and Into variants, plus the per-backend batched paths of
+// the method registry and the fadingd session-create path cold and warm
+// against the setup cache) through testing.Benchmark and writes the results
+// as JSON: ns/op, allocs/op, bytes/op and the derived samples/sec. It is the
+// one definition of these families. The committed BENCH_core.json at the repository root is the
 // output of one run, giving future changes a perf trajectory to compare
 // against:
 //
@@ -45,7 +45,7 @@ import (
 )
 
 type result struct {
-	// Name follows the sub-benchmark naming of bench_test.go, e.g.
+	// Name is the family, the target and the variant, e.g.
 	// "SnapshotGenerationThroughput/N=16/into".
 	Name         string  `json:"name"`
 	NsPerOp      float64 `json:"ns_per_op"`
@@ -65,7 +65,6 @@ type report struct {
 }
 
 // exponentialCovariance is the scalable N = 16 target K[i][j] = 0.7^|i-j|,
-// the same workload benchExponentialCovariance drives in bench_test.go,
 // built through the canonical scenario model.
 func exponentialCovariance(n int) *cmplxmat.Matrix {
 	m := scenario.ModelSpec{Type: scenario.ModelExponential, N: n, Rho: 0.7}

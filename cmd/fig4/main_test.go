@@ -4,6 +4,8 @@ import (
 	"math/cmplx"
 	"strings"
 	"testing"
+
+	"repro/internal/chanspec"
 )
 
 func TestPanelCovariance(t *testing.T) {
@@ -14,8 +16,13 @@ func TestPanelCovariance(t *testing.T) {
 	if !strings.Contains(labelA, "22") {
 		t.Errorf("panel a label %q does not reference Eq. (22)", labelA)
 	}
-	if cmplx.Abs(a[0][1]-(0.3782+0.4753i)) > 6e-4 {
-		t.Errorf("panel a K(0,1) = %v, want Eq. (22) value", a[0][1])
+	eq22 := chanspec.Eq22Covariance()
+	for i := range a {
+		for j := range a[i] {
+			if cmplx.Abs(a[i][j]-eq22.At(i, j)) > 6e-4 {
+				t.Errorf("panel a K(%d,%d) = %v, want Eq. (22) value %v", i, j, a[i][j], eq22.At(i, j))
+			}
+		}
 	}
 
 	b, labelB, err := panelCovariance("b")

@@ -60,7 +60,10 @@ func TestFilterByTag(t *testing.T) {
 }
 
 // TestPaperSelection pins `-run paper` over the committed scenarios/ to the
-// paper's E5–E9 experiments, so a rename or retag cannot silently drop one.
+// paper's E3–E9 experiments, so a rename or retag cannot silently drop one.
+// E1/E2 (Eq. (22)/(23) rebuilt from physical parameters) are unit tests:
+// TestSpectralCovarianceReproducesEq22 and TestSpatialCovarianceReproducesEq23
+// in internal/corrmodel.
 func TestPaperSelection(t *testing.T) {
 	specs, err := scenario.LoadDir(filepath.Join("..", "..", "scenarios"))
 	if err != nil {
@@ -68,6 +71,8 @@ func TestPaperSelection(t *testing.T) {
 	}
 	want := []string{
 		"eq22-snapshot",                  // E5/E9: snapshot statistics vs Eq. (22), (14)-(15)
+		"paper-e3-fig4a-realtime",        // E3: Fig. 4(a), real-time Eq. (22) envelopes
+		"paper-e4-fig4b-realtime",        // E4: Fig. 4(b), real-time spatial envelopes
 		"paper-e6-indefinite-explicit",   // E6: indefinite covariance forcing
 		"realtime-eq22-covariance",       // E7: Eq. (19) Doppler-gain correction
 		"realtime-jakes-autocorrelation", // E8: autocorrelation vs J0

@@ -56,8 +56,9 @@ type FadingParams struct {
 	KFactor float64
 	// LOSPhaseRad is the phase of the Rician LOS component (default 0).
 	LOSPhaseRad float64
-	// M is the Nakagami shape parameter, m ≥ 0.5. Read by FadingNakagamiM;
-	// m = 1 is exactly Rayleigh.
+	// M is the Nakagami shape parameter, 0.5 ≤ m ≤ 50 (the range the
+	// transform's error bound covers; other values are rejected). Read by
+	// FadingNakagamiM; m = 1 is exactly Rayleigh.
 	M float64
 	// ShadowSigmaDB is the Suzuki lognormal shadowing standard deviation in
 	// dB, > 0. Read by FadingSuzuki.

@@ -5,20 +5,11 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/chanspec"
 	"repro/internal/cmplxmat"
 	"repro/internal/randx"
 	"repro/internal/stats"
 )
-
-// eq22 is the paper's spectral covariance matrix (positive definite,
-// complex off-diagonals).
-func eq22() *cmplxmat.Matrix {
-	return cmplxmat.MustFromRows([][]complex128{
-		{1, 0.3782 + 0.4753i, 0.0878 + 0.2207i},
-		{0.3782 - 0.4753i, 1, 0.3063 + 0.3849i},
-		{0.0878 - 0.2207i, 0.3063 - 0.3849i, 1},
-	})
-}
 
 // eq23 is the paper's spatial covariance matrix (positive definite, real).
 func eq23() *cmplxmat.Matrix {
@@ -72,10 +63,10 @@ func checkSampleCovariance(t *testing.T, m Method, target *cmplxmat.Matrix, draw
 
 func TestCholeskyColoringOnPositiveDefinite(t *testing.T) {
 	m := &CholeskyColoring{}
-	if err := m.Setup(eq22()); err != nil {
+	if err := m.Setup(chanspec.Eq22Covariance()); err != nil {
 		t.Fatalf("Setup: %v", err)
 	}
-	if d := checkSampleCovariance(t, m, eq22(), 80000, 1); d > 0.03 {
+	if d := checkSampleCovariance(t, m, chanspec.Eq22Covariance(), 80000, 1); d > 0.03 {
 		t.Errorf("Cholesky coloring misses the target covariance by %g", d)
 	}
 }
@@ -109,10 +100,10 @@ func TestNatarajanDiscardsImaginaryCovariances(t *testing.T) {
 		t.Errorf("Natarajan coloring misses the real target by %g", d)
 	}
 
-	if err := m.Setup(eq22()); err != nil {
+	if err := m.Setup(chanspec.Eq22Covariance()); err != nil {
 		t.Fatalf("Setup(eq22): %v", err)
 	}
-	dTarget := checkSampleCovariance(t, m, eq22(), 80000, 3)
+	dTarget := checkSampleCovariance(t, m, chanspec.Eq22Covariance(), 80000, 3)
 	if dTarget < 0.2 {
 		t.Errorf("Natarajan coloring should miss the complex target badly, error is only %g", dTarget)
 	}
@@ -120,7 +111,7 @@ func TestNatarajanDiscardsImaginaryCovariances(t *testing.T) {
 	realPart := cmplxmat.New(3, 3)
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 3; j++ {
-			realPart.Set(i, j, complex(real(eq22().At(i, j)), 0))
+			realPart.Set(i, j, complex(real(chanspec.Eq22Covariance().At(i, j)), 0))
 		}
 	}
 	if d := checkSampleCovariance(t, m, realPart, 80000, 4); d > 0.03 {
@@ -144,7 +135,7 @@ func TestErtelReedPair(t *testing.T) {
 
 func TestErtelReedPairRestrictions(t *testing.T) {
 	m := &ErtelReedPair{}
-	if err := m.Setup(eq22()); !errors.Is(err, ErrUnsupported) {
+	if err := m.Setup(chanspec.Eq22Covariance()); !errors.Is(err, ErrUnsupported) {
 		t.Errorf("Setup(N=3) error = %v, want ErrUnsupported", err)
 	}
 	unequal := cmplxmat.MustFromRows([][]complex128{
@@ -168,10 +159,10 @@ func TestErtelReedPairRestrictions(t *testing.T) {
 
 func TestSalzWintersRealOnEqualPowerPSD(t *testing.T) {
 	m := &SalzWintersReal{}
-	if err := m.Setup(eq22()); err != nil {
+	if err := m.Setup(chanspec.Eq22Covariance()); err != nil {
 		t.Fatalf("Setup: %v", err)
 	}
-	if d := checkSampleCovariance(t, m, eq22(), 80000, 6); d > 0.04 {
+	if d := checkSampleCovariance(t, m, chanspec.Eq22Covariance(), 80000, 6); d > 0.04 {
 		t.Errorf("Salz–Winters misses the target covariance by %g", d)
 	}
 }
@@ -199,10 +190,10 @@ func TestSalzWintersRejectsIndefinite(t *testing.T) {
 
 func TestEpsilonEigenOnPositiveDefinite(t *testing.T) {
 	m := &EpsilonEigen{}
-	if err := m.Setup(eq22()); err != nil {
+	if err := m.Setup(chanspec.Eq22Covariance()); err != nil {
 		t.Fatalf("Setup: %v", err)
 	}
-	if d := checkSampleCovariance(t, m, eq22(), 80000, 7); d > 0.03 {
+	if d := checkSampleCovariance(t, m, chanspec.Eq22Covariance(), 80000, 7); d > 0.03 {
 		t.Errorf("ε-eigen coloring misses the PD target by %g", d)
 	}
 	if m.ApproximationError() > 1e-12 {

@@ -40,11 +40,11 @@ func allMethods(t *testing.T) []struct {
 		m Method
 		k *cmplxmat.Matrix
 	}{
-		{&SalzWintersReal{}, eq22()},
+		{&SalzWintersReal{}, chanspec.Eq22Covariance()},
 		{&ErtelReedPair{}, pair},
-		{&CholeskyColoring{}, eq22()},
+		{&CholeskyColoring{}, chanspec.Eq22Covariance()},
 		{&NatarajanColoring{}, eq23()},
-		{&EpsilonEigen{}, eq22()},
+		{&EpsilonEigen{}, chanspec.Eq22Covariance()},
 	}
 }
 

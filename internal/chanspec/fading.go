@@ -65,8 +65,8 @@ type FadingParams struct {
 	KFactor float64 `json:"k_factor,omitempty"`
 	// LOSPhaseRad is the phase of the Rician LOS component (default 0).
 	LOSPhaseRad float64 `json:"los_phase_rad,omitempty"`
-	// M is the Nakagami shape parameter, m ≥ 0.5. m = 1 degenerates to
-	// Rayleigh.
+	// M is the Nakagami shape parameter, 0.5 ≤ m ≤ 50: the range the
+	// transform's 1e-7 error bound covers. m = 1 degenerates to Rayleigh.
 	M float64 `json:"m,omitempty"`
 	// ShadowSigmaDB is the Suzuki lognormal shadowing standard deviation in
 	// dB, > 0.
@@ -119,7 +119,7 @@ func FadingModels() []FadingModelInfo {
 			Name:        FadingNakagamiM,
 			Title:       "Nakagami-m (gamma envelope transform)",
 			Envelope:    "Nakagami-m with shape params.m, mean power Ω preserved",
-			Params:      "m ≥ 0.5 (required); m = 1 is exactly Rayleigh",
+			Params:      "0.5 ≤ m ≤ 50 (required); m = 1 is exactly Rayleigh",
 			Constraints: "all modes and methods; the probability-integral transform is applied per sample after coloring",
 			Notes:       "the transform is monotone in the envelope, so envelope rank correlation is preserved while the Gaussian covariance is no longer exactly achieved for m ≠ 1",
 		},
@@ -182,6 +182,10 @@ func ValidateFading(fading string, params *FadingParams) error {
 		}
 		if !(params.M >= 0.5) {
 			return fmt.Errorf("fading %q needs m >= 0.5, got %g: %w", FadingNakagamiM, params.M, ErrBadSpec)
+		}
+		// The transform's stated error bound holds up to m = 50 only.
+		if params.M > 50 {
+			return fmt.Errorf("fading %q needs m <= 50, got %g: %w", FadingNakagamiM, params.M, ErrBadSpec)
 		}
 		return nil
 	case FadingSuzuki:

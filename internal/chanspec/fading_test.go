@@ -16,6 +16,8 @@ func TestValidateFading(t *testing.T) {
 		{FadingRician, &FadingParams{KFactor: -1}},
 		{FadingNakagamiM, nil},
 		{FadingNakagamiM, &FadingParams{M: 0.25}},
+		{FadingNakagamiM, &FadingParams{M: 50.5}},
+		{FadingNakagamiM, &FadingParams{M: 1e6}},
 		{FadingSuzuki, nil},
 		{FadingSuzuki, &FadingParams{ShadowSigmaDB: 0}},
 		{FadingSuzuki, &FadingParams{ShadowSigmaDB: 4, ShadowCoherence: -1}},
@@ -39,6 +41,7 @@ func TestValidateFading(t *testing.T) {
 		{FadingRician, &FadingParams{KFactor: 5, LOSPhaseRad: 1}},
 		{FadingNakagamiM, &FadingParams{M: 0.5}},
 		{FadingNakagamiM, &FadingParams{M: 3}},
+		{FadingNakagamiM, &FadingParams{M: 50}},
 		{FadingSuzuki, &FadingParams{ShadowSigmaDB: 4.3}},
 		{FadingNonstationaryDoppler, &FadingParams{Segments: []DopplerSegment{
 			{Blocks: 4, NormalizedDoppler: 0.02}, {Blocks: 4, NormalizedDoppler: 0.1},

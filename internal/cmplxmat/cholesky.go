@@ -56,36 +56,8 @@ func Cholesky(a *Matrix) (*Matrix, error) {
 	return l, nil
 }
 
-// CholeskySolve solves A·x = b given the Cholesky factor L of A (A = L·Lᴴ)
-// by forward and back substitution.
-func CholeskySolve(l *Matrix, b []complex128) ([]complex128, error) {
-	n := l.rows
-	if len(b) != n {
-		return nil, fmt.Errorf("cmplxmat: CholeskySolve with rhs length %d for %dx%d factor: %w", len(b), n, n, ErrDimension)
-	}
-	// Forward: L·y = b.
-	y := make([]complex128, n)
-	for i := 0; i < n; i++ {
-		s := b[i]
-		for k := 0; k < i; k++ {
-			s -= l.At(i, k) * y[k]
-		}
-		y[i] = s / l.At(i, i)
-	}
-	// Backward: Lᴴ·x = y.
-	x := make([]complex128, n)
-	for i := n - 1; i >= 0; i-- {
-		s := y[i]
-		for k := i + 1; k < n; k++ {
-			s -= cmplx.Conj(l.At(k, i)) * x[k]
-		}
-		x[i] = s / cmplx.Conj(l.At(i, i))
-	}
-	return x, nil
-}
-
-// LowerTriangularFromEigen is a helper used by comparisons in the benchmark
-// suite: it reports whether a matrix is lower triangular within tolerance.
+// LowerTriangularFromEigen reports whether a matrix is lower triangular within
+// tolerance. Tests use it to tell a Cholesky factor from an eigen coloring.
 func LowerTriangularFromEigen(m *Matrix, tol float64) bool {
 	for i := 0; i < m.rows; i++ {
 		for j := i + 1; j < m.cols; j++ {

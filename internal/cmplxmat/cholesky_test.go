@@ -85,34 +85,3 @@ func TestCholeskyRejectsNonHermitianAndRectangular(t *testing.T) {
 		t.Errorf("Cholesky(rectangular) error = %v, want ErrDimension", err)
 	}
 }
-
-func TestCholeskySolve(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	n := 6
-	a, err := Add(randomPSD(rng, n), Scale(complex(0.5, 0), Identity(n)))
-	if err != nil {
-		t.Fatalf("Add: %v", err)
-	}
-	a.Hermitize()
-	l, err := Cholesky(a)
-	if err != nil {
-		t.Fatalf("Cholesky: %v", err)
-	}
-	xTrue := make([]complex128, n)
-	for i := range xTrue {
-		xTrue[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-	}
-	b := MustMulVec(a, xTrue)
-	x, err := CholeskySolve(l, b)
-	if err != nil {
-		t.Fatalf("CholeskySolve: %v", err)
-	}
-	for i := range x {
-		if d := x[i] - xTrue[i]; math.Hypot(real(d), imag(d)) > 1e-9 {
-			t.Errorf("solution component %d off by %v", i, d)
-		}
-	}
-	if _, err := CholeskySolve(l, make([]complex128, n+1)); err == nil {
-		t.Errorf("CholeskySolve with wrong rhs length did not error")
-	}
-}

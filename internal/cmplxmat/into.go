@@ -66,36 +66,6 @@ func MulVecInto(dst []complex128, a *Matrix, x []complex128) error {
 	return nil
 }
 
-// MulInto computes dst = a·b without allocating. dst must be a.Rows()×b.Cols()
-// and must not alias a or b.
-//
-// fadinglint:allocfree
-func MulInto(dst, a, b *Matrix) error {
-	if a.cols != b.rows {
-		return fmt.Errorf("cmplxmat: MulInto %dx%d with %dx%d: %w", a.rows, a.cols, b.rows, b.cols, ErrDimension)
-	}
-	if dst.rows != a.rows || dst.cols != b.cols {
-		return fmt.Errorf("cmplxmat: MulInto destination %dx%d, want %dx%d: %w", dst.rows, dst.cols, a.rows, b.cols, ErrDimension)
-	}
-	for i := 0; i < a.rows; i++ {
-		arow := a.data[i*a.cols : (i+1)*a.cols]
-		orow := dst.data[i*dst.cols : (i+1)*dst.cols]
-		for j := range orow {
-			orow[j] = 0
-		}
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.data[k*b.cols : (k+1)*b.cols]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
-	return nil
-}
-
 // colorBlockCols is the column-panel width of ColorBlock. A panel of W plus
 // the matching panel of Z stays resident in L1 while the n accumulation
 // passes over it run (128 columns × 16 bytes = 2 KiB per row).

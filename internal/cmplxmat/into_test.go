@@ -68,37 +68,6 @@ func TestMulVecIntoDimensionErrors(t *testing.T) {
 	}
 }
 
-func TestMulIntoMatchesMul(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	a := randomMatrix(rng, 4, 6)
-	b := randomMatrix(rng, 6, 5)
-	want := MustMul(a, b)
-	dst := New(4, 5)
-	// Pre-dirty the destination to prove MulInto fully overwrites it.
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 5; j++ {
-			dst.Set(i, j, complex(99, -99))
-		}
-	}
-	if err := MulInto(dst, a, b); err != nil {
-		t.Fatalf("MulInto: %v", err)
-	}
-	if !EqualApprox(dst, want, 0) {
-		t.Errorf("MulInto differs from Mul:\n%v\nvs\n%v", dst, want)
-	}
-}
-
-func TestMulIntoDimensionErrors(t *testing.T) {
-	a := New(2, 3)
-	b := New(4, 2)
-	if err := MulInto(New(2, 2), a, b); !errors.Is(err, ErrDimension) {
-		t.Errorf("inner mismatch: err = %v", err)
-	}
-	if err := MulInto(New(3, 3), a, New(3, 2)); !errors.Is(err, ErrDimension) {
-		t.Errorf("bad destination: err = %v", err)
-	}
-}
-
 func TestColorBlockMatchesColumnwiseMulVec(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, dims := range []struct{ n, m int }{{1, 1}, {3, 7}, {4, 128}, {5, 300}, {16, 129}} {
@@ -178,8 +147,6 @@ func TestIntoKernelsDoNotAllocate(t *testing.T) {
 	dstV := make([]complex128, 8)
 	w := randomMatrix(rng, 8, 256)
 	z := New(8, 256)
-	dstM := New(8, 8)
-	b := randomMatrix(rng, 8, 8)
 
 	if n := testing.AllocsPerRun(100, func() {
 		if err := MulVecInto(dstV, a, x); err != nil {
@@ -187,13 +154,6 @@ func TestIntoKernelsDoNotAllocate(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("MulVecInto allocates %v per run", n)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		if err := MulInto(dstM, a, b); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Errorf("MulInto allocates %v per run", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		if err := ColorBlock(a, w, z); err != nil {

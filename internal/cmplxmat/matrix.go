@@ -1,9 +1,9 @@
 // Package cmplxmat provides dense complex matrix algebra for the correlated
 // Rayleigh fading generator: Hermitian eigendecomposition, Cholesky
-// factorization, linear solves and the norms needed to validate covariance
-// matrices. It is self-contained (standard library only) and tuned for the
-// moderate matrix sizes that occur in fading simulation (tens to a few
-// hundred envelopes).
+// factorization, the blocked coloring GEMM and the norms needed to validate
+// covariance matrices. It is self-contained (standard library only) and
+// tuned for the moderate matrix sizes that occur in fading simulation (tens
+// to a few hundred envelopes).
 package cmplxmat
 
 import (
@@ -70,15 +70,6 @@ func MustFromRows(rows [][]complex128) *Matrix {
 	return m
 }
 
-// Diag returns a square diagonal matrix with the given diagonal entries.
-func Diag(d []complex128) *Matrix {
-	m := New(len(d), len(d))
-	for i, v := range d {
-		m.Set(i, i, v)
-	}
-	return m
-}
-
 // DiagReal returns a square diagonal matrix with real diagonal entries.
 func DiagReal(d []float64) *Matrix {
 	m := New(len(d), len(d))
@@ -132,18 +123,6 @@ func (m *Matrix) Row(i int) []complex128 {
 	}
 	out := make([]complex128, m.cols)
 	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
-}
-
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) []complex128 {
-	if j < 0 || j >= m.cols {
-		panic(fmt.Sprintf("cmplxmat: column %d out of range", j))
-	}
-	out := make([]complex128, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = m.data[i*m.cols+j]
-	}
 	return out
 }
 

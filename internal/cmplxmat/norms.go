@@ -34,36 +34,6 @@ func MaxAbs(a *Matrix) float64 {
 	return m
 }
 
-// OneNorm returns the maximum absolute column sum.
-func OneNorm(a *Matrix) float64 {
-	var m float64
-	for j := 0; j < a.cols; j++ {
-		var s float64
-		for i := 0; i < a.rows; i++ {
-			s += cmplx.Abs(a.At(i, j))
-		}
-		if s > m {
-			m = s
-		}
-	}
-	return m
-}
-
-// InfNorm returns the maximum absolute row sum.
-func InfNorm(a *Matrix) float64 {
-	var m float64
-	for i := 0; i < a.rows; i++ {
-		var s float64
-		for j := 0; j < a.cols; j++ {
-			s += cmplx.Abs(a.At(i, j))
-		}
-		if s > m {
-			m = s
-		}
-	}
-	return m
-}
-
 // OffDiagonalNorm returns sqrt(Σ_{i≠j} |a_ij|²), the quantity driven to zero
 // by the Jacobi eigenvalue iteration.
 func OffDiagonalNorm(a *Matrix) float64 {
@@ -76,15 +46,6 @@ func OffDiagonalNorm(a *Matrix) float64 {
 			v := a.At(i, j)
 			s += real(v)*real(v) + imag(v)*imag(v)
 		}
-	}
-	return math.Sqrt(s)
-}
-
-// VectorNorm returns the Euclidean norm of a complex vector.
-func VectorNorm(x []complex128) float64 {
-	var s float64
-	for _, v := range x {
-		s += real(v)*real(v) + imag(v)*imag(v)
 	}
 	return math.Sqrt(s)
 }

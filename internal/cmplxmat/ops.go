@@ -95,17 +95,6 @@ func MustMulVec(a *Matrix, x []complex128) []complex128 {
 	return out
 }
 
-// Transpose returns the (non-conjugate) transpose of a.
-func Transpose(a *Matrix) *Matrix {
-	out := New(a.cols, a.rows)
-	for i := 0; i < a.rows; i++ {
-		for j := 0; j < a.cols; j++ {
-			out.Set(j, i, a.At(i, j))
-		}
-	}
-	return out
-}
-
 // ConjTranspose returns the Hermitian (conjugate) transpose Aᴴ.
 func ConjTranspose(a *Matrix) *Matrix {
 	out := New(a.cols, a.rows)
@@ -113,15 +102,6 @@ func ConjTranspose(a *Matrix) *Matrix {
 		for j := 0; j < a.cols; j++ {
 			out.Set(j, i, cmplx.Conj(a.At(i, j)))
 		}
-	}
-	return out
-}
-
-// Conj returns the element-wise complex conjugate of a.
-func Conj(a *Matrix) *Matrix {
-	out := New(a.rows, a.cols)
-	for i := range a.data {
-		out.data[i] = cmplx.Conj(a.data[i])
 	}
 	return out
 }
@@ -147,18 +127,6 @@ func OuterProduct(x, y []complex128) *Matrix {
 		}
 	}
 	return out
-}
-
-// InnerProduct returns the Hermitian inner product yᴴ x = Σ x_i conj(y_i).
-func InnerProduct(x, y []complex128) (complex128, error) {
-	if len(x) != len(y) {
-		return 0, fmt.Errorf("cmplxmat: InnerProduct length %d vs %d: %w", len(x), len(y), ErrDimension)
-	}
-	var s complex128
-	for i := range x {
-		s += x[i] * cmplx.Conj(y[i])
-	}
-	return s, nil
 }
 
 // Gram returns A * Aᴴ, which is Hermitian positive semi-definite for any A.

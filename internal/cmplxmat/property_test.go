@@ -160,40 +160,3 @@ func TestPropertyMulAssociativeWithVector(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestPropertyInverseSolveAgree(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(5)
-		a := New(n, n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				a.Set(i, j, complex(2*rng.Float64()-1, 2*rng.Float64()-1))
-			}
-			// Diagonal dominance keeps the matrix comfortably non-singular.
-			a.Set(i, i, a.At(i, i)+complex(float64(n), 0))
-		}
-		b := make([]complex128, n)
-		for i := range b {
-			b[i] = complex(rng.Float64(), rng.Float64())
-		}
-		x1, err := Solve(a, b)
-		if err != nil {
-			return false
-		}
-		inv, err := Inverse(a)
-		if err != nil {
-			return false
-		}
-		x2 := MustMulVec(inv, b)
-		for i := range x1 {
-			if cmplx.Abs(x1[i]-x2[i]) > 1e-8 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}

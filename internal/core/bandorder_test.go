@@ -31,7 +31,7 @@ func covarianceForN(n int) *cmplxmat.Matrix {
 	case 1:
 		return cmplxmat.MustFromRows([][]complex128{{2}})
 	case 3:
-		return eq22Covariance()
+		return chanspec.Eq22Covariance()
 	}
 	return exponentialCovariance(n, 0.7)
 }
@@ -134,7 +134,7 @@ func TestBandOrderMatchesTimeDomain(t *testing.T) {
 			cases = append(cases, tc{
 				name: fmt.Sprintf("%s/N=3/M=%d", md.name, m),
 				cfg: RealTimeConfig{
-					Covariance: eq22Covariance(),
+					Covariance: chanspec.Eq22Covariance(),
 					Filter:     doppler.FilterSpec{M: m, NormalizedDoppler: 0.05},
 					Seed:       int64(m) + 13,
 					Transform:  tr,
@@ -225,7 +225,7 @@ func TestNewBlockScratchFootprint(t *testing.T) {
 func BenchmarkGenerateBlockAt(b *testing.B) {
 	for _, n := range []int{3, 32} {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			k := eq22Covariance()
+			k := chanspec.Eq22Covariance()
 			if n != 3 {
 				k = exponentialCovariance(n, 0.7)
 			}

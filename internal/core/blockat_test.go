@@ -5,18 +5,13 @@ import (
 	"testing"
 
 	"repro/internal/chanspec"
-	"repro/internal/cmplxmat"
 	"repro/internal/doppler"
 	"repro/internal/fading"
 )
 
 func newBlockAtGenerator(t testing.TB, m int, seed int64, tr Transform) *RealTimeGenerator {
 	t.Helper()
-	k := cmplxmat.MustFromRows([][]complex128{
-		{1, 0.3782 + 0.4753i, 0.0878 + 0.2207i},
-		{0.3782 - 0.4753i, 1, 0.3063 + 0.3849i},
-		{0.0878 - 0.2207i, 0.3063 - 0.3849i, 1},
-	})
+	k := chanspec.Eq22Covariance()
 	gen, err := NewRealTimeGenerator(RealTimeConfig{
 		Covariance: k,
 		Filter:     doppler.FilterSpec{M: m, NormalizedDoppler: 0.05},

@@ -35,9 +35,28 @@ func ColoringFromCovariance(k *cmplxmat.Matrix) (*cmplxmat.Matrix, *ForcedPSD, e
 	return ColoringMatrix(f), f, nil
 }
 
+// coloringFor is the coloring setup both generators share: the coloring
+// matrix L of a covariance target — the eigen construction of Section 4.3,
+// or the caller's override checked against the target's size — and the
+// target's zero-clamp forcing record, which an override does not consult.
+func coloringFor(k, override *cmplxmat.Matrix) (*cmplxmat.Matrix, *ForcedPSD, error) {
+	if override == nil {
+		return ColoringFromCovariance(k)
+	}
+	if n := k.Rows(); !override.IsSquare() || override.Rows() != n {
+		return nil, nil, fmt.Errorf("core: coloring override %dx%d for %d envelopes: %w",
+			override.Rows(), override.Cols(), n, ErrBadInput)
+	}
+	forced, err := ForcePSD(k)
+	if err != nil {
+		return nil, nil, err
+	}
+	return override, forced, nil
+}
+
 // VerifyColoring returns ‖L·Lᴴ − K̄‖_F, the defect of the coloring matrix
-// against the forced covariance. It is used by tests and by the validation
-// CLI; a correct decomposition keeps it at round-off level.
+// against the forced covariance. Tests use it as the reconstruction oracle;
+// a correct decomposition keeps it at round-off level.
 func VerifyColoring(l *cmplxmat.Matrix, f *ForcedPSD) float64 {
 	return cmplxmat.FrobeniusDistance(cmplxmat.MustMul(l, cmplxmat.ConjTranspose(l)), f.Forced)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/chanspec"
 	"repro/internal/cmplxmat"
 )
 
@@ -71,11 +72,7 @@ func TestColoringMatrixIsNotTriangular(t *testing.T) {
 	// The paper notes the eigen coloring matrix is square, not lower
 	// triangular like a Cholesky factor. Verify we indeed produce a full
 	// (generally non-triangular) matrix for a generic covariance.
-	k := cmplxmat.MustFromRows([][]complex128{
-		{1, 0.3782 + 0.4753i, 0.0878 + 0.2207i},
-		{0.3782 - 0.4753i, 1, 0.3063 + 0.3849i},
-		{0.0878 - 0.2207i, 0.3063 - 0.3849i, 1},
-	})
+	k := chanspec.Eq22Covariance()
 	l, _, err := ColoringFromCovariance(k)
 	if err != nil {
 		t.Fatalf("ColoringFromCovariance: %v", err)

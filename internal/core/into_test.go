@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/chanspec"
 	"repro/internal/doppler"
 )
 
@@ -14,7 +15,7 @@ import (
 
 func newTestSnapshotGenerator(t testing.TB, seed int64) *SnapshotGenerator {
 	t.Helper()
-	g, err := NewSnapshotGenerator(SnapshotConfig{Covariance: eq22Covariance(), Seed: seed})
+	g, err := NewSnapshotGenerator(SnapshotConfig{Covariance: chanspec.Eq22Covariance(), Seed: seed})
 	if err != nil {
 		t.Fatalf("NewSnapshotGenerator: %v", err)
 	}
@@ -143,7 +144,7 @@ func TestGenerateBatchIntoReusesStorage(t *testing.T) {
 func newTestRealTimeGenerator(t testing.TB, seed int64, m int) *RealTimeGenerator {
 	t.Helper()
 	g, err := NewRealTimeGenerator(RealTimeConfig{
-		Covariance: eq22Covariance(),
+		Covariance: chanspec.Eq22Covariance(),
 		Filter:     doppler.FilterSpec{M: m, NormalizedDoppler: 0.05},
 		Seed:       seed,
 	})

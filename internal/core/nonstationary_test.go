@@ -4,13 +4,14 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/chanspec"
 	"repro/internal/doppler"
 )
 
 func newSegmentedGenerator(t testing.TB, seed int64, m int, segs []DopplerSegment, tr Transform) *RealTimeGenerator {
 	t.Helper()
 	g, err := NewRealTimeGenerator(RealTimeConfig{
-		Covariance:      eq22Covariance(),
+		Covariance:      chanspec.Eq22Covariance(),
 		Filter:          doppler.FilterSpec{M: m},
 		Seed:            seed,
 		DopplerSegments: segs,
@@ -29,11 +30,11 @@ var testTrajectory = []DopplerSegment{
 
 func TestNonstationaryValidation(t *testing.T) {
 	bad := []RealTimeConfig{
-		{Covariance: eq22Covariance(), Filter: doppler.FilterSpec{M: 512, NormalizedDoppler: 0.05},
+		{Covariance: chanspec.Eq22Covariance(), Filter: doppler.FilterSpec{M: 512, NormalizedDoppler: 0.05},
 			DopplerSegments: testTrajectory}, // conflicting top-level Doppler
-		{Covariance: eq22Covariance(), Filter: doppler.FilterSpec{M: 512},
+		{Covariance: chanspec.Eq22Covariance(), Filter: doppler.FilterSpec{M: 512},
 			DopplerSegments: []DopplerSegment{{Blocks: 0, NormalizedDoppler: 0.05}}},
-		{Covariance: eq22Covariance(), Filter: doppler.FilterSpec{M: 512},
+		{Covariance: chanspec.Eq22Covariance(), Filter: doppler.FilterSpec{M: 512},
 			DopplerSegments: []DopplerSegment{{Blocks: 2, NormalizedDoppler: 0.7}}},
 	}
 	for i, cfg := range bad {
@@ -155,7 +156,7 @@ func TestTransformOffsetsConsistentAcrossPaths(t *testing.T) {
 	tr := offsetTransform{m: m}
 	mk := func() *RealTimeGenerator {
 		g, err := NewRealTimeGenerator(RealTimeConfig{
-			Covariance: eq22Covariance(),
+			Covariance: chanspec.Eq22Covariance(),
 			Filter:     doppler.FilterSpec{M: m, NormalizedDoppler: 0.05},
 			Seed:       13,
 			Transform:  tr,

@@ -43,15 +43,6 @@ func ExpectedEnvelopeMean(gaussianPower float64) (float64, error) {
 	return rayleighMeanFactor * math.Sqrt(gaussianPower), nil
 }
 
-// ExpectedEnvelopeMeanFromEnvelopeVariance returns E{r} for a desired
-// envelope variance σr², i.e. σr·sqrt(π/(4−π)) as derived below Eq. (15).
-func ExpectedEnvelopeMeanFromEnvelopeVariance(envelopeVariance float64) (float64, error) {
-	if envelopeVariance <= 0 {
-		return 0, fmt.Errorf("core: envelope variance %g must be positive: %w", envelopeVariance, ErrBadInput)
-	}
-	return math.Sqrt(envelopeVariance) * math.Sqrt(math.Pi/(4-math.Pi)), nil
-}
-
 // EnvelopePowersToGaussianPowers applies Eq. (11) element-wise.
 func EnvelopePowersToGaussianPowers(envelopeVariances []float64) ([]float64, error) {
 	out := make([]float64, len(envelopeVariances))

@@ -59,30 +59,6 @@ func TestExpectedEnvelopeMean(t *testing.T) {
 	}
 }
 
-func TestExpectedEnvelopeMeanFromEnvelopeVariance(t *testing.T) {
-	// E{r} = σr·sqrt(π/(4−π)) as stated below Eq. (15).
-	got, err := ExpectedEnvelopeMeanFromEnvelopeVariance(1)
-	if err != nil {
-		t.Fatalf("ExpectedEnvelopeMeanFromEnvelopeVariance: %v", err)
-	}
-	want := math.Sqrt(math.Pi / (4 - math.Pi))
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("E{r} = %g, want %g", got, want)
-	}
-	// Consistency with the two-step conversion through Eq. (11) and (14).
-	sg2, err := EnvelopePowerToGaussianPower(1)
-	if err != nil {
-		t.Fatalf("EnvelopePowerToGaussianPower: %v", err)
-	}
-	viaGaussian, err := ExpectedEnvelopeMean(sg2)
-	if err != nil {
-		t.Fatalf("ExpectedEnvelopeMean: %v", err)
-	}
-	if math.Abs(got-viaGaussian) > 1e-12 {
-		t.Errorf("direct %g and via-Gaussian %g disagree", got, viaGaussian)
-	}
-}
-
 func TestPowerConversionErrors(t *testing.T) {
 	if _, err := EnvelopePowerToGaussianPower(0); err == nil {
 		t.Errorf("zero envelope variance did not error")
@@ -95,9 +71,6 @@ func TestPowerConversionErrors(t *testing.T) {
 	}
 	if _, err := ExpectedEnvelopeMean(0); err == nil {
 		t.Errorf("zero Gaussian power did not error")
-	}
-	if _, err := ExpectedEnvelopeMeanFromEnvelopeVariance(-2); err == nil {
-		t.Errorf("negative envelope variance did not error")
 	}
 	if _, err := EnvelopePowersToGaussianPowers([]float64{1, 0}); err == nil {
 		t.Errorf("vector conversion with zero entry did not error")

@@ -50,10 +50,6 @@ type ForcedPSD struct {
 	FrobeniusError float64
 }
 
-// WasPSD reports whether the original matrix was already positive
-// semi-definite (no eigenvalue clamping was needed).
-func (f *ForcedPSD) WasPSD() bool { return f.NumClamped == 0 }
-
 // ForcePSD performs the positive semi-definiteness forcing procedure of
 // Section 4.2: eigendecompose K, replace negative eigenvalues by exactly
 // zero, and rebuild K̄ = V·Λ·Vᴴ. Unlike the ε-substitution of Sorooshyari &

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/chanspec"
 	"repro/internal/cmplxmat"
 )
 
@@ -38,16 +39,12 @@ func randomHermitianCore(rng *rand.Rand, n int) *cmplxmat.Matrix {
 }
 
 func TestForcePSDKeepsPSDMatrixUnchanged(t *testing.T) {
-	k := cmplxmat.MustFromRows([][]complex128{
-		{1, 0.3782 + 0.4753i, 0.0878 + 0.2207i},
-		{0.3782 - 0.4753i, 1, 0.3063 + 0.3849i},
-		{0.0878 - 0.2207i, 0.3063 - 0.3849i, 1},
-	})
+	k := chanspec.Eq22Covariance()
 	f, err := ForcePSD(k)
 	if err != nil {
 		t.Fatalf("ForcePSD: %v", err)
 	}
-	if !f.WasPSD() {
+	if f.NumClamped != 0 {
 		t.Errorf("Eq. (22) matrix reported as not PSD (clamped %d eigenvalues)", f.NumClamped)
 	}
 	if !cmplxmat.EqualApprox(f.Forced, k, 1e-12) {
@@ -64,7 +61,7 @@ func TestForcePSDClampsNegativeEigenvalues(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ForcePSD: %v", err)
 	}
-	if f.WasPSD() || f.NumClamped == 0 {
+	if f.NumClamped == 0 {
 		t.Fatalf("indefinite matrix reported as PSD")
 	}
 	// Every clamped eigenvalue must be exactly zero, the rest preserved.

@@ -164,7 +164,7 @@ type BlockScratch struct {
 // and the GEMM runs over the B = 2·k_m non-zero Doppler bins instead of all
 // M time samples.
 type RealTimeGenerator struct {
-	snapshot *SnapshotGenerator
+	forced   *ForcedPSD
 	segments []rtSegment
 	// blockRoot is the frozen root of the per-block streams: block k draws
 	// from blockRoot.SplitAt(k). It is never advanced, so GenerateBlockAt
@@ -238,24 +238,18 @@ func NewRealTimeGenerator(cfg RealTimeConfig) (*RealTimeGenerator, error) {
 		segments[si] = rtSegment{start: starts[si], spec: spec, gen: dg, sigmaG2: sigmaG2}
 	}
 
-	snap, err := NewSnapshotGenerator(SnapshotConfig{
-		Covariance:     cfg.Covariance,
-		SampleVariance: segments[0].sigmaG2,
-		Seed:           cfg.Seed,
-		Coloring:       cfg.Coloring,
-	})
+	l, forced, err := coloringFor(cfg.Covariance, cfg.Coloring)
 	if err != nil {
 		return nil, err
 	}
-	segments[0].coloring = snap.coloring
-	for si := 1; si < len(segments); si++ {
-		if segments[si].coloring, err = ScaleColoring(snap.rawL, segments[si].sigmaG2); err != nil {
+	for si := range segments {
+		if segments[si].coloring, err = ScaleColoring(l, segments[si].sigmaG2); err != nil {
 			return nil, err
 		}
 	}
 
 	return &RealTimeGenerator{
-		snapshot: snap,
+		forced:   forced,
 		segments: segments,
 		// Block streams hang off the seed root's (n+1)-th split; moving them
 		// would change every block a seed produces.
@@ -278,7 +272,7 @@ func (g *RealTimeGenerator) BlockLength() int { return g.m }
 func (g *RealTimeGenerator) SampleVariance() float64 { return g.segments[0].sigmaG2 }
 
 // Diagnostics returns the positive semi-definiteness forcing record.
-func (g *RealTimeGenerator) Diagnostics() *ForcedPSD { return g.snapshot.Diagnostics() }
+func (g *RealTimeGenerator) Diagnostics() *ForcedPSD { return g.forced }
 
 // segmentIndexAt returns the index of the trajectory segment covering the
 // given block; the final segment persists past the trajectory end.

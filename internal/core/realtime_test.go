@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/chanspec"
 	"repro/internal/cmplxmat"
 	"repro/internal/doppler"
 	"repro/internal/stats"
@@ -42,7 +43,7 @@ func TestNewRealTimeGeneratorValidation(t *testing.T) {
 
 func TestRealTimeGeneratorBasicProperties(t *testing.T) {
 	g, err := NewRealTimeGenerator(RealTimeConfig{
-		Covariance: eq22Covariance(),
+		Covariance: chanspec.Eq22Covariance(),
 		Filter:     smallFilter(),
 		Seed:       1,
 	})
@@ -73,7 +74,7 @@ func TestRealTimeGeneratorBasicProperties(t *testing.T) {
 
 func TestRealTimeBlockShape(t *testing.T) {
 	g, err := NewRealTimeGenerator(RealTimeConfig{
-		Covariance: eq22Covariance(),
+		Covariance: chanspec.Eq22Covariance(),
 		Filter:     smallFilter(),
 		Seed:       2,
 	})
@@ -101,21 +102,23 @@ func TestRealTimeBlockShape(t *testing.T) {
 }
 
 // TestNewRealTimeGeneratorFootprint bounds what construction allocates at
-// N = 32, M = 4096: less than one N×M complex panel. Every fadingd session
-// and setup-cache entry holds a generator, so GEMM panels or per-envelope
-// Doppler generators built at construction would multiply across them; block
-// workspaces are built on first use instead.
+// N = 32, M = 4096: less than one N×M complex panel, in fewer than 36
+// allocations. Every fadingd session and setup-cache entry holds a
+// generator, so GEMM panels or per-envelope Doppler generators built at
+// construction would multiply across them; block workspaces are built on
+// first use instead, and construction builds no snapshot-mode state (seed
+// RNG, batch root, scratch vectors).
 func TestNewRealTimeGeneratorFootprint(t *testing.T) {
 	const n, m = 32, 4096
-	k := exponentialCovariance(n, 0.5)
+	cfg := RealTimeConfig{
+		Covariance: exponentialCovariance(n, 0.5),
+		Filter:     doppler.FilterSpec{M: m, NormalizedDoppler: 0.05},
+		Seed:       1,
+	}
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	g, err := NewRealTimeGenerator(RealTimeConfig{
-		Covariance: k,
-		Filter:     doppler.FilterSpec{M: m, NormalizedDoppler: 0.05},
-		Seed:       1,
-	})
+	g, err := NewRealTimeGenerator(cfg)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatalf("NewRealTimeGenerator: %v", err)
@@ -126,13 +129,20 @@ func TestNewRealTimeGeneratorFootprint(t *testing.T) {
 		t.Errorf("NewRealTimeGenerator allocated %.2f MiB, want < %.2f MiB (one %d×%d complex panel)",
 			float64(got)/(1<<20), float64(panel)/(1<<20), n, m)
 	}
+	if allocs := testing.AllocsPerRun(3, func() {
+		if _, err := NewRealTimeGenerator(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs >= 36 {
+		t.Errorf("NewRealTimeGenerator makes %v allocations, want < 36", allocs)
+	}
 }
 
 func TestRealTimeCovarianceMatchesTarget(t *testing.T) {
 	// The headline claim of Section 5: with the Eq. (19) variance correction,
 	// the time-averaged covariance of the colored Doppler outputs matches the
 	// desired covariance matrix.
-	k := eq22Covariance()
+	k := chanspec.Eq22Covariance()
 	g, err := NewRealTimeGenerator(RealTimeConfig{
 		Covariance: k,
 		Filter:     doppler.FilterSpec{M: 1024, NormalizedDoppler: 0.05},
@@ -169,7 +179,7 @@ func TestRealTimeUnitVarianceAssumptionBreaksCovariance(t *testing.T) {
 	// Reproduce the defect of [6]: assuming σ²_g = 1 scales the output
 	// covariance by the (far from unity) Doppler filter gain, so the target
 	// is badly missed. This is experiment E7's mechanism.
-	k := eq22Covariance()
+	k := chanspec.Eq22Covariance()
 	spec := doppler.FilterSpec{M: 1024, NormalizedDoppler: 0.05}
 	gBad, err := NewRealTimeGenerator(RealTimeConfig{
 		Covariance:         k,
@@ -211,7 +221,7 @@ func TestRealTimeEnvelopeAutocorrelationFollowsJ0(t *testing.T) {
 	// autocorrelation J0(2π·fm·d) (the per-envelope design goal of Fig. 3).
 	spec := doppler.FilterSpec{M: 2048, NormalizedDoppler: 0.05}
 	g, err := NewRealTimeGenerator(RealTimeConfig{
-		Covariance: eq22Covariance(),
+		Covariance: chanspec.Eq22Covariance(),
 		Filter:     spec,
 		Seed:       5,
 	})
@@ -244,7 +254,7 @@ func TestRealTimeEnvelopesAreRayleigh(t *testing.T) {
 	// Per-envelope amplitude distribution must pass a KS test against the
 	// Rayleigh law with scale derived from the target Gaussian power.
 	g, err := NewRealTimeGenerator(RealTimeConfig{
-		Covariance: eq22Covariance(),
+		Covariance: chanspec.Eq22Covariance(),
 		Filter:     doppler.FilterSpec{M: 1024, NormalizedDoppler: 0.05},
 		Seed:       6,
 	})
@@ -273,7 +283,7 @@ func TestRealTimeEnvelopesAreRayleigh(t *testing.T) {
 
 func TestRealTimeDeterministicSeed(t *testing.T) {
 	cfg := RealTimeConfig{
-		Covariance: eq22Covariance(),
+		Covariance: chanspec.Eq22Covariance(),
 		Filter:     smallFilter(),
 		Seed:       77,
 	}

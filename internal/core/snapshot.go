@@ -47,7 +47,6 @@ type SnapshotConfig struct {
 type SnapshotGenerator struct {
 	forced    *ForcedPSD
 	coloring  *cmplxmat.Matrix // L/σ_g, applied directly to W
-	rawL      *cmplxmat.Matrix // L itself (diagnostics)
 	sampleVar float64
 	rng       *randx.RNG
 	batchRoot *randx.RNG // derives one stream per batch chunk (GenerateBatchInto)
@@ -93,22 +92,7 @@ func NewSnapshotGenerator(cfg SnapshotConfig) (*SnapshotGenerator, error) {
 	if sampleVar < 0 {
 		return nil, fmt.Errorf("core: negative sample variance %g: %w", sampleVar, ErrBadInput)
 	}
-	var (
-		l      *cmplxmat.Matrix
-		forced *ForcedPSD
-		err    error
-	)
-	if cfg.Coloring != nil {
-		n := cfg.Covariance.Rows()
-		if !cfg.Coloring.IsSquare() || cfg.Coloring.Rows() != n {
-			return nil, fmt.Errorf("core: coloring override %dx%d for %d envelopes: %w",
-				cfg.Coloring.Rows(), cfg.Coloring.Cols(), n, ErrBadInput)
-		}
-		l = cfg.Coloring
-		forced, err = ForcePSD(cfg.Covariance)
-	} else {
-		l, forced, err = ColoringFromCovariance(cfg.Covariance)
-	}
+	l, forced, err := coloringFor(cfg.Covariance, cfg.Coloring)
 	if err != nil {
 		return nil, err
 	}
@@ -121,7 +105,6 @@ func NewSnapshotGenerator(cfg SnapshotConfig) (*SnapshotGenerator, error) {
 	return &SnapshotGenerator{
 		forced:    forced,
 		coloring:  scaled,
-		rawL:      l,
 		sampleVar: sampleVar,
 		rng:       rng,
 		batchRoot: rng.Split(),
@@ -165,12 +148,6 @@ func (g *SnapshotGenerator) N() int { return g.n }
 // covariance matrix, including the Frobenius approximation error when
 // clamping was necessary.
 func (g *SnapshotGenerator) Diagnostics() *ForcedPSD { return g.forced }
-
-// ColoringMatrix returns the unscaled coloring matrix L (L·Lᴴ = K̄).
-func (g *SnapshotGenerator) ColoringMatrix() *cmplxmat.Matrix { return g.rawL.Clone() }
-
-// SampleVariance returns the σ²_g used for the raw Gaussian samples.
-func (g *SnapshotGenerator) SampleVariance() float64 { return g.sampleVar }
 
 // Generate produces one snapshot: steps 6 and 7 of the algorithm.
 func (g *SnapshotGenerator) Generate() Snapshot {
@@ -279,8 +256,8 @@ func (g *SnapshotGenerator) GenerateBatchInto(dst []Snapshot, workers int) error
 	}
 	chunks := (len(dst) + batchChunkSize - 1) / batchChunkSize
 	if workers <= 1 || chunks == 1 {
-		// Built on first use: the real-time generator embeds a snapshot
-		// generator for its coloring and never draws batches.
+		// Built on first use: a generator that only draws single
+		// snapshots never pays for the N×chunk panels.
 		if g.panels == nil {
 			g.panels = newSnapPanels(g.n)
 		}

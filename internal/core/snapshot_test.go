@@ -4,18 +4,10 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/chanspec"
 	"repro/internal/cmplxmat"
 	"repro/internal/stats"
 )
-
-// eq22Covariance is the paper's Eq. (22) covariance matrix.
-func eq22Covariance() *cmplxmat.Matrix {
-	return cmplxmat.MustFromRows([][]complex128{
-		{1, 0.3782 + 0.4753i, 0.0878 + 0.2207i},
-		{0.3782 - 0.4753i, 1, 0.3063 + 0.3849i},
-		{0.0878 - 0.2207i, 0.3063 - 0.3849i, 1},
-	})
-}
 
 func TestNewSnapshotGeneratorValidation(t *testing.T) {
 	if _, err := NewSnapshotGenerator(SnapshotConfig{}); err == nil {
@@ -27,26 +19,26 @@ func TestNewSnapshotGeneratorValidation(t *testing.T) {
 	if _, err := NewSnapshotGenerator(SnapshotConfig{Covariance: cmplxmat.Identity(2), SampleVariance: -1}); err == nil {
 		t.Errorf("negative sample variance did not error")
 	}
-	g, err := NewSnapshotGenerator(SnapshotConfig{Covariance: eq22Covariance(), Seed: 1})
+	g, err := NewSnapshotGenerator(SnapshotConfig{Covariance: chanspec.Eq22Covariance(), Seed: 1})
 	if err != nil {
 		t.Fatalf("NewSnapshotGenerator: %v", err)
 	}
 	if g.N() != 3 {
 		t.Errorf("N = %d, want 3", g.N())
 	}
-	if g.SampleVariance() != 1 {
-		t.Errorf("default sample variance = %g, want 1", g.SampleVariance())
+	if g.sampleVar != 1 {
+		t.Errorf("default sample variance = %g, want 1", g.sampleVar)
 	}
-	if g.Diagnostics() == nil || !g.Diagnostics().WasPSD() {
+	if g.Diagnostics() == nil || g.Diagnostics().NumClamped != 0 {
 		t.Errorf("Eq. (22) should be PSD with no clamping")
 	}
-	if g.ColoringMatrix().Rows() != 3 {
+	if g.coloring.Rows() != 3 {
 		t.Errorf("coloring matrix has wrong size")
 	}
 }
 
 func TestSnapshotDimensionsAndEnvelopes(t *testing.T) {
-	g, err := NewSnapshotGenerator(SnapshotConfig{Covariance: eq22Covariance(), Seed: 2})
+	g, err := NewSnapshotGenerator(SnapshotConfig{Covariance: chanspec.Eq22Covariance(), Seed: 2})
 	if err != nil {
 		t.Fatalf("NewSnapshotGenerator: %v", err)
 	}
@@ -67,7 +59,7 @@ func TestSnapshotDimensionsAndEnvelopes(t *testing.T) {
 
 func TestSnapshotSampleCovarianceMatchesTarget(t *testing.T) {
 	// Section 4.5: E(Z·Zᴴ) must equal the desired covariance matrix.
-	k := eq22Covariance()
+	k := chanspec.Eq22Covariance()
 	g, err := NewSnapshotGenerator(SnapshotConfig{Covariance: k, Seed: 3})
 	if err != nil {
 		t.Fatalf("NewSnapshotGenerator: %v", err)
@@ -92,7 +84,7 @@ func TestSnapshotSampleCovarianceMatchesTarget(t *testing.T) {
 
 func TestSnapshotSampleVarianceInvariance(t *testing.T) {
 	// The output statistics must not depend on the arbitrary σ²_g of step 6.
-	k := eq22Covariance()
+	k := chanspec.Eq22Covariance()
 	for _, sv := range []float64{0.01, 1, 7.3} {
 		g, err := NewSnapshotGenerator(SnapshotConfig{Covariance: k, SampleVariance: sv, Seed: 4})
 		if err != nil {
@@ -249,7 +241,7 @@ func TestSnapshotIndefiniteCovarianceStillGenerates(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewSnapshotGenerator: %v", err)
 	}
-	if g.Diagnostics().WasPSD() {
+	if g.Diagnostics().NumClamped == 0 {
 		t.Fatalf("indefinite covariance reported as PSD")
 	}
 	const draws = 120000
@@ -299,7 +291,7 @@ func TestColorInto(t *testing.T) {
 }
 
 func TestSnapshotDeterministicSeed(t *testing.T) {
-	k := eq22Covariance()
+	k := chanspec.Eq22Covariance()
 	g1, err := NewSnapshotGenerator(SnapshotConfig{Covariance: k, Seed: 42})
 	if err != nil {
 		t.Fatalf("NewSnapshotGenerator: %v", err)

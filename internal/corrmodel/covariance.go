@@ -14,7 +14,6 @@ package corrmodel
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/cmplxmat"
 )
@@ -90,39 +89,6 @@ func BuildCovariance(model PairModel, gaussianPowers []float64) (*cmplxmat.Matri
 	return k, nil
 }
 
-// FromExplicitCovariances builds K directly from a caller-supplied table of
-// cross-covariances indexed [k][j] (entries on the diagonal are ignored).
-// This is the "general case" input path of step 2 of the algorithm, where the
-// four real covariances are known from measurements or another model.
-type explicitModel struct {
-	n     int
-	pairs [][]CrossCovariance
-}
-
-// NewExplicit wraps an explicit table of cross-covariances as a PairModel.
-// The table must be square with size >= 1.
-func NewExplicit(pairs [][]CrossCovariance) (PairModel, error) {
-	n := len(pairs)
-	if n == 0 {
-		return nil, fmt.Errorf("corrmodel: empty cross-covariance table: %w", ErrBadParameter)
-	}
-	for i, row := range pairs {
-		if len(row) != n {
-			return nil, fmt.Errorf("corrmodel: cross-covariance row %d has %d entries, want %d: %w", i, len(row), n, ErrBadParameter)
-		}
-	}
-	return &explicitModel{n: n, pairs: pairs}, nil
-}
-
-func (m *explicitModel) Size() int { return m.n }
-
-func (m *explicitModel) Pair(k, j int) (CrossCovariance, error) {
-	if k < 0 || k >= m.n || j < 0 || j >= m.n {
-		return CrossCovariance{}, fmt.Errorf("corrmodel: pair (%d,%d) out of range for size %d: %w", k, j, m.n, ErrBadParameter)
-	}
-	return m.pairs[k][j], nil
-}
-
 // UncorrelatedModel describes N mutually independent processes: every
 // cross-covariance is zero. Useful as a degenerate baseline in tests and for
 // generating i.i.d. branches through the same pipeline.
@@ -139,28 +105,4 @@ func (m UncorrelatedModel) Pair(k, j int) (CrossCovariance, error) {
 		return CrossCovariance{}, fmt.Errorf("corrmodel: pair (%d,%d) out of range for size %d: %w", k, j, m.N, ErrBadParameter)
 	}
 	return CrossCovariance{}, nil
-}
-
-// CorrelationCoefficientMatrix normalizes a covariance matrix into a
-// correlation-coefficient matrix: ρ_{k,j} = μ_{k,j} / sqrt(μ_{k,k}·μ_{j,j}).
-func CorrelationCoefficientMatrix(k *cmplxmat.Matrix) (*cmplxmat.Matrix, error) {
-	if !k.IsSquare() {
-		return nil, fmt.Errorf("corrmodel: correlation coefficients of %dx%d matrix: %w", k.Rows(), k.Cols(), ErrBadParameter)
-	}
-	n := k.Rows()
-	out := cmplxmat.New(n, n)
-	for i := 0; i < n; i++ {
-		di := real(k.At(i, i))
-		if di <= 0 {
-			return nil, fmt.Errorf("corrmodel: non-positive variance %g on diagonal %d: %w", di, i, ErrBadParameter)
-		}
-		for j := 0; j < n; j++ {
-			dj := real(k.At(j, j))
-			if dj <= 0 {
-				return nil, fmt.Errorf("corrmodel: non-positive variance %g on diagonal %d: %w", dj, j, ErrBadParameter)
-			}
-			out.Set(i, j, k.At(i, j)/complex(math.Sqrt(di*dj), 0))
-		}
-	}
-	return out, nil
 }

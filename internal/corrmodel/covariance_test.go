@@ -5,8 +5,6 @@ import (
 	"math/cmplx"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/cmplxmat"
 )
 
 func TestGaussianEntryFormula(t *testing.T) {
@@ -55,77 +53,10 @@ func TestBuildCovarianceErrors(t *testing.T) {
 	}
 }
 
-func TestNewExplicitRoundTrip(t *testing.T) {
-	pairs := [][]CrossCovariance{
-		{{}, {Rxx: 0.1, Ryy: 0.1, Rxy: 0.05, Ryx: -0.05}},
-		{{Rxx: 0.1, Ryy: 0.1, Rxy: -0.05, Ryx: 0.05}, {}},
-	}
-	model, err := NewExplicit(pairs)
-	if err != nil {
-		t.Fatalf("NewExplicit: %v", err)
-	}
-	if model.Size() != 2 {
-		t.Errorf("Size = %d, want 2", model.Size())
-	}
-	k, err := BuildCovariance(model, []float64{1, 1})
-	if err != nil {
-		t.Fatalf("BuildCovariance: %v", err)
-	}
-	want := complex(0.2, -0.1)
-	if cmplx.Abs(k.At(0, 1)-want) > 1e-15 {
-		t.Errorf("K(0,1) = %v, want %v", k.At(0, 1), want)
-	}
-	if cmplx.Abs(k.At(1, 0)-cmplx.Conj(want)) > 1e-15 {
-		t.Errorf("K(1,0) = %v, want %v", k.At(1, 0), cmplx.Conj(want))
-	}
-}
-
-func TestNewExplicitErrors(t *testing.T) {
-	if _, err := NewExplicit(nil); err == nil {
-		t.Errorf("NewExplicit(nil) did not error")
-	}
-	if _, err := NewExplicit([][]CrossCovariance{{{}, {}}, {{}}}); err == nil {
-		t.Errorf("ragged table did not error")
-	}
-	model, err := NewExplicit([][]CrossCovariance{{{}}})
-	if err != nil {
-		t.Fatalf("NewExplicit: %v", err)
-	}
-	if _, err := model.Pair(0, 5); err == nil {
-		t.Errorf("out-of-range Pair did not error")
-	}
-}
-
 func TestUncorrelatedModelOutOfRange(t *testing.T) {
 	m := UncorrelatedModel{N: 2}
 	if _, err := m.Pair(2, 0); err == nil {
 		t.Errorf("out-of-range Pair did not error")
-	}
-}
-
-func TestCorrelationCoefficientMatrix(t *testing.T) {
-	k := cmplxmat.MustFromRows([][]complex128{
-		{4, 2 + 2i},
-		{2 - 2i, 1},
-	})
-	rho, err := CorrelationCoefficientMatrix(k)
-	if err != nil {
-		t.Fatalf("CorrelationCoefficientMatrix: %v", err)
-	}
-	if cmplx.Abs(rho.At(0, 0)-1) > 1e-14 || cmplx.Abs(rho.At(1, 1)-1) > 1e-14 {
-		t.Errorf("diagonal of correlation matrix is not 1: %v", rho.DiagVals())
-	}
-	want := (2 + 2i) / 2 // sqrt(4·1) = 2
-	if cmplx.Abs(rho.At(0, 1)-want) > 1e-14 {
-		t.Errorf("rho(0,1) = %v, want %v", rho.At(0, 1), want)
-	}
-
-	if _, err := CorrelationCoefficientMatrix(cmplxmat.New(2, 3)); err == nil {
-		t.Errorf("rectangular input did not error")
-	}
-	bad := cmplxmat.MustFromRows([][]complex128{{0, 0}, {0, 1}})
-	if _, err := CorrelationCoefficientMatrix(bad); err == nil {
-		t.Errorf("zero variance did not error")
 	}
 }
 

@@ -132,12 +132,3 @@ func (m *ConstantModel) Covariance() (*CovarianceResult, error) {
 	}
 	return &CovarianceResult{Matrix: k, GaussianPowers: powers}, nil
 }
-
-// IsIndefinite reports whether the constant-correlation matrix is indefinite
-// for the configured parameters (ρ < −1/(N−1)).
-func (m *ConstantModel) IsIndefinite() bool {
-	if m.N < 2 {
-		return false
-	}
-	return m.Rho < -1/float64(m.N-1)
-}

@@ -86,37 +86,30 @@ func TestConstantModelCovariance(t *testing.T) {
 			}
 		}
 	}
-	if m.IsIndefinite() {
-		t.Errorf("ρ=0.4 constant model reported indefinite")
-	}
 }
 
 func TestConstantModelIndefiniteRegime(t *testing.T) {
 	// ρ = −0.9 with N = 3 violates ρ >= −1/(N−1) = −0.5, so the matrix is
 	// indefinite — the paper's forcing procedure must be engaged downstream.
-	m := &ConstantModel{N: 3, Rho: -0.9, Power: 1}
-	if !m.IsIndefinite() {
-		t.Fatalf("ρ=-0.9, N=3 not reported indefinite")
-	}
-	res, err := m.Covariance()
-	if err != nil {
-		t.Fatalf("Covariance: %v", err)
-	}
-	min, err := cmplxmat.MinEigenvalue(res.Matrix)
-	if err != nil {
-		t.Fatalf("MinEigenvalue: %v", err)
-	}
-	if min >= 0 {
-		t.Errorf("expected a negative eigenvalue, got min = %g", min)
-	}
-
-	ok := &ConstantModel{N: 3, Rho: -0.4, Power: 1}
-	if ok.IsIndefinite() {
-		t.Errorf("ρ=-0.4, N=3 incorrectly reported indefinite")
-	}
-	single := &ConstantModel{N: 1, Rho: 0, Power: 1}
-	if single.IsIndefinite() {
-		t.Errorf("single process cannot be indefinite")
+	for _, tc := range []struct {
+		m          *ConstantModel
+		indefinite bool
+	}{
+		{&ConstantModel{N: 3, Rho: -0.9, Power: 1}, true},
+		{&ConstantModel{N: 3, Rho: -0.4, Power: 1}, false},
+		{&ConstantModel{N: 1, Rho: 0, Power: 1}, false},
+	} {
+		res, err := tc.m.Covariance()
+		if err != nil {
+			t.Fatalf("Covariance: %v", err)
+		}
+		min, err := cmplxmat.MinEigenvalue(res.Matrix)
+		if err != nil {
+			t.Fatalf("MinEigenvalue: %v", err)
+		}
+		if got := min < 0; got != tc.indefinite {
+			t.Errorf("N=%d ρ=%g: min eigenvalue %g, want indefinite=%v", tc.m.N, tc.m.Rho, min, tc.indefinite)
+		}
 	}
 }
 

@@ -32,27 +32,9 @@ func paperSpectralModel(t *testing.T) *SpectralModel {
 	return m
 }
 
-// paperEq22 is the covariance matrix printed as Eq. (22) in the paper.
-func paperEq22() *cmplxmat.Matrix {
-	return cmplxmat.MustFromRows([][]complex128{
-		{1, 0.3782 + 0.4753i, 0.0878 + 0.2207i},
-		{0.3782 - 0.4753i, 1, 0.3063 + 0.3849i},
-		{0.0878 - 0.2207i, 0.3063 - 0.3849i, 1},
-	})
-}
-
-func TestSpectralCovarianceReproducesEq22(t *testing.T) {
-	m := paperSpectralModel(t)
-	res, err := m.Covariance()
-	if err != nil {
-		t.Fatalf("Covariance: %v", err)
-	}
-	want := paperEq22()
-	// The paper prints four decimal places; allow for its rounding.
-	if !cmplxmat.EqualApprox(res.Matrix, want, 6e-4) {
-		t.Errorf("spectral covariance does not reproduce Eq. (22):\ngot\n%v\nwant\n%v", res.Matrix, want)
-	}
-}
+// PaperSpectralModel lets the external corrmodel_test package, which can
+// import chanspec, build the same configuration.
+var PaperSpectralModel = paperSpectralModel
 
 func TestSpectralCovarianceIsHermitianPSD(t *testing.T) {
 	m := paperSpectralModel(t)

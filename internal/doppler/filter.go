@@ -110,20 +110,3 @@ func OutputVariance(coeffs []float64, m int, sigmaOrig2 float64) float64 {
 func TheoreticalAutocorrelation(fm float64, lag int) float64 {
 	return specfunc.BesselJ0(2 * math.Pi * fm * float64(lag))
 }
-
-// JakesPSD returns the classical Jakes/Clarke power spectral density
-//
-//	S(f) = 1/(π·fm·sqrt(1 − (f/fm)²))  for |f| < fm, 0 otherwise,
-//
-// normalized to unit power. It is the continuous-frequency shape that the
-// discrete filter of Eq. (21) samples.
-func JakesPSD(f, fm float64) float64 {
-	if fm <= 0 {
-		return 0
-	}
-	r := f / fm
-	if r <= -1 || r >= 1 {
-		return 0
-	}
-	return 1 / (math.Pi * fm * math.Sqrt(1-r*r))
-}

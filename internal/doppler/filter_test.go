@@ -147,46 +147,6 @@ func TestTheoreticalAutocorrelation(t *testing.T) {
 	}
 }
 
-func TestJakesPSD(t *testing.T) {
-	fm := 50.0
-	if got := JakesPSD(0, fm); math.Abs(got-1/(math.Pi*fm)) > 1e-15 {
-		t.Errorf("JakesPSD(0) = %g, want %g", got, 1/(math.Pi*fm))
-	}
-	if got := JakesPSD(fm, fm); got != 0 {
-		t.Errorf("JakesPSD at the band edge = %g, want 0", got)
-	}
-	if got := JakesPSD(fm*1.5, fm); got != 0 {
-		t.Errorf("JakesPSD outside the band = %g, want 0", got)
-	}
-	if got := JakesPSD(0, 0); got != 0 {
-		t.Errorf("JakesPSD with fm=0 = %g, want 0", got)
-	}
-	// Symmetry.
-	if math.Abs(JakesPSD(20, fm)-JakesPSD(-20, fm)) > 1e-15 {
-		t.Errorf("JakesPSD not symmetric")
-	}
-	// U-shape: density grows toward the band edge.
-	if JakesPSD(45, fm) <= JakesPSD(5, fm) {
-		t.Errorf("JakesPSD is not U-shaped")
-	}
-}
-
-func TestJakesPSDIntegratesToOne(t *testing.T) {
-	// ∫ S(f) df over (−fm, fm) = 1. Use the midpoint rule away from the
-	// integrable singularities at the edges.
-	fm := 30.0
-	n := 200000
-	h := 2 * fm / float64(n)
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		f := -fm + (float64(i)+0.5)*h
-		sum += JakesPSD(f, fm) * h
-	}
-	if math.Abs(sum-1) > 5e-3 {
-		t.Errorf("Jakes PSD integrates to %g, want 1", sum)
-	}
-}
-
 func TestPropertyFilterSymmetryAndPositivity(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := newTestRand(seed)

@@ -21,13 +21,12 @@ import (
 // for a whole block, and the BandInto/SynthesizeInto pair that lets a caller
 // act on the band spectrum between the draw and the IDFT.
 type Generator struct {
-	spec       FilterSpec
-	sigmaOrig2 float64
-	sigmaOrig  float64
-	coeffs     []float64
-	km         int // length of each run of taps
-	outputVar  float64
-	plan       *dsp.Plan
+	spec      FilterSpec
+	sigmaOrig float64
+	coeffs    []float64
+	km        int // length of each run of taps
+	outputVar float64
+	plan      *dsp.Plan
 }
 
 // NewGenerator builds a Generator for the given filter spec and input
@@ -42,18 +41,14 @@ func NewGenerator(spec FilterSpec, sigmaOrig2 float64) (*Generator, error) {
 		return nil, err
 	}
 	return &Generator{
-		spec:       spec,
-		sigmaOrig2: sigmaOrig2,
-		sigmaOrig:  math.Sqrt(sigmaOrig2),
-		coeffs:     coeffs,
-		km:         spec.KM(),
-		outputVar:  OutputVariance(coeffs, spec.M, sigmaOrig2),
-		plan:       dsp.NewPlan(spec.M),
+		spec:      spec,
+		sigmaOrig: math.Sqrt(sigmaOrig2),
+		coeffs:    coeffs,
+		km:        spec.KM(),
+		outputVar: OutputVariance(coeffs, spec.M, sigmaOrig2),
+		plan:      dsp.NewPlan(spec.M),
 	}, nil
 }
-
-// Spec returns the filter specification.
-func (g *Generator) Spec() FilterSpec { return g.spec }
 
 // Coefficients returns the Doppler filter coefficients (shared storage; do
 // not modify).
@@ -63,9 +58,6 @@ func (g *Generator) Coefficients() []float64 { return g.coeffs }
 // what step 6 of the combined algorithm (Section 5) must use when whitening
 // the filtered samples before coloring.
 func (g *Generator) OutputVariance() float64 { return g.outputVar }
-
-// BlockLength returns the number of time samples produced per block (M).
-func (g *Generator) BlockLength() int { return g.spec.M }
 
 // BandLen returns B = 2·k_m, the number of non-zero filter taps: the length
 // of the band spectra BandInto draws and SynthesizeInto consumes.
@@ -161,24 +153,4 @@ func (g *Generator) drawTap(rng *randx.RNG, c float64) complex128 {
 	a := rng.Normal(0, g.sigmaOrig)
 	b := rng.Normal(0, g.sigmaOrig)
 	return complex(c*a, -c*b)
-}
-
-// TheoreticalLagCorrelation returns the unnormalized theoretical
-// autocorrelation of the real (or imaginary) part at the given lag,
-// Eq. (16): r_RR[d] = σ²_orig/M · Re{g[d]}, where g is the IDFT of F².
-func (g *Generator) TheoreticalLagCorrelation(lag int) float64 {
-	m := g.spec.M
-	sq := make([]complex128, m)
-	for k, c := range g.coeffs {
-		sq[k] = complex(c*c, 0)
-	}
-	gd := dsp.IFFT(sq)
-	idx := ((lag % m) + m) % m
-	return g.sigmaOrig2 / float64(m) * real(gd[idx])
-}
-
-// NormalizedAutocorrelation returns the theoretical normalized
-// autocorrelation r_RR[d]/σ²_g ≈ J0(2π·fm·d) (Eq. (20)).
-func (g *Generator) NormalizedAutocorrelation(lag int) float64 {
-	return 2 * g.TheoreticalLagCorrelation(lag) / g.outputVar
 }

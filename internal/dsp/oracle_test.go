@@ -59,18 +59,20 @@ func (a *neumaier) add(v float64) {
 func (a *neumaier) sum() float64 { return a.s + a.c }
 
 // TestPlanMatchesDirectDFT checks every Plan direction against the direct
-// DFT at Bluestein lengths (3, 12, 100, 1000, 1021 prime, 4095) and two
-// powers of two. The error bound has the form c·ε·log₂n·‖x‖₂ for Forward
-// and Inverse, and the same bound divided by n for InverseScaled (its output
-// carries the 1/n factor), with c = 8. Over these lengths and seeds the
-// largest observed error was 2.32·ε·log₂n·‖x‖₂ (Bluestein, Forward at n = 3;
-// 1.99 at n = 100, at most 1.21 from n = 1000 up) and 0.66·ε·log₂n·‖x‖₂
-// (radix-4).
+// DFT at the Bluestein lengths 3, 5, 6, 12, 30, 100, 243, 257, 1000, 1021
+// and 4095 (257 and 1021 prime) and at powers of two from 1 to 4096 (the
+// bound takes log₂n as at least 1, since log₂1 = 0). The error bound has the
+// form c·ε·log₂n·‖x‖₂ for Forward and Inverse, and the same bound divided by
+// n for InverseScaled (its output carries the 1/n factor), with c = 8. Over
+// these lengths and seeds the largest observed error was 2.32·ε·log₂n·‖x‖₂
+// (Bluestein, Forward at n = 3; 1.99 at n = 100, at most 1.21 from n = 1000
+// up) and 0.66·ε·log₂n·‖x‖₂ (radix-4).
 func TestPlanMatchesDirectDFT(t *testing.T) {
 	const c = 8
 	eps := math.Nextafter(1, 2) - 1
 	worst := map[bool]float64{} // by power-of-two length
-	for _, n := range []int{3, 12, 100, 1000, 1021, 4095, 64, 4096} {
+	for _, n := range []int{3, 5, 6, 12, 30, 100, 243, 257, 1000, 1021, 4095,
+		1, 2, 4, 8, 16, 64, 512, 1024, 4096} {
 		for seed := int64(0); seed < 2; seed++ {
 			rng := rand.New(rand.NewSource(int64(n)*10 + seed))
 			x := randomComplexSlice(rng, n)
@@ -81,6 +83,9 @@ func TestPlanMatchesDirectDFT(t *testing.T) {
 			norm = math.Sqrt(norm)
 			unit := eps * math.Max(1, math.Log2(float64(n))) * norm
 			p := NewPlan(n)
+			if p.Len() != n {
+				t.Fatalf("Len = %d, want %d", p.Len(), n)
+			}
 			fwd, inv := directDFT(x, false), directDFT(x, true)
 			for _, tc := range []struct {
 				name  string

@@ -1,3 +1,7 @@
+// Package dsp provides the signal-processing substrate of the real-time
+// fading generator: precomputed discrete Fourier transform plans (radix-4
+// for power-of-two lengths, Bluestein otherwise) with the 1/M normalization
+// the Young–Beaulieu IDFT generator uses.
 package dsp
 
 import (

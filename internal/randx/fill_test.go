@@ -2,19 +2,6 @@ package randx
 
 import "testing"
 
-func TestFillNormalMatchesNormalVector(t *testing.T) {
-	a := New(271)
-	b := New(271)
-	want := a.NormalVector(50, 2.5)
-	got := make([]float64, 50)
-	b.FillNormal(got, 2.5)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("sample %d: FillNormal %v vs NormalVector %v", i, got[i], want[i])
-		}
-	}
-}
-
 func TestFillComplexNormalMatchesComplexNormalVector(t *testing.T) {
 	a := New(277)
 	b := New(277)

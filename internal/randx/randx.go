@@ -111,17 +111,9 @@ func (r *RNG) Normal(mean, stddev float64) float64 {
 	return mean + stddev*r.sm.normFloat64()
 }
 
-// NormalVector fills and returns a slice of n independent zero-mean Gaussian
-// samples with variance sigma2.
-func (r *RNG) NormalVector(n int, sigma2 float64) []float64 {
-	out := make([]float64, n)
-	r.FillNormal(out, sigma2)
-	return out
-}
-
 // FillNormal fills dst with independent zero-mean Gaussian samples with
-// variance sigma2, drawing exactly the same sequence as NormalVector but
-// without allocating.
+// variance sigma2, drawing exactly the sequence of len(dst) Normal calls with
+// standard deviation sqrt(sigma2), without allocating.
 //
 // fadinglint:allocfree
 func (r *RNG) FillNormal(dst []float64, sigma2 float64) {
@@ -174,15 +166,4 @@ func (r *RNG) RayleighVector(n int, sigma float64) []float64 {
 		out[i] = r.Rayleigh(sigma)
 	}
 	return out
-}
-
-// UniformPhase returns a phase uniformly distributed in [0, 2π).
-func (r *RNG) UniformPhase() float64 {
-	return 2 * math.Pi * r.src.Float64()
-}
-
-// Shuffle permutes the integers 0..n-1 uniformly at random and returns them.
-func (r *RNG) Shuffle(n int) []int {
-	p := r.src.Perm(n)
-	return p
 }

@@ -70,27 +70,6 @@ func TestNormalMoments(t *testing.T) {
 	}
 }
 
-func TestNormalVector(t *testing.T) {
-	rng := New(2)
-	v := rng.NormalVector(100000, 4)
-	if len(v) != 100000 {
-		t.Fatalf("NormalVector length = %d", len(v))
-	}
-	var sum, sumSq float64
-	for _, x := range v {
-		sum += x
-		sumSq += x * x
-	}
-	mean := sum / float64(len(v))
-	variance := sumSq/float64(len(v)) - mean*mean
-	if math.Abs(mean) > 0.05 {
-		t.Errorf("NormalVector mean = %g, want 0", mean)
-	}
-	if math.Abs(variance-4) > 0.15 {
-		t.Errorf("NormalVector variance = %g, want 4", variance)
-	}
-}
-
 func TestComplexNormalVariance(t *testing.T) {
 	rng := New(3)
 	const n = 200000
@@ -168,34 +147,6 @@ func TestRayleighVectorLengthAndPositivity(t *testing.T) {
 		if r <= 0 {
 			t.Fatalf("RayleighVector[%d] = %g is not positive", i, r)
 		}
-	}
-}
-
-func TestUniformPhaseRange(t *testing.T) {
-	rng := New(8)
-	var sum float64
-	const n = 100000
-	for i := 0; i < n; i++ {
-		p := rng.UniformPhase()
-		if p < 0 || p >= 2*math.Pi {
-			t.Fatalf("UniformPhase out of range: %g", p)
-		}
-		sum += p
-	}
-	if math.Abs(sum/n-math.Pi) > 0.03 {
-		t.Errorf("UniformPhase mean = %g, want pi", sum/n)
-	}
-}
-
-func TestShuffleIsPermutation(t *testing.T) {
-	rng := New(9)
-	p := rng.Shuffle(50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("Shuffle is not a permutation: %v", p)
-		}
-		seen[v] = true
 	}
 }
 

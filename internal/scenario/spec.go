@@ -7,7 +7,7 @@
 // the repository root, so adding a workload — a new OFDM spacing, a MIMO
 // array, an indefinite-covariance stress case — means writing a spec, not
 // Go code. cmd/scenariorun drives the specs from the command line and CI;
-// the paper's E5–E9 experiments are the specs tagged "paper".
+// the paper's E3–E9 experiments are the specs tagged "paper".
 //
 // Everything is deterministic: a spec carries its own seed, the engine
 // derives every stream from it, and the report contains no timestamps, so
@@ -510,14 +510,4 @@ func (m *MethodExpect) validate() error {
 		return fmt.Errorf("unknown expected outcome %q for %q: %w", m.Outcome, m.Method, ErrBadSpec)
 	}
 	return nil
-}
-
-// HasTag reports whether the spec carries the given tag.
-func (s *Spec) HasTag(tag string) bool {
-	for _, t := range s.Tags {
-		if t == tag {
-			return true
-		}
-	}
-	return false
 }

@@ -134,10 +134,3 @@ func TestComplexJSON(t *testing.T) {
 		t.Errorf("marshal = %s, want [3,4]", out)
 	}
 }
-
-func TestHasTag(t *testing.T) {
-	s := &Spec{Tags: []string{"a", "b"}}
-	if !s.HasTag("a") || s.HasTag("c") {
-		t.Errorf("HasTag misbehaves: a=%v c=%v", s.HasTag("a"), s.HasTag("c"))
-	}
-}

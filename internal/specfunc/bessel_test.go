@@ -139,81 +139,3 @@ func TestBesselSumOfSquaresProperty(t *testing.T) {
 		}
 	}
 }
-
-func TestErfKnownValues(t *testing.T) {
-	cases := []struct{ x, want float64 }{
-		{0, 0},
-		{0.5, 0.5204998778130465},
-		{1, 0.8427007929497149},
-		{2, 0.9953222650189527},
-		{3, 0.9999779095030014},
-		{-1, -0.8427007929497149},
-	}
-	for _, c := range cases {
-		if got := Erf(c.x); math.Abs(got-c.want) > 1e-10 {
-			t.Errorf("Erf(%g) = %.12g, want %.12g", c.x, got, c.want)
-		}
-	}
-}
-
-func TestErfAgainstStdlib(t *testing.T) {
-	for x := -6.0; x <= 6.0; x += 0.37 {
-		if d := math.Abs(Erf(x) - math.Erf(x)); d > 1e-10 {
-			t.Errorf("Erf(%g) differs from math.Erf by %g", x, d)
-		}
-		if d := math.Abs(Erfc(x) - math.Erfc(x)); d > 1e-10 {
-			t.Errorf("Erfc(%g) differs from math.Erfc by %g", x, d)
-		}
-	}
-}
-
-func TestErfErfcComplementProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		x := 12*rng.Float64() - 6
-		return math.Abs(Erf(x)+Erfc(x)-1) < 1e-12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestGammaHalfInteger(t *testing.T) {
-	cases := []struct {
-		n    int
-		want float64
-	}{
-		{1, math.Sqrt(math.Pi)},         // Γ(1/2)
-		{2, 1},                          // Γ(1)
-		{3, math.Sqrt(math.Pi) / 2},     // Γ(3/2) — Rayleigh mean coefficient
-		{4, 1},                          // Γ(2)
-		{5, 3 * math.Sqrt(math.Pi) / 4}, // Γ(5/2)
-		{6, 2},                          // Γ(3)
-		{8, 6},                          // Γ(4)
-	}
-	for _, c := range cases {
-		if got := GammaHalfInteger(c.n); math.Abs(got-c.want) > 1e-12*math.Max(1, c.want) {
-			t.Errorf("GammaHalfInteger(%d) = %.15g, want %.15g", c.n, got, c.want)
-		}
-	}
-	if !math.IsNaN(GammaHalfInteger(0)) || !math.IsNaN(GammaHalfInteger(-2)) {
-		t.Errorf("GammaHalfInteger of non-positive n should be NaN")
-	}
-}
-
-func TestGammaAgainstStdlib(t *testing.T) {
-	for n := 1; n <= 20; n++ {
-		want := math.Gamma(float64(n) / 2)
-		got := GammaHalfInteger(n)
-		if math.Abs(got-want) > 1e-10*want {
-			t.Errorf("GammaHalfInteger(%d) = %g, want %g", n, got, want)
-		}
-	}
-}
-
-func TestRayleighMeanCoefficientFromGamma(t *testing.T) {
-	// The 0.8862 coefficient in Eq. (14) is sqrt(pi)/2 = Γ(3/2).
-	if got := GammaHalfInteger(3); math.Abs(got-0.8862269254527580) > 1e-12 {
-		t.Errorf("Γ(3/2) = %.16g, want 0.8862269254527580", got)
-	}
-}

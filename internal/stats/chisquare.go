@@ -145,25 +145,3 @@ func upperGammaCF(a, x float64) float64 {
 	}
 	return math.Exp(-x+a*math.Log(x)-lgA) * h
 }
-
-// CorrelationCoefficient estimates the complex correlation coefficient
-// between two zero-mean complex samples: ρ = E(x·conj(y)) / sqrt(E|x|²·E|y|²).
-func CorrelationCoefficient(x, y []complex128) (complex128, error) {
-	if len(x) == 0 || len(x) != len(y) {
-		return 0, fmt.Errorf("stats: correlation coefficient needs equal non-empty samples (%d, %d): %w",
-			len(x), len(y), ErrBadInput)
-	}
-	var cross complex128
-	var px, py float64
-	for i := range x {
-		cross += x[i] * conj(y[i])
-		px += real(x[i])*real(x[i]) + imag(x[i])*imag(x[i])
-		py += real(y[i])*real(y[i]) + imag(y[i])*imag(y[i])
-	}
-	if px == 0 || py == 0 {
-		return 0, fmt.Errorf("stats: zero-power sample in correlation coefficient: %w", ErrBadInput)
-	}
-	return cross / complex(math.Sqrt(px*py), 0), nil
-}
-
-func conj(z complex128) complex128 { return complex(real(z), -imag(z)) }

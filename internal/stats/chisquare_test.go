@@ -101,55 +101,3 @@ func TestChiSquareSurvivalKnownValues(t *testing.T) {
 		t.Errorf("Q(a, 0) should be 1")
 	}
 }
-
-func TestCorrelationCoefficient(t *testing.T) {
-	rng := randx.New(4)
-	const n = 100000
-	x := make([]complex128, n)
-	y := make([]complex128, n)
-	const rho = 0.6
-	for i := 0; i < n; i++ {
-		a := rng.ComplexNormal(1)
-		b := rng.ComplexNormal(1)
-		x[i] = a
-		y[i] = complex(rho, 0)*a + complex(math.Sqrt(1-rho*rho), 0)*b
-	}
-	got, err := CorrelationCoefficient(x, y)
-	if err != nil {
-		t.Fatalf("CorrelationCoefficient: %v", err)
-	}
-	if math.Abs(real(got)-rho) > 0.01 || math.Abs(imag(got)) > 0.01 {
-		t.Errorf("correlation coefficient = %v, want %g", got, rho)
-	}
-
-	if _, err := CorrelationCoefficient(nil, nil); err == nil {
-		t.Errorf("empty samples did not error")
-	}
-	if _, err := CorrelationCoefficient(x[:10], y[:5]); err == nil {
-		t.Errorf("length mismatch did not error")
-	}
-	zeros := make([]complex128, 10)
-	if _, err := CorrelationCoefficient(zeros, zeros); err == nil {
-		t.Errorf("zero-power samples did not error")
-	}
-}
-
-func TestCorrelationCoefficientPerfectAndZero(t *testing.T) {
-	rng := randx.New(5)
-	x := rng.ComplexNormalVector(20000, 1)
-	same, err := CorrelationCoefficient(x, x)
-	if err != nil {
-		t.Fatalf("CorrelationCoefficient: %v", err)
-	}
-	if math.Abs(real(same)-1) > 1e-12 || math.Abs(imag(same)) > 1e-12 {
-		t.Errorf("self correlation = %v, want 1", same)
-	}
-	y := rng.ComplexNormalVector(20000, 1)
-	indep, err := CorrelationCoefficient(x, y)
-	if err != nil {
-		t.Fatalf("CorrelationCoefficient: %v", err)
-	}
-	if math.Hypot(real(indep), imag(indep)) > 0.03 {
-		t.Errorf("independent samples correlated: %v", indep)
-	}
-}

@@ -95,25 +95,3 @@ func CompareCovariance(estimate, target *cmplxmat.Matrix) (CovarianceError, erro
 		Relative:  rel,
 	}, nil
 }
-
-// ComplexMean returns the element-wise mean of independent vector draws.
-func ComplexMean(samples [][]complex128) ([]complex128, error) {
-	if len(samples) == 0 {
-		return nil, fmt.Errorf("stats: ComplexMean with no samples: %w", ErrBadInput)
-	}
-	n := len(samples[0])
-	out := make([]complex128, n)
-	for idx, z := range samples {
-		if len(z) != n {
-			return nil, fmt.Errorf("stats: sample %d has dimension %d, want %d: %w", idx, len(z), n, ErrBadInput)
-		}
-		for i, v := range z {
-			out[i] += v
-		}
-	}
-	scale := complex(1/float64(len(samples)), 0)
-	for i := range out {
-		out[i] *= scale
-	}
-	return out, nil
-}

@@ -1,16 +1,14 @@
 // Package stats provides the estimators used to validate the generated
 // fading envelopes against the paper's claims: sample covariance matrices of
-// complex vectors, Rayleigh distribution fitting and goodness-of-fit tests,
-// lagged autocorrelation, and the second-order fading statistics (level
-// crossing rate, average fade duration) commonly reported for Rayleigh
-// channel simulators.
+// complex vectors, Rayleigh and Nakagami-m distributions with
+// Kolmogorov–Smirnov and chi-square goodness-of-fit tests, and the lagged
+// autocorrelation of a fading series.
 package stats
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // ErrBadInput reports invalid estimator input (usually an empty sample).
@@ -64,108 +62,4 @@ func RMS(x []float64) (float64, error) {
 		return 0, err
 	}
 	return math.Sqrt(ms), nil
-}
-
-// StdDev returns the population standard deviation.
-func StdDev(x []float64) (float64, error) {
-	v, err := Variance(x)
-	if err != nil {
-		return 0, err
-	}
-	return math.Sqrt(v), nil
-}
-
-// MinMax returns the smallest and largest values of the sample.
-func MinMax(x []float64) (min, max float64, err error) {
-	if len(x) == 0 {
-		return 0, 0, fmt.Errorf("stats: MinMax of empty sample: %w", ErrBadInput)
-	}
-	min, max = x[0], x[0]
-	for _, v := range x[1:] {
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
-	}
-	return min, max, nil
-}
-
-// Quantile returns the p-quantile (0 <= p <= 1) of the sample using linear
-// interpolation between order statistics.
-func Quantile(x []float64, p float64) (float64, error) {
-	if len(x) == 0 {
-		return 0, fmt.Errorf("stats: Quantile of empty sample: %w", ErrBadInput)
-	}
-	if p < 0 || p > 1 {
-		return 0, fmt.Errorf("stats: quantile level %g outside [0,1]: %w", p, ErrBadInput)
-	}
-	sorted := append([]float64(nil), x...)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0], nil
-	}
-	pos := p * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo], nil
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
-}
-
-// Histogram bins the sample into nbins equal-width bins spanning [min, max]
-// and returns the bin edges (nbins+1 values) and counts.
-func Histogram(x []float64, nbins int) (edges []float64, counts []int, err error) {
-	if len(x) == 0 {
-		return nil, nil, fmt.Errorf("stats: Histogram of empty sample: %w", ErrBadInput)
-	}
-	if nbins <= 0 {
-		return nil, nil, fmt.Errorf("stats: Histogram with %d bins: %w", nbins, ErrBadInput)
-	}
-	lo, hi, err := MinMax(x)
-	if err != nil {
-		return nil, nil, err
-	}
-	if lo == hi {
-		hi = lo + 1
-	}
-	width := (hi - lo) / float64(nbins)
-	edges = make([]float64, nbins+1)
-	for i := range edges {
-		edges[i] = lo + float64(i)*width
-	}
-	counts = make([]int, nbins)
-	for _, v := range x {
-		bin := int((v - lo) / width)
-		if bin >= nbins {
-			bin = nbins - 1
-		}
-		if bin < 0 {
-			bin = 0
-		}
-		counts[bin]++
-	}
-	return edges, counts, nil
-}
-
-// EmpiricalCDF returns a function evaluating the empirical cumulative
-// distribution of the sample.
-func EmpiricalCDF(x []float64) (func(float64) float64, error) {
-	if len(x) == 0 {
-		return nil, fmt.Errorf("stats: EmpiricalCDF of empty sample: %w", ErrBadInput)
-	}
-	sorted := append([]float64(nil), x...)
-	sort.Float64s(sorted)
-	n := float64(len(sorted))
-	return func(v float64) float64 {
-		idx := sort.SearchFloat64s(sorted, v)
-		// Count values <= v: advance over ties equal to v.
-		for idx < len(sorted) && sorted[idx] == v {
-			idx++
-		}
-		return float64(idx) / n
-	}, nil
 }

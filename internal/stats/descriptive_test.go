@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 )
 
@@ -24,10 +23,6 @@ func TestMeanVarianceKnown(t *testing.T) {
 	if err != nil || math.Abs(r-math.Sqrt(11)) > 1e-12 {
 		t.Errorf("RMS = %g, %v; want sqrt(11)", r, err)
 	}
-	s, err := StdDev(x)
-	if err != nil || math.Abs(s-math.Sqrt2) > 1e-12 {
-		t.Errorf("StdDev = %g, %v; want sqrt(2)", s, err)
-	}
 }
 
 func TestEmptySampleErrors(t *testing.T) {
@@ -39,104 +34,5 @@ func TestEmptySampleErrors(t *testing.T) {
 	}
 	if _, err := MeanSquare(nil); err == nil {
 		t.Errorf("MeanSquare(nil) did not error")
-	}
-	if _, _, err := MinMax(nil); err == nil {
-		t.Errorf("MinMax(nil) did not error")
-	}
-	if _, err := Quantile(nil, 0.5); err == nil {
-		t.Errorf("Quantile(nil) did not error")
-	}
-	if _, _, err := Histogram(nil, 10); err == nil {
-		t.Errorf("Histogram(nil) did not error")
-	}
-	if _, err := EmpiricalCDF(nil); err == nil {
-		t.Errorf("EmpiricalCDF(nil) did not error")
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	lo, hi, err := MinMax([]float64{3, -1, 7, 0})
-	if err != nil || lo != -1 || hi != 7 {
-		t.Errorf("MinMax = (%g, %g), %v", lo, hi, err)
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	x := []float64{4, 1, 3, 2}
-	q, err := Quantile(x, 0.5)
-	if err != nil || math.Abs(q-2.5) > 1e-12 {
-		t.Errorf("median = %g, %v; want 2.5", q, err)
-	}
-	q, err = Quantile(x, 0)
-	if err != nil || q != 1 {
-		t.Errorf("0-quantile = %g, want 1", q)
-	}
-	q, err = Quantile(x, 1)
-	if err != nil || q != 4 {
-		t.Errorf("1-quantile = %g, want 4", q)
-	}
-	if _, err := Quantile(x, 1.5); err == nil {
-		t.Errorf("out-of-range quantile level did not error")
-	}
-	q, err = Quantile([]float64{7}, 0.9)
-	if err != nil || q != 7 {
-		t.Errorf("single-element quantile = %g, want 7", q)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	x := []float64{0, 0.1, 0.9, 1.0, 0.5, 0.51}
-	edges, counts, err := Histogram(x, 2)
-	if err != nil {
-		t.Fatalf("Histogram: %v", err)
-	}
-	if len(edges) != 3 || len(counts) != 2 {
-		t.Fatalf("Histogram shapes: %d edges, %d counts", len(edges), len(counts))
-	}
-	if counts[0]+counts[1] != len(x) {
-		t.Errorf("Histogram does not conserve counts: %v", counts)
-	}
-	// 0.5 sits exactly on the bin boundary and belongs to the upper bin.
-	if counts[0] != 2 || counts[1] != 4 {
-		t.Errorf("Histogram counts = %v, want [2 4]", counts)
-	}
-	if _, _, err := Histogram(x, 0); err == nil {
-		t.Errorf("Histogram with 0 bins did not error")
-	}
-	// Degenerate sample (all equal) must not divide by zero.
-	if _, _, err := Histogram([]float64{2, 2, 2}, 3); err != nil {
-		t.Errorf("Histogram of constant sample errored: %v", err)
-	}
-}
-
-func TestEmpiricalCDF(t *testing.T) {
-	cdf, err := EmpiricalCDF([]float64{1, 2, 3, 4})
-	if err != nil {
-		t.Fatalf("EmpiricalCDF: %v", err)
-	}
-	cases := []struct{ x, want float64 }{
-		{0.5, 0}, {1, 0.25}, {2.5, 0.5}, {4, 1}, {10, 1},
-	}
-	for _, c := range cases {
-		if got := cdf(c.x); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("CDF(%g) = %g, want %g", c.x, got, c.want)
-		}
-	}
-}
-
-func TestEmpiricalCDFConvergesToUniform(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	x := make([]float64, 50000)
-	for i := range x {
-		x[i] = rng.Float64()
-	}
-	cdf, err := EmpiricalCDF(x)
-	if err != nil {
-		t.Fatalf("EmpiricalCDF: %v", err)
-	}
-	for _, p := range []float64{0.1, 0.25, 0.5, 0.75, 0.9} {
-		if got := cdf(p); math.Abs(got-p) > 0.01 {
-			t.Errorf("empirical CDF of uniform sample at %g = %g", p, got)
-		}
 	}
 }

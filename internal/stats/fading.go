@@ -36,72 +36,6 @@ func LaggedAutocorrelation(x []complex128, maxLag int) ([]float64, error) {
 	return out, nil
 }
 
-// LevelCrossingRate counts how often the envelope crosses the threshold in
-// the positive-going direction, per sample. Multiplying by the sampling rate
-// gives crossings per second.
-func LevelCrossingRate(envelope []float64, threshold float64) (float64, error) {
-	if len(envelope) < 2 {
-		return 0, fmt.Errorf("stats: LevelCrossingRate needs at least two samples: %w", ErrBadInput)
-	}
-	crossings := 0
-	for i := 1; i < len(envelope); i++ {
-		if envelope[i-1] < threshold && envelope[i] >= threshold {
-			crossings++
-		}
-	}
-	return float64(crossings) / float64(len(envelope)-1), nil
-}
-
-// TheoreticalLCR returns the classical Rayleigh level crossing rate
-// (crossings per second) at normalized threshold rho = R/Rrms for maximum
-// Doppler frequency fm (Hz):
-//
-//	LCR(ρ) = sqrt(2π)·fm·ρ·exp(−ρ²).
-func TheoreticalLCR(fmHz, rho float64) float64 {
-	if rho < 0 || fmHz <= 0 {
-		return 0
-	}
-	return math.Sqrt(2*math.Pi) * fmHz * rho * math.Exp(-rho*rho)
-}
-
-// AverageFadeDuration returns the mean number of consecutive samples the
-// envelope spends below the threshold per fade event. Multiplying by the
-// sampling interval gives seconds.
-func AverageFadeDuration(envelope []float64, threshold float64) (float64, error) {
-	if len(envelope) < 2 {
-		return 0, fmt.Errorf("stats: AverageFadeDuration needs at least two samples: %w", ErrBadInput)
-	}
-	below := 0
-	fades := 0
-	inFade := false
-	for _, v := range envelope {
-		if v < threshold {
-			below++
-			if !inFade {
-				fades++
-				inFade = true
-			}
-		} else {
-			inFade = false
-		}
-	}
-	if fades == 0 {
-		return 0, nil
-	}
-	return float64(below) / float64(fades), nil
-}
-
-// TheoreticalAFD returns the classical Rayleigh average fade duration in
-// seconds at normalized threshold rho for maximum Doppler fm (Hz):
-//
-//	AFD(ρ) = (exp(ρ²) − 1) / (ρ·fm·sqrt(2π)).
-func TheoreticalAFD(fmHz, rho float64) float64 {
-	if rho <= 0 || fmHz <= 0 {
-		return 0
-	}
-	return (math.Exp(rho*rho) - 1) / (rho * fmHz * math.Sqrt(2*math.Pi))
-}
-
 // EnvelopeDB converts an envelope series to decibels relative to its RMS
 // value, the normalization used for the paper's Fig. 4.
 func EnvelopeDB(envelope []float64) ([]float64, error) {

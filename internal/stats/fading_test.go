@@ -36,108 +36,6 @@ func TestLaggedAutocorrelationErrors(t *testing.T) {
 	}
 }
 
-func TestLevelCrossingRateSinusoid(t *testing.T) {
-	// A sinusoid of period 100 samples crosses any level inside its range
-	// exactly once per period in the positive direction.
-	n := 10000
-	env := make([]float64, n)
-	for i := range env {
-		env[i] = 1 + 0.5*math.Sin(2*math.Pi*float64(i)/100)
-	}
-	lcr, err := LevelCrossingRate(env, 1.0)
-	if err != nil {
-		t.Fatalf("LevelCrossingRate: %v", err)
-	}
-	if math.Abs(lcr-0.01) > 0.002 {
-		t.Errorf("LCR = %g crossings/sample, want ≈ 0.01", lcr)
-	}
-	if _, err := LevelCrossingRate([]float64{1}, 0.5); err == nil {
-		t.Errorf("short envelope did not error")
-	}
-}
-
-func TestAverageFadeDurationKnownPattern(t *testing.T) {
-	// Envelope below threshold for runs of 2 and 4 samples → AFD = 3.
-	env := []float64{1, 0.1, 0.1, 1, 1, 0.2, 0.2, 0.2, 0.2, 1}
-	afd, err := AverageFadeDuration(env, 0.5)
-	if err != nil {
-		t.Fatalf("AverageFadeDuration: %v", err)
-	}
-	if math.Abs(afd-3) > 1e-12 {
-		t.Errorf("AFD = %g, want 3", afd)
-	}
-	// No fades at all.
-	afd, err = AverageFadeDuration([]float64{1, 1, 1}, 0.5)
-	if err != nil || afd != 0 {
-		t.Errorf("AFD with no fades = %g, %v; want 0", afd, err)
-	}
-	if _, err := AverageFadeDuration([]float64{1}, 0.5); err == nil {
-		t.Errorf("short envelope did not error")
-	}
-}
-
-func TestTheoreticalLCRAndAFDConsistency(t *testing.T) {
-	// LCR·AFD = P(r < R) = 1 − exp(−ρ²) for the Rayleigh law.
-	fm := 50.0
-	for _, rho := range []float64{0.1, 0.5, 1, 2} {
-		product := TheoreticalLCR(fm, rho) * TheoreticalAFD(fm, rho)
-		want := 1 - math.Exp(-rho*rho)
-		if math.Abs(product-want) > 1e-12 {
-			t.Errorf("LCR·AFD at ρ=%g = %g, want %g", rho, product, want)
-		}
-	}
-	if TheoreticalLCR(0, 1) != 0 || TheoreticalAFD(0, 1) != 0 {
-		t.Errorf("zero Doppler should give zero LCR/AFD")
-	}
-	if TheoreticalLCR(50, -1) != 0 || TheoreticalAFD(50, 0) != 0 {
-		t.Errorf("non-positive threshold should give zero LCR/AFD")
-	}
-}
-
-func TestEmpiricalLCRMatchesTheoryForRayleighFading(t *testing.T) {
-	// Generate an approximately Jakes-faded envelope with a sum-of-sinusoids
-	// construction (independent of the library's own generators) and compare
-	// the measured LCR at ρ=1 with the theoretical value.
-	const (
-		fs = 1000.0
-		fm = 50.0
-		n  = 200000
-	)
-	rng := randx.New(11)
-	const tones = 64
-	phases := make([]float64, tones)
-	dopplers := make([]float64, tones)
-	phases2 := make([]float64, tones)
-	for i := 0; i < tones; i++ {
-		phases[i] = rng.UniformPhase()
-		phases2[i] = rng.UniformPhase()
-		dopplers[i] = fm * math.Cos(rng.UniformPhase())
-	}
-	env := make([]float64, n)
-	for l := 0; l < n; l++ {
-		tm := float64(l) / fs
-		var re, im float64
-		for i := 0; i < tones; i++ {
-			re += math.Cos(2*math.Pi*dopplers[i]*tm + phases[i])
-			im += math.Sin(2*math.Pi*dopplers[i]*tm + phases2[i])
-		}
-		env[l] = math.Hypot(re, im)
-	}
-	rms, err := RMS(env)
-	if err != nil {
-		t.Fatalf("RMS: %v", err)
-	}
-	lcrPerSample, err := LevelCrossingRate(env, rms)
-	if err != nil {
-		t.Fatalf("LevelCrossingRate: %v", err)
-	}
-	lcrHz := lcrPerSample * fs
-	want := TheoreticalLCR(fm, 1)
-	if math.Abs(lcrHz-want) > 0.25*want {
-		t.Errorf("empirical LCR %g Hz vs theoretical %g Hz", lcrHz, want)
-	}
-}
-
 func TestEnvelopeDB(t *testing.T) {
 	env := []float64{1, 2, 4}
 	db, err := EnvelopeDB(env)

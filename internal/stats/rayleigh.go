@@ -67,11 +67,6 @@ func (d RayleighDist) MeanSquare() float64 {
 	return 2 * d.Sigma * d.Sigma
 }
 
-// Median returns the distribution median Sigma·sqrt(2·ln 2).
-func (d RayleighDist) Median() float64 {
-	return d.Sigma * math.Sqrt(2*math.Ln2)
-}
-
 // FitRayleigh estimates the scale parameter from a sample by maximum
 // likelihood, which for the Rayleigh distribution coincides with the moment
 // estimator based on the mean square: σ̂² = (1/2n)·Σ x_i².

@@ -230,15 +230,6 @@ func ParseKeyring(s string) (*Keyring, error) {
 // SignerID reports the id of the key new tokens are signed with.
 func (kr *Keyring) SignerID() string { return kr.keys[0].ID }
 
-// KeyIDs reports every verifying key id, signer first.
-func (kr *Keyring) KeyIDs() []string {
-	ids := make([]string, len(kr.keys))
-	for i, k := range kr.keys {
-		ids[i] = k.ID
-	}
-	return ids
-}
-
 // Sign serializes t and returns the wire token, signed with the ring's
 // primary key. The token must be self-consistent: non-empty id and a
 // SpecHash that matches Spec.

