@@ -24,6 +24,41 @@ func maxAbsDiff(a, b []complex128) float64 {
 	return m
 }
 
+// TestPlanForwardMatchesFFT checks Len and Forward at the powers of two 1
+// to 1024 and the Bluestein lengths 3, 5, 12, 100 and 257 (prime). The FFT
+// Forward must match is the DFT itself, evaluated by the directDFT oracle
+// under planErrBound.
+func TestPlanForwardMatchesFFT(t *testing.T) {
+	rng := rand.New(rand.NewSource(101))
+	for _, n := range []int{1, 2, 4, 8, 64, 1024, 3, 5, 12, 100, 257} {
+		p := NewPlan(n)
+		if p.Len() != n {
+			t.Fatalf("Len = %d, want %d", p.Len(), n)
+		}
+		x := randomComplexSlice(rng, n)
+		if maxErr, ratio := planError(x, p.Forward, directDFT(x, false), 1); ratio > planErrBound {
+			t.Errorf("n=%d: plan forward deviates from the DFT by %.3g = %.2f·ε·log₂n·‖x‖ (bound %d)",
+				n, maxErr, ratio, planErrBound)
+		}
+	}
+}
+
+// TestPlanInverseScaledMatchesIFFT checks InverseScaled, the 1/n-normalized
+// inverse every generated block goes through, at the powers of two 2 to 4096
+// and the Bluestein lengths 6, 30 and 243, against the direct inverse DFT
+// under planErrBound.
+func TestPlanInverseScaledMatchesIFFT(t *testing.T) {
+	rng := rand.New(rand.NewSource(103))
+	for _, n := range []int{2, 16, 512, 4096, 6, 30, 243} {
+		p := NewPlan(n)
+		x := randomComplexSlice(rng, n)
+		if maxErr, ratio := planError(x, p.InverseScaled, directDFT(x, true), 1/float64(n)); ratio > planErrBound {
+			t.Errorf("n=%d: plan inverse deviates from the inverse DFT by %.3g = %.2f·ε·log₂n·‖x‖/n (bound %d)",
+				n, maxErr, ratio, planErrBound)
+		}
+	}
+}
+
 func TestPlanRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(107))
 	for _, n := range []int{8, 128, 7, 60} {

@@ -418,10 +418,26 @@ func TestShuttingDownCreate(t *testing.T) {
 // 503 with code "create_timeout" and Retry-After, that the background create
 // does not leak a session, and that the honest retry succeeds (the abandoned
 // setup landed in the cache).
+//
+// The test holds the setup cache's lock until the 503 is in hand, so the
+// setup cannot finish first: a 1 ns timeout alone still loses the race
+// whenever the create goroutine completes before the handler reaches its
+// select, as it can on a loaded host.
 func TestCreateTimeout(t *testing.T) {
 	s, ts := newTestServer(t, Config{CreateTimeout: time.Nanosecond})
+	s.cache.mu.Lock()
 	resp := postSpec(t, ts.URL, testSpec)
 	defer resp.Body.Close()
+	// The abandoned create has reserved its slot and waits on the cache.
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Manager().Len() != 1 {
+		if time.Now().After(deadline) {
+			s.cache.mu.Unlock()
+			t.Fatalf("abandoned create not in flight: %d sessions reserved", s.Manager().Len())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	s.cache.mu.Unlock()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("timed-out create: status %d, want 503", resp.StatusCode)
 	}
@@ -433,7 +449,7 @@ func TestCreateTimeout(t *testing.T) {
 	}
 
 	// The abandoned background create must delete its session once finished.
-	deadline := time.Now().Add(5 * time.Second)
+	deadline = time.Now().Add(5 * time.Second)
 	for s.Manager().Len() != 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("abandoned create leaked: %d sessions live", s.Manager().Len())
