@@ -58,6 +58,19 @@ func compareReports(baseline, current report, tolerance float64) ([]comparison, 
 	return comparisons, ok
 }
 
+// checkGOMAXPROCS refuses to compare against a baseline recorded at another
+// GOMAXPROCS. Allocation-heavy rows count the allocations of every GC cycle
+// that lands inside the benchmark, and the number of cycles per op depends on
+// GOMAXPROCS, so the strict allocs/op gate holds only between runs at the
+// same setting.
+func checkGOMAXPROCS(baseline report, current int) error {
+	if baseline.GOMAXPROCS != current {
+		return fmt.Errorf("baseline was recorded at GOMAXPROCS=%d but this run has GOMAXPROCS=%d; rerun with GOMAXPROCS=%d",
+			baseline.GOMAXPROCS, current, baseline.GOMAXPROCS)
+	}
+	return nil
+}
+
 // formatComparisons renders the comparison table, one line per baseline
 // benchmark.
 func formatComparisons(comparisons []comparison, tolerance float64) string {

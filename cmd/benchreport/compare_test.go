@@ -84,6 +84,23 @@ func TestCompareReportsFlagsMissingBenchmark(t *testing.T) {
 	}
 }
 
+func TestCheckGOMAXPROCSRejectsMismatch(t *testing.T) {
+	baseline := repWith("a", 100.0)
+	baseline.GOMAXPROCS = 1
+	if err := checkGOMAXPROCS(baseline, 1); err != nil {
+		t.Errorf("matching GOMAXPROCS rejected: %v", err)
+	}
+	err := checkGOMAXPROCS(baseline, 2)
+	if err == nil {
+		t.Fatal("baseline at GOMAXPROCS=1 accepted for a GOMAXPROCS=2 run")
+	}
+	for _, want := range []string{"GOMAXPROCS=1", "GOMAXPROCS=2"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
+	}
+}
+
 func TestLoadReportCommittedBaseline(t *testing.T) {
 	rep, err := loadReport(filepath.Join("..", "..", "BENCH_core.json"))
 	if err != nil {

@@ -13,9 +13,11 @@
 // With -compare the command doubles as the CI benchmark-regression gate: the
 // fresh results are checked against a committed baseline report and the
 // process exits non-zero when any benchmark's ns/op regresses by more than
-// -tolerance (or disappears from the run):
+// -tolerance, its allocs/op grows at all, or it disappears from the run. The
+// run must have the GOMAXPROCS the baseline records, or the command exits
+// before benchmarking:
 //
-//	go run ./cmd/benchreport -o /tmp/bench.json -compare BENCH_core.json -tolerance 0.25
+//	GOMAXPROCS=1 go run ./cmd/benchreport -o /tmp/bench.json -compare BENCH_core.json -tolerance 0.25
 //
 // With -slo-compare the command instead gates a fresh cmd/slorun document
 // against the committed BENCH_slo.json (no core benchmarks are run): every
@@ -332,6 +334,17 @@ func main() {
 		return
 	}
 
+	var baseline report
+	if *comparePath != "" {
+		var err error
+		if baseline, err = loadReport(*comparePath); err != nil {
+			fatalf("baseline: %v", err)
+		}
+		if err := checkGOMAXPROCS(baseline, runtime.GOMAXPROCS(0)); err != nil {
+			fatalf("%v", err)
+		}
+	}
+
 	rep := report{
 		GoVersion:  runtime.Version(),
 		GOOS:       runtime.GOOS,
@@ -397,10 +410,6 @@ func main() {
 
 	if *comparePath == "" {
 		return
-	}
-	baseline, err := loadReport(*comparePath)
-	if err != nil {
-		fatalf("baseline: %v", err)
 	}
 	comparisons, ok := compareReports(baseline, rep, *tolerance)
 	fmt.Print(formatComparisons(comparisons, *tolerance))

@@ -1,12 +1,12 @@
-// Package backend is the generation-method registry: it puts the paper's
-// generalized engine (internal/core) and every conventional method of
-// internal/baseline behind one Backend interface, keyed by the chanspec
+// Package backend is the generation-method registry. It resolves the chanspec
 // method vocabulary ("generalized", "salz_winters", "ertel_reed",
-// "beaulieu_merani", "natarajan", "sorooshyari_daut"). The scenario harness,
-// the public API and the fadingd service all resolve spec method names
-// through this package, so "which method, at what cost, with which failure
-// modes" is a single spec-file question. Each backend's constraints and
-// typed failure classes are catalogued in docs/methods.md.
+// "beaulieu_merani", "natarajan", "sorooshyari_daut") into the one thing the
+// methods differ in, a coloring matrix (Coloring), and runs every method's
+// snapshots and real-time blocks through the core engine with it. The
+// scenario harness, the public API and the fadingd service all resolve spec
+// method names through this package, so "which method, at what cost, with
+// which failure modes" is a single spec-file question. Each method's
+// constraints and typed failure classes are catalogued in docs/methods.md.
 package backend
 
 import (
@@ -17,94 +17,85 @@ import (
 	"repro/internal/cmplxmat"
 	"repro/internal/core"
 	"repro/internal/fading"
-	"repro/internal/randx"
 )
 
-// Backend is the unified face of one generation method configured for one
-// covariance target: independent snapshots through the single-draw and the
-// batched destination-passing paths. A Backend is not safe for concurrent
-// use (its methods share internal scratch and random streams).
-type Backend interface {
-	// Method returns the canonical spec method value.
-	Method() string
-	// N returns the envelope count per snapshot.
-	N() int
-	// GenerateInto draws one snapshot into caller-supplied length-N storage
-	// without allocating.
-	GenerateInto(gaussian []complex128, env []float64) error
-	// GenerateBatchInto fills dst with len(dst) independent snapshots,
-	// reusing pre-shaped Gaussian/Envelopes storage. The generalized engine
-	// honors workers (output bit-identical for every count); the baseline
-	// methods run their chunked batched path sequentially and ignore it.
-	GenerateBatchInto(dst []core.Snapshot, workers int) error
-	// Diagnostics returns the zero-clamp PSD forcing record of the target for
-	// the generalized engine, and nil for the baseline methods — they reject
-	// unsupported targets during construction instead of forcing them.
-	Diagnostics() *core.ForcedPSD
-}
-
-// New resolves a method name against a covariance target. Construction
+// New resolves a method name against a covariance target: a snapshot
+// generator that colors with the method's coloring matrix. Construction
 // surfaces each method's documented failure classes: baseline.ErrUnsupported
 // for configurations outside a method's vocabulary (unequal powers, N ≠ 2,
 // complex correlation), baseline.ErrSetupFailed for numerical rejections
 // (non-PSD targets under Cholesky or Salz–Winters), chanspec.ErrBadSpec for
-// names outside the vocabulary.
-func New(method string, k *cmplxmat.Matrix, seed int64) (Backend, error) {
-	method = chanspec.NormalizeMethod(method)
-	if err := chanspec.ValidateMethod(method); err != nil {
-		return nil, fmt.Errorf("backend: %w", err)
-	}
-	if method == chanspec.MethodGeneralized {
-		gen, err := core.NewSnapshotGenerator(core.SnapshotConfig{Covariance: k, Seed: seed})
-		if err != nil {
-			return nil, err
-		}
-		return &generalized{gen: gen}, nil
-	}
-	m, err := baseline.New(method)
+// names outside the vocabulary. Only the generalized method forces positive
+// semi-definiteness, so only its generator reports Diagnostics.
+func New(method string, k *cmplxmat.Matrix, seed int64) (*core.SnapshotGenerator, error) {
+	coloring, _, err := Coloring(method, k)
 	if err != nil {
 		return nil, err
 	}
-	if err := m.Setup(k); err != nil {
-		return nil, err
-	}
-	rng := randx.New(seed)
-	return &conventional{
-		method: method,
-		m:      m,
-		rng:    rng,
-		root:   rng.Split(),
-	}, nil
+	return core.NewSnapshotGenerator(core.SnapshotConfig{Covariance: k, Seed: seed, Coloring: coloring})
 }
 
 // NewWithFading resolves a (method, fading model) pair against a covariance
-// target: the method's Backend with the fading model's sample transform
-// applied to every draw (see internal/fading). The transform offset is the
-// running draw index, so batched and single-draw paths shadow consistently.
+// target: New's generator with the fading model's sample transform applied
+// to every draw (see internal/fading). The transform offset is the running
+// draw index, so batched and single-draw paths shadow consistently.
 // The nonstationary-Doppler model needs a time axis and is rejected here
 // (chanspec.ErrBadSpec): it is a real-time block mode concern.
-func NewWithFading(method, fading string, params *chanspec.FadingParams, k *cmplxmat.Matrix, seed int64) (Backend, error) {
+func NewWithFading(method, fading string, params *chanspec.FadingParams, k *cmplxmat.Matrix, seed int64) (*core.SnapshotGenerator, error) {
 	if chanspec.NormalizeFading(fading) == chanspec.FadingNonstationaryDoppler {
 		return nil, fmt.Errorf("backend: fading %q needs a real-time block mode (snapshots have no time axis): %w",
 			fading, chanspec.ErrBadSpec)
 	}
-	tr, err := Transform(fading, params, k, seed)
+	tr, err := fadingTransform(fading, params, k, seed)
 	if err != nil {
 		return nil, err
 	}
-	b, err := New(method, k, seed)
-	if err != nil || tr == nil {
-		return b, err
+	coloring, _, err := Coloring(method, k)
+	if err != nil {
+		return nil, err
 	}
-	return &transformed{Backend: b, tr: tr}, nil
+	return core.NewSnapshotGenerator(core.SnapshotConfig{Covariance: k, Seed: seed, Coloring: coloring, Transform: tr})
 }
 
-// Transform builds the fading model's sample transform for a covariance
-// target (nil for the Rayleigh default and the panel-level nonstationary
-// model). The target's diagonal supplies the per-envelope mean powers Ω_j;
-// the public API, the scenario harness and the service all thread real-time
-// transforms through here so the zoo models see one definition of Ω.
-func Transform(fadingModel string, params *chanspec.FadingParams, k *cmplxmat.Matrix, seed int64) (core.Transform, error) {
+// RealTimeConfig resolves the method- and model-dependent part of a
+// real-time configuration: the method's coloring and unit-variance
+// assumption, the fading model's sample transform and, for the
+// nonstationary-Doppler model, its trajectory. The caller sets Filter and
+// InputVariance.
+func RealTimeConfig(method, fading string, params *chanspec.FadingParams, k *cmplxmat.Matrix, seed int64) (core.RealTimeConfig, error) {
+	coloring, assumeUnit, err := Coloring(method, k)
+	if err != nil {
+		return core.RealTimeConfig{}, err
+	}
+	tr, err := fadingTransform(fading, params, k, seed)
+	if err != nil {
+		return core.RealTimeConfig{}, err
+	}
+	var segments []core.DopplerSegment
+	if chanspec.NormalizeFading(fading) == chanspec.FadingNonstationaryDoppler {
+		// fadingTransform validated the model, so params carries the
+		// trajectory.
+		segments = make([]core.DopplerSegment, len(params.Segments))
+		for i, s := range params.Segments {
+			segments[i] = core.DopplerSegment{Blocks: s.Blocks, NormalizedDoppler: s.NormalizedDoppler}
+		}
+	}
+	return core.RealTimeConfig{
+		Covariance:         k,
+		Seed:               seed,
+		AssumeUnitVariance: assumeUnit,
+		Coloring:           coloring,
+		Transform:          tr,
+		DopplerSegments:    segments,
+	}, nil
+}
+
+// fadingTransform builds the fading model's sample transform for a
+// covariance target (nil for the Rayleigh default and the panel-level
+// nonstationary model). The target's diagonal supplies the per-envelope mean
+// powers Ω_j; snapshots and real-time blocks both take their transform from
+// here, so the zoo models see one definition of Ω.
+func fadingTransform(fadingModel string, params *chanspec.FadingParams, k *cmplxmat.Matrix, seed int64) (core.Transform, error) {
 	if k == nil {
 		return nil, fmt.Errorf("backend: nil covariance matrix: %w", chanspec.ErrBadSpec)
 	}
@@ -122,47 +113,12 @@ func Transform(fadingModel string, params *chanspec.FadingParams, k *cmplxmat.Ma
 	return tr, nil
 }
 
-// transformed decorates a Backend with a fading sample transform, tracking
-// the global draw index so sample-indexed models (Suzuki shadowing) stay
-// deterministic across batch boundaries.
-type transformed struct {
-	Backend
-	tr   core.Transform
-	next uint64
-}
-
-func (t *transformed) GenerateInto(gaussian []complex128, env []float64) error {
-	if err := t.Backend.GenerateInto(gaussian, env); err != nil {
-		return err
-	}
-	for j := range gaussian {
-		t.tr.Apply(j, t.next, gaussian[j:j+1], env[j:j+1])
-	}
-	t.next++
-	return nil
-}
-
-func (t *transformed) GenerateBatchInto(dst []core.Snapshot, workers int) error {
-	if err := t.Backend.GenerateBatchInto(dst, workers); err != nil {
-		return err
-	}
-	for i := range dst {
-		off := t.next + uint64(i)
-		g, e := dst[i].Gaussian, dst[i].Envelopes
-		for j := range g {
-			t.tr.Apply(j, off, g[j:j+1], e[j:j+1])
-		}
-	}
-	t.next += uint64(len(dst))
-	return nil
-}
-
-// RealtimeOverride resolves a method name into the core.RealTimeConfig
-// coloring knobs: the coloring-matrix override and the unit-variance
-// assumption the method carries into the real-time combination of Section 5.
-// The generalized method returns (nil, false) — the engine's own eigen
-// coloring applies. Construction failures match New's typed error classes.
-func RealtimeOverride(method string, k *cmplxmat.Matrix) (coloring *cmplxmat.Matrix, assumeUnitVariance bool, err error) {
+// Coloring resolves a method name into the coloring knobs both core engines
+// take: the coloring-matrix override and the unit-variance assumption the
+// method carries into the real-time combination of Section 5. The
+// generalized method returns (nil, false) — the engine's own eigen coloring
+// applies. Construction failures carry New's typed error classes.
+func Coloring(method string, k *cmplxmat.Matrix) (coloring *cmplxmat.Matrix, assumeUnitVariance bool, err error) {
 	method = chanspec.NormalizeMethod(method)
 	if err := chanspec.ValidateMethod(method); err != nil {
 		return nil, false, fmt.Errorf("backend: %w", err)
@@ -177,71 +133,5 @@ func RealtimeOverride(method string, k *cmplxmat.Matrix) (coloring *cmplxmat.Mat
 	if err := m.Setup(k); err != nil {
 		return nil, false, err
 	}
-	return m.RealtimeColoring()
+	return m.Coloring()
 }
-
-// generalized adapts the core engine.
-type generalized struct {
-	gen *core.SnapshotGenerator
-}
-
-func (g *generalized) Method() string { return chanspec.MethodGeneralized }
-
-func (g *generalized) N() int { return g.gen.N() }
-
-func (g *generalized) GenerateInto(gaussian []complex128, env []float64) error {
-	return g.gen.GenerateInto(gaussian, env)
-}
-
-func (g *generalized) GenerateBatchInto(dst []core.Snapshot, workers int) error {
-	return g.gen.GenerateBatchInto(dst, workers)
-}
-
-func (g *generalized) Diagnostics() *core.ForcedPSD { return g.gen.Diagnostics() }
-
-// conventional adapts a baseline method, shaping destinations and bridging
-// the []core.Snapshot batch face onto the baseline slice-of-slices one.
-type conventional struct {
-	method string
-	m      baseline.Method
-	rng    *randx.RNG // single-draw stream (GenerateInto)
-	root   *randx.RNG // batch chunk-stream root (GenerateBatchInto)
-	gv     [][]complex128
-	ev     [][]float64
-}
-
-func (c *conventional) Method() string { return c.method }
-
-func (c *conventional) N() int { return c.m.N() }
-
-func (c *conventional) GenerateInto(gaussian []complex128, env []float64) error {
-	return c.m.GenerateInto(c.rng, gaussian, env)
-}
-
-func (c *conventional) GenerateBatchInto(dst []core.Snapshot, _ int) error {
-	n := c.m.N()
-	if cap(c.gv) < len(dst) {
-		c.gv = make([][]complex128, len(dst))
-		c.ev = make([][]float64, len(dst))
-	}
-	gv, ev := c.gv[:len(dst)], c.ev[:len(dst)]
-	for i := range dst {
-		if len(dst[i].Gaussian) != n {
-			dst[i].Gaussian = make([]complex128, n)
-		}
-		if len(dst[i].Envelopes) != n {
-			dst[i].Envelopes = make([]float64, n)
-		}
-		gv[i] = dst[i].Gaussian
-		ev[i] = dst[i].Envelopes
-	}
-	err := c.m.GenerateBatchInto(c.root, gv, ev)
-	for i := range gv {
-		// Drop the view's references so the adapter does not pin the caller's
-		// sample storage beyond the call.
-		gv[i], ev[i] = nil, nil
-	}
-	return err
-}
-
-func (c *conventional) Diagnostics() *core.ForcedPSD { return nil }

@@ -43,9 +43,6 @@ func TestEveryBackendMatchesTargetOnGoldenMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatalf("New(%s): %v", method, err)
 		}
-		if b.Method() != method {
-			t.Errorf("Method() = %q, want %q", b.Method(), method)
-		}
 		if b.N() != 3 {
 			t.Errorf("%s N = %d, want 3", method, b.N())
 		}
@@ -147,14 +144,14 @@ func TestDiagnosticsOnlyForGeneralized(t *testing.T) {
 	}
 }
 
-func TestRealtimeOverride(t *testing.T) {
+func TestColoring(t *testing.T) {
 	// Generalized: no override.
-	l, unit, err := RealtimeOverride(chanspec.MethodGeneralized, eq23())
+	l, unit, err := Coloring(chanspec.MethodGeneralized, eq23())
 	if err != nil || l != nil || unit {
 		t.Errorf("generalized override = (%v, %v, %v), want (nil, false, nil)", l, unit, err)
 	}
 	// Cholesky: L·Lᴴ = K, no unit-variance assumption.
-	l, unit, err = RealtimeOverride(chanspec.MethodBeaulieuMerani, eq23())
+	l, unit, err = Coloring(chanspec.MethodBeaulieuMerani, eq23())
 	if err != nil || unit {
 		t.Fatalf("beaulieu override: %v %v", unit, err)
 	}
@@ -163,15 +160,15 @@ func TestRealtimeOverride(t *testing.T) {
 		t.Errorf("cholesky override reconstructs covariance with error %g", d)
 	}
 	// Sorooshyari–Daut carries the unit-variance defect.
-	_, unit, err = RealtimeOverride(chanspec.MethodSorooshyariDaut, eq23())
+	_, unit, err = Coloring(chanspec.MethodSorooshyariDaut, eq23())
 	if err != nil || !unit {
 		t.Errorf("sorooshyari override unit = %v (%v), want true", unit, err)
 	}
 	// Failure classes propagate.
-	if _, _, err := RealtimeOverride(chanspec.MethodBeaulieuMerani, indefinite()); !errors.Is(err, baseline.ErrSetupFailed) {
-		t.Errorf("beaulieu realtime on indefinite error = %v, want ErrSetupFailed", err)
+	if _, _, err := Coloring(chanspec.MethodBeaulieuMerani, indefinite()); !errors.Is(err, baseline.ErrSetupFailed) {
+		t.Errorf("beaulieu on indefinite error = %v, want ErrSetupFailed", err)
 	}
-	if _, _, err := RealtimeOverride(chanspec.MethodErtelReed, eq23()); !errors.Is(err, baseline.ErrUnsupported) {
-		t.Errorf("ertel_reed realtime on N=3 error = %v, want ErrUnsupported", err)
+	if _, _, err := Coloring(chanspec.MethodErtelReed, eq23()); !errors.Is(err, baseline.ErrUnsupported) {
+		t.Errorf("ertel_reed on N=3 error = %v, want ErrUnsupported", err)
 	}
 }

@@ -2,8 +2,8 @@
 // generation methods that the paper reviews in its introduction, with the
 // specific shortcomings the paper attributes to them left intact:
 //
-//   - Salz & Winters [1]: real-valued 2N-dimensional coloring, equal powers
-//     only, requires a positive semi-definite covariance matrix;
+//   - Salz & Winters [1]: real-valued 2N-dimensional covariance, equal
+//     powers only, requires that covariance to be positive semi-definite;
 //   - Ertel & Reed [2]: two equal-power envelopes with a real correlation
 //     coefficient;
 //   - Beaulieu & Merani [4]: Cholesky coloring for N >= 2 equal-power
@@ -14,18 +14,20 @@
 //     unit-variance whitening, the method whose real-time combination the
 //     paper corrects.
 //
-// These exist so the benchmark suite can demonstrate, experiment by
-// experiment, where the proposed algorithm succeeds and the conventional
-// methods fail or lose accuracy.
+// Each method is what the paper's algorithm (Section 4.4) makes of it: setup
+// constraints plus a coloring matrix L. Setup refuses the targets the method
+// cannot realize, and the core engine colors i.i.d. complex Gaussians with the
+// method's L (internal/backend wires the two), so a conventional method and
+// the generalized one differ only in L and in the targets they refuse.
 package baseline
 
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/chanspec"
 	"repro/internal/cmplxmat"
-	"repro/internal/randx"
 )
 
 // ErrUnsupported reports that a method cannot handle the requested
@@ -37,46 +39,51 @@ var ErrUnsupported = errors.New("baseline: configuration not supported by this m
 // Cholesky on a matrix that is not positive definite).
 var ErrSetupFailed = errors.New("baseline: setup failed")
 
-// Method is a conventional generator of N correlated complex Gaussian
-// samples (whose moduli are the Rayleigh envelopes). Setup prepares the
-// method for a desired covariance matrix and may fail; Generate draws one
-// snapshot. Every method also carries the batched, destination-passing
-// generation paths of the backend registry, so the conventional methods are
-// benchmarkable on the same footing as the generalized engine.
+// Method is a conventional generation method reduced to what sets it apart:
+// the targets it refuses and its coloring matrix.
 type Method interface {
-	// Name identifies the method in benchmark reports.
-	Name() string
 	// Setup prepares the method for the desired covariance matrix K of the
-	// complex Gaussian processes.
+	// complex Gaussian processes, failing with ErrUnsupported or
+	// ErrSetupFailed when the method cannot realize K.
 	Setup(k *cmplxmat.Matrix) error
-	// Generate draws one vector of N correlated complex Gaussian samples.
+	// Coloring returns the N×N complex coloring matrix L that colors i.i.d.
+	// complex Gaussians of unit variance into the method's output, plus
+	// whether the whitening step assumes unit variance — the Sorooshyari–Daut
+	// defect, which the real-time combination of Section 5 exposes. Methods
+	// whose native coloring is not an N×N complex matrix (Salz–Winters)
+	// return the equivalent proper complex coloring of the covariance their
+	// construction achieves; the method's Setup constraints still apply.
 	// Setup must have succeeded first.
-	Generate(rng *randx.RNG) ([]complex128, error)
-	// N returns the envelope count of the last successful Setup, 0 before.
-	N() int
-	// GenerateInto draws one snapshot into caller-supplied storage: gaussian
-	// receives the N colored complex Gaussian samples and env their moduli
-	// (both length N). It draws the same random sequence as Generate and
-	// performs no heap allocation.
-	GenerateInto(rng *randx.RNG, gaussian []complex128, env []float64) error
-	// GenerateBatchInto fills gaussian[i]/env[i] (each length N) with
-	// len(gaussian) independent snapshots. The batch is cut into chunks of
-	// batchChunkSize; each chunk draws from its own stream derived in index
-	// order from root (the same discipline as the core engine's batched
-	// path), and the coloring-based methods color whole chunks with one
-	// cmplxmat.ColorBlock GEMM per chunk. The chunk streams are distinct from
-	// the Generate stream: a batched run reproduces other batched runs, not
-	// an element-wise Generate sequence.
-	GenerateBatchInto(root *randx.RNG, gaussian [][]complex128, env [][]float64) error
-	// RealtimeColoring returns the N×N complex coloring matrix L the method
-	// contributes to the real-time combination of Section 5 (the Doppler
-	// panel is colored by L/σ_g), plus whether the whitening step must assume
-	// unit variance — the Sorooshyari–Daut defect. Methods whose native
-	// coloring is not an N×N complex matrix (Salz–Winters) return the
-	// equivalent proper complex coloring of the covariance their construction
-	// achieves; the method's Setup constraints still apply. Setup must have
-	// succeeded first.
-	RealtimeColoring() (l *cmplxmat.Matrix, assumeUnitVariance bool, err error)
+	Coloring() (l *cmplxmat.Matrix, assumeUnitVariance bool, err error)
+}
+
+// colorer holds the coloring matrix a successful Setup installs and
+// implements Coloring for the methods whose whitening uses the true sample
+// variance.
+type colorer struct {
+	l *cmplxmat.Matrix
+}
+
+// Coloring implements Method.
+func (c *colorer) Coloring() (*cmplxmat.Matrix, bool, error) {
+	if c.l == nil {
+		return nil, false, fmt.Errorf("baseline: Coloring before successful Setup: %w", ErrSetupFailed)
+	}
+	return c.l, false, nil
+}
+
+// eigenColoring returns V·sqrt(Λ) for the eigenvectors V and the
+// non-negative eigenvalues Λ of a covariance matrix.
+func eigenColoring(vectors *cmplxmat.Matrix, values []float64) *cmplxmat.Matrix {
+	n := len(values)
+	l := cmplxmat.New(n, n)
+	for c := 0; c < n; c++ {
+		f := complex(math.Sqrt(values[c]), 0)
+		for r := 0; r < n; r++ {
+			l.Set(r, c, vectors.At(r, c)*f)
+		}
+	}
+	return l
 }
 
 // New returns the baseline method a chanspec method name selects. The

@@ -7,8 +7,6 @@ import (
 
 	"repro/internal/chanspec"
 	"repro/internal/cmplxmat"
-	"repro/internal/randx"
-	"repro/internal/stats"
 )
 
 // eq23 is the paper's spatial covariance matrix (positive definite, real).
@@ -37,28 +35,17 @@ func rankDeficient() *cmplxmat.Matrix {
 	})
 }
 
-// checkSampleCovariance draws snapshots from a configured method and returns
-// the worst absolute entry difference from the target.
+// checkSampleCovariance draws snapshots through the core engine with a
+// configured method's coloring and returns the worst absolute entry
+// difference from the target.
 func checkSampleCovariance(t *testing.T, m Method, target *cmplxmat.Matrix, draws int, seed int64) float64 {
 	t.Helper()
-	rng := randx.New(seed)
+	gen := newColoredGenerator(t, m, target, seed)
 	samples := make([][]complex128, draws)
 	for i := range samples {
-		z, err := m.Generate(rng)
-		if err != nil {
-			t.Fatalf("%s Generate: %v", m.Name(), err)
-		}
-		samples[i] = z
+		samples[i] = gen.Generate().Gaussian
 	}
-	cov, err := stats.SampleCovariance(samples)
-	if err != nil {
-		t.Fatalf("SampleCovariance: %v", err)
-	}
-	cmp, err := stats.CompareCovariance(cov, target)
-	if err != nil {
-		t.Fatalf("CompareCovariance: %v", err)
-	}
-	return cmp.MaxAbs
+	return sampleCovarianceError(t, samples, target)
 }
 
 func TestCholeskyColoringOnPositiveDefinite(t *testing.T) {
@@ -76,8 +63,8 @@ func TestCholeskyColoringFailsOnIndefinite(t *testing.T) {
 	if err := m.Setup(indefinite()); !errors.Is(err, ErrSetupFailed) {
 		t.Errorf("Setup(indefinite) error = %v, want ErrSetupFailed", err)
 	}
-	if _, err := m.Generate(randx.New(1)); err == nil {
-		t.Errorf("Generate after failed Setup did not error")
+	if _, _, err := m.Coloring(); !errors.Is(err, ErrSetupFailed) {
+		t.Errorf("Coloring after failed Setup error = %v, want ErrSetupFailed", err)
 	}
 }
 
@@ -152,8 +139,8 @@ func TestErtelReedPairRestrictions(t *testing.T) {
 	if err := m.Setup(complexCorr); !errors.Is(err, ErrUnsupported) {
 		t.Errorf("Setup(complex correlation) error = %v, want ErrUnsupported", err)
 	}
-	if _, err := m.Generate(randx.New(1)); err == nil {
-		t.Errorf("Generate after failed Setup did not error")
+	if _, _, err := m.Coloring(); !errors.Is(err, ErrSetupFailed) {
+		t.Errorf("Coloring after failed Setup error = %v, want ErrSetupFailed", err)
 	}
 }
 
@@ -183,8 +170,8 @@ func TestSalzWintersRejectsIndefinite(t *testing.T) {
 	if err := m.Setup(indefinite()); !errors.Is(err, ErrSetupFailed) {
 		t.Errorf("Setup(indefinite) error = %v, want ErrSetupFailed", err)
 	}
-	if _, err := m.Generate(randx.New(1)); err == nil {
-		t.Errorf("Generate after failed Setup did not error")
+	if _, _, err := m.Coloring(); !errors.Is(err, ErrSetupFailed) {
+		t.Errorf("Coloring after failed Setup error = %v, want ErrSetupFailed", err)
 	}
 }
 
@@ -218,8 +205,8 @@ func TestEpsilonEigenHandlesIndefiniteButWithError(t *testing.T) {
 	if d := checkSampleCovariance(t, m, m.ApproximatedCovariance(), 80000, 8); d > 0.03 {
 		t.Errorf("ε-eigen sample covariance misses its own approximation by %g", d)
 	}
-	if _, err := (&EpsilonEigen{}).Generate(randx.New(1)); err == nil {
-		t.Errorf("Generate before Setup did not error")
+	if _, _, err := (&EpsilonEigen{}).Coloring(); !errors.Is(err, ErrSetupFailed) {
+		t.Errorf("Coloring before Setup error = %v, want ErrSetupFailed", err)
 	}
 }
 
@@ -256,16 +243,13 @@ func TestValidateCovarianceSharedChecks(t *testing.T) {
 	nonHermitian := cmplxmat.MustFromRows([][]complex128{{1, 2}, {3, 4}})
 	for _, m := range methods {
 		if err := m.Setup(nil); err == nil {
-			t.Errorf("%s accepted a nil covariance", m.Name())
+			t.Errorf("%T accepted a nil covariance", m)
 		}
 		if err := m.Setup(cmplxmat.New(2, 3)); err == nil {
-			t.Errorf("%s accepted a rectangular covariance", m.Name())
+			t.Errorf("%T accepted a rectangular covariance", m)
 		}
 		if err := m.Setup(nonHermitian); err == nil {
-			t.Errorf("%s accepted a non-Hermitian covariance", m.Name())
-		}
-		if m.Name() == "" {
-			t.Errorf("method has empty name")
+			t.Errorf("%T accepted a non-Hermitian covariance", m)
 		}
 	}
 }

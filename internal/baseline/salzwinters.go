@@ -2,10 +2,8 @@ package baseline
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/cmplxmat"
-	"repro/internal/randx"
 )
 
 // SalzWintersReal is the Salz & Winters [1] construction: the 2N real
@@ -14,19 +12,14 @@ import (
 // method supports equal powers only, and the real covariance matrix must be
 // positive semi-definite for the coloring matrix to stay real — otherwise
 // Setup fails, which is exactly the limitation the paper points out.
+//
+// The real 2N coloring has no N×N complex form, so Coloring returns the
+// equivalent proper complex coloring of the covariance the construction
+// achieves (the eigen coloring of K): the output process is distributionally
+// identical — same covariance, same properness.
 type SalzWintersReal struct {
-	coloring *cmplxmat.Matrix // real 2N×2N coloring matrix
-	n        int
-	target   *cmplxmat.Matrix // accepted covariance (RealtimeColoring)
-	rtL      *cmplxmat.Matrix // cached equivalent complex coloring
-	raw      []float64        // GenerateInto scratch: 2N real samples
-	w        []complex128     // ... lifted to complex for the real matvec
-	colored  []complex128     // ... colored 2N vector
-	batch    colorBatch
+	colorer
 }
-
-// Name implements Method.
-func (s *SalzWintersReal) Name() string { return "real 2N coloring (Salz–Winters 1994)" }
 
 // Setup implements Method.
 func (s *SalzWintersReal) Setup(k *cmplxmat.Matrix) error {
@@ -70,110 +63,22 @@ func (s *SalzWintersReal) Setup(k *cmplxmat.Matrix) error {
 	// cannot meet the requested correlation and we refuse rather than emit a
 	// complex "real-part" coloring.
 	scale := maxScale(big)
-	coloring := cmplxmat.New(2*n, 2*n)
-	for c := 0; c < 2*n; c++ {
-		lambda := eig.Values[c]
+	for _, lambda := range eig.Values {
 		if lambda < -1e-9*scale {
 			return fmt.Errorf("baseline: real covariance matrix is not positive semi-definite (eigenvalue %g): %w", lambda, ErrSetupFailed)
 		}
-		if lambda < 0 {
-			lambda = 0
-		}
-		f := math.Sqrt(lambda)
-		for r := 0; r < 2*n; r++ {
-			coloring.Set(r, c, complex(real(eig.Vectors.At(r, c))*f, 0))
-		}
 	}
-	s.coloring = coloring
-	s.n = n
-	s.target = k.Clone()
-	s.rtL = nil
-	s.raw = make([]float64, 2*n)
-	s.w = make([]complex128, 2*n)
-	s.colored = make([]complex128, 2*n)
-	s.batch.reset(coloring, true)
-	return nil
-}
 
-// N implements Method.
-func (s *SalzWintersReal) N() int { return s.n }
-
-// GenerateInto implements Method, drawing the same 2N real samples as
-// Generate and coloring them without allocating.
-func (s *SalzWintersReal) GenerateInto(rng *randx.RNG, gaussian []complex128, env []float64) error {
-	if s.coloring == nil {
-		return fmt.Errorf("baseline: GenerateInto before successful Setup: %w", ErrSetupFailed)
-	}
-	if err := checkIntoDst(s.n, gaussian, env); err != nil {
-		return err
-	}
-	rng.FillNormal(s.raw, 1)
-	for i, v := range s.raw {
-		s.w[i] = complex(v, 0)
-	}
-	if err := cmplxmat.MulVecInto(s.colored, s.coloring, s.w); err != nil {
-		return err
-	}
-	for i := 0; i < s.n; i++ {
-		v := complex(real(s.colored[i]), real(s.colored[s.n+i]))
-		gaussian[i] = v
-		env[i] = envAbs(v)
-	}
-	return nil
-}
-
-// GenerateBatchInto implements Method via the real 2N-dimensional chunked
-// ColorBlock path.
-func (s *SalzWintersReal) GenerateBatchInto(root *randx.RNG, gaussian [][]complex128, env [][]float64) error {
-	return s.batch.generateBatchReal2N(s.n, root, gaussian, env)
-}
-
-// RealtimeColoring implements Method. The Salz–Winters coloring acts on the
-// real 2N-dimensional sample space, which has no N×N complex form, so the
-// real-time combination uses the equivalent proper complex coloring of the
-// covariance the construction achieves (the eigen coloring of K): the output
-// process is distributionally identical — same covariance, same properness —
-// and every Setup constraint of [1] (equal powers, real-covariance positive
-// semi-definiteness) still gates the configuration.
-func (s *SalzWintersReal) RealtimeColoring() (*cmplxmat.Matrix, bool, error) {
-	if s.coloring == nil {
-		return nil, false, fmt.Errorf("baseline: RealtimeColoring before successful Setup: %w", ErrSetupFailed)
-	}
-	if s.rtL != nil {
-		return s.rtL, false, nil
-	}
-	eig, err := cmplxmat.EigenHermitian(s.target)
+	eigK, err := cmplxmat.EigenHermitian(k)
 	if err != nil {
-		return nil, false, fmt.Errorf("%w: %v", ErrSetupFailed, err)
+		return fmt.Errorf("%w: %v", ErrSetupFailed, err)
 	}
-	l := cmplxmat.New(s.n, s.n)
-	for c := 0; c < s.n; c++ {
-		lambda := eig.Values[c]
-		if lambda < 0 {
-			// Setup already verified PSD of the real 2N matrix, which bounds
-			// the complex spectrum; tiny negatives are round-off.
-			lambda = 0
-		}
-		f := complex(math.Sqrt(lambda), 0)
-		for r := 0; r < s.n; r++ {
-			l.Set(r, c, eig.Vectors.At(r, c)*f)
-		}
+	values := make([]float64, n)
+	for c, lambda := range eigK.Values {
+		// The real 2N matrix is PSD, which bounds the complex spectrum; tiny
+		// negatives are round-off.
+		values[c] = max(lambda, 0)
 	}
-	s.rtL = l
-	return l, false, nil
-}
-
-// Generate implements Method: draw 2N i.i.d. real unit Gaussians, color them
-// and reassemble the complex vector. It routes through GenerateInto, so the
-// two paths produce bit-identical values from the same stream.
-func (s *SalzWintersReal) Generate(rng *randx.RNG) ([]complex128, error) {
-	if s.coloring == nil {
-		return nil, fmt.Errorf("baseline: Generate before successful Setup: %w", ErrSetupFailed)
-	}
-	out := make([]complex128, s.n)
-	env := make([]float64, s.n)
-	if err := s.GenerateInto(rng, out, env); err != nil {
-		return nil, err
-	}
-	return out, nil
+	s.l = eigenColoring(eigK.Vectors, values)
+	return nil
 }

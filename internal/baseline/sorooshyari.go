@@ -2,10 +2,8 @@ package baseline
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/cmplxmat"
-	"repro/internal/randx"
 )
 
 // DefaultEpsilon is the small positive eigenvalue substituted for
@@ -27,16 +25,10 @@ type EpsilonEigen struct {
 	// Epsilon overrides DefaultEpsilon when positive.
 	Epsilon float64
 
-	coloring  *cmplxmat.Matrix
+	colorer
 	forced    *cmplxmat.Matrix
 	frobError float64
-	n         int
-	w         []complex128 // GenerateInto scratch
-	batch     colorBatch
 }
-
-// Name implements Method.
-func (e *EpsilonEigen) Name() string { return "epsilon-eigen (Sorooshyari–Daut 2003)" }
 
 // epsilon returns the ε in effect.
 func (e *EpsilonEigen) epsilon() float64 {
@@ -64,75 +56,21 @@ func (e *EpsilonEigen) Setup(k *cmplxmat.Matrix) error {
 			clamped[i] = eps
 		}
 	}
-	n := k.Rows()
-	coloring := cmplxmat.New(n, n)
-	for c := 0; c < n; c++ {
-		f := complex(math.Sqrt(clamped[c]), 0)
-		for r := 0; r < n; r++ {
-			coloring.Set(r, c, eig.Vectors.At(r, c)*f)
-		}
-	}
 	forced := cmplxmat.ReconstructHermitian(eig.Vectors, clamped)
-	e.coloring = coloring
+	e.l = eigenColoring(eig.Vectors, clamped)
 	e.forced = forced
 	e.frobError = cmplxmat.FrobeniusDistance(k, forced)
-	e.n = n
-	e.w = make([]complex128, n)
-	e.batch.reset(coloring, false)
 	return nil
 }
 
-// N implements Method.
-func (e *EpsilonEigen) N() int { return e.n }
-
-// GenerateInto implements Method.
-func (e *EpsilonEigen) GenerateInto(rng *randx.RNG, gaussian []complex128, env []float64) error {
-	if e.coloring == nil {
-		return fmt.Errorf("baseline: GenerateInto before successful Setup: %w", ErrSetupFailed)
-	}
-	if err := checkIntoDst(e.n, gaussian, env); err != nil {
-		return err
-	}
-	rng.FillComplexNormal(e.w, 1)
-	if err := cmplxmat.MulVecInto(gaussian, e.coloring, e.w); err != nil {
-		return err
-	}
-	for i, v := range gaussian {
-		env[i] = envAbs(v)
-	}
-	return nil
-}
-
-// GenerateBatchInto implements Method via the shared chunked ColorBlock path.
-func (e *EpsilonEigen) GenerateBatchInto(root *randx.RNG, gaussian [][]complex128, env [][]float64) error {
-	return e.batch.generateBatch(e.n, root, gaussian, env)
-}
-
-// RealtimeColoring implements Method: the ε-clamped coloring matrix colors
-// the Doppler panel, and — per the original method — the whitening step
-// assumes unit variance instead of the Eq. (19) Doppler output variance. The
-// resulting covariance bias is exactly the defect Section 5 of the paper
-// corrects.
-func (e *EpsilonEigen) RealtimeColoring() (*cmplxmat.Matrix, bool, error) {
-	if e.coloring == nil {
-		return nil, false, fmt.Errorf("baseline: RealtimeColoring before successful Setup: %w", ErrSetupFailed)
-	}
-	return e.coloring, true, nil
-}
-
-// Generate implements Method. The whitening variance is assumed to be one,
-// per the original method. It routes through GenerateInto, so the two paths
-// produce bit-identical values from the same stream.
-func (e *EpsilonEigen) Generate(rng *randx.RNG) ([]complex128, error) {
-	if e.coloring == nil {
-		return nil, fmt.Errorf("baseline: Generate before successful Setup: %w", ErrSetupFailed)
-	}
-	out := make([]complex128, e.n)
-	env := make([]float64, e.n)
-	if err := e.GenerateInto(rng, out, env); err != nil {
-		return nil, err
-	}
-	return out, nil
+// Coloring implements Method: the ε-clamped coloring matrix, and — per the
+// original method — the whitening step assumes unit variance. In the
+// real-time combination that replaces the Eq. (19) Doppler output variance,
+// and the resulting covariance bias is exactly the defect Section 5 of the
+// paper corrects.
+func (e *EpsilonEigen) Coloring() (*cmplxmat.Matrix, bool, error) {
+	l, _, err := e.colorer.Coloring()
+	return l, err == nil, err
 }
 
 // ApproximationError returns ‖K − K̂‖_F for the ε-clamped approximation used

@@ -36,9 +36,10 @@ func ColoringFromCovariance(k *cmplxmat.Matrix) (*cmplxmat.Matrix, *ForcedPSD, e
 }
 
 // coloringFor is the coloring setup both generators share: the coloring
-// matrix L of a covariance target — the eigen construction of Section 4.3,
-// or the caller's override checked against the target's size — and the
-// target's zero-clamp forcing record, which an override does not consult.
+// matrix L of a covariance target — the eigen construction of Section 4.3
+// with its zero-clamp forcing record, or the caller's override checked
+// against the target's size, with no forcing record because none was
+// applied.
 func coloringFor(k, override *cmplxmat.Matrix) (*cmplxmat.Matrix, *ForcedPSD, error) {
 	if override == nil {
 		return ColoringFromCovariance(k)
@@ -47,11 +48,7 @@ func coloringFor(k, override *cmplxmat.Matrix) (*cmplxmat.Matrix, *ForcedPSD, er
 		return nil, nil, fmt.Errorf("core: coloring override %dx%d for %d envelopes: %w",
 			override.Rows(), override.Cols(), n, ErrBadInput)
 	}
-	forced, err := ForcePSD(k)
-	if err != nil {
-		return nil, nil, err
-	}
-	return override, forced, nil
+	return override, nil, nil
 }
 
 // VerifyColoring returns ‖L·Lᴴ − K̄‖_F, the defect of the coloring matrix

@@ -77,7 +77,7 @@ func TestGenerateBatchIntoWorkerCountInvariance(t *testing.T) {
 		dst := make([]Snapshot, size)
 		for c := 0; c*batchChunkSize < size; c++ {
 			p.rng = ref.batchRoot.Split()
-			ref.fillChunk(dst, c, p)
+			ref.fillChunk(dst, c, 0, p)
 		}
 		want = append(want, dst)
 	}

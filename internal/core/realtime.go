@@ -271,7 +271,8 @@ func (g *RealTimeGenerator) BlockLength() int { return g.m }
 // trajectory segment when the Doppler is nonstationary).
 func (g *RealTimeGenerator) SampleVariance() float64 { return g.segments[0].sigmaG2 }
 
-// Diagnostics returns the positive semi-definiteness forcing record.
+// Diagnostics returns the positive semi-definiteness forcing record, or nil
+// when RealTimeConfig.Coloring replaced the forced eigen construction.
 func (g *RealTimeGenerator) Diagnostics() *ForcedPSD { return g.forced }
 
 // segmentIndexAt returns the index of the trajectory segment covering the

@@ -35,10 +35,15 @@ type SnapshotConfig struct {
 	// Coloring overrides the coloring matrix: when non-nil, this N×N matrix L
 	// is used in step 7 instead of the paper's eigen construction (the caller
 	// guarantees L·Lᴴ equals the covariance it intends to achieve). The
-	// backend registry uses it to run the conventional methods' colorings
-	// through the batched engine; Diagnostics still reports the zero-clamp
-	// forcing record of Covariance, which the override does not consult.
+	// backend registry sets it to run the conventional methods' colorings
+	// through this engine. No positive semi-definiteness forcing is applied
+	// to Covariance then, so Diagnostics returns nil.
 	Coloring *cmplxmat.Matrix
+	// Transform, when non-nil, post-processes every drawn snapshot (the
+	// channel-model zoo's Rician/Nakagami/Suzuki sample transforms). Snapshot
+	// i of the generator's draws, counted across single and batched draws
+	// alike, is transformed at offset i.
+	Transform Transform
 }
 
 // SnapshotGenerator implements steps 3–7 of the algorithm in Section 4.4 for
@@ -54,6 +59,8 @@ type SnapshotGenerator struct {
 	w         []complex128 // scratch for the raw sample vector W
 	colReal   []float64    // flat copy of the coloring matrix when purely real, else nil
 	panels    *snapPanels  // sequential-path workspace of GenerateBatchInto, built on first use
+	transform Transform
+	next      uint64 // transform offset of the next snapshot drawn
 }
 
 // snapPanels is the workspace of one batch worker: the N×chunk GEMM panels
@@ -111,6 +118,7 @@ func NewSnapshotGenerator(cfg SnapshotConfig) (*SnapshotGenerator, error) {
 		n:         n,
 		w:         make([]complex128, n),
 		colReal:   realEntries(scaled),
+		transform: cfg.Transform,
 	}, nil
 }
 
@@ -146,7 +154,8 @@ func (g *SnapshotGenerator) N() int { return g.n }
 
 // Diagnostics returns the positive semi-definiteness forcing record for the
 // covariance matrix, including the Frobenius approximation error when
-// clamping was necessary.
+// clamping was necessary, or nil when SnapshotConfig.Coloring replaced the
+// forced eigen construction.
 func (g *SnapshotGenerator) Diagnostics() *ForcedPSD { return g.forced }
 
 // Generate produces one snapshot: steps 6 and 7 of the algorithm.
@@ -164,7 +173,23 @@ func (g *SnapshotGenerator) Generate() Snapshot {
 // produced values are identical to Generate.
 func (g *SnapshotGenerator) GenerateInto(gaussian []complex128, env []float64) error {
 	g.rng.FillComplexNormal(g.w, g.sampleVar)
-	return g.ColorInto(g.w, gaussian, env)
+	if err := g.ColorInto(g.w, gaussian, env); err != nil {
+		return err
+	}
+	g.transformSnapshot(g.next, gaussian, env)
+	g.next++
+	return nil
+}
+
+// transformSnapshot applies the fading transform, if any, to the snapshot
+// drawn at the given offset.
+func (g *SnapshotGenerator) transformSnapshot(offset uint64, gaussian []complex128, env []float64) {
+	if g.transform == nil {
+		return
+	}
+	for j := range gaussian {
+		g.transform.Apply(j, offset, gaussian[j:j+1], env[j:j+1])
+	}
 }
 
 // ColorInto applies step 7, Z = (L/σ_g)·W, writing the colored samples into
@@ -249,11 +274,14 @@ const batchChunkSize = 64
 //
 // Note the chunk streams are distinct from the stream behind Generate: a
 // batched run reproduces other batched runs, not an element-wise sequence of
-// Generate calls.
+// Generate calls. The fading transform offsets do follow one count, so
+// dst[i] is transformed as the generator's next draw plus i.
 func (g *SnapshotGenerator) GenerateBatchInto(dst []Snapshot, workers int) error {
 	if len(dst) == 0 {
 		return fmt.Errorf("core: empty batch destination: %w", ErrBadInput)
 	}
+	base := g.next
+	g.next += uint64(len(dst))
 	chunks := (len(dst) + batchChunkSize - 1) / batchChunkSize
 	if workers <= 1 || chunks == 1 {
 		// Built on first use: a generator that only draws single
@@ -263,7 +291,7 @@ func (g *SnapshotGenerator) GenerateBatchInto(dst []Snapshot, workers int) error
 		}
 		for c := 0; c < chunks; c++ {
 			g.panels.rng.Reseed(g.batchRoot.SplitSeed())
-			g.fillChunk(dst, c, g.panels)
+			g.fillChunk(dst, c, base, g.panels)
 		}
 		return nil
 	}
@@ -290,7 +318,7 @@ func (g *SnapshotGenerator) GenerateBatchInto(dst []Snapshot, workers int) error
 					return
 				}
 				panels.rng.Reseed(seeds[c])
-				g.fillChunk(dst, c, panels)
+				g.fillChunk(dst, c, base, panels)
 			}
 		}()
 	}
@@ -305,8 +333,8 @@ func (g *SnapshotGenerator) GenerateBatchInto(dst []Snapshot, workers int) error
 // ColorBlock GEMM, and the colored columns are scattered back out with their
 // envelopes. Ragged tail chunks color the full panel and simply ignore the
 // unused columns, which keeps the kernel shape fixed without consuming extra
-// random draws.
-func (g *SnapshotGenerator) fillChunk(dst []Snapshot, c int, p *snapPanels) {
+// random draws. dst[i] is transformed at offset base+i.
+func (g *SnapshotGenerator) fillChunk(dst []Snapshot, c int, base uint64, p *snapPanels) {
 	lo := c * batchChunkSize
 	hi := lo + batchChunkSize
 	if hi > len(dst) {
@@ -336,6 +364,7 @@ func (g *SnapshotGenerator) fillChunk(dst []Snapshot, c int, p *snapPanels) {
 			gi[k] = v
 			ei[k] = envAbs(v)
 		}
+		g.transformSnapshot(base+uint64(i), gi, ei)
 	}
 }
 

@@ -129,15 +129,10 @@ func drawValid(p *Plan, rng *randx.RNG, idx int) *ValidEntry {
 	// Probe method acceptance on the drawn covariance: each backend's
 	// documented rejections (unequal powers, N ≠ 2, complex correlation,
 	// non-PSD targets under Cholesky) discard the combination instead of
-	// producing a spec that cannot run.
-	if mode == scenario.ModeRealtime {
-		if _, _, err := backend.RealtimeOverride(method, target); err != nil {
-			return nil
-		}
-	} else {
-		if _, err := backend.New(method, target, 1); err != nil {
-			return nil
-		}
+	// producing a spec that cannot run. Every mode colors with the method's
+	// coloring matrix, so one probe serves all of them.
+	if _, _, err := backend.Coloring(method, target); err != nil {
+		return nil
 	}
 
 	spec := &scenario.Spec{
@@ -261,8 +256,9 @@ func drawGeneration(rng *randx.RNG, mode, method, fading string, g GenSizes) sce
 	case scenario.ModeBatched:
 		gen.Draws = g.Draws
 		if chanspec.NormalizeMethod(method) == chanspec.MethodGeneralized {
-			// Only the generalized batched path fans out; conventional
-			// batched paths are sequential and ignore workers.
+			// Every method's batched path fans out, but drawing Workers for
+			// the conventional methods too would consume RNG draws and so
+			// change every committed corpus expansion.
 			gen.Workers = pickInt(rng, []int{2, g.MaxWorkers})
 		}
 	case scenario.ModeRealtime:

@@ -11,7 +11,6 @@ import (
 	"repro/internal/cmplxmat"
 	"repro/internal/core"
 	"repro/internal/doppler"
-	"repro/internal/randx"
 	"repro/internal/stats"
 )
 
@@ -382,7 +381,7 @@ func evalComparison(a *AssertionSpec, data *runData) ([]Check, error) {
 // measureMethod generates the spec's draw count through the method's batched
 // path and fills the outcome's covariance and envelope-moment measurements
 // (envelope 0, against the target's desired power).
-func measureMethod(gen backend.Backend, data *runData, outcome *MethodOutcome) error {
+func measureMethod(gen *core.SnapshotGenerator, data *runData, outcome *MethodOutcome) error {
 	draws := data.spec.Generation.Draws
 	batch := make([]core.Snapshot, draws)
 	if err := gen.GenerateBatchInto(batch, data.spec.Generation.Workers); err != nil {
@@ -455,38 +454,11 @@ func evalIntoIdentity(a *AssertionSpec, data *runData) ([]Check, error) {
 		n := data.target.Rows()
 		gaussian := make([]complex128, n)
 		env := make([]float64, n)
-		if method := chanspec.NormalizeMethod(spec.Generation.Method); method != chanspec.MethodGeneralized {
-			// Conventional backend: compare the method's allocating Generate
-			// against its GenerateInto on twin streams.
-			alloc, allocRNG, err := setupBaseline(method, data.target, spec.Seed)
-			if err != nil {
-				return nil, err
-			}
-			into, intoRNG, err := setupBaseline(method, data.target, spec.Seed)
-			if err != nil {
-				return nil, err
-			}
-			for i := 0; i < units; i++ {
-				z, err := alloc.Generate(allocRNG)
-				if err != nil {
-					return nil, err
-				}
-				if err := into.GenerateInto(intoRNG, gaussian, env); err != nil {
-					return nil, err
-				}
-				for j := 0; j < n; j++ {
-					if z[j] != gaussian[j] || envelopeOf(z[j]) != env[j] {
-						mismatches++
-					}
-				}
-			}
-			break
-		}
-		alloc, err := core.NewSnapshotGenerator(core.SnapshotConfig{Covariance: data.target, Seed: spec.Seed})
+		alloc, err := backend.New(spec.Generation.Method, data.target, spec.Seed)
 		if err != nil {
 			return nil, err
 		}
-		into, err := core.NewSnapshotGenerator(core.SnapshotConfig{Covariance: data.target, Seed: spec.Seed})
+		into, err := backend.New(spec.Generation.Method, data.target, spec.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -558,28 +530,6 @@ func evalParallelIdentity(a *AssertionSpec, data *runData) ([]Check, error) {
 		return nil, fmt.Errorf("parallel_identity unsupported in %s mode: %w", spec.Generation.Mode, ErrBadSpec)
 	}
 	return []Check{check(fmt.Sprintf("serial vs %d-worker mismatched values", workers), mismatches, 0, "==")}, nil
-}
-
-// setupBaseline builds one baseline method for the target plus a stream
-// seeded directly from seed. Note this is not the stream the backend
-// registry hands its methods (backend.New advances the seeded RNG by one
-// split to derive the batch root); the identity check only needs the two
-// paths here to share one construction, which they do.
-func setupBaseline(method string, target *cmplxmat.Matrix, seed int64) (baseline.Method, *randx.RNG, error) {
-	m, err := baseline.New(method)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := m.Setup(target); err != nil {
-		return nil, nil, err
-	}
-	return m, randx.New(seed), nil
-}
-
-// envelopeOf matches the generation kernels' envelope computation.
-func envelopeOf(z complex128) float64 {
-	re, im := real(z), imag(z)
-	return math.Sqrt(re*re + im*im)
 }
 
 // batchPair regenerates units snapshots twice from the spec seed through the

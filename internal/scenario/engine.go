@@ -375,31 +375,14 @@ func newRealtimeGenerator(spec *Spec, target *cmplxmat.Matrix) (*core.RealTimeGe
 	if m == 0 {
 		m = 4096
 	}
-	coloring, assumeUnit, err := backend.RealtimeOverride(spec.Generation.Method, target)
+	cfg, err := backend.RealTimeConfig(spec.Generation.Method, spec.Model.Fading, spec.Model.Params, target, spec.Seed)
 	if err != nil {
 		return nil, err
 	}
-	transform, err := backend.Transform(spec.Model.Fading, spec.Model.Params, target, spec.Seed)
-	if err != nil {
-		return nil, err
-	}
-	var segments []core.DopplerSegment
-	if traj := trajectorySegments(spec); len(traj) > 0 {
-		segments = make([]core.DopplerSegment, len(traj))
-		for i, s := range traj {
-			segments[i] = core.DopplerSegment{Blocks: s.Blocks, NormalizedDoppler: s.NormalizedDoppler}
-		}
-	}
-	return core.NewRealTimeGenerator(core.RealTimeConfig{
-		Covariance:         target,
-		Filter:             doppler.FilterSpec{M: m, NormalizedDoppler: realtimeDoppler(spec)},
-		InputVariance:      spec.Generation.InputVariance,
-		Seed:               spec.Seed,
-		AssumeUnitVariance: spec.Generation.AssumeUnitVariance || assumeUnit,
-		Coloring:           coloring,
-		Transform:          transform,
-		DopplerSegments:    segments,
-	})
+	cfg.Filter = doppler.FilterSpec{M: m, NormalizedDoppler: realtimeDoppler(spec)}
+	cfg.InputVariance = spec.Generation.InputVariance
+	cfg.AssumeUnitVariance = cfg.AssumeUnitVariance || spec.Generation.AssumeUnitVariance
+	return core.NewRealTimeGenerator(cfg)
 }
 
 // realtimeDoppler returns the normalized Doppler in effect (default 0.05; the

@@ -23,6 +23,7 @@ func TestGenerationMethodRunsBaselineBackend(t *testing.T) {
 			{Type: AssertCovariance, MaxAbsError: 0.05},
 			{Type: AssertEnvelopeMoments, MeanTolerance: 0.03, VarianceTolerance: 0.06},
 			{Type: AssertIntoIdentity},
+			{Type: AssertParallelIdentity, Workers: 3},
 		})
 		res, err := Run(spec)
 		if err != nil {
@@ -224,10 +225,5 @@ func TestComparisonSpecValidation(t *testing.T) {
 	badMethod.Generation.Method = "nope"
 	if err := badMethod.Validate(); err == nil {
 		t.Errorf("unknown generation method accepted")
-	}
-
-	parallelBaseline := pairSpec("ertel_reed", []AssertionSpec{{Type: AssertParallelIdentity}})
-	if err := parallelBaseline.Validate(); err == nil {
-		t.Errorf("parallel_identity on a sequential baseline accepted")
 	}
 }

@@ -129,8 +129,9 @@ const (
 	// Salz–Winters, N ≠ 2 or a complex correlation under Ertel–Reed.
 	OutcomeUnsupported = "unsupported"
 	// OutcomeSetupFailed: the method's decomposition rejects the target
-	// (baseline.ErrSetupFailed) — Cholesky or the Salz–Winters real coloring
-	// on a matrix that is not positive (semi-)definite.
+	// (baseline.ErrSetupFailed) — Cholesky on a matrix that is not positive
+	// definite, or Salz–Winters when its real 2N covariance is not positive
+	// semi-definite.
 	OutcomeSetupFailed = "setup_failed"
 )
 
@@ -205,8 +206,8 @@ type GenerationSpec struct {
 	// "natarajan", "sorooshyari_daut" — see docs/methods.md). A conventional
 	// method that rejects the scenario's target surfaces its typed error as a
 	// run error, so expected failures belong in comparison assertions, not
-	// here. The conventional batched paths are sequential; parallel_identity
-	// assertions therefore require the generalized method in batched mode.
+	// here. Every method runs through the same engine, so Workers and
+	// parallel_identity apply to all of them.
 	Method string `json:"method,omitempty"`
 	// AssumeUnitVariance skips the Eq. (19) Doppler-gain correction,
 	// reproducing the defect of [6]. Only meaningful in realtime mode and
@@ -443,8 +444,8 @@ func (a *AssertionSpec) validate(g *GenerationSpec, fading string) error {
 		}
 	case AssertIntoIdentity:
 		if mode != ModeRealtime {
-			// The snapshot twin rebuilds the engine without the fading wrapper;
-			// the realtime twin threads the full model configuration.
+			// The snapshot twins are built without the fading transform;
+			// the realtime twins thread the full model configuration.
 			if err := requireFading(a.Type, fading, chanspec.FadingRayleigh); err != nil {
 				return err
 			}
@@ -452,11 +453,6 @@ func (a *AssertionSpec) validate(g *GenerationSpec, fading string) error {
 	case AssertParallelIdentity:
 		if mode == ModeSnapshot {
 			return fmt.Errorf("parallel_identity assertion needs batched or realtime mode: %w", ErrBadSpec)
-		}
-		if mode == ModeBatched && chanspec.NormalizeMethod(g.Method) != chanspec.MethodGeneralized {
-			// The conventional batched paths are sequential, so a worker
-			// sweep would compare a path against itself.
-			return fmt.Errorf("parallel_identity in batched mode needs the generalized method, got %q: %w", g.Method, ErrBadSpec)
 		}
 	case AssertComparison:
 		if err := requireFading(a.Type, fading, chanspec.FadingRayleigh); err != nil {

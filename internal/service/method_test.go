@@ -44,6 +44,33 @@ func TestSessionMethodThreadsThroughService(t *testing.T) {
 	}
 }
 
+// TestSessionInfoReportsOnlyAppliedForcing: session info echoes the PSD
+// forcing the serving method applied to the requested covariance.
+// Sorooshyari–Daut ε-clamps the indefinite target itself, so its session
+// reports none; the generalized method reports its zero clamp.
+func TestSessionInfoReportsOnlyAppliedForcing(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, Window: 2})
+	spec := func(method string) string {
+		return `{
+			"model": {"type": "explicit", "covariance": [[1, 0.9, -0.9], [0.9, 1, 0.9], [-0.9, 0.9, 1]]},
+			"method": "` + method + `",
+			"seed": 1,
+			"blocks": 2,
+			"idft_points": 64
+		}`
+	}
+	info := createSession(t, ts.URL, spec("sorooshyari_daut"))
+	if info.ClampedEigenvalues != 0 || info.ForcingError != 0 {
+		t.Errorf("sorooshyari_daut session reports forcing: %d clamped, error %g; want 0, 0",
+			info.ClampedEigenvalues, info.ForcingError)
+	}
+	info = createSession(t, ts.URL, spec("generalized"))
+	if info.ClampedEigenvalues != 1 || info.ForcingError <= 0 {
+		t.Errorf("generalized session reports %d clamped, error %g; want 1 clamped, positive error",
+			info.ClampedEigenvalues, info.ForcingError)
+	}
+}
+
 func TestSessionMethodRejections(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, Window: 2})
 

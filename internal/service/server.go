@@ -199,7 +199,8 @@ type sessionInfo struct {
 	BlockLength int `json:"block_length"`
 	Blocks      int `json:"blocks"`
 	// ClampedEigenvalues and ForcingError echo the PSD forcing applied to
-	// the requested covariance (see Diagnostics in the library API).
+	// the requested covariance (see Diagnostics in the library API): zero
+	// for the conventional methods, which apply none.
 	ClampedEigenvalues int     `json:"clamped_eigenvalues"`
 	ForcingError       float64 `json:"forcing_frobenius_error"`
 	// Spec echoes the accepted session spec.

@@ -3,6 +3,7 @@ package rayleigh
 import (
 	"errors"
 	"math/cmplx"
+	"reflect"
 	"testing"
 )
 
@@ -13,6 +14,17 @@ func goldenCovariance() [][]complex128 {
 		{1, 0.8123, 0.3730},
 		{0.8123, 1, 0.8123},
 		{0.3730, 0.8123, 1},
+	}
+}
+
+// indefiniteCovariance is Hermitian with unit diagonal but not positive
+// semi-definite: the Cholesky-based methods reject it, the generalized method
+// zero-clamps it and Sorooshyari–Daut ε-clamps it.
+func indefiniteCovariance() [][]complex128 {
+	return [][]complex128{
+		{1, 0.9, -0.9},
+		{0.9, 1, 0.9},
+		{-0.9, 0.9, 1},
 	}
 }
 
@@ -77,11 +89,7 @@ func TestEveryMethodAgreesOnGoldenCovariance(t *testing.T) {
 func TestMethodFailureClasses(t *testing.T) {
 	unequal := [][]complex128{{2, 0.5}, {0.5, 1}}
 	complexPair := [][]complex128{{1, 0.5 + 0.3i}, {0.5 - 0.3i, 1}}
-	indefinite := [][]complex128{
-		{1, 0.9, -0.9},
-		{0.9, 1, 0.9},
-		{-0.9, 0.9, 1},
-	}
+	indefinite := indefiniteCovariance()
 	cases := []struct {
 		method string
 		cov    [][]complex128
@@ -127,6 +135,47 @@ func TestMethodFailureClasses(t *testing.T) {
 		if _, err := New(Config{Covariance: cov, Seed: 1}); err != nil {
 			t.Errorf("generalized on %v: %v", cov, err)
 		}
+	}
+}
+
+// TestDiagnosticsReportOnlyAppliedForcing: Diagnostics describes the forcing
+// the method applied. Sorooshyari–Daut ε-clamps the indefinite target itself,
+// so its snapshot, real-time and stream generators all report the zero value;
+// the generalized method reports its zero clamp.
+func TestDiagnosticsReportOnlyAppliedForcing(t *testing.T) {
+	cfg := RealTimeConfig{
+		Covariance: indefiniteCovariance(), IDFTPoints: 256, NormalizedDoppler: 0.05,
+		Seed: 1, Method: MethodSorooshyariDaut,
+	}
+	gen, err := NewWithMethod(cfg.Method, Config{Covariance: cfg.Covariance, Seed: cfg.Seed})
+	if err != nil {
+		t.Fatalf("NewWithMethod: %v", err)
+	}
+	rt, err := NewRealTime(cfg)
+	if err != nil {
+		t.Fatalf("NewRealTime: %v", err)
+	}
+	stream, err := NewStream(cfg)
+	if err != nil {
+		t.Fatalf("NewStream: %v", err)
+	}
+	for name, d := range map[string]Diagnostics{
+		"Generator": gen.Diagnostics(),
+		"RealTime":  rt.Diagnostics(),
+		"Stream":    stream.Diagnostics(),
+	} {
+		if !reflect.DeepEqual(d, Diagnostics{}) {
+			t.Errorf("sorooshyari_daut %s.Diagnostics() = %+v, want the zero value", name, d)
+		}
+	}
+
+	cfg.Method = MethodGeneralized
+	stream, err = NewStream(cfg)
+	if err != nil {
+		t.Fatalf("NewStream(generalized): %v", err)
+	}
+	if d := stream.Diagnostics(); d.ClampedEigenvalues != 1 || d.ApproximationError <= 0 {
+		t.Errorf("generalized Stream.Diagnostics() = %+v, want one clamped eigenvalue", d)
 	}
 }
 

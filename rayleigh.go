@@ -107,7 +107,8 @@ type Diagnostics struct {
 // goroutine its own Generator built from the same Config, or use Stream for
 // the real-time block sequence.
 type Generator struct {
-	backend backend.Backend
+	gen     *core.SnapshotGenerator
+	method  string
 	workers int
 	batch   []core.Snapshot // reusable header scratch for SnapshotsInto
 }
@@ -127,8 +128,8 @@ type Config struct {
 	// seeded run is bit-identical for every setting, including sequential:
 	// each chunk of work draws from its own stream derived deterministically
 	// from the seed before any generation starts, so the schedule cannot leak
-	// into the values. The conventional methods' batched paths are sequential
-	// and ignore it.
+	// into the values. Every method, conventional or generalized, runs the
+	// same batched path and honors it.
 	Parallel int
 	// Method selects the generation backend by its spec name (one of the
 	// Method* constants); empty selects MethodGeneralized. Conventional
@@ -152,11 +153,17 @@ func New(cfg Config) (*Generator, error) {
 	if err != nil {
 		return nil, err
 	}
-	b, err := backend.NewWithFading(cfg.Method, cfg.Fading, fadingSpecParams(cfg.FadingParams), k, cfg.Seed)
+	return newGenerator(cfg.Method, cfg.Fading, cfg.FadingParams, k, cfg.Seed, cfg.Parallel)
+}
+
+// newGenerator resolves a method and fading model against a covariance
+// target through the backend registry.
+func newGenerator(method, fading string, params *FadingParams, k *cmplxmat.Matrix, seed int64, workers int) (*Generator, error) {
+	gen, err := backend.NewWithFading(method, fading, fadingSpecParams(params), k, seed)
 	if err != nil {
 		return nil, fmt.Errorf("rayleigh: %w", err)
 	}
-	return &Generator{backend: b, workers: cfg.Parallel}, nil
+	return &Generator{gen: gen, method: chanspec.NormalizeMethod(method), workers: workers}, nil
 }
 
 // NewWithMethod builds a Generator that realizes cfg through the named
@@ -207,26 +214,19 @@ func NewFromPowers(cfg PowersConfig) (*Generator, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rayleigh: %w", err)
 	}
-	b, err := backend.NewWithFading(cfg.Method, cfg.Fading, fadingSpecParams(cfg.FadingParams), k, cfg.Seed)
-	if err != nil {
-		return nil, fmt.Errorf("rayleigh: %w", err)
-	}
-	return &Generator{backend: b, workers: cfg.Parallel}, nil
+	return newGenerator(cfg.Method, cfg.Fading, cfg.FadingParams, k, cfg.Seed, cfg.Parallel)
 }
 
 // N returns the number of envelopes per snapshot.
-func (g *Generator) N() int { return g.backend.N() }
+func (g *Generator) N() int { return g.gen.N() }
 
 // Method returns the canonical name of the generation backend in use.
-func (g *Generator) Method() string { return g.backend.Method() }
+func (g *Generator) Method() string { return g.method }
 
 // Snapshot draws one independent snapshot.
 func (g *Generator) Snapshot() Snapshot {
-	n := g.backend.N()
-	s := Snapshot{Gaussian: make([]complex128, n), Envelopes: make([]float64, n)}
-	// GenerateInto cannot fail: the destination lengths match by construction.
-	_ = g.backend.GenerateInto(s.Gaussian, s.Envelopes)
-	return s
+	s := g.gen.Generate()
+	return Snapshot{Gaussian: s.Gaussian, Envelopes: s.Envelopes}
 }
 
 // Snapshots draws count independent snapshots.
@@ -260,7 +260,7 @@ func (g *Generator) SnapshotsInto(dst []Snapshot) error {
 	for i := range dst {
 		batch[i] = core.Snapshot{Gaussian: dst[i].Gaussian, Envelopes: dst[i].Envelopes}
 	}
-	if err := g.backend.GenerateBatchInto(batch, g.workers); err != nil {
+	if err := g.gen.GenerateBatchInto(batch, g.workers); err != nil {
 		return fmt.Errorf("rayleigh: %w", err)
 	}
 	for i := range dst {
@@ -274,14 +274,10 @@ func (g *Generator) SnapshotsInto(dst []Snapshot) error {
 
 // Diagnostics reports the covariance conditioning applied at construction.
 // Only the generalized method forces positive semi-definiteness; for the
-// conventional backends — which reject unsupported targets instead of
-// conditioning them — the zero value is returned.
+// conventional backends — which reject unsupported targets or apply their own
+// approximation instead — the zero value is returned.
 func (g *Generator) Diagnostics() Diagnostics {
-	f := g.backend.Diagnostics()
-	if f == nil {
-		return Diagnostics{}
-	}
-	return diagnosticsFromForced(f)
+	return diagnosticsFromForced(g.gen.Diagnostics())
 }
 
 // RealTime produces blocks of time-correlated envelopes: the cross-envelope
@@ -377,40 +373,18 @@ func realtimeCoreConfig(cfg RealTimeConfig) (core.RealTimeConfig, error) {
 	if err != nil {
 		return core.RealTimeConfig{}, err
 	}
-	coloring, assumeUnit, err := backend.RealtimeOverride(cfg.Method, k)
+	coreCfg, err := backend.RealTimeConfig(cfg.Method, cfg.Fading, fadingSpecParams(cfg.FadingParams), k, cfg.Seed)
 	if err != nil {
 		return core.RealTimeConfig{}, fmt.Errorf("rayleigh: %w", err)
 	}
-	specParams := fadingSpecParams(cfg.FadingParams)
-	if err := chanspec.ValidateFading(cfg.Fading, specParams); err != nil {
-		return core.RealTimeConfig{}, fmt.Errorf("rayleigh: %w", err)
+	if len(coreCfg.DopplerSegments) > 0 && cfg.NormalizedDoppler != 0 {
+		return core.RealTimeConfig{}, fmt.Errorf(
+			"rayleigh: fading %q carries per-segment Doppler; NormalizedDoppler must be zero, got %g: %w",
+			cfg.Fading, cfg.NormalizedDoppler, ErrInvalidConfig)
 	}
-	var segments []core.DopplerSegment
-	if chanspec.NormalizeFading(cfg.Fading) == chanspec.FadingNonstationaryDoppler {
-		if cfg.NormalizedDoppler != 0 {
-			return core.RealTimeConfig{}, fmt.Errorf(
-				"rayleigh: fading %q carries per-segment Doppler; NormalizedDoppler must be zero, got %g: %w",
-				cfg.Fading, cfg.NormalizedDoppler, ErrInvalidConfig)
-		}
-		segments = make([]core.DopplerSegment, len(cfg.FadingParams.Segments))
-		for i, s := range cfg.FadingParams.Segments {
-			segments[i] = core.DopplerSegment{Blocks: s.Blocks, NormalizedDoppler: s.NormalizedDoppler}
-		}
-	}
-	transform, err := backend.Transform(cfg.Fading, specParams, k, cfg.Seed)
-	if err != nil {
-		return core.RealTimeConfig{}, fmt.Errorf("rayleigh: %w", err)
-	}
-	return core.RealTimeConfig{
-		Covariance:         k,
-		Filter:             doppler.FilterSpec{M: cfg.IDFTPoints, NormalizedDoppler: cfg.NormalizedDoppler},
-		InputVariance:      cfg.InputVariance,
-		Seed:               cfg.Seed,
-		Coloring:           coloring,
-		AssumeUnitVariance: assumeUnit,
-		Transform:          transform,
-		DopplerSegments:    segments,
-	}, nil
+	coreCfg.Filter = doppler.FilterSpec{M: cfg.IDFTPoints, NormalizedDoppler: cfg.NormalizedDoppler}
+	coreCfg.InputVariance = cfg.InputVariance
+	return coreCfg, nil
 }
 
 // N returns the number of envelopes.
@@ -524,6 +498,8 @@ func (r *RealTime) TheoreticalAutocorrelationAt(block uint64, lag int) float64 {
 }
 
 // Diagnostics reports the covariance conditioning applied at construction.
+// As for Generator.Diagnostics, only the generalized method forces positive
+// semi-definiteness; a conventional method reports the zero value.
 func (r *RealTime) Diagnostics() Diagnostics {
 	return diagnosticsFromForced(r.inner.Diagnostics())
 }
@@ -575,8 +551,12 @@ func toMatrix(rows [][]complex128) (*cmplxmat.Matrix, error) {
 	return m, nil
 }
 
-// diagnosticsFromForced converts the internal forcing record.
+// diagnosticsFromForced converts the internal forcing record; a nil record
+// (no forcing applied) converts to the zero value.
 func diagnosticsFromForced(f *core.ForcedPSD) Diagnostics {
+	if f == nil {
+		return Diagnostics{}
+	}
 	vals := make([]float64, len(f.Eigenvalues))
 	copy(vals, f.Eigenvalues)
 	return Diagnostics{

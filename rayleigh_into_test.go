@@ -37,23 +37,34 @@ func newIntoGenerator(t *testing.T, parallel int) *Generator {
 	return g
 }
 
+// TestSnapshotsIntoWorkerCountInvariance covers every method that accepts the
+// N = 5 exponential target (all but the two-branch Ertel–Reed): each runs the
+// same batched engine, so each is bit-identical for every worker count.
 func TestSnapshotsIntoWorkerCountInvariance(t *testing.T) {
 	const count = 200 // several chunks plus a ragged tail
-	var want []Snapshot
-	for _, parallel := range []int{0, 1, 3, 8} {
-		g := newIntoGenerator(t, parallel)
-		dst := make([]Snapshot, count)
-		if err := g.SnapshotsInto(dst); err != nil {
-			t.Fatalf("SnapshotsInto(Parallel=%d): %v", parallel, err)
-		}
-		if want == nil {
-			want = dst
-			continue
-		}
-		for i := range dst {
-			for j := range dst[i].Gaussian {
-				if dst[i].Gaussian[j] != want[i].Gaussian[j] || dst[i].Envelopes[j] != want[i].Envelopes[j] {
-					t.Fatalf("Parallel=%d snapshot %d envelope %d differs from sequential run", parallel, i, j)
+	for _, method := range []string{
+		MethodGeneralized, MethodSalzWinters, MethodBeaulieuMerani,
+		MethodNatarajan, MethodSorooshyariDaut,
+	} {
+		var want []Snapshot
+		for _, parallel := range []int{0, 1, 3, 8} {
+			g, err := NewWithMethod(method, Config{Covariance: exponentialCovarianceRows(5, 0.6), Seed: 501, Parallel: parallel})
+			if err != nil {
+				t.Fatalf("NewWithMethod(%s): %v", method, err)
+			}
+			dst := make([]Snapshot, count)
+			if err := g.SnapshotsInto(dst); err != nil {
+				t.Fatalf("%s SnapshotsInto(Parallel=%d): %v", method, parallel, err)
+			}
+			if want == nil {
+				want = dst
+				continue
+			}
+			for i := range dst {
+				for j := range dst[i].Gaussian {
+					if dst[i].Gaussian[j] != want[i].Gaussian[j] || dst[i].Envelopes[j] != want[i].Envelopes[j] {
+						t.Fatalf("%s Parallel=%d snapshot %d envelope %d differs from sequential run", method, parallel, i, j)
+					}
 				}
 			}
 		}

@@ -66,6 +66,8 @@ func (s *Stream) TheoreticalAutocorrelationAt(block uint64, lag int) float64 {
 }
 
 // Diagnostics reports the covariance conditioning applied at construction.
+// As for Generator.Diagnostics, only the generalized method forces positive
+// semi-definiteness; a conventional method reports the zero value.
 func (s *Stream) Diagnostics() Diagnostics {
 	return diagnosticsFromForced(s.inner.Diagnostics())
 }
