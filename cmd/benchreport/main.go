@@ -124,37 +124,45 @@ func snapshotBenchmarks(name string, k *cmplxmat.Matrix) []result {
 }
 
 func realTimeBenchmarks(name string, k *cmplxmat.Matrix) []result {
-	newGen := func() *core.RealTimeGenerator {
-		gen, err := core.NewRealTimeGenerator(core.RealTimeConfig{
-			Covariance:    k,
-			Filter:        doppler.FilterSpec{M: 4096, NormalizedDoppler: 0.05},
-			InputVariance: 0.5,
-			Seed:          67,
-		})
-		if err != nil {
-			fatalf("real-time generator %s: %v", name, err)
-		}
-		return gen
+	gen, err := core.NewRealTimeGenerator(core.RealTimeConfig{
+		Covariance:    k,
+		Filter:        doppler.FilterSpec{M: 4096, NormalizedDoppler: 0.05},
+		InputVariance: 0.5,
+		Seed:          67,
+	})
+	if err != nil {
+		fatalf("real-time generator %s: %v", name, err)
 	}
-	genAlloc := newGen()
-	genInto := newGen()
-	samples := genAlloc.N() * genAlloc.BlockLength()
+	scratch := newBlockScratch(gen, name)
+	samples := gen.N() * gen.BlockLength()
 	return []result{
 		measure("RealTimeBlockThroughput/"+name, samples, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_ = genAlloc.GenerateBlock()
+				if err := gen.GenerateBlockAt(uint64(i), core.NewBlock(gen.N(), gen.BlockLength()), scratch); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}),
 		measure("RealTimeBlockThroughput/"+name+"/into", samples, func(b *testing.B) {
-			blk := core.NewBlock(genInto.N(), genInto.BlockLength())
+			blk := core.NewBlock(gen.N(), gen.BlockLength())
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := genInto.GenerateBlockInto(blk); err != nil {
+				if err := gen.GenerateBlockAt(uint64(i), blk, scratch); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}),
 	}
+}
+
+// newBlockScratch builds the one block workspace a real-time family reuses
+// for every op.
+func newBlockScratch(gen *core.RealTimeGenerator, name string) *core.BlockScratch {
+	scratch, err := gen.NewBlockScratch()
+	if err != nil {
+		fatalf("block scratch %s: %v", name, err)
+	}
+	return scratch
 }
 
 // backendBatchSize is the snapshots-per-op of the per-backend batched
@@ -167,7 +175,7 @@ const backendBatchSize = 1024
 func backendBenchmarks(name string, k *cmplxmat.Matrix, methods []string) []result {
 	var out []result
 	for _, method := range methods {
-		gen, err := backend.New(method, k, 71)
+		gen, err := backend.New(method, chanspec.FadingRayleigh, nil, k, 71)
 		if err != nil {
 			fatalf("backend %s on %s: %v", method, name, err)
 		}
@@ -207,7 +215,7 @@ func fadingModelBenchmarks(name string, k *cmplxmat.Matrix) []result {
 	}
 	var out []result
 	for _, m := range models {
-		gen, err := backend.NewWithFading(chanspec.MethodGeneralized, m.fading, m.params, k, 71)
+		gen, err := backend.New(chanspec.MethodGeneralized, m.fading, m.params, k, 71)
 		if err != nil {
 			fatalf("model %s on %s: %v", m.fading, name, err)
 		}
@@ -248,13 +256,14 @@ func nonstationaryBenchmark(name string, k *cmplxmat.Matrix) []result {
 	if err != nil {
 		fatalf("nonstationary generator %s: %v", name, err)
 	}
+	scratch := newBlockScratch(gen, name)
 	samples := gen.N() * gen.BlockLength()
 	return []result{
 		measure("RealTimeBlockThroughput/"+name+"/nonstationary_doppler", samples, func(b *testing.B) {
 			blk := core.NewBlock(gen.N(), gen.BlockLength())
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := gen.GenerateBlockInto(blk); err != nil {
+				if err := gen.GenerateBlockAt(uint64(i), blk, scratch); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -15,11 +15,12 @@
 //     forcing) and the coloring matrix is obtained by eigendecomposition, so
 //     rank-deficient and indefinite targets are handled without Cholesky.
 //
-//   - Real-time mode (RealTime): every envelope additionally carries the
+//   - Real-time mode (Stream): every envelope additionally carries the
 //     Jakes autocorrelation J0(2π·fm·d) imposed by Young–Beaulieu IDFT
 //     Doppler generators, and the coloring step accounts for the Doppler
 //     filter's variance gain (Eq. (19) of the paper) so the cross-envelope
-//     covariance still matches the target.
+//     covariance still matches the target. Blocks are read through Cursors,
+//     in order (Next) or at any position (BlockAt).
 //
 // Desired covariance matrices can be supplied directly, or built from the
 // physical correlation models of the paper: SpectralCovariance (time delay
@@ -71,7 +72,7 @@
 //     matrix-matrix product. With reused destinations the steady-state heap
 //     traffic is amortized O(1) per snapshot.
 //
-//   - RealTime.BlockInto fills a reusable Block. Coloring acts across the N
+//   - Cursor.Next fills a reusable Block. Coloring acts across the N
 //     envelopes and the IDFT along time, so the block colors the Doppler
 //     spectra before transforming them, with the same result as Fig. 3's
 //     order up to rounding. Each of the N Doppler processes draws only its
@@ -82,16 +83,16 @@
 //     bit-reversal permutations. With a pre-shaped Block and a power-of-two
 //     IDFT length the call performs no heap allocation at all.
 //
-// Setting Config.Parallel / RealTimeConfig.Parallel fans SnapshotsInto
-// chunks and BlocksInto blocks across a worker pool. Every unit of work
-// draws from its own random stream, derived deterministically from the seed
-// and its position, so seeded output is bit-identical for every worker
-// count — parallelism changes wall-clock time, never values. Real-time
-// generation has one block sequence: Block, BlockInto, BlocksInto and every
-// Stream cursor produce the same block k. Snapshots keep two streams: the
-// chunk streams behind SnapshotsInto are distinct from the stream behind
-// Snapshot, so a batched run reproduces other batched runs, not an
-// element-wise sequence of single-draw calls.
+// Setting Config.Parallel fans SnapshotsInto chunks across a worker pool.
+// Every chunk draws from its own random stream, derived deterministically
+// from the seed and its position, so seeded output is bit-identical for
+// every worker count — parallelism changes wall-clock time, never values.
+// Snapshots keep two streams: the chunk streams behind SnapshotsInto are
+// distinct from the stream behind Snapshot, so a batched run reproduces
+// other batched runs, not an element-wise sequence of single-draw calls.
+// Real-time generation has one block sequence, and block k is a pure
+// function of the configuration and k: every Cursor produces the same block
+// k, so a parallel fill gives each goroutine its own Cursor.
 //
 // Measured throughput and allocation figures live in BENCH_core.json at the
 // repository root (regenerate with "go run ./cmd/benchreport"); the
@@ -99,14 +100,14 @@
 //
 // # Concurrency
 //
-// Generator and RealTime are not safe for concurrent use: their methods
-// share internal scratch, so drive each instance from one goroutine at a
-// time. (The Parallel worker fan-out happens inside a single SnapshotsInto /
-// BlocksInto call and needs no caller-side coordination.) The concurrent
-// entry point is Stream: it is immutable after construction and hands out
-// independent Cursors, each owning its generation workspace, so any number
-// of goroutines can serve blocks of the same deterministic sequence — the
-// basis of the fadingd streaming service (see docs/service.md).
+// Generator is not safe for concurrent use: its methods share internal
+// scratch, so drive each Generator from one goroutine at a time. (The
+// Parallel worker fan-out happens inside a single SnapshotsInto call and
+// needs no caller-side coordination.) Stream is immutable after
+// construction and hands out independent Cursors, each owning its
+// generation workspace, so any number of goroutines can serve blocks of the
+// same deterministic sequence, one Cursor each — the basis of the fadingd
+// streaming service (see docs/service.md).
 //
 // # Scenarios
 //

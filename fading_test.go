@@ -56,7 +56,7 @@ func TestFadingConfigValidation(t *testing.T) {
 	}
 	// A nonstationary real-time config must leave NormalizedDoppler to the
 	// trajectory.
-	_, err := NewRealTime(RealTimeConfig{
+	_, err := NewStream(RealTimeConfig{
 		Covariance: cov, IDFTPoints: 256, NormalizedDoppler: 0.05,
 		Fading:       FadingNonstationaryDoppler,
 		FadingParams: &FadingParams{Segments: []DopplerSegment{{Blocks: 2, NormalizedDoppler: 0.1}}},

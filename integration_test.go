@@ -104,7 +104,7 @@ func TestIntegrationRealTimePipeline(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SpectralCovariance: %v", err)
 	}
-	rt, err := NewRealTime(RealTimeConfig{
+	s, err := NewStream(RealTimeConfig{
 		Covariance:        cov,
 		IDFTPoints:        1024,
 		NormalizedDoppler: 0.05,
@@ -114,14 +114,21 @@ func TestIntegrationRealTimePipeline(t *testing.T) {
 		Seed: 105,
 	})
 	if err != nil {
-		t.Fatalf("NewRealTime: %v", err)
+		t.Fatalf("NewStream: %v", err)
+	}
+	cur, err := s.NewCursor()
+	if err != nil {
+		t.Fatalf("NewCursor: %v", err)
 	}
 
 	const blocks = 20
-	n := rt.N()
+	n := s.N()
 	series := make([][]complex128, n)
+	var blk Block
 	for b := 0; b < blocks; b++ {
-		blk := rt.Block()
+		if err := cur.Next(&blk); err != nil {
+			t.Fatalf("Next: %v", err)
+		}
 		for j := 0; j < n; j++ {
 			series[j] = append(series[j], blk.Gaussian[j]...)
 			for l := range blk.Envelopes[j] {

@@ -19,29 +19,21 @@ import (
 	"repro/internal/fading"
 )
 
-// New resolves a method name against a covariance target: a snapshot
-// generator that colors with the method's coloring matrix. Construction
-// surfaces each method's documented failure classes: baseline.ErrUnsupported
-// for configurations outside a method's vocabulary (unequal powers, N ≠ 2,
-// complex correlation), baseline.ErrSetupFailed for numerical rejections
-// (non-PSD targets under Cholesky or Salz–Winters), chanspec.ErrBadSpec for
-// names outside the vocabulary. Only the generalized method forces positive
-// semi-definiteness, so only its generator reports Diagnostics.
-func New(method string, k *cmplxmat.Matrix, seed int64) (*core.SnapshotGenerator, error) {
-	coloring, _, err := Coloring(method, k)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewSnapshotGenerator(core.SnapshotConfig{Covariance: k, Seed: seed, Coloring: coloring})
-}
-
-// NewWithFading resolves a (method, fading model) pair against a covariance
-// target: New's generator with the fading model's sample transform applied
-// to every draw (see internal/fading). The transform offset is the running
-// draw index, so batched and single-draw paths shadow consistently.
-// The nonstationary-Doppler model needs a time axis and is rejected here
-// (chanspec.ErrBadSpec): it is a real-time block mode concern.
-func NewWithFading(method, fading string, params *chanspec.FadingParams, k *cmplxmat.Matrix, seed int64) (*core.SnapshotGenerator, error) {
+// New resolves a (method, fading model) pair against a covariance target: a
+// snapshot generator that colors with the method's coloring matrix and
+// applies the fading model's sample transform to every draw (see
+// internal/fading; nil params are valid only for Rayleigh). The transform
+// offset is the running draw index, so batched and single-draw paths shadow
+// consistently. Construction surfaces each method's documented failure
+// classes: baseline.ErrUnsupported for configurations outside a method's
+// vocabulary (unequal powers, N ≠ 2, complex correlation),
+// baseline.ErrSetupFailed for numerical rejections (non-PSD targets under
+// Cholesky or Salz–Winters), chanspec.ErrBadSpec for names outside the
+// vocabulary. The nonstationary-Doppler model needs a time axis and is
+// rejected here (chanspec.ErrBadSpec): it is a real-time block mode concern.
+// Only the generalized method forces positive semi-definiteness, so only its
+// generator reports Diagnostics.
+func New(method, fading string, params *chanspec.FadingParams, k *cmplxmat.Matrix, seed int64) (*core.SnapshotGenerator, error) {
 	if chanspec.NormalizeFading(fading) == chanspec.FadingNonstationaryDoppler {
 		return nil, fmt.Errorf("backend: fading %q needs a real-time block mode (snapshots have no time axis): %w",
 			fading, chanspec.ErrBadSpec)

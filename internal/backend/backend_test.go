@@ -39,7 +39,7 @@ var everyN3Method = []string{
 
 func TestEveryBackendMatchesTargetOnGoldenMatrix(t *testing.T) {
 	for _, method := range everyN3Method {
-		b, err := New(method, eq23(), 41)
+		b, err := New(method, chanspec.FadingRayleigh, nil, eq23(), 41)
 		if err != nil {
 			t.Fatalf("New(%s): %v", method, err)
 		}
@@ -71,11 +71,11 @@ func TestEveryBackendMatchesTargetOnGoldenMatrix(t *testing.T) {
 
 func TestGenerateIntoIsDeterministicPerMethod(t *testing.T) {
 	for _, method := range everyN3Method {
-		a, err := New(method, eq23(), 7)
+		a, err := New(method, chanspec.FadingRayleigh, nil, eq23(), 7)
 		if err != nil {
 			t.Fatalf("New(%s): %v", method, err)
 		}
-		b, err := New(method, eq23(), 7)
+		b, err := New(method, chanspec.FadingRayleigh, nil, eq23(), 7)
 		if err != nil {
 			t.Fatalf("New(%s): %v", method, err)
 		}
@@ -99,35 +99,35 @@ func TestGenerateIntoIsDeterministicPerMethod(t *testing.T) {
 
 func TestConstructionFailureClasses(t *testing.T) {
 	// Ertel–Reed cannot express N = 3: out of vocabulary.
-	if _, err := New(chanspec.MethodErtelReed, eq23(), 1); !errors.Is(err, baseline.ErrUnsupported) {
+	if _, err := New(chanspec.MethodErtelReed, chanspec.FadingRayleigh, nil, eq23(), 1); !errors.Is(err, baseline.ErrUnsupported) {
 		t.Errorf("ertel_reed on N=3 error = %v, want ErrUnsupported", err)
 	}
 	// Salz–Winters requires equal powers.
 	unequal := cmplxmat.MustFromRows([][]complex128{{2, 0.5}, {0.5, 1}})
-	if _, err := New(chanspec.MethodSalzWinters, unequal, 1); !errors.Is(err, baseline.ErrUnsupported) {
+	if _, err := New(chanspec.MethodSalzWinters, chanspec.FadingRayleigh, nil, unequal, 1); !errors.Is(err, baseline.ErrUnsupported) {
 		t.Errorf("salz_winters on unequal powers error = %v, want ErrUnsupported", err)
 	}
 	// Cholesky-based methods reject indefinite targets numerically.
 	for _, method := range []string{chanspec.MethodBeaulieuMerani, chanspec.MethodNatarajan} {
-		if _, err := New(method, indefinite(), 1); !errors.Is(err, baseline.ErrSetupFailed) {
+		if _, err := New(method, chanspec.FadingRayleigh, nil, indefinite(), 1); !errors.Is(err, baseline.ErrSetupFailed) {
 			t.Errorf("%s on indefinite error = %v, want ErrSetupFailed", method, err)
 		}
 	}
 	// The generalized engine and the ε-clamp both accept the indefinite
 	// target.
 	for _, method := range []string{chanspec.MethodGeneralized, chanspec.MethodSorooshyariDaut} {
-		if _, err := New(method, indefinite(), 1); err != nil {
+		if _, err := New(method, chanspec.FadingRayleigh, nil, indefinite(), 1); err != nil {
 			t.Errorf("%s on indefinite: %v", method, err)
 		}
 	}
 	// Unknown names are a spec error.
-	if _, err := New("nope", eq23(), 1); !errors.Is(err, chanspec.ErrBadSpec) {
+	if _, err := New("nope", chanspec.FadingRayleigh, nil, eq23(), 1); !errors.Is(err, chanspec.ErrBadSpec) {
 		t.Errorf("unknown method error = %v, want ErrBadSpec", err)
 	}
 }
 
 func TestDiagnosticsOnlyForGeneralized(t *testing.T) {
-	gen, err := New(chanspec.MethodGeneralized, indefinite(), 3)
+	gen, err := New(chanspec.MethodGeneralized, chanspec.FadingRayleigh, nil, indefinite(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestDiagnosticsOnlyForGeneralized(t *testing.T) {
 	if diag == nil || diag.NumClamped == 0 {
 		t.Errorf("generalized diagnostics = %+v, want clamped eigenvalues", diag)
 	}
-	eps, err := New(chanspec.MethodSorooshyariDaut, indefinite(), 3)
+	eps, err := New(chanspec.MethodSorooshyariDaut, chanspec.FadingRayleigh, nil, indefinite(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,19 +25,19 @@ func newBlockAtGenerator(t testing.TB, m int, seed int64, tr Transform) *RealTim
 }
 
 // TestGenerateBlockAtMatchesBlocksInto pins the one-sequence contract: block
-// i is the same from GenerateBlock, GenerateBlockInto and GenerateBlocksInto
-// (any worker count, any slicing into calls, any interleaving of the three),
-// and GenerateBlockAt reproduces it in isolation.
+// i is the same from GenerateBlocksAt at any worker count, for any split of
+// the range into calls and any interleaving with single GenerateBlockAt
+// calls, and GenerateBlockAt reproduces it in isolation.
 func TestGenerateBlockAtMatchesBlocksInto(t *testing.T) {
 	const blocks = 7
 	blocksInto := func(workers int) func(*testing.T, *RealTimeGenerator, []*Block) {
 		return func(t *testing.T, g *RealTimeGenerator, dst []*Block) {
-			// Two calls: the second must continue the sequence.
-			if err := g.GenerateBlocksInto(dst[:3], workers); err != nil {
-				t.Fatalf("GenerateBlocksInto(first): %v", err)
+			// Two calls: the second resumes where the first stopped.
+			if err := g.GenerateBlocksAt(0, dst[:3], workers); err != nil {
+				t.Fatalf("GenerateBlocksAt(first): %v", err)
 			}
-			if err := g.GenerateBlocksInto(dst[3:], workers); err != nil {
-				t.Fatalf("GenerateBlocksInto(second): %v", err)
+			if err := g.GenerateBlocksAt(3, dst[3:], workers); err != nil {
+				t.Fatalf("GenerateBlocksAt(second): %v", err)
 			}
 		}
 	}
@@ -45,30 +45,24 @@ func TestGenerateBlockAtMatchesBlocksInto(t *testing.T) {
 		name string
 		fill func(*testing.T, *RealTimeGenerator, []*Block)
 	}{
-		{"GenerateBlock", func(t *testing.T, g *RealTimeGenerator, dst []*Block) {
-			for i := range dst {
-				dst[i] = g.GenerateBlock()
-			}
-		}},
-		{"GenerateBlockInto", func(t *testing.T, g *RealTimeGenerator, dst []*Block) {
-			for _, b := range dst {
-				if err := g.GenerateBlockInto(b); err != nil {
-					t.Fatalf("GenerateBlockInto: %v", err)
-				}
-			}
-		}},
 		{"GenerateBlocksInto/workers=1", blocksInto(1)},
 		{"GenerateBlocksInto/workers=3", blocksInto(3)},
 		{"interleaved", func(t *testing.T, g *RealTimeGenerator, dst []*Block) {
-			dst[0] = g.GenerateBlock()
-			if err := g.GenerateBlocksInto(dst[1:4], 2); err != nil {
-				t.Fatalf("GenerateBlocksInto: %v", err)
+			s, err := g.NewBlockScratch()
+			if err != nil {
+				t.Fatalf("NewBlockScratch: %v", err)
 			}
-			if err := g.GenerateBlockInto(dst[4]); err != nil {
-				t.Fatalf("GenerateBlockInto: %v", err)
+			if err := g.GenerateBlockAt(0, dst[0], s); err != nil {
+				t.Fatalf("GenerateBlockAt: %v", err)
 			}
-			if err := g.GenerateBlocksInto(dst[5:], 1); err != nil {
-				t.Fatalf("GenerateBlocksInto: %v", err)
+			if err := g.GenerateBlocksAt(1, dst[1:4], 2); err != nil {
+				t.Fatalf("GenerateBlocksAt: %v", err)
+			}
+			if err := g.GenerateBlockAt(4, dst[4], s); err != nil {
+				t.Fatalf("GenerateBlockAt: %v", err)
+			}
+			if err := g.GenerateBlocksAt(5, dst[5:], 1); err != nil {
+				t.Fatalf("GenerateBlocksAt: %v", err)
 			}
 		}},
 	}
@@ -106,13 +100,7 @@ func TestGenerateBlockAtMatchesBlocksInto(t *testing.T) {
 func TestGenerateBlockAtConcurrent(t *testing.T) {
 	const blocks = 12
 	gen := newBlockAtGenerator(t, 64, 7, nil)
-	want := make([]*Block, blocks)
-	for i := range want {
-		want[i] = NewBlock(gen.N(), gen.BlockLength())
-	}
-	if err := gen.GenerateBlocksInto(want, 1); err != nil {
-		t.Fatalf("GenerateBlocksInto: %v", err)
-	}
+	want := blocksAt(t, gen, 0, blocks, 1)
 
 	shared := newBlockAtGenerator(t, 64, 7, nil)
 	var wg sync.WaitGroup
@@ -182,6 +170,20 @@ func TestGenerateBlockAtNoAllocs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// blocksAt returns blocks first..first+count-1 of g, filled by workers
+// goroutines.
+func blocksAt(t testing.TB, g *RealTimeGenerator, first uint64, count, workers int) []*Block {
+	t.Helper()
+	dst := make([]*Block, count)
+	for i := range dst {
+		dst[i] = NewBlock(g.N(), g.BlockLength())
+	}
+	if err := g.GenerateBlocksAt(first, dst, workers); err != nil {
+		t.Fatalf("GenerateBlocksAt(%d, %d blocks, %d workers): %v", first, count, workers, err)
+	}
+	return dst
 }
 
 // blockMismatchCount counts value positions where two blocks differ bitwise.

@@ -165,72 +165,90 @@ func blocksEqual(t *testing.T, label string, a, b *Block) {
 	}
 }
 
+// TestGenerateBlockIntoMatchesGenerateBlock: a block filled into reused,
+// pre-shaped storage equals the block filled into a fresh Block.
 func TestGenerateBlockIntoMatchesGenerateBlock(t *testing.T) {
-	g1 := newTestRealTimeGenerator(t, 411, 512)
-	g2 := newTestRealTimeGenerator(t, 411, 512)
-	into := NewBlock(g2.N(), g2.BlockLength())
-	for i := 0; i < 3; i++ {
-		want := g1.GenerateBlock()
-		if err := g2.GenerateBlockInto(into); err != nil {
-			t.Fatalf("GenerateBlockInto: %v", err)
+	g := newTestRealTimeGenerator(t, 411, 512)
+	fresh, err := g.NewBlockScratch()
+	if err != nil {
+		t.Fatalf("NewBlockScratch: %v", err)
+	}
+	reused, err := g.NewBlockScratch()
+	if err != nil {
+		t.Fatalf("NewBlockScratch: %v", err)
+	}
+	into := NewBlock(g.N(), g.BlockLength())
+	for i := uint64(0); i < 3; i++ {
+		want := &Block{}
+		if err := g.GenerateBlockAt(i, want, fresh); err != nil {
+			t.Fatalf("GenerateBlockAt(fresh): %v", err)
+		}
+		if err := g.GenerateBlockAt(i, into, reused); err != nil {
+			t.Fatalf("GenerateBlockAt(reused): %v", err)
 		}
 		blocksEqual(t, "block", want, into)
 	}
-	if err := g2.GenerateBlockInto(nil); !errors.Is(err, ErrBadInput) {
+	if err := g.GenerateBlockAt(0, nil, reused); !errors.Is(err, ErrBadInput) {
 		t.Errorf("nil block: err = %v", err)
+	}
+	if err := g.GenerateBlockAt(0, into, nil); !errors.Is(err, ErrBadInput) {
+		t.Errorf("nil scratch: err = %v", err)
 	}
 }
 
 func TestGenerateBlockIntoReshapesWrongBlocks(t *testing.T) {
 	g := newTestRealTimeGenerator(t, 413, 512)
+	s, err := g.NewBlockScratch()
+	if err != nil {
+		t.Fatalf("NewBlockScratch: %v", err)
+	}
 	b := &Block{} // empty: must be shaped in place
-	if err := g.GenerateBlockInto(b); err != nil {
-		t.Fatalf("GenerateBlockInto: %v", err)
+	if err := g.GenerateBlockAt(0, b, s); err != nil {
+		t.Fatalf("GenerateBlockAt: %v", err)
 	}
 	if len(b.Gaussian) != 3 || len(b.Gaussian[0]) != 512 {
 		t.Fatalf("block not reshaped: %dx%d", len(b.Gaussian), len(b.Gaussian[0]))
 	}
 }
 
+// TestGenerateBlockIntoDoesNotAllocate walks consecutive blocks into storage
+// the first call shaped, as a stream cursor does.
 func TestGenerateBlockIntoDoesNotAllocate(t *testing.T) {
 	g := newTestRealTimeGenerator(t, 415, 512)
-	b := NewBlock(g.N(), g.BlockLength())
+	s, err := g.NewBlockScratch()
+	if err != nil {
+		t.Fatalf("NewBlockScratch: %v", err)
+	}
+	b := &Block{}
+	var i uint64
 	if n := testing.AllocsPerRun(10, func() {
-		if err := g.GenerateBlockInto(b); err != nil {
+		if err := g.GenerateBlockAt(i, b, s); err != nil {
 			t.Fatal(err)
 		}
+		i++
 	}); n != 0 {
-		t.Errorf("GenerateBlockInto allocates %v per run", n)
+		t.Errorf("GenerateBlockAt allocates %v per run", n)
 	}
 }
 
 func TestGenerateBlocksIntoWorkerCountInvariance(t *testing.T) {
 	const count = 6
-	runs := make([][]*Block, 0, 3)
-	for _, workers := range []int{1, 2, 4} {
-		g := newTestRealTimeGenerator(t, 417, 512)
-		dst := make([]*Block, count)
-		for i := range dst {
-			dst[i] = NewBlock(g.N(), g.BlockLength())
-		}
-		if err := g.GenerateBlocksInto(dst, workers); err != nil {
-			t.Fatalf("GenerateBlocksInto(workers=%d): %v", workers, err)
-		}
-		runs = append(runs, dst)
-	}
-	for r := 1; r < len(runs); r++ {
-		for i := range runs[0] {
-			blocksEqual(t, "parallel vs sequential", runs[0][i], runs[r][i])
+	g := newTestRealTimeGenerator(t, 417, 512)
+	want := blocksAt(t, g, 0, count, 1)
+	for _, workers := range []int{2, 4} {
+		got := blocksAt(t, g, 0, count, workers)
+		for i := range want {
+			blocksEqual(t, "parallel vs sequential", want[i], got[i])
 		}
 	}
 }
 
 func TestGenerateBlocksIntoValidation(t *testing.T) {
 	g := newTestRealTimeGenerator(t, 419, 512)
-	if err := g.GenerateBlocksInto(nil, 1); !errors.Is(err, ErrBadInput) {
+	if err := g.GenerateBlocksAt(0, nil, 1); !errors.Is(err, ErrBadInput) {
 		t.Errorf("empty dst: err = %v", err)
 	}
-	if err := g.GenerateBlocksInto(make([]*Block, 2), 1); !errors.Is(err, ErrBadInput) {
+	if err := g.GenerateBlocksAt(0, make([]*Block, 2), 1); !errors.Is(err, ErrBadInput) {
 		t.Errorf("nil entries: err = %v", err)
 	}
 }
@@ -239,20 +257,9 @@ func TestGenerateBlocksIntoBluesteinLength(t *testing.T) {
 	// Non-power-of-two M exercises the per-worker Doppler generators (the
 	// shared plan scratch would race otherwise).
 	const count = 4
-	g1 := newTestRealTimeGenerator(t, 421, 600)
-	g2 := newTestRealTimeGenerator(t, 421, 600)
-	seq := make([]*Block, count)
-	par := make([]*Block, count)
-	for i := range seq {
-		seq[i] = NewBlock(g1.N(), g1.BlockLength())
-		par[i] = NewBlock(g2.N(), g2.BlockLength())
-	}
-	if err := g1.GenerateBlocksInto(seq, 1); err != nil {
-		t.Fatalf("sequential: %v", err)
-	}
-	if err := g2.GenerateBlocksInto(par, 3); err != nil {
-		t.Fatalf("parallel: %v", err)
-	}
+	g := newTestRealTimeGenerator(t, 421, 600)
+	seq := blocksAt(t, g, 0, count, 1)
+	par := blocksAt(t, g, 0, count, 3)
 	for i := range seq {
 		blocksEqual(t, "bluestein parallel", seq[i], par[i])
 	}

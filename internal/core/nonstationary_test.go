@@ -46,7 +46,7 @@ func TestNonstationaryValidation(t *testing.T) {
 
 // TestNonstationarySegmentVariance pins the per-segment σ²_g: blocks in
 // different trajectory legs carry their own Eq. (19) variance, and
-// GenerateBlock walks the trajectory in block order.
+// GenerateBlocksAt walks the trajectory in block order.
 func TestNonstationarySegmentVariance(t *testing.T) {
 	g := newSegmentedGenerator(t, 31, 512, testTrajectory, nil)
 	want0 := g.segments[0].sigmaG2
@@ -57,8 +57,7 @@ func TestNonstationarySegmentVariance(t *testing.T) {
 	if g.SampleVariance() != want0 {
 		t.Fatalf("SampleVariance() = %g, want segment 0's %g", g.SampleVariance(), want0)
 	}
-	for k := 0; k < 8; k++ {
-		b := g.GenerateBlock()
+	for k, b := range blocksAt(t, g, 0, 8, 1) {
 		want := want0
 		if k >= 3 {
 			want = want1 // the last segment persists past the trajectory
@@ -80,14 +79,7 @@ func TestNonstationaryWorkerAndResumeIdentity(t *testing.T) {
 	var runs [][]*Block
 	for _, workers := range []int{1, 2, 5} {
 		g := newSegmentedGenerator(t, 77, 512, testTrajectory, nil)
-		dst := make([]*Block, count)
-		for i := range dst {
-			dst[i] = NewBlock(g.N(), g.BlockLength())
-		}
-		if err := g.GenerateBlocksInto(dst, workers); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		runs = append(runs, dst)
+		runs = append(runs, blocksAt(t, g, 0, count, workers))
 	}
 	for r := 1; r < len(runs); r++ {
 		for i := range runs[0] {
@@ -112,25 +104,13 @@ func TestNonstationaryWorkerAndResumeIdentity(t *testing.T) {
 	}
 	// Split batches resume the same sequence across the segment seam.
 	g2 := newSegmentedGenerator(t, 77, 512, testTrajectory, nil)
-	head := make([]*Block, 2)
-	tail := make([]*Block, count-2)
-	for i := range head {
-		head[i] = NewBlock(g2.N(), g2.BlockLength())
-	}
-	for i := range tail {
-		tail[i] = NewBlock(g2.N(), g2.BlockLength())
-	}
-	if err := g2.GenerateBlocksInto(head, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := g2.GenerateBlocksInto(tail, 3); err != nil {
-		t.Fatal(err)
-	}
+	head := blocksAt(t, g2, 0, 2, 1)
+	tail := blocksAt(t, g2, uint64(len(head)), count-len(head), 3)
 	for i := range head {
 		blocksEqual(t, "nonstationary resume head", runs[0][i], head[i])
 	}
 	for i := range tail {
-		blocksEqual(t, "nonstationary resume tail", runs[0][i+2], tail[i])
+		blocksEqual(t, "nonstationary resume tail", runs[0][i+len(head)], tail[i])
 	}
 }
 
@@ -166,20 +146,8 @@ func TestTransformOffsetsConsistentAcrossPaths(t *testing.T) {
 		}
 		return g
 	}
-	gSeq := mk()
-	gPar := mk()
-	seq := make([]*Block, count)
-	par := make([]*Block, count)
-	for i := range seq {
-		seq[i] = NewBlock(gSeq.N(), m)
-		par[i] = NewBlock(gPar.N(), m)
-	}
-	if err := gSeq.GenerateBlocksInto(seq, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := gPar.GenerateBlocksInto(par, 4); err != nil {
-		t.Fatal(err)
-	}
+	seq := blocksAt(t, mk(), 0, count, 1)
+	par := blocksAt(t, mk(), 0, count, 4)
 	for i := range seq {
 		blocksEqual(t, "transform worker invariance", seq[i], par[i])
 	}

@@ -92,7 +92,7 @@ type Block struct {
 
 // NewBlock returns a Block with n×m storage carved out of two flat backing
 // arrays (one allocation per field instead of one per row). Blocks shaped
-// this way are what the Into generation paths reuse allocation-free.
+// this way are what GenerateBlockAt reuses allocation-free.
 func NewBlock(n, m int) *Block {
 	gflat := make([]complex128, n*m)
 	eflat := make([]float64, n*m)
@@ -163,6 +163,10 @@ type BlockScratch struct {
 // inverse-transforms each colored row. The block is the same up to rounding,
 // and the GEMM runs over the B = 2·k_m non-zero Doppler bins instead of all
 // M time samples.
+//
+// A RealTimeGenerator is immutable after construction: it keeps no position
+// and no workspace. Share one generator across goroutines and give each
+// goroutine its own BlockScratch.
 type RealTimeGenerator struct {
 	forced   *ForcedPSD
 	segments []rtSegment
@@ -170,14 +174,10 @@ type RealTimeGenerator struct {
 	// from blockRoot.SplitAt(k). It is never advanced, so GenerateBlockAt
 	// stays a pure function of the seed and the block index.
 	blockRoot *randx.RNG
-	// next is the index of the block the next GenerateBlock,
-	// GenerateBlockInto or GenerateBlocksInto call produces.
-	next      uint64
 	n         int
 	m         int
 	inputVar  float64
 	transform Transform
-	scratches []*BlockScratch // worker workspaces, built on first use
 }
 
 // NewRealTimeGenerator validates the configuration and builds the Doppler
@@ -300,35 +300,6 @@ func (g *RealTimeGenerator) TheoreticalAutocorrelationAt(block uint64, lag int) 
 	return doppler.TheoreticalAutocorrelation(g.segments[g.segmentIndexAt(block)].spec.NormalizedDoppler, lag)
 }
 
-// GenerateBlock returns the block at the generator's position and advances
-// the position by one (steps 7–8 of the combined algorithm, batched over the
-// block).
-func (g *RealTimeGenerator) GenerateBlock() *Block {
-	b := NewBlock(g.n, g.m)
-	// GenerateBlockInto cannot fail on a freshly shaped block.
-	_ = g.GenerateBlockInto(b)
-	return b
-}
-
-// GenerateBlockInto generates the block at the generator's position into b,
-// reusing its storage when it already has the right shape (rows of wrong
-// length are reallocated), and advances the position by one. It produces the
-// values of GenerateBlock and, once its workspace exists, performs no heap
-// allocation for power-of-two M.
-//
-// fadinglint:allocfree
-func (g *RealTimeGenerator) GenerateBlockInto(b *Block) error {
-	scratches, err := g.workerScratches(1)
-	if err != nil {
-		return err
-	}
-	if err := g.GenerateBlockAt(g.next, b, scratches[0]); err != nil {
-		return err
-	}
-	g.next++
-	return nil
-}
-
 // NewBlockScratch builds a workspace for GenerateBlockAt.
 func (g *RealTimeGenerator) NewBlockScratch() (*BlockScratch, error) {
 	segGens := make([]*doppler.Generator, len(g.segments))
@@ -359,20 +330,6 @@ func (g *RealTimeGenerator) NewBlockScratch() (*BlockScratch, error) {
 		s.z[si] = cmplxmat.View(g.n, dg.BandLen(), zd)
 	}
 	return s, nil
-}
-
-// workerScratches returns the first count cached worker workspaces, building
-// the missing ones; they persist across calls so a streaming caller pays
-// their construction once.
-func (g *RealTimeGenerator) workerScratches(count int) ([]*BlockScratch, error) {
-	for len(g.scratches) < count {
-		s, err := g.NewBlockScratch()
-		if err != nil {
-			return nil, err
-		}
-		g.scratches = append(g.scratches, s)
-	}
-	return g.scratches[:count], nil
 }
 
 // GenerateBlockAt generates block index into b using the caller-owned
@@ -442,14 +399,15 @@ func (g *RealTimeGenerator) fillBlock(index uint64, b *Block, s *BlockScratch) {
 	b.SampleVariance = seg.sigmaG2
 }
 
-// GenerateBlocksInto fills dst with the len(dst) blocks at the generator's
-// position and advances the position past them, so consecutive calls (and
-// GenerateBlock/GenerateBlockInto calls between them) walk one block
-// sequence. workers > 1 fans the blocks across that many goroutines, each
-// with its own workspace; since every block is GenerateBlockAt of its index,
-// the output is bit-identical for every worker count. Entries of dst must be
-// non-nil; their storage is reused when already shaped.
-func (g *RealTimeGenerator) GenerateBlocksInto(dst []*Block, workers int) error {
+// GenerateBlocksAt fills dst[i] with block first+i. workers > 1 fans the
+// blocks across that many goroutines; every goroutine gets a workspace built
+// for this call, so the call shares nothing with other calls. Since every
+// block is GenerateBlockAt of its index, the output is bit-identical for
+// every worker count and for every split of a range into calls. Entries of
+// dst must be non-nil; their storage is reused when already shaped. A caller
+// that fills one block at a time should keep a BlockScratch and call
+// GenerateBlockAt, which allocates nothing.
+func (g *RealTimeGenerator) GenerateBlocksAt(first uint64, dst []*Block, workers int) error {
 	if len(dst) == 0 {
 		return fmt.Errorf("core: empty block destination: %w", ErrBadInput)
 	}
@@ -458,24 +416,25 @@ func (g *RealTimeGenerator) GenerateBlocksInto(dst []*Block, workers int) error 
 			return fmt.Errorf("core: nil destination block %d: %w", i, ErrBadInput)
 		}
 	}
-	workers = max(1, min(workers, len(dst)))
-	scratches, err := g.workerScratches(workers)
-	if err != nil {
-		return err
+	scratches := make([]*BlockScratch, max(1, min(workers, len(dst))))
+	for w := range scratches {
+		s, err := g.NewBlockScratch()
+		if err != nil {
+			return err
+		}
+		scratches[w] = s
 	}
-	base := g.next
-	g.next += uint64(len(dst))
 	// Blocks and scratches are non-nil, so GenerateBlockAt cannot fail.
-	if workers == 1 {
+	if len(scratches) == 1 {
 		for i, b := range dst {
-			_ = g.GenerateBlockAt(base+uint64(i), b, scratches[0])
+			_ = g.GenerateBlockAt(first+uint64(i), b, scratches[0])
 		}
 		return nil
 	}
 	var wg sync.WaitGroup
 	var next atomic.Int64
 	next.Store(-1)
-	wg.Add(workers)
+	wg.Add(len(scratches))
 	for _, s := range scratches {
 		go func() {
 			defer wg.Done()
@@ -484,7 +443,7 @@ func (g *RealTimeGenerator) GenerateBlocksInto(dst []*Block, workers int) error 
 				if i >= len(dst) {
 					return
 				}
-				_ = g.GenerateBlockAt(base+uint64(i), dst[i], s)
+				_ = g.GenerateBlockAt(first+uint64(i), dst[i], s)
 			}
 		}()
 	}

@@ -81,7 +81,7 @@ func TestRealTimeBlockShape(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewRealTimeGenerator: %v", err)
 	}
-	b := g.GenerateBlock()
+	b := blocksAt(t, g, 0, 1, 1)[0]
 	if len(b.Gaussian) != 3 || len(b.Envelopes) != 3 {
 		t.Fatalf("block has %d Gaussian rows, %d envelope rows", len(b.Gaussian), len(b.Envelopes))
 	}
@@ -105,9 +105,9 @@ func TestRealTimeBlockShape(t *testing.T) {
 // N = 32, M = 4096: less than one N×M complex panel, in fewer than 36
 // allocations. Every fadingd session and setup-cache entry holds a
 // generator, so GEMM panels or per-envelope Doppler generators built at
-// construction would multiply across them; block workspaces are built on
-// first use instead, and construction builds no snapshot-mode state (seed
-// RNG, batch root, scratch vectors).
+// construction would multiply across them; block workspaces are the
+// callers' BlockScratch values instead, and construction builds no
+// snapshot-mode state (seed RNG, batch root, scratch vectors).
 func TestNewRealTimeGeneratorFootprint(t *testing.T) {
 	const n, m = 32, 4096
 	cfg := RealTimeConfig{
@@ -156,8 +156,7 @@ func TestRealTimeCovarianceMatchesTarget(t *testing.T) {
 	for j := range series {
 		series[j] = make([]complex128, 0, blocks*1024)
 	}
-	for b := 0; b < blocks; b++ {
-		blk := g.GenerateBlock()
+	for _, blk := range blocksAt(t, g, 0, blocks, 1) {
 		for j := 0; j < 3; j++ {
 			series[j] = append(series[j], blk.Gaussian[j]...)
 		}
@@ -195,8 +194,7 @@ func TestRealTimeUnitVarianceAssumptionBreaksCovariance(t *testing.T) {
 	}
 	const blocks = 10
 	series := make([][]complex128, 3)
-	for b := 0; b < blocks; b++ {
-		blk := gBad.GenerateBlock()
+	for _, blk := range blocksAt(t, gBad, 0, blocks, 1) {
 		for j := 0; j < 3; j++ {
 			series[j] = append(series[j], blk.Gaussian[j]...)
 		}
@@ -231,8 +229,7 @@ func TestRealTimeEnvelopeAutocorrelationFollowsJ0(t *testing.T) {
 	const blocks = 25
 	maxLag := 40
 	acc := make([]float64, maxLag+1)
-	for b := 0; b < blocks; b++ {
-		blk := g.GenerateBlock()
+	for _, blk := range blocksAt(t, g, 0, blocks, 1) {
 		rho, err := stats.LaggedAutocorrelation(blk.Gaussian[0], maxLag)
 		if err != nil {
 			t.Fatalf("LaggedAutocorrelation: %v", err)
@@ -262,8 +259,7 @@ func TestRealTimeEnvelopesAreRayleigh(t *testing.T) {
 		t.Fatalf("NewRealTimeGenerator: %v", err)
 	}
 	var env []float64
-	for b := 0; b < 20; b++ {
-		blk := g.GenerateBlock()
+	for _, blk := range blocksAt(t, g, 0, 20, 1) {
 		env = append(env, blk.Envelopes[1]...)
 	}
 	d, err := stats.NewRayleighFromGaussianPower(1)
@@ -295,8 +291,8 @@ func TestRealTimeDeterministicSeed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewRealTimeGenerator: %v", err)
 	}
-	b1 := g1.GenerateBlock()
-	b2 := g2.GenerateBlock()
+	b1 := blocksAt(t, g1, 0, 1, 1)[0]
+	b2 := blocksAt(t, g2, 0, 1, 1)[0]
 	for j := range b1.Gaussian {
 		for l := range b1.Gaussian[j] {
 			if b1.Gaussian[j][l] != b2.Gaussian[j][l] {

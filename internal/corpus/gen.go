@@ -291,6 +291,9 @@ func drawAssertions(rng *randx.RNG, mode, method, fading string, forced *core.Fo
 	}
 	out := []scenario.AssertionSpec{psd}
 
+	// into_identity holds for every fading model in every mode, but snapshot
+	// modes draw it for Rayleigh only: drawing it for the other models would
+	// change the committed corpus-smoke specs and every corpus-full expansion.
 	rayleighLike := chanspec.NormalizeFading(fading) == chanspec.FadingRayleigh
 	if mode == scenario.ModeRealtime || rayleighLike {
 		out = append(out, scenario.AssertionSpec{Type: scenario.AssertIntoIdentity})

@@ -331,7 +331,7 @@ func evalComparison(a *AssertionSpec, data *runData) ([]Check, error) {
 			want = OutcomeOK
 		}
 		outcome := MethodOutcome{Method: method}
-		gen, err := backend.New(method, data.target, spec.Seed)
+		gen, err := backend.New(method, chanspec.FadingRayleigh, nil, data.target, spec.Seed)
 		switch {
 		case err == nil:
 			outcome.Outcome = OutcomeOK
@@ -454,11 +454,11 @@ func evalIntoIdentity(a *AssertionSpec, data *runData) ([]Check, error) {
 		n := data.target.Rows()
 		gaussian := make([]complex128, n)
 		env := make([]float64, n)
-		alloc, err := backend.New(spec.Generation.Method, data.target, spec.Seed)
+		alloc, err := backend.New(spec.Generation.Method, spec.Model.Fading, spec.Model.Params, data.target, spec.Seed)
 		if err != nil {
 			return nil, err
 		}
-		into, err := backend.New(spec.Generation.Method, data.target, spec.Seed)
+		into, err := backend.New(spec.Generation.Method, spec.Model.Fading, spec.Model.Params, data.target, spec.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -475,18 +475,27 @@ func evalIntoIdentity(a *AssertionSpec, data *runData) ([]Check, error) {
 		}
 	case ModeRealtime:
 		units := identityUnits(a, spec.Generation.Blocks, 2)
-		alloc, err := newRealtimeGenerator(spec, data.target)
+		gen, err := newRealtimeGenerator(spec, data.target)
 		if err != nil {
 			return nil, err
 		}
-		into, err := newRealtimeGenerator(spec, data.target)
+		// One twin fills a fresh Block per unit, the other reuses one
+		// pre-shaped Block; each has its own scratch.
+		allocScratch, err := gen.NewBlockScratch()
 		if err != nil {
 			return nil, err
 		}
-		dst := core.NewBlock(alloc.N(), alloc.BlockLength())
-		for i := 0; i < units; i++ {
-			b := alloc.GenerateBlock()
-			if err := into.GenerateBlockInto(dst); err != nil {
+		intoScratch, err := gen.NewBlockScratch()
+		if err != nil {
+			return nil, err
+		}
+		dst := core.NewBlock(gen.N(), gen.BlockLength())
+		for i := uint64(0); i < uint64(units); i++ {
+			b := &core.Block{}
+			if err := gen.GenerateBlockAt(i, b, allocScratch); err != nil {
+				return nil, err
+			}
+			if err := gen.GenerateBlockAt(i, dst, intoScratch); err != nil {
 				return nil, err
 			}
 			mismatches += blockMismatches(b, dst)
@@ -536,7 +545,7 @@ func evalParallelIdentity(a *AssertionSpec, data *runData) ([]Check, error) {
 // spec's backend, once per worker count.
 func batchPair(data *runData, units, workersA, workersB int) (a, b []core.Snapshot, err error) {
 	run := func(workers int) ([]core.Snapshot, error) {
-		gen, err := backend.NewWithFading(data.spec.Generation.Method, data.spec.Model.Fading,
+		gen, err := backend.New(data.spec.Generation.Method, data.spec.Model.Fading,
 			data.spec.Model.Params, data.target, data.spec.Seed)
 		if err != nil {
 			return nil, err
@@ -568,7 +577,7 @@ func blockPair(data *runData, units, workersA, workersB int) (a, b []*core.Block
 		for i := range dst {
 			dst[i] = core.NewBlock(gen.N(), gen.BlockLength())
 		}
-		if err := gen.GenerateBlocksInto(dst, workers); err != nil {
+		if err := gen.GenerateBlocksAt(0, dst, workers); err != nil {
 			return nil, err
 		}
 		return dst, nil

@@ -207,7 +207,7 @@ func neededEnvelopes(spec *Spec, types ...string) []int {
 func collectSnapshots(data *runData) error {
 	spec := data.spec
 	draws := spec.Generation.Draws
-	gen, err := backend.NewWithFading(spec.Generation.Method, spec.Model.Fading, spec.Model.Params, data.target, spec.Seed)
+	gen, err := backend.New(spec.Generation.Method, spec.Model.Fading, spec.Model.Params, data.target, spec.Seed)
 	if err != nil {
 		return err
 	}
@@ -286,7 +286,7 @@ func collectRealtime(data *runData) error {
 	}
 	// Blocks 0..blocks-1 of the served sequence, bit-identical for every
 	// worker count.
-	if err := gen.GenerateBlocksInto(blks, spec.Generation.Workers); err != nil {
+	if err := gen.GenerateBlocksAt(0, blks, spec.Generation.Workers); err != nil {
 		return err
 	}
 	series := make([][]complex128, n)

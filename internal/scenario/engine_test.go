@@ -119,7 +119,7 @@ func TestBatchedIdentities(t *testing.T) {
 }
 
 // TestRealtimeWorkersCollection pins the realtime collection path: the
-// engine generates through GenerateBlocksInto, whose output is worker-count
+// engine generates through GenerateBlocksAt, whose output is worker-count
 // invariant, so gate observations must be identical for every workers
 // setting, the inline workers = 1 included.
 func TestRealtimeWorkersCollection(t *testing.T) {
@@ -171,6 +171,39 @@ func TestRealtimeIdentities(t *testing.T) {
 	}
 	if !res.Passed {
 		t.Fatalf("realtime identity scenario failed: %+v", res.Gates)
+	}
+}
+
+// TestIntoIdentityUnderFadingModels: into_identity builds both twins from
+// the spec's fading model in every mode, so snapshot and batched specs of the
+// per-sample models parse and pass it.
+func TestIntoIdentityUnderFadingModels(t *testing.T) {
+	cases := map[string]string{
+		"batched nakagami_m": `{"name":"nakagami-into","seed":3,
+			"model":{"type":"eq22","fading":"nakagami_m","params":{"m":2.5}},
+			"generation":{"mode":"batched","draws":512,"workers":2},
+			"assertions":[{"type":"into_identity","units":128}]}`,
+		"snapshot suzuki": `{"name":"suzuki-into","seed":5,
+			"model":{"type":"identity","n":2,"fading":"suzuki","params":{"shadow_sigma_db":4,"shadow_coherence":64}},
+			"generation":{"mode":"snapshot","draws":256},
+			"assertions":[{"type":"into_identity"}]}`,
+		"snapshot rician": `{"name":"rician-into","seed":7,
+			"model":{"type":"eq22","fading":"rician","params":{"k_factor":4}},
+			"generation":{"mode":"snapshot","draws":256},
+			"assertions":[{"type":"into_identity"}]}`,
+	}
+	for name, c := range cases {
+		spec, err := Parse([]byte(c))
+		if err != nil {
+			t.Fatalf("%s: Parse: %v", name, err)
+		}
+		res, err := Run(spec)
+		if err != nil {
+			t.Fatalf("%s: Run: %v", name, err)
+		}
+		if !res.Passed {
+			t.Errorf("%s: into_identity failed: %+v", name, res.Gates)
+		}
 	}
 }
 

@@ -85,7 +85,9 @@ const (
 	// Cholesky-baseline failure, and the ε-clamp comparison of E6.
 	AssertPSDForcing = "psd_forcing"
 	// AssertIntoIdentity requires the allocating and the Into generation
-	// paths to produce bit-identical output from the same seed.
+	// paths to produce bit-identical output from the same seed, under the
+	// spec's method and fading model: Generate vs GenerateInto in snapshot
+	// modes, a fresh Block vs one reused pre-shaped Block in realtime mode.
 	AssertIntoIdentity = "into_identity"
 	// AssertParallelIdentity requires the batched path to produce
 	// bit-identical output at worker count 1 and at Workers.
@@ -443,13 +445,8 @@ func (a *AssertionSpec) validate(g *GenerationSpec, fading string) error {
 			return fmt.Errorf("psd_forcing assertion checks nothing: %w", ErrBadSpec)
 		}
 	case AssertIntoIdentity:
-		if mode != ModeRealtime {
-			// The snapshot twins are built without the fading transform;
-			// the realtime twins thread the full model configuration.
-			if err := requireFading(a.Type, fading, chanspec.FadingRayleigh); err != nil {
-				return err
-			}
-		}
+		// Valid in every mode and for every fading model: both twins are
+		// built from the spec's full model configuration.
 	case AssertParallelIdentity:
 		if mode == ModeSnapshot {
 			return fmt.Errorf("parallel_identity assertion needs batched or realtime mode: %w", ErrBadSpec)

@@ -112,11 +112,11 @@ func TestMethodFailureClasses(t *testing.T) {
 	}
 
 	// The same classes gate the real-time entry point.
-	if _, err := NewRealTime(RealTimeConfig{
+	if _, err := NewStream(RealTimeConfig{
 		Covariance: goldenCovariance(), IDFTPoints: 256, NormalizedDoppler: 0.05,
 		Seed: 1, Method: MethodErtelReed,
 	}); !errors.Is(err, ErrMethodUnsupported) {
-		t.Errorf("NewRealTime(ertel_reed, N=3) error = %v, want ErrMethodUnsupported", err)
+		t.Errorf("NewStream(ertel_reed, N=3) error = %v, want ErrMethodUnsupported", err)
 	}
 	if _, err := NewStream(RealTimeConfig{
 		Covariance: indefinite, IDFTPoints: 256, NormalizedDoppler: 0.05,
@@ -140,8 +140,8 @@ func TestMethodFailureClasses(t *testing.T) {
 
 // TestDiagnosticsReportOnlyAppliedForcing: Diagnostics describes the forcing
 // the method applied. Sorooshyari–Daut ε-clamps the indefinite target itself,
-// so its snapshot, real-time and stream generators all report the zero value;
-// the generalized method reports its zero clamp.
+// so its snapshot generator and stream both report the zero value; the
+// generalized method reports its zero clamp.
 func TestDiagnosticsReportOnlyAppliedForcing(t *testing.T) {
 	cfg := RealTimeConfig{
 		Covariance: indefiniteCovariance(), IDFTPoints: 256, NormalizedDoppler: 0.05,
@@ -151,17 +151,12 @@ func TestDiagnosticsReportOnlyAppliedForcing(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewWithMethod: %v", err)
 	}
-	rt, err := NewRealTime(cfg)
-	if err != nil {
-		t.Fatalf("NewRealTime: %v", err)
-	}
 	stream, err := NewStream(cfg)
 	if err != nil {
 		t.Fatalf("NewStream: %v", err)
 	}
 	for name, d := range map[string]Diagnostics{
 		"Generator": gen.Diagnostics(),
-		"RealTime":  rt.Diagnostics(),
 		"Stream":    stream.Diagnostics(),
 	} {
 		if !reflect.DeepEqual(d, Diagnostics{}) {

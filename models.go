@@ -28,7 +28,7 @@ type SpectralConfig struct {
 
 // SpectralCovariance builds the covariance matrix of the complex Gaussian
 // processes for the spectral-correlation model. The result can be passed to
-// New or NewRealTime.
+// New or NewStream.
 func SpectralCovariance(cfg SpectralConfig) ([][]complex128, error) {
 	n := len(cfg.Frequencies)
 	if n == 0 {

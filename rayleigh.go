@@ -159,7 +159,7 @@ func New(cfg Config) (*Generator, error) {
 // newGenerator resolves a method and fading model against a covariance
 // target through the backend registry.
 func newGenerator(method, fading string, params *FadingParams, k *cmplxmat.Matrix, seed int64, workers int) (*Generator, error) {
-	gen, err := backend.NewWithFading(method, fading, fadingSpecParams(params), k, seed)
+	gen, err := backend.New(method, fading, fadingSpecParams(params), k, seed)
 	if err != nil {
 		return nil, fmt.Errorf("rayleigh: %w", err)
 	}
@@ -280,26 +280,7 @@ func (g *Generator) Diagnostics() Diagnostics {
 	return diagnosticsFromForced(g.gen.Diagnostics())
 }
 
-// RealTime produces blocks of time-correlated envelopes: the cross-envelope
-// covariance follows the desired matrix while each envelope's
-// autocorrelation follows the Jakes model J0(2π·fm·d) (Section 5, Fig. 3 of
-// the paper).
-//
-// A RealTime generator is not safe for concurrent use: its methods share
-// internal scratch, so drive each generator from one goroutine at a time
-// (the BlocksInto worker fan-out stays inside a single call and is fine).
-// Servers and other concurrent hosts should use Stream, whose cursors
-// generate the same block sequence without shared state.
-type RealTime struct {
-	inner   *core.RealTimeGenerator
-	workers int
-	scratch core.Block   // header scratch for BlockInto
-	blocks  []core.Block // backing structs for BlocksInto
-	views   []*core.Block
-	seen    map[*Block]int // reused per BlocksInto call for alias detection
-}
-
-// RealTimeConfig configures a RealTime generator.
+// RealTimeConfig configures a Stream, the real-time mode.
 type RealTimeConfig struct {
 	// Covariance is the desired covariance matrix of the complex Gaussian
 	// processes (same semantics as Config.Covariance).
@@ -317,11 +298,6 @@ type RealTimeConfig struct {
 	InputVariance float64
 	// Seed seeds the random streams.
 	Seed int64
-	// Parallel is the worker count of BlocksInto. Values <= 1 generate on
-	// the calling goroutine; the output of a seeded run is bit-identical for
-	// every setting because block k is a pure function of the configuration
-	// and k.
-	Parallel int
 	// Method selects the generation backend (same vocabulary and failure
 	// classes as Config.Method). A conventional method contributes its own
 	// coloring matrix to the Section 5 combination — and, for
@@ -335,7 +311,7 @@ type RealTimeConfig struct {
 	// instead replans the Doppler spectrum per trajectory segment, in which
 	// case NormalizedDoppler must be zero — FadingParams.Segments carries the
 	// per-segment values. Either way block k stays a pure function of the
-	// configuration and k, bit-identical for every worker count.
+	// configuration and k, bit-identical from every cursor.
 	Fading string
 	// FadingParams carries the selected fading model's parameters; nil is
 	// valid only for FadingRayleigh.
@@ -349,19 +325,6 @@ type Block struct {
 	Gaussian [][]complex128
 	// Envelopes[j][l] is the Rayleigh envelope |Gaussian[j][l]|.
 	Envelopes [][]float64
-}
-
-// NewRealTime builds a RealTime generator.
-func NewRealTime(cfg RealTimeConfig) (*RealTime, error) {
-	coreCfg, err := realtimeCoreConfig(cfg)
-	if err != nil {
-		return nil, err
-	}
-	inner, err := core.NewRealTimeGenerator(coreCfg)
-	if err != nil {
-		return nil, fmt.Errorf("rayleigh: %w", err)
-	}
-	return &RealTime{inner: inner, workers: cfg.Parallel}, nil
 }
 
 // realtimeCoreConfig resolves a public real-time configuration into the core
@@ -385,123 +348,6 @@ func realtimeCoreConfig(cfg RealTimeConfig) (core.RealTimeConfig, error) {
 	coreCfg.Filter = doppler.FilterSpec{M: cfg.IDFTPoints, NormalizedDoppler: cfg.NormalizedDoppler}
 	coreCfg.InputVariance = cfg.InputVariance
 	return coreCfg, nil
-}
-
-// N returns the number of envelopes.
-func (r *RealTime) N() int { return r.inner.N() }
-
-// BlockLength returns the number of time samples per block.
-func (r *RealTime) BlockLength() int { return r.inner.BlockLength() }
-
-// SampleVariance returns the σ²_g used in the whitening step: the Doppler
-// filter output variance of Eq. (19), or 1 under the Sorooshyari–Daut
-// backend's unit-variance assumption.
-func (r *RealTime) SampleVariance() float64 { return r.inner.SampleVariance() }
-
-// Block generates the next block of time-correlated envelopes. Block,
-// BlockInto and BlocksInto share one position, so any mix of them walks the
-// block sequence a Stream serves.
-func (r *RealTime) Block() Block {
-	b := r.inner.GenerateBlock()
-	return Block{Gaussian: b.Gaussian, Envelopes: b.Envelopes}
-}
-
-// BlockInto generates the next block into b, reusing its storage when it
-// already holds N rows of BlockLength samples (an empty or wrong-shaped block
-// is [re]allocated in place). It produces the values Block would; with a
-// pre-shaped destination and a power-of-two IDFT length the call performs no
-// steady-state heap allocation.
-// This is the streaming API for feeding live channel simulators sample block
-// by sample block.
-func (r *RealTime) BlockInto(b *Block) error {
-	if b == nil {
-		return fmt.Errorf("rayleigh: nil destination block: %w", ErrInvalidConfig)
-	}
-	r.scratch.Gaussian, r.scratch.Envelopes = b.Gaussian, b.Envelopes
-	if err := r.inner.GenerateBlockInto(&r.scratch); err != nil {
-		return fmt.Errorf("rayleigh: %w", err)
-	}
-	b.Gaussian, b.Envelopes = r.scratch.Gaussian, r.scratch.Envelopes
-	r.scratch.Gaussian, r.scratch.Envelopes = nil, nil
-	return nil
-}
-
-// BlocksInto fills dst with the next len(dst) blocks, reusing the storage of
-// every pre-shaped entry; nil entries are replaced by freshly allocated
-// blocks, and duplicate non-nil pointers are rejected with ErrInvalidConfig
-// (aliased entries would silently clobber each other). When
-// RealTimeConfig.Parallel > 1 the blocks fan out across that many workers,
-// each with its own GEMM panels, and the output is bit-identical for every
-// worker count. With pre-shaped entries and Parallel <= 1 the call performs
-// no steady-state heap allocation.
-func (r *RealTime) BlocksInto(dst []*Block) error {
-	if len(dst) == 0 {
-		return fmt.Errorf("rayleigh: empty block destination: %w", ErrInvalidConfig)
-	}
-	if r.seen == nil {
-		r.seen = make(map[*Block]int, len(dst))
-	}
-	clear(r.seen)
-	for i, b := range dst {
-		if b == nil {
-			continue
-		}
-		if j, dup := r.seen[b]; dup {
-			// A duplicate pointer would silently lose block j: both entries
-			// alias one Block, so the later fill clobbers the earlier one.
-			return fmt.Errorf("rayleigh: destination blocks %d and %d alias the same *Block: %w", j, i, ErrInvalidConfig)
-		}
-		r.seen[b] = i
-	}
-	if cap(r.blocks) < len(dst) {
-		r.blocks = make([]core.Block, len(dst))
-		r.views = make([]*core.Block, len(dst))
-		for i := range r.blocks {
-			r.views[i] = &r.blocks[i]
-		}
-	}
-	blocks := r.blocks[:len(dst)]
-	views := r.views[:len(dst)]
-	for i, b := range dst {
-		if b == nil {
-			b = &Block{}
-			dst[i] = b
-		}
-		blocks[i].Gaussian, blocks[i].Envelopes = b.Gaussian, b.Envelopes
-	}
-	if err := r.inner.GenerateBlocksInto(views, r.workers); err != nil {
-		return fmt.Errorf("rayleigh: %w", err)
-	}
-	for i, b := range dst {
-		b.Gaussian, b.Envelopes = blocks[i].Gaussian, blocks[i].Envelopes
-		// Drop the scratch's reference so the generator does not pin the
-		// caller's block storage beyond the call.
-		blocks[i] = core.Block{}
-	}
-	return nil
-}
-
-// TheoreticalAutocorrelation returns the designed per-envelope normalized
-// autocorrelation J0(2π·fm·lag). Under FadingNonstationaryDoppler it reports
-// the first trajectory segment; use TheoreticalAutocorrelationAt for later
-// blocks.
-func (r *RealTime) TheoreticalAutocorrelation(lag int) float64 {
-	return r.inner.TheoreticalAutocorrelation(lag)
-}
-
-// TheoreticalAutocorrelationAt returns the designed normalized
-// autocorrelation J0(2π·fm·lag) of the trajectory segment covering the given
-// block. Without FadingNonstationaryDoppler every block reports the single
-// configured Doppler.
-func (r *RealTime) TheoreticalAutocorrelationAt(block uint64, lag int) float64 {
-	return r.inner.TheoreticalAutocorrelationAt(block, lag)
-}
-
-// Diagnostics reports the covariance conditioning applied at construction.
-// As for Generator.Diagnostics, only the generalized method forces positive
-// semi-definiteness; a conventional method reports the zero value.
-func (r *RealTime) Diagnostics() Diagnostics {
-	return diagnosticsFromForced(r.inner.Diagnostics())
 }
 
 // EnvelopePowerToGaussianPower converts a desired Rayleigh envelope variance

@@ -3,10 +3,11 @@ package rayleigh
 import (
 	"errors"
 	"math"
+	"sync"
 	"testing"
 )
 
-// Tests for the public streaming APIs: SnapshotsInto/BlockInto/BlocksInto must
+// Tests for the public streaming APIs: SnapshotsInto and Stream cursors must
 // be deterministic across worker counts, reuse caller storage, and keep the
 // steady-state hot path off the heap.
 
@@ -114,101 +115,110 @@ func TestSnapshotsIntoAmortizedAllocations(t *testing.T) {
 	}
 }
 
-func newIntoRealTime(t *testing.T, m, parallel int) *RealTime {
+func newIntoStream(t *testing.T, m int) *Stream {
 	t.Helper()
-	r, err := NewRealTime(RealTimeConfig{
+	s, err := NewStream(RealTimeConfig{
 		Covariance:        exponentialCovarianceRows(4, 0.5),
 		IDFTPoints:        m,
 		NormalizedDoppler: 0.05,
 		Seed:              503,
-		Parallel:          parallel,
 	})
 	if err != nil {
-		t.Fatalf("NewRealTime: %v", err)
+		t.Fatalf("NewStream: %v", err)
 	}
-	return r
+	return s
 }
 
+func newIntoCursor(t *testing.T, s *Stream) *Cursor {
+	t.Helper()
+	cur, err := s.NewCursor()
+	if err != nil {
+		t.Fatalf("NewCursor: %v", err)
+	}
+	return cur
+}
+
+// TestBlockIntoMatchesBlock: reading into one reused Block gives the values
+// reading into a fresh Block per call gives.
 func TestBlockIntoMatchesBlock(t *testing.T) {
-	r1 := newIntoRealTime(t, 512, 0)
-	r2 := newIntoRealTime(t, 512, 0)
+	s := newIntoStream(t, 512)
+	fresh, reused := newIntoCursor(t, s), newIntoCursor(t, s)
 	var into Block
 	for i := 0; i < 3; i++ {
-		want := r1.Block()
-		if err := r2.BlockInto(&into); err != nil {
-			t.Fatalf("BlockInto: %v", err)
+		want := &Block{}
+		if err := fresh.Next(want); err != nil {
+			t.Fatalf("Next(fresh): %v", err)
 		}
-		for j := range want.Gaussian {
-			for l := range want.Gaussian[j] {
-				if into.Gaussian[j][l] != want.Gaussian[j][l] || into.Envelopes[j][l] != want.Envelopes[j][l] {
-					t.Fatalf("block %d: BlockInto differs from Block at (%d,%d)", i, j, l)
-				}
-			}
+		if err := reused.Next(&into); err != nil {
+			t.Fatalf("Next(reused): %v", err)
 		}
+		assertBlocksEqual(t, i, want, &into)
 	}
-	if err := r2.BlockInto(nil); !errors.Is(err, ErrInvalidConfig) {
+	if err := reused.Next(nil); !errors.Is(err, ErrInvalidConfig) {
 		t.Errorf("nil block: err = %v", err)
 	}
 }
 
-func TestBlockIntoDoesNotAllocate(t *testing.T) {
-	r := newIntoRealTime(t, 512, 0)
+// TestCursorNextDoesNotAllocate pins the public hot path's contract: once a
+// Block is shaped, reading block after block into it allocates nothing.
+func TestCursorNextDoesNotAllocate(t *testing.T) {
+	cur := newIntoCursor(t, newIntoStream(t, 512))
 	var b Block
-	if err := r.BlockInto(&b); err != nil { // shape the storage once
-		t.Fatalf("BlockInto: %v", err)
+	if err := cur.Next(&b); err != nil { // shape the storage once
+		t.Fatalf("Next: %v", err)
 	}
 	if n := testing.AllocsPerRun(10, func() {
-		if err := r.BlockInto(&b); err != nil {
+		if err := cur.Next(&b); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
-		t.Errorf("BlockInto allocates %v per run", n)
+		t.Errorf("Cursor.Next allocates %v per run", n)
 	}
 }
 
-func TestBlocksIntoDoesNotAllocate(t *testing.T) {
-	for _, parallel := range []int{0, 1} {
-		r := newIntoRealTime(t, 512, parallel)
-		dst := make([]*Block, 8)
-		if err := r.BlocksInto(dst); err != nil { // shape the storage once
-			t.Fatalf("BlocksInto: %v", err)
-		}
-		if n := testing.AllocsPerRun(10, func() {
-			if err := r.BlocksInto(dst); err != nil {
-				t.Fatal(err)
-			}
-		}); n != 0 {
-			t.Errorf("Parallel=%d: BlocksInto allocates %v per run", parallel, n)
-		}
-	}
-}
-
+// TestBlocksIntoWorkerCountInvariance fills a range of blocks the way a
+// parallel host does: each goroutine owns a cursor, seeks to the start of its
+// contiguous share and reads on with Next. Every worker count gives the
+// blocks one cursor reads from block 0.
 func TestBlocksIntoWorkerCountInvariance(t *testing.T) {
 	const count = 6
-	var want []*Block
-	for _, parallel := range []int{0, 2, 4} {
-		r := newIntoRealTime(t, 512, parallel)
-		dst := make([]*Block, count) // nil entries: BlocksInto allocates them
-		if err := r.BlocksInto(dst); err != nil {
-			t.Fatalf("BlocksInto(Parallel=%d): %v", parallel, err)
-		}
-		if want == nil {
-			want = dst
-			continue
-		}
-		for i := range dst {
-			for j := range dst[i].Gaussian {
-				for l := range dst[i].Gaussian[j] {
-					if dst[i].Gaussian[j][l] != want[i].Gaussian[j][l] ||
-						dst[i].Envelopes[j][l] != want[i].Envelopes[j][l] {
-						t.Fatalf("Parallel=%d block %d differs from sequential run at (%d,%d)", parallel, i, j, l)
+	s := newIntoStream(t, 512)
+	var want []Block
+	for _, workers := range []int{1, 2, 4} {
+		got := make([]Block, count)
+		share := (count + workers - 1) / workers
+		errs := make([]error, workers)
+		var wg sync.WaitGroup
+		for w := range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				cur, err := s.NewCursor()
+				if err != nil {
+					errs[w] = err
+					return
+				}
+				cur.Seek(uint64(w * share))
+				for i := w * share; i < min((w+1)*share, count); i++ {
+					if err := cur.Next(&got[i]); err != nil {
+						errs[w] = err
+						return
 					}
 				}
+			}()
+		}
+		wg.Wait()
+		for w, err := range errs {
+			if err != nil {
+				t.Fatalf("workers=%d, goroutine %d: %v", workers, w, err)
 			}
 		}
-	}
-	r := newIntoRealTime(t, 512, 2)
-	if err := r.BlocksInto(nil); !errors.Is(err, ErrInvalidConfig) {
-		t.Errorf("empty destination: err = %v", err)
+		if want == nil {
+			want = got
+			continue
+		}
+		for i := range want {
+			assertBlocksEqual(t, i, &want[i], &got[i])
+		}
 	}
 }

@@ -220,37 +220,44 @@ func TestPowerHelpers(t *testing.T) {
 }
 
 func TestRealTimePublicAPI(t *testing.T) {
-	rt, err := NewRealTime(RealTimeConfig{
+	s, err := NewStream(RealTimeConfig{
 		Covariance:        paperSpectralCovariance(t),
 		IDFTPoints:        512,
 		NormalizedDoppler: 0.05,
 		Seed:              7,
 	})
 	if err != nil {
-		t.Fatalf("NewRealTime: %v", err)
+		t.Fatalf("NewStream: %v", err)
 	}
-	if rt.N() != 3 || rt.BlockLength() != 512 {
-		t.Errorf("N=%d, BlockLength=%d", rt.N(), rt.BlockLength())
+	if s.N() != 3 || s.BlockLength() != 512 {
+		t.Errorf("N=%d, BlockLength=%d", s.N(), s.BlockLength())
 	}
-	b := rt.Block()
+	cur, err := s.NewCursor()
+	if err != nil {
+		t.Fatalf("NewCursor: %v", err)
+	}
+	var b Block
+	if err := cur.Next(&b); err != nil {
+		t.Fatalf("Next: %v", err)
+	}
 	if len(b.Gaussian) != 3 || len(b.Envelopes) != 3 || len(b.Envelopes[0]) != 512 {
 		t.Fatalf("block shape wrong")
 	}
-	if math.Abs(rt.TheoreticalAutocorrelation(0)-1) > 1e-12 {
+	if math.Abs(s.TheoreticalAutocorrelation(0)-1) > 1e-12 {
 		t.Errorf("TheoreticalAutocorrelation(0) != 1")
 	}
-	if rt.Diagnostics().ClampedEigenvalues != 0 {
+	if s.Diagnostics().ClampedEigenvalues != 0 {
 		t.Errorf("unexpected clamping for Eq. (22)")
 	}
 
-	if _, err := NewRealTime(RealTimeConfig{
+	if _, err := NewStream(RealTimeConfig{
 		Covariance:        paperSpectralCovariance(t),
 		IDFTPoints:        8,
 		NormalizedDoppler: 0.01,
 	}); err == nil {
 		t.Errorf("invalid Doppler configuration did not error")
 	}
-	if _, err := NewRealTime(RealTimeConfig{}); err == nil {
+	if _, err := NewStream(RealTimeConfig{}); err == nil {
 		t.Errorf("empty real-time config did not error")
 	}
 }

@@ -6,26 +6,26 @@ import (
 	"repro/internal/core"
 )
 
-// Stream is a deterministic, random-access view of the real-time block
-// sequence a RealTimeConfig describes: block i is a pure function of the
-// configuration (seed included) and i, so any position can be generated at
-// any time, in any order, by any number of goroutines. It exists for servers
-// and other concurrent hosts, which RealTime cannot back directly because
-// its methods share internal scratch.
+// Stream is the real-time mode: blocks of time-correlated envelopes whose
+// cross-envelope covariance follows the desired matrix while each envelope's
+// autocorrelation follows the Jakes model J0(2π·fm·d) (Section 5, Fig. 3 of
+// the paper). Block i is a pure function of the configuration (seed
+// included) and i, so any position can be generated at any time, in any
+// order, by any number of goroutines: a Cursor reads the sequence in order
+// (Next) or at any position (BlockAt), and every cursor produces the same
+// block i.
 //
 // A Stream holds no mutable generation state — all sampling state lives in
 // Cursors — so one Stream may be shared freely across goroutines as long as
-// each Cursor stays confined to a single goroutine at a time.
-//
-// The block sequence is exactly the sequence RealTime.Block, BlockInto and
-// BlocksInto (at any Parallel) walk from the same configuration.
+// each Cursor stays confined to a single goroutine at a time. A parallel
+// fill gives each goroutine its own Cursor and has it call BlockAt for its
+// share of the positions.
 type Stream struct {
 	inner *core.RealTimeGenerator
 }
 
-// NewStream builds a Stream. Config semantics match NewRealTime (Method
-// included), except that Parallel is ignored: a Stream's parallelism is
-// however many Cursors its callers drive concurrently.
+// NewStream builds a Stream. Its parallelism is however many Cursors its
+// callers drive concurrently.
 func NewStream(cfg RealTimeConfig) (*Stream, error) {
 	coreCfg, err := realtimeCoreConfig(cfg)
 	if err != nil {
@@ -104,8 +104,13 @@ func (c *Cursor) Position() uint64 { return c.pos }
 func (c *Cursor) Seek(i uint64) { c.pos = i }
 
 // Next generates the block at the cursor position into b and advances the
-// position by one. Storage reuse matches RealTime.BlockInto: a pre-shaped b
-// (and power-of-two IDFT length) makes the call allocation-free.
+// position by one. It reuses b's storage when b already holds N rows of
+// BlockLength samples; an empty or wrong-shaped b is [re]allocated in place.
+// With a pre-shaped b (one an earlier call filled, say) and a power-of-two
+// IDFT length the call performs no heap allocation, so a live channel
+// simulator can read block after block into one Block.
+//
+// fadinglint:allocfree
 func (c *Cursor) Next(b *Block) error {
 	if err := c.BlockAt(c.pos, b); err != nil {
 		return err
@@ -114,7 +119,10 @@ func (c *Cursor) Next(b *Block) error {
 	return nil
 }
 
-// BlockAt generates block i into b without moving the cursor position.
+// BlockAt generates block i into b without moving the cursor position. It
+// reuses b's storage as Next does.
+//
+// fadinglint:allocfree
 func (c *Cursor) BlockAt(i uint64, b *Block) error {
 	if b == nil {
 		return fmt.Errorf("rayleigh: nil destination block: %w", ErrInvalidConfig)

@@ -6,30 +6,30 @@ import (
 	"testing"
 
 	"repro/internal/chanspec"
+	"repro/internal/core"
 )
 
 var streamTestCovariance = matrixToRows(3, chanspec.Eq22Covariance().At)
 
-func streamTestConfig(seed int64, parallel int) RealTimeConfig {
+func streamTestConfig(seed int64) RealTimeConfig {
 	return RealTimeConfig{
 		Covariance:        streamTestCovariance,
 		IDFTPoints:        128,
 		NormalizedDoppler: 0.05,
 		Seed:              seed,
-		Parallel:          parallel,
 	}
 }
 
 // TestStreamMatchesBlocksInto pins the one real-time block sequence: block k
-// is the same, bit for bit, from RealTime.Block, RealTime.BlockInto,
-// RealTime.BlocksInto (Parallel 1 and 4, uneven batches), Cursor.Next and
-// Cursor.BlockAt in reverse order. The Suzuki transform depends on the
-// sample offset and the nonstationary trajectory changes segment at block 4,
-// inside the second batch.
+// is the same, bit for bit, from Cursor.Next, from Cursor.BlockAt in reverse
+// order and from the batched fill the scenario engine runs (GenerateBlocksAt
+// at 1 and 4 workers, in two uneven calls). The Suzuki transform depends on
+// the sample offset and the nonstationary trajectory changes segment at
+// block 4, inside the second call.
 func TestStreamMatchesBlocksInto(t *testing.T) {
 	const blocks = 8
 	configs := map[string]RealTimeConfig{
-		FadingRayleigh: streamTestConfig(11, 0),
+		FadingRayleigh: streamTestConfig(11),
 		FadingSuzuki: {
 			Covariance:        streamTestCovariance,
 			IDFTPoints:        128,
@@ -48,15 +48,6 @@ func TestStreamMatchesBlocksInto(t *testing.T) {
 				{Blocks: 4, NormalizedDoppler: 0.1},
 			}},
 		},
-	}
-	newRealTime := func(t *testing.T, cfg RealTimeConfig, parallel int) *RealTime {
-		t.Helper()
-		cfg.Parallel = parallel
-		rt, err := NewRealTime(cfg)
-		if err != nil {
-			t.Fatalf("NewRealTime: %v", err)
-		}
-		return rt
 	}
 	for name, cfg := range configs {
 		t.Run(name, func(t *testing.T) {
@@ -79,32 +70,22 @@ func TestStreamMatchesBlocksInto(t *testing.T) {
 				}
 			}
 
-			rt := newRealTime(t, cfg, 0)
-			for i := range want {
-				got := rt.Block()
-				assertBlocksEqual(t, i, want[i], &got)
-			}
-			rt = newRealTime(t, cfg, 0)
-			var got Block
-			for i := range want {
-				if err := rt.BlockInto(&got); err != nil {
-					t.Fatalf("BlockInto(%d): %v", i, err)
+			for _, workers := range []int{1, 4} {
+				dst := make([]*core.Block, blocks)
+				for i := range dst {
+					dst[i] = &core.Block{}
 				}
-				assertBlocksEqual(t, i, want[i], &got)
-			}
-			for _, parallel := range []int{1, 4} {
-				rt := newRealTime(t, cfg, parallel)
-				dst := make([]*Block, blocks)
-				if err := rt.BlocksInto(dst[:3]); err != nil {
-					t.Fatalf("BlocksInto(Parallel=%d, first): %v", parallel, err)
+				if err := s.inner.GenerateBlocksAt(0, dst[:3], workers); err != nil {
+					t.Fatalf("GenerateBlocksAt(workers=%d, first): %v", workers, err)
 				}
-				if err := rt.BlocksInto(dst[3:]); err != nil {
-					t.Fatalf("BlocksInto(Parallel=%d, second): %v", parallel, err)
+				if err := s.inner.GenerateBlocksAt(3, dst[3:], workers); err != nil {
+					t.Fatalf("GenerateBlocksAt(workers=%d, second): %v", workers, err)
 				}
 				for i := range want {
-					assertBlocksEqual(t, i, want[i], dst[i])
+					assertBlocksEqual(t, i, want[i], &Block{Gaussian: dst[i].Gaussian, Envelopes: dst[i].Envelopes})
 				}
 			}
+			var got Block
 			back, err := s.NewCursor()
 			if err != nil {
 				t.Fatalf("NewCursor: %v", err)
@@ -123,7 +104,7 @@ func TestStreamMatchesBlocksInto(t *testing.T) {
 // k and reading matches blocks k.. of a from-0 pass.
 func TestStreamResume(t *testing.T) {
 	const blocks = 6
-	s, err := NewStream(streamTestConfig(23, 0))
+	s, err := NewStream(streamTestConfig(23))
 	if err != nil {
 		t.Fatalf("NewStream: %v", err)
 	}
@@ -159,7 +140,7 @@ func TestStreamResume(t *testing.T) {
 // comparison proves every goroutine sees the same deterministic sequence.
 func TestStreamConcurrentCursors(t *testing.T) {
 	const blocks = 16
-	s, err := NewStream(streamTestConfig(29, 0))
+	s, err := NewStream(streamTestConfig(29))
 	if err != nil {
 		t.Fatalf("NewStream: %v", err)
 	}
@@ -256,31 +237,6 @@ func TestNewFromPowersParallelIdentity(t *testing.T) {
 			if a[i].Gaussian[j] != b[i].Gaussian[j] || a[i].Envelopes[j] != b[i].Envelopes[j] {
 				t.Fatalf("snapshot %d envelope %d: sequential and 4-worker powers paths differ", i, j)
 			}
-		}
-	}
-}
-
-// TestBlocksIntoRejectsAliasedDestinations is the regression test for the
-// silent-clobber bug: duplicate *Block pointers in dst must fail loudly.
-func TestBlocksIntoRejectsAliasedDestinations(t *testing.T) {
-	rt, err := NewRealTime(streamTestConfig(5, 0))
-	if err != nil {
-		t.Fatalf("NewRealTime: %v", err)
-	}
-	shared := &Block{}
-	err = rt.BlocksInto([]*Block{shared, nil, shared})
-	if !errors.Is(err, ErrInvalidConfig) {
-		t.Fatalf("BlocksInto with aliased destinations: err = %v, want ErrInvalidConfig", err)
-	}
-
-	// Distinct (including nil) destinations still work.
-	dst := []*Block{{}, nil, {}}
-	if err := rt.BlocksInto(dst); err != nil {
-		t.Fatalf("BlocksInto with distinct destinations: %v", err)
-	}
-	for i, b := range dst {
-		if b == nil || len(b.Envelopes) != rt.N() {
-			t.Fatalf("block %d not filled", i)
 		}
 	}
 }
