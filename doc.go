@@ -32,9 +32,9 @@
 // The paper's generalized algorithm is the default backend, and the five
 // conventional methods its introduction reviews — Salz–Winters, Ertel–Reed,
 // Beaulieu–Merani, Natarajan et al., Sorooshyari–Daut — are selectable
-// through Config.Method / RealTimeConfig.Method (or NewWithMethod), with
-// their documented constraints and defects intact: a method that cannot
-// express a configuration fails construction with ErrMethodUnsupported or
+// through Config.Method / RealTimeConfig.Method, with their documented
+// constraints and defects intact: a method that cannot express a
+// configuration fails construction with ErrMethodUnsupported or
 // ErrMethodSetup, and methods that bias what they accept (real-forced
 // covariances, ε-clamping, unit-variance whitening) do so here too, so the
 // paper's comparative claims are reproducible experiments. Methods returns
@@ -66,11 +66,11 @@
 // The generation hot path is a zero-allocation batched engine. Both modes
 // offer streaming "Into" APIs that write into caller-supplied storage:
 //
-//   - Generator.SnapshotsInto fills a pre-shaped []Snapshot; the batch is cut
-//     into chunks, each chunk's raw samples are drawn into a flat N×chunk
+//   - Generator.SnapshotsInto fills a pre-shaped []Snapshot; snapshots come
+//     in chunks of 64, each chunk's raw samples are drawn into a flat N×64
 //     panel, and the whole panel is colored with one cache-blocked
-//     matrix-matrix product. With reused destinations the steady-state heap
-//     traffic is amortized O(1) per snapshot.
+//     matrix-matrix product. With reused destinations the sequential path
+//     allocates nothing in steady state.
 //
 //   - Cursor.Next fills a reusable Block. Coloring acts across the N
 //     envelopes and the IDFT along time, so the block colors the Doppler
@@ -83,16 +83,17 @@
 //     bit-reversal permutations. With a pre-shaped Block and a power-of-two
 //     IDFT length the call performs no heap allocation at all.
 //
-// Setting Config.Parallel fans SnapshotsInto chunks across a worker pool.
-// Every chunk draws from its own random stream, derived deterministically
-// from the seed and its position, so seeded output is bit-identical for
-// every worker count — parallelism changes wall-clock time, never values.
-// Snapshots keep two streams: the chunk streams behind SnapshotsInto are
-// distinct from the stream behind Snapshot, so a batched run reproduces
-// other batched runs, not an element-wise sequence of single-draw calls.
-// Real-time generation has one block sequence, and block k is a pure
-// function of the configuration and k: every Cursor produces the same block
-// k, so a parallel fill gives each goroutine its own Cursor.
+// Snapshots are colored in chunks of 64, and every chunk draws from its own
+// random stream, derived deterministically from the seed and the chunk's
+// position, so snapshot i is a pure function of the configuration and i.
+// Snapshot and SnapshotsInto read that one sequence: SnapshotsInto(dst)
+// equals len(dst) calls of Snapshot, however the draws are split into calls.
+// Setting Config.Parallel fans SnapshotsInto chunks across a worker pool;
+// seeded output is bit-identical for every worker count — parallelism
+// changes wall-clock time, never values. Real-time generation has one block
+// sequence, and block k is a pure function of the configuration and k: every
+// Cursor produces the same block k, so a parallel fill gives each goroutine
+// its own Cursor.
 //
 // Measured throughput and allocation figures live in BENCH_core.json at the
 // repository root (regenerate with "go run ./cmd/benchreport"); the

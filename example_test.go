@@ -131,16 +131,17 @@ func ExampleConfig_method() {
 	fmt.Println("backend:", gen.Method())
 
 	// Ertel–Reed cannot express three envelopes.
-	_, err = rayleigh.NewWithMethod(rayleigh.MethodErtelReed, rayleigh.Config{
+	_, err = rayleigh.New(rayleigh.Config{
 		Covariance: [][]complex128{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}},
 		Seed:       9,
+		Method:     rayleigh.MethodErtelReed,
 	})
 	fmt.Println("N=3 unsupported:", errors.Is(err, rayleigh.ErrMethodUnsupported))
 
 	// Cholesky coloring rejects indefinite targets the generalized engine
 	// clamps.
 	indefinite := [][]complex128{{1, 0.9, -0.9}, {0.9, 1, 0.9}, {-0.9, 0.9, 1}}
-	_, err = rayleigh.NewWithMethod(rayleigh.MethodBeaulieuMerani, rayleigh.Config{Covariance: indefinite, Seed: 9})
+	_, err = rayleigh.New(rayleigh.Config{Covariance: indefinite, Seed: 9, Method: rayleigh.MethodBeaulieuMerani})
 	fmt.Println("non-PSD rejected:", errors.Is(err, rayleigh.ErrMethodSetup))
 	// Output:
 	// backend: ertel_reed

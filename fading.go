@@ -2,8 +2,8 @@ package rayleigh
 
 import "repro/internal/chanspec"
 
-// Fading model names accepted by Config.Fading, PowersConfig.Fading and
-// RealTimeConfig.Fading: the paper's correlated Rayleigh (the default, empty
+// Fading model names accepted by Config.Fading and RealTimeConfig.Fading:
+// the paper's correlated Rayleigh (the default, empty
 // string included) and the composite models of the channel-model zoo. Every
 // model rides the same correlated complex-Gaussian engine and inherits its
 // determinism contract: a seeded run is bit-identical for every worker count,
@@ -29,7 +29,7 @@ const (
 	// FadingNonstationaryDoppler keeps the Rayleigh envelope but replans the
 	// Doppler spectrum per segment of a piecewise velocity trajectory
 	// (FadingParams.Segments). Real-time block modes only: snapshots have no
-	// time axis, so New and NewFromPowers reject it.
+	// time axis, so New rejects it.
 	FadingNonstationaryDoppler = chanspec.FadingNonstationaryDoppler
 )
 

@@ -189,9 +189,13 @@ func TestIntegrationUnequalPowersThroughPublicAPI(t *testing.T) {
 		{0.1, 0.3 + 0.1i, 1},
 	}
 	envVars := []float64{0.5, 1, 2}
-	gen, err := NewFromPowers(PowersConfig{Correlation: correlation, EnvelopeVariances: envVars, Seed: 109})
+	k, err := CovarianceFromEnvelopePowers(correlation, envVars)
 	if err != nil {
-		t.Fatalf("NewFromPowers: %v", err)
+		t.Fatalf("CovarianceFromEnvelopePowers: %v", err)
+	}
+	gen, err := New(Config{Covariance: k, Seed: 109})
+	if err != nil {
+		t.Fatalf("New: %v", err)
 	}
 	const draws = 120000
 	env := make([][]float64, 3)

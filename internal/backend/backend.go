@@ -23,14 +23,15 @@ import (
 // snapshot generator that colors with the method's coloring matrix and
 // applies the fading model's sample transform to every draw (see
 // internal/fading; nil params are valid only for Rayleigh). The transform
-// offset is the running draw index, so batched and single-draw paths shadow
-// consistently. Construction surfaces each method's documented failure
-// classes: baseline.ErrUnsupported for configurations outside a method's
-// vocabulary (unequal powers, N ≠ 2, complex correlation),
-// baseline.ErrSetupFailed for numerical rejections (non-PSD targets under
-// Cholesky or Salz–Winters), chanspec.ErrBadSpec for names outside the
-// vocabulary. The nonstationary-Doppler model needs a time axis and is
-// rejected here (chanspec.ErrBadSpec): it is a real-time block mode concern.
+// offset is the snapshot's position in the generator's one sequence, so
+// batched and single-draw paths shadow identically. Construction surfaces
+// each method's documented failure classes: baseline.ErrUnsupported for
+// configurations outside a method's vocabulary (unequal powers, N ≠ 2,
+// complex correlation), baseline.ErrSetupFailed for numerical rejections
+// (non-PSD targets under Cholesky or Salz–Winters), chanspec.ErrBadSpec for
+// names outside the vocabulary. The nonstationary-Doppler model needs a time
+// axis and is rejected here (chanspec.ErrBadSpec): it is a real-time block
+// mode concern.
 // Only the generalized method forces positive semi-definiteness, so only its
 // generator reports Diagnostics.
 func New(method, fading string, params *chanspec.FadingParams, k *cmplxmat.Matrix, seed int64) (*core.SnapshotGenerator, error) {

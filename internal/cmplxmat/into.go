@@ -3,8 +3,8 @@ package cmplxmat
 import "fmt"
 
 // This file holds the destination-passing kernels of the zero-allocation
-// generation engine. They mirror Mul/MulVec but write into caller-supplied
-// storage so steady-state hot loops never touch the heap.
+// generation engine. They write into caller-supplied storage so
+// steady-state hot loops never touch the heap.
 
 // RowView returns row i as a slice sharing the matrix backing array. Writes
 // through the returned slice are visible in the matrix; the slice stays valid
@@ -30,40 +30,6 @@ func View(r, c int, data []complex128) *Matrix {
 		panic(fmt.Sprintf("cmplxmat: View %dx%d over %d entries", r, c, len(data)))
 	}
 	return &Matrix{rows: r, cols: c, data: data[: r*c : r*c]}
-}
-
-// MulVecInto computes dst = a·x without allocating. dst must have length
-// a.Rows() and must not alias x.
-//
-// The dot product runs on four independent accumulators: a single running sum
-// serializes on floating-point add latency, which measurably dominates the
-// snapshot hot path at moderate N.
-//
-// fadinglint:allocfree
-func MulVecInto(dst []complex128, a *Matrix, x []complex128) error {
-	if a.cols != len(x) {
-		return fmt.Errorf("cmplxmat: MulVecInto %dx%d with vector of length %d: %w", a.rows, a.cols, len(x), ErrDimension)
-	}
-	if len(dst) != a.rows {
-		return fmt.Errorf("cmplxmat: MulVecInto destination length %d, want %d: %w", len(dst), a.rows, ErrDimension)
-	}
-	n := a.cols
-	for i := 0; i < a.rows; i++ {
-		row := a.data[i*n : (i+1)*n]
-		var s0, s1, s2, s3 complex128
-		j := 0
-		for ; j+4 <= n; j += 4 {
-			s0 += row[j] * x[j]
-			s1 += row[j+1] * x[j+1]
-			s2 += row[j+2] * x[j+2]
-			s3 += row[j+3] * x[j+3]
-		}
-		for ; j < n; j++ {
-			s0 += row[j] * x[j]
-		}
-		dst[i] = (s0 + s1) + (s2 + s3)
-	}
-	return nil
 }
 
 // colorBlockCols is the column-panel width of ColorBlock. A panel of W plus

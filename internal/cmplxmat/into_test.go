@@ -3,7 +3,6 @@ package cmplxmat
 import (
 	"errors"
 	"fmt"
-	"math/cmplx"
 	"math/rand"
 	"testing"
 )
@@ -31,40 +30,6 @@ func TestRowViewSharesBacking(t *testing.T) {
 	// The three-index slice must not allow growth into the next row.
 	if cap(row) != 2 {
 		t.Errorf("RowView cap = %d, want 2", cap(row))
-	}
-}
-
-func TestMulVecIntoMatchesMulVec(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	a := randomMatrix(rng, 5, 7)
-	x := make([]complex128, 7)
-	for i := range x {
-		x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-	}
-	want, err := MulVec(a, x)
-	if err != nil {
-		t.Fatalf("MulVec: %v", err)
-	}
-	dst := make([]complex128, 5)
-	if err := MulVecInto(dst, a, x); err != nil {
-		t.Fatalf("MulVecInto: %v", err)
-	}
-	// MulVecInto accumulates on four independent chains, so the summation
-	// order differs from MulVec: agreement is to round-off, not bit-exact.
-	for i := range want {
-		if cmplx.Abs(dst[i]-want[i]) > 1e-12 {
-			t.Errorf("entry %d: %v vs %v", i, dst[i], want[i])
-		}
-	}
-}
-
-func TestMulVecIntoDimensionErrors(t *testing.T) {
-	a := Identity(3)
-	if err := MulVecInto(make([]complex128, 3), a, make([]complex128, 2)); !errors.Is(err, ErrDimension) {
-		t.Errorf("short x: err = %v", err)
-	}
-	if err := MulVecInto(make([]complex128, 2), a, make([]complex128, 3)); !errors.Is(err, ErrDimension) {
-		t.Errorf("short dst: err = %v", err)
 	}
 }
 
@@ -143,18 +108,8 @@ func TestColorBlockDimensionErrors(t *testing.T) {
 func TestIntoKernelsDoNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	a := randomMatrix(rng, 8, 8)
-	x := make([]complex128, 8)
-	dstV := make([]complex128, 8)
 	w := randomMatrix(rng, 8, 256)
 	z := New(8, 256)
-
-	if n := testing.AllocsPerRun(100, func() {
-		if err := MulVecInto(dstV, a, x); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Errorf("MulVecInto allocates %v per run", n)
-	}
 	if n := testing.AllocsPerRun(100, func() {
 		if err := ColorBlock(a, w, z); err != nil {
 			t.Fatal(err)

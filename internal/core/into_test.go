@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/chanspec"
 	"repro/internal/doppler"
+	"repro/internal/fading"
 )
 
 // Tests for the zero-allocation batched generation engine: Into variants must
@@ -64,34 +65,63 @@ func TestGenerateIntoDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestGenerateBatchIntoWorkerCountInvariance pins the chunk streams: chunk c
-// of a batch draws from the (c+1)-th Split of the batch root, whether the
-// chunk's RNG is a Split child or a reused RNG reseeded with SplitSeed, at
-// every worker count, and a second batch continues the split sequence.
+// TestGenerateBatchIntoWorkerCountInvariance: snapshot i is a pure function
+// of the seed and i. 430 single draws equal batches of 300, 1 and 129
+// (ragged chunks on both sides of every split) at every worker count, for a
+// real coloring, a complex coloring and a Suzuki transform, whose shadowing
+// depends on the offset.
 func TestGenerateBatchIntoWorkerCountInvariance(t *testing.T) {
-	sizes := []int{300, 130} // several chunks with ragged tails, in two calls
-	ref := newTestSnapshotGenerator(t, 407)
-	p := newSnapPanels(ref.N())
-	var want [][]Snapshot
-	for _, size := range sizes {
-		dst := make([]Snapshot, size)
-		for c := 0; c*batchChunkSize < size; c++ {
-			p.rng = ref.batchRoot.Split()
-			ref.fillChunk(dst, c, 0, p)
-		}
-		want = append(want, dst)
+	suzuki, err := fading.New(chanspec.FadingSuzuki, &chanspec.FadingParams{ShadowSigmaDB: 6, ShadowCoherence: 64}, []float64{1, 1, 1}, 11)
+	if err != nil {
+		t.Fatalf("fading.New(suzuki): %v", err)
 	}
-	for _, workers := range []int{1, 2, 4, 7} {
-		g := newTestSnapshotGenerator(t, 407)
-		for b, size := range sizes {
-			dst := make([]Snapshot, size)
-			if err := g.GenerateBatchInto(dst, workers); err != nil {
-				t.Fatalf("GenerateBatchInto(workers=%d): %v", workers, err)
+	cases := []struct {
+		name     string
+		cfg      SnapshotConfig
+		realOnly bool
+	}{
+		{"real", SnapshotConfig{Covariance: exponentialCovariance(5, 0.6)}, true},
+		{"complex", SnapshotConfig{Covariance: chanspec.Eq22Covariance()}, false},
+		{"suzuki", SnapshotConfig{Covariance: chanspec.Eq22Covariance(), Transform: suzuki}, false},
+	}
+	const total = 430
+	for _, tc := range cases {
+		tc.cfg.Seed = 407
+		mk := func() *SnapshotGenerator {
+			g, err := NewSnapshotGenerator(tc.cfg)
+			if err != nil {
+				t.Fatalf("%s: NewSnapshotGenerator: %v", tc.name, err)
 			}
-			for i := range dst {
-				for j := range dst[i].Gaussian {
-					if dst[i].Gaussian[j] != want[b][i].Gaussian[j] || dst[i].Envelopes[j] != want[b][i].Envelopes[j] {
-						t.Fatalf("workers=%d batch %d snapshot %d envelope %d differs from the Split reference", workers, b, i, j)
+			return g
+		}
+		single := mk()
+		realOnly := true
+		for i := 0; i < single.N(); i++ {
+			for _, v := range single.coloring.RowView(i) {
+				realOnly = realOnly && imag(v) == 0
+			}
+		}
+		if realOnly != tc.realOnly {
+			t.Fatalf("%s: coloring real = %v, want %v", tc.name, realOnly, tc.realOnly)
+		}
+		want := make([]Snapshot, total)
+		for i := range want {
+			want[i] = single.Generate()
+		}
+		for _, workers := range []int{1, 2, 4, 7} {
+			g := mk()
+			var got []Snapshot
+			for _, size := range []int{300, 1, 129} {
+				dst := make([]Snapshot, size)
+				if err := g.GenerateBatchInto(dst, workers); err != nil {
+					t.Fatalf("%s: GenerateBatchInto(workers=%d): %v", tc.name, workers, err)
+				}
+				got = append(got, dst...)
+			}
+			for i := range want {
+				for j := range want[i].Gaussian {
+					if got[i].Gaussian[j] != want[i].Gaussian[j] || got[i].Envelopes[j] != want[i].Envelopes[j] {
+						t.Fatalf("%s: workers=%d snapshot %d envelope %d differs from single draws", tc.name, workers, i, j)
 					}
 				}
 			}

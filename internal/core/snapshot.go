@@ -49,34 +49,40 @@ type SnapshotConfig struct {
 // SnapshotGenerator implements steps 3–7 of the algorithm in Section 4.4 for
 // the single-time-instant (snapshot) scenario: consecutive snapshots are
 // mutually independent but each follows the desired covariance matrix.
+//
+// Snapshot i of a seeded generator is a pure function of the seed and i: it
+// is column i mod batchChunkSize of chunk ⌊i/batchChunkSize⌋, an
+// N×batchChunkSize panel of raw samples W drawn from the chunk's own stream
+// and colored by one ColorBlock GEMM. Single draws (Generate, GenerateInto)
+// and batches (GenerateBatchInto, at any split and any worker count) read
+// that one sequence.
 type SnapshotGenerator struct {
 	forced    *ForcedPSD
 	coloring  *cmplxmat.Matrix // L/σ_g, applied directly to W
 	sampleVar float64
-	rng       *randx.RNG
-	batchRoot *randx.RNG // derives one stream per batch chunk (GenerateBatchInto)
+	root      *randx.RNG // frozen split root: chunk c draws from root.SplitSeedAt(c)
 	n         int
-	w         []complex128 // scratch for the raw sample vector W
-	colReal   []float64    // flat copy of the coloring matrix when purely real, else nil
-	panels    *snapPanels  // sequential-path workspace of GenerateBatchInto, built on first use
+	panels    *snapPanels // workspace of single draws and sequential batches, built on first use
 	transform Transform
-	next      uint64 // transform offset of the next snapshot drawn
+	next      uint64 // position of the next snapshot drawn
 }
 
-// snapPanels is the workspace of one batch worker: the N×chunk GEMM panels
-// with the W row views hoisted for the fill loop (Z is read back through its
-// flat backing array), and the RNG reseeded with each chunk's stream.
+// snapPanels holds one colored chunk: the N×chunk GEMM panels with the W row
+// views hoisted for the fill loop (Z is read back through its flat backing
+// array), the RNG reseeded with each chunk's stream, and which chunk Z holds.
 type snapPanels struct {
 	w, z  *cmplxmat.Matrix
 	wRows [][]complex128
 	rng   *randx.RNG
+	chunk uint64
 }
 
 func newSnapPanels(n int) *snapPanels {
 	p := &snapPanels{
-		w:   cmplxmat.New(n, batchChunkSize),
-		z:   cmplxmat.New(n, batchChunkSize),
-		rng: randx.New(0),
+		w:     cmplxmat.New(n, batchChunkSize),
+		z:     cmplxmat.New(n, batchChunkSize),
+		rng:   randx.New(0),
+		chunk: math.MaxUint64, // none: chunk indices stay below 2^58
 	}
 	p.wRows = make([][]complex128, n)
 	for k := 0; k < n; k++ {
@@ -107,38 +113,14 @@ func NewSnapshotGenerator(cfg SnapshotConfig) (*SnapshotGenerator, error) {
 	if err != nil {
 		return nil, err
 	}
-	rng := randx.New(cfg.Seed)
-	n := cfg.Covariance.Rows()
 	return &SnapshotGenerator{
 		forced:    forced,
 		coloring:  scaled,
 		sampleVar: sampleVar,
-		rng:       rng,
-		batchRoot: rng.Split(),
-		n:         n,
-		w:         make([]complex128, n),
-		colReal:   realEntries(scaled),
+		root:      randx.New(cfg.Seed).Split(),
+		n:         cfg.Covariance.Rows(),
 		transform: cfg.Transform,
 	}, nil
-}
-
-// realEntries returns the flat real parts of m when every entry is purely
-// real — the case for every real-valued covariance target, where the eigen
-// coloring stays real — or nil when any imaginary part survives. The real
-// copy lets ColorInto run a two-multiply dot product per sample instead of a
-// full complex one.
-func realEntries(m *cmplxmat.Matrix) []float64 {
-	r, c := m.Dims()
-	out := make([]float64, 0, r*c)
-	for i := 0; i < r; i++ {
-		for _, v := range m.RowView(i) {
-			if imag(v) != 0 {
-				return nil
-			}
-			out = append(out, real(v))
-		}
-	}
-	return out
 }
 
 // envAbs is |z| via a plain sqrt. Envelope magnitudes are O(σ_g), far from
@@ -166,159 +148,87 @@ func (g *SnapshotGenerator) Generate() Snapshot {
 	return s
 }
 
-// GenerateInto draws one snapshot into caller-supplied storage: gaussian
-// receives the N colored complex Gaussian samples and env their moduli. Both
-// slices must have length N. The raw sample vector lives in generator-owned
-// scratch, so the call performs no heap allocation; the random stream and the
-// produced values are identical to Generate.
+// GenerateInto draws the next snapshot into caller-supplied storage:
+// gaussian receives the N colored complex Gaussian samples and env their
+// moduli. Both slices must have length N. The draw reads its chunk through
+// the generator's own panels, built on the first draw, so consecutive draws
+// color each chunk once and the call performs no heap allocation after the
+// first; the values are identical to Generate and to GenerateBatchInto at
+// the same position.
 func (g *SnapshotGenerator) GenerateInto(gaussian []complex128, env []float64) error {
-	g.rng.FillComplexNormal(g.w, g.sampleVar)
-	if err := g.ColorInto(g.w, gaussian, env); err != nil {
-		return err
+	if len(gaussian) != g.n || len(env) != g.n {
+		return fmt.Errorf("core: destination lengths %d/%d for %d envelopes: %w", len(gaussian), len(env), g.n, ErrBadInput)
 	}
-	g.transformSnapshot(g.next, gaussian, env)
+	if g.panels == nil {
+		g.panels = newSnapPanels(g.n)
+	}
+	g.read(g.next, g.panels, gaussian, env)
 	g.next++
 	return nil
 }
 
-// transformSnapshot applies the fading transform, if any, to the snapshot
-// drawn at the given offset.
-func (g *SnapshotGenerator) transformSnapshot(offset uint64, gaussian []complex128, env []float64) {
-	if g.transform == nil {
-		return
-	}
-	for j := range gaussian {
-		g.transform.Apply(j, offset, gaussian[j:j+1], env[j:j+1])
-	}
-}
-
-// ColorInto applies step 7, Z = (L/σ_g)·W, writing the colored samples into
-// gaussian and their moduli into env without allocating. Unlike GenerateInto
-// it consumes no generator state, so concurrent calls with distinct arguments
-// are safe.
-func (g *SnapshotGenerator) ColorInto(w, gaussian []complex128, env []float64) error {
-	if len(w) != g.n {
-		return fmt.Errorf("core: %d samples for %d envelopes: %w", len(w), g.n, ErrBadInput)
-	}
-	if len(gaussian) != g.n || len(env) != g.n {
-		return fmt.Errorf("core: destination lengths %d/%d for %d envelopes: %w", len(gaussian), len(env), g.n, ErrBadInput)
-	}
-	if g.colReal != nil {
-		g.colorRealInto(w, gaussian)
-	} else if err := cmplxmat.MulVecInto(gaussian, g.coloring, w); err != nil {
-		return err
-	}
-	for i, v := range gaussian {
-		env[i] = envAbs(v)
-	}
-	return nil
-}
-
-// colorRealInto is the real-coloring matvec, blocked four output rows at a
-// time: each loaded sample feeds four rows, and the eight accumulators (re/im
-// per row) form independent dependency chains that keep the floating-point
-// pipeline full instead of serializing on add latency.
-func (g *SnapshotGenerator) colorRealInto(w, gaussian []complex128) {
-	n := g.n
-	col := g.colReal
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		r0 := col[i*n : (i+1)*n : (i+1)*n]
-		r1 := col[(i+1)*n : (i+2)*n : (i+2)*n]
-		r2 := col[(i+2)*n : (i+3)*n : (i+3)*n]
-		r3 := col[(i+3)*n : (i+4)*n : (i+4)*n]
-		var re0, im0, re1, im1, re2, im2, re3, im3 float64
-		for k, x := range w {
-			xr, xi := real(x), imag(x)
-			re0 += r0[k] * xr
-			im0 += r0[k] * xi
-			re1 += r1[k] * xr
-			im1 += r1[k] * xi
-			re2 += r2[k] * xr
-			im2 += r2[k] * xi
-			re3 += r3[k] * xr
-			im3 += r3[k] * xi
-		}
-		gaussian[i] = complex(re0, im0)
-		gaussian[i+1] = complex(re1, im1)
-		gaussian[i+2] = complex(re2, im2)
-		gaussian[i+3] = complex(re3, im3)
-	}
-	for ; i < n; i++ {
-		row := col[i*n : (i+1)*n : (i+1)*n]
-		var re, im float64
-		for k, x := range w {
-			re += row[k] * real(x)
-			im += row[k] * imag(x)
-		}
-		gaussian[i] = complex(re, im)
-	}
-}
-
-// batchChunkSize is the number of snapshots drawn from one derived stream in
-// GenerateBatchInto. Chunk c draws from the (c+1)-th split of the batch root,
-// whatever worker fills it, which is what makes the output independent of the
-// worker count.
+// batchChunkSize is the number of snapshots colored together: chunk c holds
+// snapshots [64c, 64c+64) and draws its N×64 raw panel from the (c+1)-th
+// split of the generator's root, whatever call or worker reads it. It is
+// part of the value contract — a seeded snapshot's value depends on it — so
+// changing it changes every seeded snapshot.
 const batchChunkSize = 64
 
-// GenerateBatchInto fills dst with len(dst) independent snapshots, reusing
-// the Gaussian/Envelopes storage of each entry when it already has length N
-// (entries with wrong-length slices are reallocated). The batch is cut into
-// chunks of batchChunkSize; each chunk draws from its own stream derived
-// deterministically from the generator seed, and workers > 1 fans the chunks
-// across that many goroutines. For a fixed seed the output is bit-identical
-// for every worker count, including the sequential workers <= 1 path, which
-// performs no heap allocation when every entry already has length N: each
-// chunk reseeds one reused RNG with its split seed (the stream Split would
-// derive, without allocating the child).
-//
-// Note the chunk streams are distinct from the stream behind Generate: a
-// batched run reproduces other batched runs, not an element-wise sequence of
-// Generate calls. The fading transform offsets do follow one count, so
-// dst[i] is transformed as the generator's next draw plus i.
+// GenerateBatchInto fills dst with the next len(dst) snapshots, reusing the
+// Gaussian/Envelopes storage of each entry when it already has length N
+// (entries with wrong-length slices are reallocated). dst[i] is the snapshot
+// at the generator's next position plus i, bit-identical to the same
+// position read by single draws or by batches split any other way. workers
+// > 1 fans the chunks the range touches across that many goroutines, each
+// with panels of its own; a partial first or last chunk is colored whole
+// and only its in-range columns are copied. The sequential workers <= 1
+// path reads through the generator's own panels and performs no heap
+// allocation when every entry already has length N.
 func (g *SnapshotGenerator) GenerateBatchInto(dst []Snapshot, workers int) error {
 	if len(dst) == 0 {
 		return fmt.Errorf("core: empty batch destination: %w", ErrBadInput)
 	}
-	base := g.next
-	g.next += uint64(len(dst))
-	chunks := (len(dst) + batchChunkSize - 1) / batchChunkSize
+	for i := range dst {
+		if len(dst[i].Gaussian) != g.n {
+			dst[i].Gaussian = make([]complex128, g.n)
+		}
+		if len(dst[i].Envelopes) != g.n {
+			dst[i].Envelopes = make([]float64, g.n)
+		}
+	}
+	first := g.next
+	end := first + uint64(len(dst))
+	g.next = end
+	c0 := first / batchChunkSize
+	chunks := int((end-1)/batchChunkSize - c0 + 1)
 	if workers <= 1 || chunks == 1 {
-		// Built on first use: a generator that only draws single
-		// snapshots never pays for the N×chunk panels.
 		if g.panels == nil {
 			g.panels = newSnapPanels(g.n)
 		}
-		for c := 0; c < chunks; c++ {
-			g.panels.rng.Reseed(g.batchRoot.SplitSeed())
-			g.fillChunk(dst, c, base, g.panels)
+		for i := range dst {
+			g.read(first+uint64(i), g.panels, dst[i].Gaussian, dst[i].Envelopes)
 		}
 		return nil
-	}
-	// Seeds are derived in chunk order before any generation, so a chunk's
-	// stream does not depend on which worker fills it.
-	seeds := make([]int64, chunks)
-	for c := range seeds {
-		seeds[c] = g.batchRoot.SplitSeed()
-	}
-	if workers > chunks {
-		workers = chunks
 	}
 	var wg sync.WaitGroup
 	var next atomic.Int64
 	next.Store(-1)
+	workers = min(workers, chunks)
 	wg.Add(workers)
-	for wk := 0; wk < workers; wk++ {
+	for range workers {
 		go func() {
 			defer wg.Done()
-			panels := newSnapPanels(g.n)
+			p := newSnapPanels(g.n)
 			for {
-				c := int(next.Add(1))
-				if c >= chunks {
+				c := next.Add(1)
+				if c >= int64(chunks) {
 					return
 				}
-				panels.rng.Reseed(seeds[c])
-				g.fillChunk(dst, c, base, panels)
+				lo := (c0 + uint64(c)) * batchChunkSize
+				for i := max(lo, first); i < min(lo+batchChunkSize, end); i++ {
+					d := &dst[i-first]
+					g.read(i, p, d.Gaussian, d.Envelopes)
+				}
 			}
 		}()
 	}
@@ -326,45 +236,36 @@ func (g *SnapshotGenerator) GenerateBatchInto(dst []Snapshot, workers int) error
 	return nil
 }
 
-// fillChunk generates chunk c of a batch from the stream p.rng is seeded
-// with: the chunk's raw samples are drawn row by row straight into the W
-// panel (sample k of snapshot ci is draw k·cols+ci of the chunk stream —
-// contiguous fills, no gather), the whole panel is colored with a single
-// ColorBlock GEMM, and the colored columns are scattered back out with their
-// envelopes. Ragged tail chunks color the full panel and simply ignore the
-// unused columns, which keeps the kernel shape fixed without consuming extra
-// random draws. dst[i] is transformed at offset base+i.
-func (g *SnapshotGenerator) fillChunk(dst []Snapshot, c int, base uint64, p *snapPanels) {
-	lo := c * batchChunkSize
-	hi := lo + batchChunkSize
-	if hi > len(dst) {
-		hi = len(dst)
+// read copies snapshot i out of its chunk into gaussian and env and applies
+// the fading transform at offset i. When p holds another chunk it first
+// draws i's chunk: the raw samples go row by row straight into the W panel
+// (sample k of column ci is draw k·batchChunkSize+ci of the chunk stream —
+// contiguous fills, no gather) and one ColorBlock GEMM colors the panel.
+// Concurrent calls are safe with distinct panels and destinations.
+//
+// fadinglint:allocfree
+func (g *SnapshotGenerator) read(i uint64, p *snapPanels, gaussian []complex128, env []float64) {
+	if c := i / batchChunkSize; p.chunk != c {
+		p.rng.Reseed(g.root.SplitSeedAt(c))
+		for _, row := range p.wRows {
+			p.rng.FillComplexNormal(row, g.sampleVar)
+		}
+		// Dimensions are fixed at construction, so ColorBlock cannot fail.
+		_ = cmplxmat.ColorBlock(g.coloring, p.w, p.z)
+		p.chunk = c
 	}
-	cols := hi - lo
-	for _, row := range p.wRows {
-		p.rng.FillComplexNormal(row[:cols], g.sampleVar)
-	}
-	// Dimensions are fixed at construction, so ColorBlock cannot fail.
-	_ = cmplxmat.ColorBlock(g.coloring, p.w, p.z)
 	zd := p.z.Data()
-	for ci := 0; ci < cols; ci++ {
-		i := lo + ci
-		if len(dst[i].Gaussian) != g.n {
-			dst[i].Gaussian = make([]complex128, g.n)
+	idx := int(i % batchChunkSize)
+	for k := range gaussian {
+		v := zd[idx]
+		idx += batchChunkSize
+		gaussian[k] = v
+		env[k] = envAbs(v)
+	}
+	if g.transform != nil {
+		for j := range gaussian {
+			g.transform.Apply(j, i, gaussian[j:j+1], env[j:j+1])
 		}
-		if len(dst[i].Envelopes) != g.n {
-			dst[i].Envelopes = make([]float64, g.n)
-		}
-		gi := dst[i].Gaussian
-		ei := dst[i].Envelopes
-		idx := ci
-		for k := 0; k < g.n; k++ {
-			v := zd[idx]
-			idx += batchChunkSize
-			gi[k] = v
-			ei[k] = envAbs(v)
-		}
-		g.transformSnapshot(base+uint64(i), gi, ei)
 	}
 }
 
@@ -372,9 +273,8 @@ func (g *SnapshotGenerator) fillChunk(dst []Snapshot, c int, base uint64, p *sna
 // correlation-coefficient matrix of the Gaussians and desired Rayleigh
 // envelope variances σr²_j: the Gaussian powers follow Eq. (11) and the
 // off-diagonal covariances are ρ_{k,j}·σg_k·σg_j. This is the "start from
-// envelope powers" conversion announced in step 1 of the algorithm, used by
-// the public NewFromPowers entry point (which routes the result through the
-// backend registry).
+// envelope powers" conversion announced in step 1 of the algorithm, behind
+// the public CovarianceFromEnvelopePowers.
 func CovarianceFromEnvelopePowers(correlation *cmplxmat.Matrix, envelopeVariances []float64) (*cmplxmat.Matrix, error) {
 	if correlation == nil {
 		return nil, fmt.Errorf("core: nil correlation matrix: %w", ErrBadInput)

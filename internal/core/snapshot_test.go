@@ -271,25 +271,6 @@ func TestSnapshotIndefiniteCovarianceStillGenerates(t *testing.T) {
 	}
 }
 
-func TestColorInto(t *testing.T) {
-	g, err := NewSnapshotGenerator(SnapshotConfig{Covariance: cmplxmat.Identity(2), Seed: 9})
-	if err != nil {
-		t.Fatalf("NewSnapshotGenerator: %v", err)
-	}
-	gaussian := make([]complex128, 2)
-	env := make([]float64, 2)
-	if err := g.ColorInto([]complex128{1}, gaussian, env); err == nil {
-		t.Errorf("ColorInto with wrong sample length did not error")
-	}
-	if err := g.ColorInto([]complex128{1, 1i}, gaussian, env); err != nil {
-		t.Fatalf("ColorInto: %v", err)
-	}
-	// Identity covariance with unit sample variance: Z = W.
-	if gaussian[0] != 1 || gaussian[1] != 1i {
-		t.Errorf("identity coloring altered the samples: %v", gaussian)
-	}
-}
-
 func TestSnapshotDeterministicSeed(t *testing.T) {
 	k := chanspec.Eq22Covariance()
 	g1, err := NewSnapshotGenerator(SnapshotConfig{Covariance: k, Seed: 42})

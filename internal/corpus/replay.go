@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 
 	rayleigh "repro"
@@ -107,22 +106,14 @@ func startServers(opts ReplayOptions) ([]replayServer, error) {
 	}
 	var out []replayServer
 	for _, w := range workers {
-		svc := service.New(service.Config{Workers: w, Limits: opts.Limits})
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		base, stop, err := service.ServeLoopback(service.Config{Workers: w, Limits: opts.Limits})
 		if err != nil {
-			svc.Close()
 			for _, s := range out {
 				s.close()
 			}
-			return nil, fmt.Errorf("corpus: listen: %w", err)
+			return nil, fmt.Errorf("corpus: %w", err)
 		}
-		srv := &http.Server{Handler: svc.Handler()}
-		go srv.Serve(ln)
-		out = append(out, replayServer{
-			label: fmt.Sprintf("workers=%d", w),
-			base:  "http://" + ln.Addr().String(),
-			close: func() { srv.Close(); svc.Close() },
-		})
+		out = append(out, replayServer{label: fmt.Sprintf("workers=%d", w), base: base, close: stop})
 	}
 	return out, nil
 }
@@ -215,22 +206,14 @@ func tokenResumeSweep(refs []reference, limits service.Limits, report *ReplayRep
 	cfg := service.Config{Workers: 2, Limits: limits, Keyring: kr}
 	var pair []replayServer
 	for _, label := range []string{"token-origin", "token-resume"} {
-		svc := service.New(cfg)
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		base, stop, err := service.ServeLoopback(cfg)
 		if err != nil {
-			svc.Close()
 			for _, s := range pair {
 				s.close()
 			}
-			return fmt.Errorf("corpus: listen: %w", err)
+			return fmt.Errorf("corpus: %w", err)
 		}
-		srv := &http.Server{Handler: svc.Handler()}
-		go srv.Serve(ln)
-		pair = append(pair, replayServer{
-			label: label,
-			base:  "http://" + ln.Addr().String(),
-			close: func() { srv.Close(); svc.Close() },
-		})
+		pair = append(pair, replayServer{label: label, base: base, close: stop})
 	}
 	defer func() {
 		for _, s := range pair {

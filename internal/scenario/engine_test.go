@@ -3,6 +3,8 @@ package scenario
 import (
 	"encoding/json"
 	"errors"
+	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -274,6 +276,38 @@ func TestModelBuilders(t *testing.T) {
 		}
 		if !k.IsHermitian(1e-12) {
 			t.Errorf("%s: matrix not Hermitian", m.Type)
+		}
+	}
+}
+
+// TestSnapshotAndBatchedModesAreOneSequence: snapshot mode (one GenerateInto
+// per draw) and batched mode (one GenerateBatchInto, at 1 and 4 workers)
+// read one snapshot sequence, so a committed snapshot spec gives the same
+// Result in either mode apart from Mode itself. eq22-snapshot's 60,000 draws
+// end in a ragged chunk; exponential-phase-complex runs the complex
+// coloring.
+func TestSnapshotAndBatchedModesAreOneSequence(t *testing.T) {
+	for _, name := range []string{"eq22-snapshot", "exponential-phase-complex"} {
+		path := filepath.Join("..", "..", "scenarios", name+".json")
+		spec, err := LoadFile(path)
+		if err != nil {
+			t.Fatalf("LoadFile(%s): %v", name, err)
+		}
+		want, err := Run(spec)
+		if err != nil {
+			t.Fatalf("Run(%s): %v", name, err)
+		}
+		for _, workers := range []int{1, 4} {
+			spec.Generation.Mode = ModeBatched
+			spec.Generation.Workers = workers
+			got, err := Run(spec)
+			if err != nil {
+				t.Fatalf("Run(%s, batched, workers=%d): %v", name, workers, err)
+			}
+			got.Mode = want.Mode
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: batched mode at %d workers differs from snapshot mode:\n got %+v\nwant %+v", name, workers, got, want)
+			}
 		}
 	}
 }

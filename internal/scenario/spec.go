@@ -27,12 +27,13 @@ var ErrBadSpec = chanspec.ErrBadSpec
 
 // Generation modes.
 const (
-	// ModeSnapshot draws independent snapshots one by one through the
-	// sequential Generate path (Section 4.4 of the paper).
+	// ModeSnapshot draws independent snapshots one by one, one GenerateInto
+	// per draw (Section 4.4 of the paper).
 	ModeSnapshot = "snapshot"
-	// ModeBatched draws independent snapshots through the zero-allocation
-	// batched path (GenerateBatchInto), optionally fanned out across
-	// Generation.Workers workers.
+	// ModeBatched draws the same snapshots as ModeSnapshot through one call
+	// of the zero-allocation batched path (GenerateBatchInto), optionally
+	// fanned out across Generation.Workers workers: a seeded snapshot
+	// depends on its position only, so the two modes read one sequence.
 	ModeBatched = "batched"
 	// ModeRealtime generates blocks of time-correlated samples whose
 	// per-envelope autocorrelation follows the Jakes model (Section 5).

@@ -3,6 +3,8 @@ package service
 import (
 	"fmt"
 	"io"
+	"net"
+	"net/http"
 
 	rayleigh "repro"
 )
@@ -19,6 +21,25 @@ func NewStreamFromSpec(spec *SessionSpec, limits Limits) (*rayleigh.Stream, erro
 		return nil, err
 	}
 	return buildStream(spec)
+}
+
+// ServeLoopback starts an in-process fadingd for cfg on an ephemeral
+// 127.0.0.1 port. It returns the server's base URL ("http://127.0.0.1:port")
+// and a stop function that closes the HTTP server and then the Server. The
+// harnesses that drive a local fadingd (corpus replay, the SLO lab) start it
+// this way.
+func ServeLoopback(cfg Config) (base string, stop func(), err error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return "", nil, fmt.Errorf("service: listen: %w", err)
+	}
+	svc := New(cfg)
+	srv := &http.Server{Handler: svc.Handler()}
+	go srv.Serve(ln)
+	return "http://" + ln.Addr().String(), func() {
+		srv.Close()
+		svc.Close()
+	}, nil
 }
 
 // FrameEncoder serializes blocks into the service's binary wire framing

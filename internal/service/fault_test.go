@@ -191,8 +191,9 @@ func TestShutdownAndEvictionDuringTokenStreams(t *testing.T) {
 		t.Fatalf("token rebuilds %d -> %d, want +1", rebuilds, got)
 	}
 
-	// Step 3: shutdown ends every live stream at a frame boundary, with a
-	// trailer that counts exactly the frames delivered.
+	// Step 3: shutdown ends every live stream at its next block boundary:
+	// each stream delivers exactly the frame in flight when BeginShutdown
+	// ran (the one its held flush is writing), and a trailer of 1.
 	g = newStreamGate(t, len(froms))
 	gate.Store(g)
 	live = live[:0]
@@ -211,8 +212,8 @@ func TestShutdownAndEvictionDuringTokenStreams(t *testing.T) {
 		if !bytes.HasPrefix(ref[froms[i]*frame:], body) {
 			t.Fatalf("stream from=%d: %d bytes are not a prefix of the origin's stream", froms[i], len(body))
 		}
-		if sent != len(body)/frame || sent < 1 {
-			t.Fatalf("stream from=%d: trailer reports %d blocks, received %d whole frames", froms[i], sent, len(body)/frame)
+		if sent != 1 || len(body) != frame {
+			t.Fatalf("stream from=%d: trailer reports %d blocks, received %d whole frames; want exactly 1 after shutdown", froms[i], sent, len(body)/frame)
 		}
 	}
 	closed := make(chan struct{})

@@ -489,6 +489,14 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		case <-s.shutdown:
 			return
 		}
+		// select picks at random among ready cases, so a job that was
+		// already done can win over shutdown: check again, so no block goes
+		// out after BeginShutdown.
+		select {
+		case <-s.shutdown:
+			return
+		default:
+		}
 		pending = pending[1:]
 		if job.err != nil {
 			// Headers are long gone; the only honest signal mid-stream is

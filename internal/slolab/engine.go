@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
 	"runtime"
@@ -243,22 +242,13 @@ func Run(spec *Spec, opts RunOptions) (*Summary, error) {
 		e.pool = pool
 	}
 
-	var svc *service.Server
-	var httpSrv *http.Server
 	if e.inProc {
-		svc = service.New(spec.Server.config())
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		base, stop, err := service.ServeLoopback(spec.Server.config())
 		if err != nil {
-			svc.Close()
-			return nil, fmt.Errorf("slolab: listen: %w", err)
+			return nil, fmt.Errorf("slolab: %w", err)
 		}
-		httpSrv = &http.Server{Handler: svc.Handler()}
-		go httpSrv.Serve(ln)
-		e.base = "http://" + ln.Addr().String()
-		defer func() {
-			httpSrv.Close()
-			svc.Close()
-		}()
+		e.base = base
+		defer stop()
 	}
 	e.logf("scenario %s: fault=%s clients=%d target=%s", spec.Name, spec.Fault.Type, spec.Clients, e.base)
 

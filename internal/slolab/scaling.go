@@ -3,7 +3,6 @@ package slolab
 import (
 	"bufio"
 	"fmt"
-	"net"
 	"net/http"
 	"strconv"
 	"strings"
@@ -106,19 +105,12 @@ func (e *engine) runScalingPoint(kr *token.Keyring, replicas int, acc *phaseAccu
 		}
 	}()
 	for i := range bases {
-		svc := service.New(cfg)
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		base, stop, err := service.ServeLoopback(cfg)
 		if err != nil {
-			svc.Close()
-			return nil, fmt.Errorf("slolab: scaling listen: %w", err)
+			return nil, fmt.Errorf("slolab: scaling: %w", err)
 		}
-		httpSrv := &http.Server{Handler: svc.Handler()}
-		go httpSrv.Serve(ln)
-		bases[i] = "http://" + ln.Addr().String()
-		closers = append(closers, func() {
-			httpSrv.Close()
-			svc.Close()
-		})
+		bases[i] = base
+		closers = append(closers, stop)
 	}
 
 	// Create every client's session on replica 0 only; the other replicas

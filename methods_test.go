@@ -61,9 +61,9 @@ func TestEveryMethodAgreesOnGoldenCovariance(t *testing.T) {
 		MethodGeneralized, MethodSalzWinters, MethodBeaulieuMerani,
 		MethodNatarajan, MethodSorooshyariDaut,
 	} {
-		gen, err := NewWithMethod(method, Config{Covariance: goldenCovariance(), Seed: 113})
+		gen, err := New(Config{Method: method, Covariance: goldenCovariance(), Seed: 113})
 		if err != nil {
-			t.Fatalf("NewWithMethod(%s): %v", method, err)
+			t.Fatalf("New(%s): %v", method, err)
 		}
 		if gen.Method() != method && !(method == "" && gen.Method() == MethodGeneralized) {
 			t.Errorf("Method() = %q, want %q", gen.Method(), method)
@@ -75,9 +75,9 @@ func TestEveryMethodAgreesOnGoldenCovariance(t *testing.T) {
 
 	// Ertel–Reed needs N = 2; the equal-power real pair is its home turf.
 	pair := [][]complex128{{1, 0.6}, {0.6, 1}}
-	gen, err := NewWithMethod(MethodErtelReed, Config{Covariance: pair, Seed: 113})
+	gen, err := New(Config{Method: MethodErtelReed, Covariance: pair, Seed: 113})
 	if err != nil {
-		t.Fatalf("NewWithMethod(ertel_reed): %v", err)
+		t.Fatalf("New(ertel_reed): %v", err)
 	}
 	if d := sampleCovarianceError(t, gen, pair, 60000); d > 0.04 {
 		t.Errorf("ertel_reed misses the pair covariance by %g", d)
@@ -105,9 +105,9 @@ func TestMethodFailureClasses(t *testing.T) {
 		{MethodBeaulieuMerani, [][]complex128{{1, 1}, {1, 1}}, ErrMethodSetup}, // rank deficient
 	}
 	for _, tc := range cases {
-		_, err := NewWithMethod(tc.method, Config{Covariance: tc.cov, Seed: 1})
+		_, err := New(Config{Method: tc.method, Covariance: tc.cov, Seed: 1})
 		if !errors.Is(err, tc.want) {
-			t.Errorf("NewWithMethod(%s, %v) error = %v, want %v", tc.method, tc.cov, err, tc.want)
+			t.Errorf("New(%s, %v) error = %v, want %v", tc.method, tc.cov, err, tc.want)
 		}
 	}
 
@@ -126,7 +126,7 @@ func TestMethodFailureClasses(t *testing.T) {
 	}
 
 	// Unknown names are an invalid configuration, not a method failure.
-	if _, err := NewWithMethod("nope", Config{Covariance: goldenCovariance(), Seed: 1}); err == nil {
+	if _, err := New(Config{Method: "nope", Covariance: goldenCovariance(), Seed: 1}); err == nil {
 		t.Errorf("unknown method did not error")
 	}
 
@@ -147,9 +147,9 @@ func TestDiagnosticsReportOnlyAppliedForcing(t *testing.T) {
 		Covariance: indefiniteCovariance(), IDFTPoints: 256, NormalizedDoppler: 0.05,
 		Seed: 1, Method: MethodSorooshyariDaut,
 	}
-	gen, err := NewWithMethod(cfg.Method, Config{Covariance: cfg.Covariance, Seed: cfg.Seed})
+	gen, err := New(Config{Method: cfg.Method, Covariance: cfg.Covariance, Seed: cfg.Seed})
 	if err != nil {
-		t.Fatalf("NewWithMethod: %v", err)
+		t.Fatalf("New: %v", err)
 	}
 	stream, err := NewStream(cfg)
 	if err != nil {
@@ -187,7 +187,7 @@ func TestMethodsCatalog(t *testing.T) {
 		if m.Name == "" || m.Title == "" || m.Citation == "" || m.Constraints == "" {
 			t.Errorf("catalog entry %+v has empty fields", m)
 		}
-		if _, err := NewWithMethod(m.Name, Config{Covariance: [][]complex128{{1, 0.5}, {0.5, 1}}, Seed: 1}); err != nil {
+		if _, err := New(Config{Method: m.Name, Covariance: [][]complex128{{1, 0.5}, {0.5, 1}}, Seed: 1}); err != nil {
 			t.Errorf("catalog method %s cannot generate the equal-power pair: %v", m.Name, err)
 		}
 	}

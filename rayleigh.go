@@ -27,9 +27,9 @@ var ErrMethodUnsupported = baseline.ErrUnsupported
 // forcing removes.
 var ErrMethodSetup = baseline.ErrSetupFailed
 
-// Generation method names accepted by Config.Method, RealTimeConfig.Method
-// and NewWithMethod: the paper's generalized algorithm (the default) and the
-// five conventional methods its introduction reviews. Each method's
+// Generation method names accepted by Config.Method and
+// RealTimeConfig.Method: the paper's generalized algorithm (the default) and
+// the five conventional methods its introduction reviews. Each method's
 // constraints and failure classes are catalogued in docs/methods.md and by
 // Methods.
 const (
@@ -100,6 +100,11 @@ type Diagnostics struct {
 // (Section 4.4); Config.Method swaps in one of the conventional methods,
 // which keep their documented constraints and failure classes.
 //
+// A seeded Generator draws one snapshot sequence: snapshot i depends only on
+// the Config and i. SnapshotsInto(dst) therefore equals len(dst) calls of
+// Snapshot, for any Config.Parallel and however the draws are split into
+// calls.
+//
 // A Generator is not safe for concurrent use: its methods share internal
 // scratch, so drive each Generator from one goroutine at a time (the
 // SnapshotsInto worker fan-out stays inside a single call and is fine).
@@ -123,13 +128,13 @@ type Config struct {
 	// Seed seeds the random stream. The same seed reproduces the same
 	// sequence of snapshots.
 	Seed int64
-	// Parallel is the worker count of the batched generation path
-	// (SnapshotsInto). Values <= 1 select the sequential path. The output of a
-	// seeded run is bit-identical for every setting, including sequential:
-	// each chunk of work draws from its own stream derived deterministically
-	// from the seed before any generation starts, so the schedule cannot leak
-	// into the values. Every method, conventional or generalized, runs the
-	// same batched path and honors it.
+	// Parallel is the worker count of SnapshotsInto. Values <= 1 select the
+	// sequential path. The output of a seeded run is bit-identical for every
+	// setting, and SnapshotsInto(dst) equals len(dst) calls of Snapshot:
+	// snapshots are colored in chunks of 64, each chunk drawing from its own
+	// stream indexed by its position, so neither the schedule nor the split
+	// into calls can leak into the values. Every method, conventional or
+	// generalized, runs the same path and honors it.
 	Parallel int
 	// Method selects the generation backend by its spec name (one of the
 	// Method* constants); empty selects MethodGeneralized. Conventional
@@ -147,74 +152,43 @@ type Config struct {
 	FadingParams *FadingParams
 }
 
-// New builds a Generator for the desired covariance matrix.
+// New builds a Generator for the desired covariance matrix. It is the one
+// snapshot constructor: Config.Method selects the backend, and
+// CovarianceFromEnvelopePowers builds Config.Covariance from envelope powers.
 func New(cfg Config) (*Generator, error) {
 	k, err := toMatrix(cfg.Covariance)
 	if err != nil {
 		return nil, err
 	}
-	return newGenerator(cfg.Method, cfg.Fading, cfg.FadingParams, k, cfg.Seed, cfg.Parallel)
-}
-
-// newGenerator resolves a method and fading model against a covariance
-// target through the backend registry.
-func newGenerator(method, fading string, params *FadingParams, k *cmplxmat.Matrix, seed int64, workers int) (*Generator, error) {
-	gen, err := backend.New(method, fading, fadingSpecParams(params), k, seed)
+	gen, err := backend.New(cfg.Method, cfg.Fading, fadingSpecParams(cfg.FadingParams), k, cfg.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("rayleigh: %w", err)
 	}
-	return &Generator{gen: gen, method: chanspec.NormalizeMethod(method), workers: workers}, nil
+	return &Generator{gen: gen, method: chanspec.NormalizeMethod(cfg.Method), workers: cfg.Parallel}, nil
 }
 
-// NewWithMethod builds a Generator that realizes cfg through the named
-// generation method, overriding cfg.Method. It is shorthand for setting
-// Config.Method; the method vocabulary is the Method* constants.
-func NewWithMethod(method string, cfg Config) (*Generator, error) {
-	cfg.Method = method
-	return New(cfg)
-}
-
-// PowersConfig configures a Generator built from a correlation-coefficient
-// matrix of the complex Gaussians and desired envelope variances (the
-// paper's "start from envelope powers" entry point, Eq. (11)).
-type PowersConfig struct {
-	// Correlation is the N×N correlation-coefficient matrix ρ of the complex
-	// Gaussian processes.
-	Correlation [][]complex128
-	// EnvelopeVariances holds the desired Rayleigh envelope variances σr²_j,
-	// one per envelope.
-	EnvelopeVariances []float64
-	// Seed seeds the random stream (same semantics as Config.Seed).
-	Seed int64
-	// Parallel is the worker count of the batched generation path (same
-	// semantics as Config.Parallel: output is bit-identical for every
-	// setting).
-	Parallel int
-	// Method selects the generation backend (same semantics as
-	// Config.Method). Note the conventional equal-power-only methods reject
-	// unequal envelope variances here — the restriction the Eq. (11) entry
-	// point exists to lift.
-	Method string
-	// Fading selects the envelope model (same semantics as Config.Fading:
-	// snapshot modes reject FadingNonstationaryDoppler).
-	Fading string
-	// FadingParams carries the selected fading model's parameters (same
-	// semantics as Config.FadingParams).
-	FadingParams *FadingParams
-}
-
-// NewFromPowers builds a Generator from envelope-power parameters, applying
-// the Eq. (11) conversion internally to enable unequal envelope powers.
-func NewFromPowers(cfg PowersConfig) (*Generator, error) {
-	rho, err := toMatrix(cfg.Correlation)
+// CovarianceFromEnvelopePowers builds the covariance matrix whose Rayleigh
+// envelopes have the variances σr²_j, given the correlation-coefficient
+// matrix ρ of the complex Gaussians: the paper's "start from envelope
+// powers" entry point. The Gaussian powers follow Eq. (11) and the
+// off-diagonal covariances are ρ_{k,j}·σg_k·σg_j. The result goes into
+// Config.Covariance or RealTimeConfig.Covariance. Note the conventional
+// equal-power-only methods reject the unequal powers this conversion exists
+// to allow.
+func CovarianceFromEnvelopePowers(correlation [][]complex128, envelopeVariances []float64) ([][]complex128, error) {
+	rho, err := toMatrix(correlation)
 	if err != nil {
 		return nil, err
 	}
-	k, err := core.CovarianceFromEnvelopePowers(rho, cfg.EnvelopeVariances)
+	k, err := core.CovarianceFromEnvelopePowers(rho, envelopeVariances)
 	if err != nil {
 		return nil, fmt.Errorf("rayleigh: %w", err)
 	}
-	return newGenerator(cfg.Method, cfg.Fading, cfg.FadingParams, k, cfg.Seed, cfg.Parallel)
+	rows := make([][]complex128, k.Rows())
+	for i := range rows {
+		rows[i] = k.Row(i)
+	}
+	return rows, nil
 }
 
 // N returns the number of envelopes per snapshot.
@@ -223,35 +197,23 @@ func (g *Generator) N() int { return g.gen.N() }
 // Method returns the canonical name of the generation backend in use.
 func (g *Generator) Method() string { return g.method }
 
-// Snapshot draws one independent snapshot.
+// Snapshot draws the next snapshot of the sequence.
 func (g *Generator) Snapshot() Snapshot {
 	s := g.gen.Generate()
 	return Snapshot{Gaussian: s.Gaussian, Envelopes: s.Envelopes}
 }
 
-// Snapshots draws count independent snapshots.
-func (g *Generator) Snapshots(count int) ([]Snapshot, error) {
-	if count <= 0 {
-		return nil, fmt.Errorf("rayleigh: snapshot count %d must be positive: %w", count, ErrInvalidConfig)
-	}
-	out := make([]Snapshot, count)
-	for i := range out {
-		out[i] = g.Snapshot()
-	}
-	return out, nil
-}
-
-// SnapshotsInto fills dst with len(dst) independent snapshots, reusing the
-// Gaussian/Envelopes storage of every entry that already has length N (entries
-// with missing or wrong-length slices are allocated). This is the streaming
-// counterpart of Snapshots for long-running simulations: with pre-shaped
-// destinations the per-sample heap traffic is amortized O(1) (a handful of
-// stream derivations per 64-snapshot chunk, nothing per sample).
+// SnapshotsInto fills dst with the next len(dst) snapshots, reusing the
+// Gaussian/Envelopes storage of every entry that already has length N
+// (entries with missing or wrong-length slices are allocated). It equals
+// len(dst) calls of Snapshot, for any Config.Parallel and any split of the
+// draws into calls. For long-running simulations it is the steady-state
+// loop: once the destinations are shaped, the sequential path allocates
+// nothing, and each 64-snapshot chunk is colored by one matrix-matrix
+// product.
 //
 // When Config.Parallel > 1 the chunks fan out across that many workers; the
-// output is bit-identical for every worker count. The batched path draws from
-// chunk streams derived from the seed, so it reproduces other batched runs,
-// not an element-wise sequence of Snapshot calls.
+// output is bit-identical for every worker count.
 func (g *Generator) SnapshotsInto(dst []Snapshot) error {
 	if cap(g.batch) < len(dst) {
 		g.batch = make([]core.Snapshot, len(dst))

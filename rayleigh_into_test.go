@@ -38,34 +38,49 @@ func newIntoGenerator(t *testing.T, parallel int) *Generator {
 	return g
 }
 
-// TestSnapshotsIntoWorkerCountInvariance covers every method that accepts the
-// N = 5 exponential target (all but the two-branch Ertel–Reed): each runs the
-// same batched engine, so each is bit-identical for every worker count.
+// TestSnapshotsIntoWorkerCountInvariance: a seeded Generator draws one
+// snapshot sequence. For every method, SnapshotsInto over consecutive splits
+// of 1, 63, 64, 65 and 200 snapshots (calls that start and end on both sides
+// of the 64-snapshot chunk edges), at Parallel 1 and 4, equals a loop of
+// Snapshot calls.
 func TestSnapshotsIntoWorkerCountInvariance(t *testing.T) {
-	const count = 200 // several chunks plus a ragged tail
-	for _, method := range []string{
-		MethodGeneralized, MethodSalzWinters, MethodBeaulieuMerani,
-		MethodNatarajan, MethodSorooshyariDaut,
-	} {
-		var want []Snapshot
-		for _, parallel := range []int{0, 1, 3, 8} {
-			g, err := NewWithMethod(method, Config{Covariance: exponentialCovarianceRows(5, 0.6), Seed: 501, Parallel: parallel})
+	splits := []int{1, 63, 64, 65, 200}
+	total := 0
+	for _, n := range splits {
+		total += n
+	}
+	for _, m := range Methods() {
+		cfg := Config{Covariance: exponentialCovarianceRows(5, 0.6), Seed: 501, Method: m.Name}
+		if m.Name == MethodErtelReed {
+			cfg.Covariance = exponentialCovarianceRows(2, 0.6) // its two-branch construction
+		}
+		ref, err := New(cfg)
+		if err != nil {
+			t.Fatalf("New(%s): %v", m.Name, err)
+		}
+		want := make([]Snapshot, total)
+		for i := range want {
+			want[i] = ref.Snapshot()
+		}
+		for _, parallel := range []int{1, 4} {
+			cfg.Parallel = parallel
+			g, err := New(cfg)
 			if err != nil {
-				t.Fatalf("NewWithMethod(%s): %v", method, err)
+				t.Fatalf("New(%s, Parallel=%d): %v", m.Name, parallel, err)
 			}
-			dst := make([]Snapshot, count)
-			if err := g.SnapshotsInto(dst); err != nil {
-				t.Fatalf("%s SnapshotsInto(Parallel=%d): %v", method, parallel, err)
-			}
-			if want == nil {
-				want = dst
-				continue
-			}
-			for i := range dst {
-				for j := range dst[i].Gaussian {
-					if dst[i].Gaussian[j] != want[i].Gaussian[j] || dst[i].Envelopes[j] != want[i].Envelopes[j] {
-						t.Fatalf("%s Parallel=%d snapshot %d envelope %d differs from sequential run", method, parallel, i, j)
+			i := 0
+			for _, n := range splits {
+				dst := make([]Snapshot, n)
+				if err := g.SnapshotsInto(dst); err != nil {
+					t.Fatalf("%s SnapshotsInto(Parallel=%d): %v", m.Name, parallel, err)
+				}
+				for _, s := range dst {
+					for j := range s.Gaussian {
+						if s.Gaussian[j] != want[i].Gaussian[j] || s.Envelopes[j] != want[i].Envelopes[j] {
+							t.Fatalf("%s Parallel=%d snapshot %d envelope %d differs from the Snapshot loop", m.Name, parallel, i, j)
+						}
 					}
+					i++
 				}
 			}
 		}
@@ -108,8 +123,8 @@ func TestSnapshotsIntoAmortizedAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Steady state allocates only the per-chunk stream derivations: a handful
-	// of allocations per 64-snapshot chunk, far below one per snapshot.
+	// Steady state reuses the caller's storage and the generator's chunk
+	// panels: far below one allocation per snapshot.
 	if perSnapshot := perRun / count; perSnapshot > 0.5 {
 		t.Errorf("SnapshotsInto allocates %.2f per snapshot (%.0f per %d-snapshot run)", perSnapshot, perRun, count)
 	}

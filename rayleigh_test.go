@@ -110,13 +110,6 @@ func TestNewGeneratorAndSnapshot(t *testing.T) {
 			t.Errorf("envelope %d is not |z|", i)
 		}
 	}
-	batch, err := gen.Snapshots(10)
-	if err != nil || len(batch) != 10 {
-		t.Errorf("Snapshots = %d, %v", len(batch), err)
-	}
-	if _, err := gen.Snapshots(0); err == nil {
-		t.Errorf("Snapshots(0) did not error")
-	}
 	d := gen.Diagnostics()
 	if d.ClampedEigenvalues != 0 || d.ApproximationError > 1e-12 || len(d.Eigenvalues) != 3 {
 		t.Errorf("unexpected diagnostics for a PSD matrix: %+v", d)
@@ -135,14 +128,18 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestNewFromPowers(t *testing.T) {
+func TestCovarianceFromEnvelopePowers(t *testing.T) {
 	rho := [][]complex128{
 		{1, 0.5},
 		{0.5, 1},
 	}
-	gen, err := NewFromPowers(PowersConfig{Correlation: rho, EnvelopeVariances: []float64{1, 2}, Seed: 3})
+	k, err := CovarianceFromEnvelopePowers(rho, []float64{1, 2})
 	if err != nil {
-		t.Fatalf("NewFromPowers: %v", err)
+		t.Fatalf("CovarianceFromEnvelopePowers: %v", err)
+	}
+	gen, err := New(Config{Covariance: k, Seed: 3})
+	if err != nil {
+		t.Fatalf("New: %v", err)
 	}
 	// Check Eq. (15): average envelope variance over many snapshots matches
 	// the requested σr².
@@ -164,10 +161,10 @@ func TestNewFromPowers(t *testing.T) {
 		}
 	}
 
-	if _, err := NewFromPowers(PowersConfig{EnvelopeVariances: []float64{1}}); err == nil {
+	if _, err := CovarianceFromEnvelopePowers(nil, []float64{1}); err == nil {
 		t.Errorf("nil correlation did not error")
 	}
-	if _, err := NewFromPowers(PowersConfig{Correlation: rho, EnvelopeVariances: []float64{1}}); err == nil {
+	if _, err := CovarianceFromEnvelopePowers(rho, []float64{1}); err == nil {
 		t.Errorf("size mismatch did not error")
 	}
 }

@@ -195,52 +195,6 @@ func TestStreamConcurrentCursors(t *testing.T) {
 	}
 }
 
-// TestNewFromPowersParallelIdentity is the regression test for the dropped
-// worker count: the powers-based constructor must honor Parallel, and its
-// batched output must stay bit-identical across worker counts.
-func TestNewFromPowersParallelIdentity(t *testing.T) {
-	correlation := [][]complex128{
-		{1, 0.6, 0.2},
-		{0.6, 1, 0.5},
-		{0.2, 0.5, 1},
-	}
-	variances := []float64{1.5, 0.8, 2.0}
-	build := func(parallel int) *Generator {
-		g, err := NewFromPowers(PowersConfig{
-			Correlation:       correlation,
-			EnvelopeVariances: variances,
-			Seed:              77,
-			Parallel:          parallel,
-		})
-		if err != nil {
-			t.Fatalf("NewFromPowers(parallel=%d): %v", parallel, err)
-		}
-		return g
-	}
-	parallel := build(4)
-	if parallel.workers != 4 {
-		t.Fatalf("NewFromPowers(Parallel: 4) set workers = %d, want 4", parallel.workers)
-	}
-	sequential := build(1)
-
-	const draws = 300
-	run := func(g *Generator) []Snapshot {
-		dst := make([]Snapshot, draws)
-		if err := g.SnapshotsInto(dst); err != nil {
-			t.Fatalf("SnapshotsInto: %v", err)
-		}
-		return dst
-	}
-	a, b := run(sequential), run(parallel)
-	for i := range a {
-		for j := range a[i].Gaussian {
-			if a[i].Gaussian[j] != b[i].Gaussian[j] || a[i].Envelopes[j] != b[i].Envelopes[j] {
-				t.Fatalf("snapshot %d envelope %d: sequential and 4-worker powers paths differ", i, j)
-			}
-		}
-	}
-}
-
 // assertBlocksEqual fails the test on the first bitwise difference.
 func assertBlocksEqual(t *testing.T, i int, want, got *Block) {
 	t.Helper()
