@@ -277,7 +277,7 @@ func nonstationaryBenchmark(name string, k *cmplxmat.Matrix) []result {
 // create after the first reuses the content-addressed setup artifact). The
 // cold/warm gap is the cache's win and is gated like every other family.
 func sessionCreateBenchmarks(n int) []result {
-	svc := service.New(service.Config{Workers: 1, MaxSessions: -1})
+	svc := service.New(service.Config{MaxSessions: -1})
 	defer svc.Close()
 	mgr := svc.Manager()
 	spec := func(seed int64) *service.SessionSpec {

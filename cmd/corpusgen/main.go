@@ -7,7 +7,7 @@
 //	    expand the plan and write the corpus directory
 //	corpusgen verify -plan plans/corpus-smoke.json -dir scenarios/corpus-smoke
 //	    regenerate from the plan and byte-compare against the directory
-//	corpusgen replay -plan plans/corpus-full.json [-addr http://host:port] [-workers 1,4] [-token]
+//	corpusgen replay -plan plans/corpus-full.json [-addr http://host:port] [-token]
 //	    run the byte-identity and 400-path gates against a live or in-process
 //	    fadingd; -token additionally resumes every spec on a second in-process
 //	    server via its session token alone (docs/cluster.md)
@@ -23,8 +23,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 
 	"repro/internal/corpus"
 )
@@ -135,8 +133,7 @@ func runReplay(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("replay", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	plan := fs.String("plan", "", "corpus plan file (required)")
-	addr := fs.String("addr", "", "live fadingd base URL (default: in-process servers)")
-	workers := fs.String("workers", "1,4", "comma-separated in-process worker counts (ignored with -addr)")
+	addr := fs.String("addr", "", "live fadingd base URL (default: an in-process server)")
 	tokenResume := fs.Bool("token", false, "also resume every spec on a second server via its session token only (in-process; see docs/cluster.md)")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -145,16 +142,7 @@ func runReplay(args []string, stdout, stderr io.Writer) int {
 	if code != 0 {
 		return code
 	}
-	opts := corpus.ReplayOptions{Addr: *addr, TokenResume: *tokenResume}
-	for _, w := range strings.Split(*workers, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(w))
-		if err != nil || n < 1 {
-			fmt.Fprintf(stderr, "corpusgen replay: bad -workers entry %q\n", w)
-			return 2
-		}
-		opts.Workers = append(opts.Workers, n)
-	}
-	report, err := corpus.Replay(c, opts)
+	report, err := corpus.Replay(c, corpus.ReplayOptions{Addr: *addr, TokenResume: *tokenResume})
 	if err != nil {
 		fmt.Fprintf(stderr, "corpusgen replay: %v\n", err)
 		return 2

@@ -18,7 +18,7 @@ const testPlanJSON = `{
 }`
 
 // replayPlanJSON keeps the CLI replay test cheap: realtime-only, so every
-// valid entry replays, and one server worker count.
+// valid entry replays.
 const replayPlanJSON = `{
   "name": "clirp",
   "seed": 6,
@@ -118,7 +118,7 @@ func TestListPrintsManifest(t *testing.T) {
 // server: byte-identity passes and 400 rejections both reported, exit 0.
 func TestReplaySubcommand(t *testing.T) {
 	plan := writePlan(t, replayPlanJSON)
-	code, stdout, stderr := runCLI(t, "replay", "-plan", plan, "-workers", "1")
+	code, stdout, stderr := runCLI(t, "replay", "-plan", plan)
 	if code != 0 {
 		t.Fatalf("replay = %d\nstderr:\n%s", code, stderr)
 	}
@@ -147,7 +147,6 @@ func TestUsageErrors(t *testing.T) {
 		{"verify-missing-dir", []string{"verify", "-plan", goodPlan}, "-dir is required"},
 		{"invalid-plan-rejected", []string{"list", "-plan", badPlan}, "unknown model type"},
 		{"missing-plan-file", []string{"list", "-plan", "no/such/plan.json"}, "no such file"},
-		{"replay-bad-workers", []string{"replay", "-plan", goodPlan, "-workers", "0"}, "bad -workers"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -8,8 +8,7 @@
 //
 // Usage:
 //
-//	fadingd [-addr :8080] [-workers N] [-queue N] [-window N]
-//	        [-session-ttl 5m] [-max-sessions 256] [-shards N] [-cache-specs 256]
+//	fadingd [-addr :8080] [-session-ttl 5m] [-max-sessions 256] [-cache-specs 256]
 //	        [-max-envelopes 64] [-max-blocks 1048576] [-max-idft 65536]
 //	        [-read-header-timeout 10s] [-read-timeout 1m] [-write-timeout 0]
 //	        [-idle-timeout 2m] [-create-timeout 30s]
@@ -48,12 +47,8 @@ import (
 func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
-		workers      = flag.Int("workers", 0, "generation pool size (0 = GOMAXPROCS)")
-		queue        = flag.Int("queue", 0, "pool job queue depth (0 = 2x workers)")
-		window       = flag.Int("window", 0, "per-stream in-flight block budget (0 = 4)")
 		sessionTTL   = flag.Duration("session-ttl", 5*time.Minute, "evict sessions idle longer than this")
 		maxSessions  = flag.Int("max-sessions", 256, "session table capacity")
-		shards       = flag.Int("shards", 0, "session table shard count, rounded up to a power of two (0 = cover GOMAXPROCS)")
 		cacheSpecs   = flag.Int("cache-specs", 0, "max cached per-spec setup artifacts shared across sessions (0 = 256, negative disables)")
 		maxEnvelopes = flag.Int("max-envelopes", 0, "largest model N a spec may request (0 = 64)")
 		maxBlocks    = flag.Int("max-blocks", 0, "longest stream a spec may request (0 = 1<<20)")
@@ -85,12 +80,8 @@ func main() {
 	}
 
 	svc := service.New(service.Config{
-		Workers:       *workers,
-		QueueDepth:    *queue,
-		Window:        *window,
 		SessionTTL:    *sessionTTL,
 		MaxSessions:   *maxSessions,
-		Shards:        *shards,
 		CacheSpecs:    *cacheSpecs,
 		CreateTimeout: *createTimeout,
 		Keyring:       keyring,
@@ -126,7 +117,7 @@ func main() {
 	}
 
 	// Graceful shutdown: stop the streams at their next block boundary, let
-	// the HTTP server drain, then tear down sessions and the worker pool.
+	// the HTTP server drain, then tear down the sessions.
 	svc.BeginShutdown()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

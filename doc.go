@@ -126,12 +126,12 @@
 // service: sessions are created from the same correlation-model and method
 // vocabulary the scenario files use, and their block streams are
 // deterministic and resumable (?from=k is byte-identical to the tail of a
-// from-0 stream, at any server worker count). The session table is sharded
-// for concurrent churn, and sessions with equal specs share one immutable
-// generation artifact through a content-addressed setup cache, so only the
-// first create of a spec pays the O(N³) setup. Endpoints, the spec schema,
-// the binary frame layout, the sharding/cache design and capacity tuning are
-// documented in docs/service.md; cmd/slorun drives load against it, and
+// from-0 stream, on any server). Each stream handler generates the blocks it
+// serves through its own Cursor, and sessions with equal specs share one
+// immutable generation artifact through a content-addressed setup cache, so
+// only the first create of a spec pays the O(N³) setup. Endpoints, the spec
+// schema, the binary frame layout, the session table and cache design and
+// capacity tuning are documented in docs/service.md; cmd/slorun drives load against it, and
 // fadingbench/ is the end-to-end throughput benchmark (BENCHMARK.json).
 //
 // The service scales horizontally without shared state: every session
@@ -166,7 +166,7 @@
 //
 // The invariants behind all of the above — no ambient nondeterminism in
 // generation packages, canonical hashes covering every spec field,
-// lock-discipline on the sharded session table, allocation-free hot paths,
+// lock-discipline on the session table, allocation-free hot paths,
 // the typed error contract — are enforced at compile time by the fadinglint
 // analyzer suite ("go run ./cmd/fadinglint ./...", or via
 // go vet -vettool); docs/linting.md catalogs the analyzers and their

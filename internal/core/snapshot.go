@@ -63,8 +63,11 @@ type SnapshotGenerator struct {
 	root      *randx.RNG // frozen split root: chunk c draws from root.SplitSeedAt(c)
 	n         int
 	panels    *snapPanels // workspace of single draws and sequential batches, built on first use
-	transform Transform
-	next      uint64 // position of the next snapshot drawn
+	// workerPanels holds one workspace per parallel batch worker, grown to
+	// the largest worker count a call has used.
+	workerPanels []*snapPanels
+	transform    Transform
+	next         uint64 // position of the next snapshot drawn
 }
 
 // snapPanels holds one colored chunk: the N×chunk GEMM panels with the W row
@@ -180,10 +183,11 @@ const batchChunkSize = 64
 // at the generator's next position plus i, bit-identical to the same
 // position read by single draws or by batches split any other way. workers
 // > 1 fans the chunks the range touches across that many goroutines, each
-// with panels of its own; a partial first or last chunk is colored whole
-// and only its in-range columns are copied. The sequential workers <= 1
-// path reads through the generator's own panels and performs no heap
-// allocation when every entry already has length N.
+// with panels of its own that the generator keeps for later calls; a
+// partial first or last chunk is colored whole and only its in-range columns
+// are copied. The sequential workers <= 1 path reads through the
+// generator's own panels and performs no heap allocation when every entry
+// already has length N.
 func (g *SnapshotGenerator) GenerateBatchInto(dst []Snapshot, workers int) error {
 	if len(dst) == 0 {
 		return fmt.Errorf("core: empty batch destination: %w", ErrBadInput)
@@ -214,11 +218,13 @@ func (g *SnapshotGenerator) GenerateBatchInto(dst []Snapshot, workers int) error
 	var next atomic.Int64
 	next.Store(-1)
 	workers = min(workers, chunks)
+	for len(g.workerPanels) < workers {
+		g.workerPanels = append(g.workerPanels, newSnapPanels(g.n))
+	}
 	wg.Add(workers)
-	for range workers {
+	for _, p := range g.workerPanels[:workers] {
 		go func() {
 			defer wg.Done()
-			p := newSnapPanels(g.n)
 			for {
 				c := next.Add(1)
 				if c >= int64(chunks) {

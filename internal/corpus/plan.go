@@ -7,8 +7,8 @@
 // The replay engine runs every generated realtime spec through the service's
 // in-process stream construction and replays the same specs against a live
 // fadingd (reusing the internal/slolab resuming client), asserting SHA-256
-// byte-identity between the two paths, across worker counts and across
-// resume points. cmd/corpusgen drives generation, verification and replay
+// byte-identity between the two paths, across chunkings and across resume
+// points. cmd/corpusgen drives generation, verification and replay
 // from the command line and CI; docs/corpus.md documents the plan schema,
 // the constraint matrix and the replay contract.
 //

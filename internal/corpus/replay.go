@@ -18,12 +18,8 @@ import (
 // ReplayOptions shapes one replay pass.
 type ReplayOptions struct {
 	// Addr is the base URL of a live fadingd ("http://host:port"). Empty
-	// starts in-process servers instead, one per Workers entry.
+	// starts an in-process server instead.
 	Addr string
-	// Workers are the in-process server worker counts swept when Addr is
-	// empty (default 1 and 4: the sequential pool and a parallel one, so the
-	// byte-identity gate covers worker-count invariance).
-	Workers []int
 	// Limits bounds spec admission on both the engine path and the
 	// in-process servers; the zero value selects the service defaults.
 	Limits service.Limits
@@ -38,14 +34,15 @@ type ReplayOptions struct {
 
 // ReplayReport is the outcome of one replay pass.
 type ReplayReport struct {
-	// Servers counts the server targets swept.
+	// Servers counts the server targets replayed against: the live address
+	// or the one in-process server.
 	Servers int
 	// Replayed counts the replayable corpus entries streamed.
 	Replayed int
 	// Passes counts the live stream passes whose hash was compared against
-	// the engine reference (chunkings × resume points × servers).
+	// the engine reference (chunkings plus the resume point, per spec).
 	Passes int
-	// Rejected counts the invalid bodies each server correctly answered with
+	// Rejected counts the invalid bodies the server correctly answered with
 	// 400 {code: "bad_spec"}.
 	Rejected int
 	// TokenResumes counts the token-only cross-server passes whose hash
@@ -94,31 +91,20 @@ type replayServer struct {
 	close func()
 }
 
-// startServers resolves the replay targets: the live address when given,
-// else one in-process fadingd per worker count.
-func startServers(opts ReplayOptions) ([]replayServer, error) {
+// startServer resolves the replay target: the live address when given,
+// else an in-process fadingd.
+func startServer(opts ReplayOptions) (replayServer, error) {
 	if opts.Addr != "" {
-		return []replayServer{{label: "live " + opts.Addr, base: opts.Addr, close: func() {}}}, nil
+		return replayServer{label: "live " + opts.Addr, base: opts.Addr, close: func() {}}, nil
 	}
-	workers := opts.Workers
-	if len(workers) == 0 {
-		workers = []int{1, 4}
+	base, stop, err := service.ServeLoopback(service.Config{Limits: opts.Limits})
+	if err != nil {
+		return replayServer{}, fmt.Errorf("corpus: %w", err)
 	}
-	var out []replayServer
-	for _, w := range workers {
-		base, stop, err := service.ServeLoopback(service.Config{Workers: w, Limits: opts.Limits})
-		if err != nil {
-			for _, s := range out {
-				s.close()
-			}
-			return nil, fmt.Errorf("corpus: %w", err)
-		}
-		out = append(out, replayServer{label: fmt.Sprintf("workers=%d", w), base: base, close: stop})
-	}
-	return out, nil
+	return replayServer{label: "in-process", base: base, close: stop}, nil
 }
 
-// Replay runs the corpus's byte-identity and 400-path gates against every
+// Replay runs the corpus's byte-identity and 400-path gates against the
 // target: each replayable spec is streamed whole, in single-block chunks, in
 // uneven chunks, and resumed from the middle of the stream, and every pass
 // must hash to the engine reference computed in-process; each invalid body
@@ -129,18 +115,14 @@ func Replay(c *Corpus, opts ReplayOptions) (*ReplayReport, error) {
 	if opts.TokenResume && opts.Addr != "" {
 		return nil, fmt.Errorf("corpus: token resume owns both servers and cannot target a live address")
 	}
-	servers, err := startServers(opts)
+	srv, err := startServer(opts)
 	if err != nil {
 		return nil, err
 	}
-	defer func() {
-		for _, s := range servers {
-			s.close()
-		}
-	}()
+	defer srv.close()
 
 	// The engine reference is a pure function of the spec: compute it once
-	// per entry, outside the server sweep.
+	// per entry.
 	var refs []reference
 	for _, e := range c.Valid {
 		if e.Session == nil {
@@ -158,17 +140,15 @@ func Replay(c *Corpus, opts ReplayOptions) (*ReplayReport, error) {
 		refs = append(refs, reference{entry: e, body: encodeJSON(e.Session), full: full, resume: resume, halfway: half})
 	}
 
-	report := &ReplayReport{Servers: len(servers), Replayed: len(refs)}
-	for _, srv := range servers {
-		client := slolab.NewClient(slolab.ClientConfig{Base: srv.base, Seed: 1})
-		for _, ref := range refs {
-			if err := replayOne(client, srv.label, ref.entry.Name, ref.body, ref.full, ref.resume, ref.halfway, report); err != nil {
-				return nil, err
-			}
+	report := &ReplayReport{Servers: 1, Replayed: len(refs)}
+	client := slolab.NewClient(slolab.ClientConfig{Base: srv.base, Seed: 1})
+	for _, ref := range refs {
+		if err := replayOne(client, srv.label, ref.entry.Name, ref.body, ref.full, ref.resume, ref.halfway, report); err != nil {
+			return nil, err
 		}
-		for _, e := range c.Invalid {
-			checkInvalid(srv.base, srv.label, e, report)
-		}
+	}
+	for _, e := range c.Invalid {
+		checkInvalid(srv.base, srv.label, e, report)
 	}
 	if opts.TokenResume {
 		if err := tokenResumeSweep(refs, opts.Limits, report); err != nil {
@@ -203,7 +183,7 @@ func tokenResumeSweep(refs []reference, limits service.Limits, report *ReplayRep
 	if err != nil {
 		return fmt.Errorf("corpus: token keyring: %w", err)
 	}
-	cfg := service.Config{Workers: 2, Limits: limits, Keyring: kr}
+	cfg := service.Config{Limits: limits, Keyring: kr}
 	var pair []replayServer
 	for _, label := range []string{"token-origin", "token-resume"} {
 		base, stop, err := service.ServeLoopback(cfg)

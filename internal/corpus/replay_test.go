@@ -27,22 +27,22 @@ func replayPlan() *Plan {
 
 // TestReplayByteIdentity is the tentpole gate run in-process: every
 // replayable corpus spec must stream byte-identically to the engine
-// reference across worker counts, chunkings and a mid-stream resume, and
+// reference across chunkings and a mid-stream resume, and
 // every invalid body must be rejected with 400 {code: "bad_spec"}.
 func TestReplayByteIdentity(t *testing.T) {
 	c, err := Generate(replayPlan())
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
-	report, err := Replay(c, ReplayOptions{Workers: []int{1, 4}})
+	report, err := Replay(c, ReplayOptions{})
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
 	if !report.OK() {
 		t.Fatalf("replay violations:\n%s", strings.Join(report.Failures, "\n"))
 	}
-	if report.Servers != 2 {
-		t.Errorf("Servers = %d, want 2", report.Servers)
+	if report.Servers != 1 {
+		t.Errorf("Servers = %d, want 1", report.Servers)
 	}
 	if report.Replayed != len(c.Valid) {
 		t.Errorf("Replayed = %d, want %d (realtime-only plan)", report.Replayed, len(c.Valid))
@@ -67,7 +67,7 @@ func TestReplayTokenResume(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
-	report, err := Replay(c, ReplayOptions{Workers: []int{1}, TokenResume: true})
+	report, err := Replay(c, ReplayOptions{TokenResume: true})
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
 	}

@@ -3,11 +3,11 @@
 //
 //	// guarded-by: <lock>
 //
-// (where <lock> names a sibling mutex field, e.g. managerShard's sessions
-// map guarded by mu) may only be read or written in functions that visibly
-// hold the lock. "Visibly" is a deliberately simple, reviewable heuristic: a
-// call to <lock>.Lock() or <lock>.RLock() must precede the access in the
-// same function body, or the function must be marked
+// (where <lock> names a sibling mutex field, e.g. the service Manager's
+// sessions map guarded by mu) may only be read or written in functions that
+// visibly hold the lock. "Visibly" is a deliberately simple, reviewable
+// heuristic: a call to <lock>.Lock() or <lock>.RLock() must precede the
+// access in the same function body, or the function must be marked
 // "// fadinglint:holdslock <lock>" (the caller-held convention for helpers
 // invoked under the lock). Accesses that are safe for another reason —
 // construction before publication, say — carry

@@ -171,8 +171,8 @@ func TestSetupCacheDisabled(t *testing.T) {
 // byte-identical to one built cold (cache disabled) — caching is invisible
 // to clients.
 func TestCacheHitStreamsByteIdentical(t *testing.T) {
-	cached, tsCached := newTestServer(t, Config{Workers: 2})
-	_, tsCold := newTestServer(t, Config{Workers: 2, CacheSpecs: -1})
+	cached, tsCached := newTestServer(t, Config{})
+	_, tsCold := newTestServer(t, Config{CacheSpecs: -1})
 
 	first := createSession(t, tsCached.URL, testSpec).ID
 	second := createSession(t, tsCached.URL, testSpec).ID

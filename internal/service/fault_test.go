@@ -118,7 +118,7 @@ func TestShutdownAndEvictionDuringTokenStreams(t *testing.T) {
 		spec      = `{"model":{"type":"eq22"},"seed":7,"blocks":32,"idft_points":64}`
 		otherSpec = `{"model":{"type":"eq22"},"seed":8,"blocks":32,"idft_points":64}`
 	)
-	a := newReplica(t, clusterKey, service.Config{Workers: 1})
+	a := newReplica(t, clusterKey, service.Config{})
 	info := createOn(t, a.URL, spec)
 	status, ref, _ := streamWith(t, a.URL, info.ID, "?format=bin", "", "none")
 	if status != http.StatusOK || len(ref)%blocks != 0 {
@@ -130,7 +130,7 @@ func TestShutdownAndEvictionDuringTokenStreams(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseKeyring: %v", err)
 	}
-	srv := service.New(service.Config{Workers: 2, Window: 2, CacheSpecs: 1, Keyring: kr})
+	srv := service.New(service.Config{CacheSpecs: 1, Keyring: kr})
 	var gate atomic.Pointer[streamGate]
 	b := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		srv.Handler().ServeHTTP(&gatedWriter{ResponseWriter: w, gate: gate.Load()}, r)

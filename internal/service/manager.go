@@ -3,7 +3,6 @@ package service
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,65 +16,38 @@ var ErrShuttingDown = errors.New("service: server shutting down")
 
 // Manager owns the session table: creation against a capacity cap (with
 // setup-artifact caching), lookup with TTL touching, explicit deletion, and
-// idle eviction. The table is sharded — a power-of-two array of
-// independently locked maps, FNV-1a over the session ID picking the shard —
-// so session churn from many concurrent clients never serializes on one
-// mutex. All methods are safe for concurrent use.
+// idle eviction. The table is one map behind one mutex. All methods are safe
+// for concurrent use.
 type Manager struct {
-	shards    []managerShard
-	mask      uint32
-	count     atomic.Int64 // live sessions across all shards
+	mu sync.Mutex
+	// guarded-by: mu
+	sessions map[string]*Session
+
+	count     atomic.Int64 // live sessions
 	lastSweep atomic.Int64 // unix nanoseconds of the latest sweep start
 	closed    atomic.Bool  // set by CloseAll; rejects late creates
 	ttl       time.Duration
 	max       int
-	freeList  int
 	now       func() time.Time
 	metrics   *metrics
 	cache     *setupCache
 }
 
-// managerShard is one independently locked slice of the session table.
-type managerShard struct {
-	mu sync.Mutex
-	// guarded-by: mu
-	sessions map[string]*Session
-}
-
-// newManager builds a Manager with the given shard count (rounded up to a
-// power of two, minimum 1). now is injectable for eviction tests.
-func newManager(shards int, ttl time.Duration, max, freeList int, now func() time.Time, m *metrics, cache *setupCache) *Manager {
-	n := 1
-	for n < shards {
-		n <<= 1
-	}
-	mgr := &Manager{
-		shards:   make([]managerShard, n),
-		mask:     uint32(n - 1),
+// newManager builds an empty Manager. now is injectable for eviction tests.
+func newManager(ttl time.Duration, max int, now func() time.Time, m *metrics, cache *setupCache) *Manager {
+	return &Manager{
+		sessions: make(map[string]*Session),
 		ttl:      ttl,
 		max:      max,
-		freeList: freeList,
 		now:      now,
 		metrics:  m,
 		cache:    cache,
 	}
-	for i := range mgr.shards {
-		//lint:allow shardlock construction precedes publication; no other goroutine can hold the shard yet
-		mgr.shards[i].sessions = make(map[string]*Session)
-	}
-	return mgr
-}
-
-// shardFor picks the shard owning a session ID.
-func (m *Manager) shardFor(id string) *managerShard {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(id))
-	return &m.shards[h.Sum32()&m.mask]
 }
 
 // opportunisticSweepGap bounds how often the create path may fall back to a
 // full-table sweep: rejected creates against a genuinely full table must
-// stay O(1), not hand every anonymous client a lock-every-shard scan.
+// stay O(1), not hand every anonymous client a full-table scan.
 const opportunisticSweepGap = time.Second
 
 // Create validates nothing — the caller parses and validates the spec — and
@@ -95,29 +67,28 @@ func (m *Manager) Create(spec *SessionSpec) (*Session, error) {
 		m.count.Add(-1)
 		return nil, err
 	}
-	s := newSession(spec, stream, m.freeList, m.now())
-	sh := m.shardFor(s.ID)
-	sh.mu.Lock()
+	s := newSession(spec, stream, m.now())
+	m.mu.Lock()
 	if m.closed.Load() {
-		// The setup ran outside any lock, so CloseAll may have drained this
-		// shard in the meantime; inserting now would leak an unclosable
-		// session. The check happens under the shard lock: either CloseAll
-		// has not swept this shard yet (and will remove the session), or the
-		// flag is already visible here.
-		sh.mu.Unlock()
+		// The setup ran outside any lock, so CloseAll may have drained the
+		// table in the meantime; inserting now would leak an unclosable
+		// session. The check happens under the table lock: either CloseAll
+		// has not drained the table yet (and will remove the session), or
+		// the flag is already visible here.
+		m.mu.Unlock()
 		m.count.Add(-1)
 		s.close()
 		return nil, ErrShuttingDown
 	}
-	sh.sessions[s.ID] = s
-	sh.mu.Unlock()
+	m.sessions[s.ID] = s
+	m.mu.Unlock()
 	m.metrics.sessionsCreated.Add(1)
 	return s, nil
 }
 
 // reserve claims one slot against the capacity cap, undoing the claim when
 // the table is full. Claim-then-check keeps concurrent creates from
-// overshooting the cap without a global lock.
+// overshooting the cap without holding the table lock across their setup.
 func (m *Manager) reserve() bool {
 	if n := m.count.Add(1); m.max > 0 && n > int64(m.max) {
 		m.count.Add(-1)
@@ -127,13 +98,12 @@ func (m *Manager) reserve() bool {
 }
 
 // Get returns the session and marks it active. The touch happens under the
-// shard lock, so it cannot race a concurrent Delete/Sweep closing the
+// table lock, so it cannot race a concurrent Delete/Sweep closing the
 // session (a touched session is by definition still in the table).
 func (m *Manager) Get(id string) (*Session, bool) {
-	sh := m.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	s, ok := sh.sessions[id]
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	s, ok := m.sessions[id]
 	if !ok {
 		return nil, false
 	}
@@ -142,14 +112,13 @@ func (m *Manager) Get(id string) (*Session, bool) {
 }
 
 // GetForStream is Get for the streaming path: it additionally acquires a
-// stream reference under the shard lock, pinning the session against TTL
+// stream reference under the table lock, pinning the session against TTL
 // eviction for as long as the stream is live. The caller must release with
 // Session.endStream once the stream finishes.
 func (m *Manager) GetForStream(id string) (*Session, bool) {
-	sh := m.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	s, ok := sh.sessions[id]
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	s, ok := m.sessions[id]
 	if !ok {
 		return nil, false
 	}
@@ -166,7 +135,7 @@ func (m *Manager) GetForStream(id string) (*Session, bool) {
 // carried here is O(1).
 //
 // The insert follows GetForStream's refcount discipline: the stream
-// reference is acquired under the shard lock before the session is
+// reference is acquired under the table lock before the session is
 // published, so a TTL sweep racing the adoption sees either no entry or a
 // pinned one — never an unpinned session it could evict mid-handshake. When
 // the table is full (even after an opportunistic sweep) the session is
@@ -184,22 +153,21 @@ func (m *Manager) AdoptForStream(id string, spec *SessionSpec) (*Session, error)
 	if !reserved && m.trySweep() {
 		reserved = m.reserve()
 	}
-	s := newSessionWithID(id, spec, stream, m.freeList, m.now())
-	sh := m.shardFor(id)
-	sh.mu.Lock()
-	if exist, ok := sh.sessions[id]; ok {
+	s := newSessionWithID(id, spec, stream, m.now())
+	m.mu.Lock()
+	if exist, ok := m.sessions[id]; ok {
 		// A concurrent resume (or the origin create) won the insert race;
 		// serve through the registered session.
 		exist.touch(m.now())
 		exist.streams.Add(1)
-		sh.mu.Unlock()
+		m.mu.Unlock()
 		if reserved {
 			m.count.Add(-1)
 		}
 		return exist, nil
 	}
 	if m.closed.Load() {
-		sh.mu.Unlock()
+		m.mu.Unlock()
 		if reserved {
 			m.count.Add(-1)
 		}
@@ -207,9 +175,9 @@ func (m *Manager) AdoptForStream(id string, spec *SessionSpec) (*Session, error)
 	}
 	s.streams.Add(1)
 	if reserved {
-		sh.sessions[id] = s
+		m.sessions[id] = s
 	}
-	sh.mu.Unlock()
+	m.mu.Unlock()
 	if reserved {
 		m.metrics.sessionsAdopted.Add(1)
 	}
@@ -220,11 +188,10 @@ func (m *Manager) AdoptForStream(id string, spec *SessionSpec) (*Session, error)
 // Unlike TTL eviction, an explicit delete is never deferred by active
 // streams: the client asked for the session to die.
 func (m *Manager) Delete(id string) bool {
-	sh := m.shardFor(id)
-	sh.mu.Lock()
-	s, ok := sh.sessions[id]
-	delete(sh.sessions, id)
-	sh.mu.Unlock()
+	m.mu.Lock()
+	s, ok := m.sessions[id]
+	delete(m.sessions, id)
+	m.mu.Unlock()
 	if !ok {
 		return false
 	}
@@ -255,17 +222,14 @@ func (m *Manager) Sweep() int {
 	now := m.now()
 	m.lastSweep.Store(now.UnixNano())
 	var victims []*Session
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		for id, s := range sh.sessions {
-			if s.streams.Load() == 0 && s.idle(now) > m.ttl {
-				delete(sh.sessions, id)
-				victims = append(victims, s)
-			}
+	m.mu.Lock()
+	for id, s := range m.sessions {
+		if s.streams.Load() == 0 && s.idle(now) > m.ttl {
+			delete(m.sessions, id)
+			victims = append(victims, s)
 		}
-		sh.mu.Unlock()
 	}
+	m.mu.Unlock()
 	for _, s := range victims {
 		s.close()
 	}
@@ -279,35 +243,19 @@ func (m *Manager) Len() int {
 	return int(m.count.Load())
 }
 
-// ShardSizes returns the per-shard session counts (the /metrics gauges and
-// the shard-balance view for operational tooling).
-func (m *Manager) ShardSizes() []int {
-	sizes := make([]int, len(m.shards))
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		sizes[i] = len(sh.sessions)
-		sh.mu.Unlock()
-	}
-	return sizes
-}
-
 // CloseAll empties the table, terminating every stream, and turns away any
 // create still mid-setup (shutdown path).
 func (m *Manager) CloseAll() {
 	m.closed.Store(true)
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		victims := make([]*Session, 0, len(sh.sessions))
-		for id, s := range sh.sessions {
-			delete(sh.sessions, id)
-			victims = append(victims, s)
-		}
-		sh.mu.Unlock()
-		for _, s := range victims {
-			s.close()
-		}
-		m.count.Add(-int64(len(victims)))
+	m.mu.Lock()
+	victims := make([]*Session, 0, len(m.sessions))
+	for id, s := range m.sessions {
+		delete(m.sessions, id)
+		victims = append(victims, s)
 	}
+	m.mu.Unlock()
+	for _, s := range victims {
+		s.close()
+	}
+	m.count.Add(-int64(len(victims)))
 }

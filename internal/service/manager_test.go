@@ -25,11 +25,10 @@ func newAtomicClock(start time.Time) *atomicClock {
 func (c *atomicClock) now() time.Time          { return time.Unix(0, c.nanos.Load()) }
 func (c *atomicClock) advance(d time.Duration) { c.nanos.Add(int64(d)) }
 
-// TestShardedTableBasics exercises the full CRUD surface across many shards:
-// every session stays resolvable, the shard sizes always sum to Len, and the
-// keys actually spread over more than one shard.
-func TestShardedTableBasics(t *testing.T) {
-	s := New(Config{Shards: 8})
+// TestTableBasics exercises the full CRUD surface: every session stays
+// resolvable, Len counts them all, and deleting them empties the table.
+func TestTableBasics(t *testing.T) {
+	s := New(Config{})
 	defer s.Close()
 	m := s.Manager()
 
@@ -45,23 +44,6 @@ func TestShardedTableBasics(t *testing.T) {
 	}
 	if m.Len() != sessions {
 		t.Fatalf("Len = %d, want %d", m.Len(), sessions)
-	}
-	sizes := m.ShardSizes()
-	if len(sizes) != 8 {
-		t.Fatalf("ShardSizes has %d shards, want 8", len(sizes))
-	}
-	total, populated := 0, 0
-	for _, n := range sizes {
-		total += n
-		if n > 0 {
-			populated++
-		}
-	}
-	if total != sessions {
-		t.Fatalf("shard sizes sum to %d, want %d", total, sessions)
-	}
-	if populated < 2 {
-		t.Fatalf("%d sessions landed in %d shard(s); the hash does not spread", sessions, populated)
 	}
 	for _, id := range ids {
 		if _, ok := m.Get(id); !ok {
@@ -85,7 +67,6 @@ func TestShardedTableBasics(t *testing.T) {
 func TestSweepPinsActiveStreams(t *testing.T) {
 	clock := newAtomicClock(time.Unix(1700000000, 0))
 	s, ts := newTestServer(t, Config{
-		Workers: 2, Window: 2,
 		SessionTTL: time.Minute, SweepInterval: time.Hour,
 		now: clock.now,
 	})
@@ -182,7 +163,7 @@ func TestCreateSweepsWhenFull(t *testing.T) {
 }
 
 // TestCreateAfterCloseAllRejected pins the shutdown race: a create whose
-// setup straddles CloseAll must not insert into a drained shard (which would
+// setup straddles CloseAll must not insert into a drained table (which would
 // leak an unclosable session and a phantom count).
 func TestCreateAfterCloseAllRejected(t *testing.T) {
 	s := New(Config{})
@@ -206,7 +187,7 @@ func TestCreateAfterCloseAllRejected(t *testing.T) {
 func TestGetDeleteSweepRaceStress(t *testing.T) {
 	clock := newAtomicClock(time.Unix(1700000000, 0))
 	// MaxSessions < 0 bypasses the cap (0 would select the default 256).
-	s := New(Config{Shards: 4, MaxSessions: -1, SessionTTL: time.Millisecond, SweepInterval: time.Hour, now: clock.now})
+	s := New(Config{MaxSessions: -1, SessionTTL: time.Millisecond, SweepInterval: time.Hour, now: clock.now})
 	defer s.Close()
 	m := s.Manager()
 
@@ -277,11 +258,10 @@ func TestGetDeleteSweepRaceStress(t *testing.T) {
 	close(stop)
 	readers.Wait()
 
-	total := 0
-	for _, n := range m.ShardSizes() {
-		total += n
-	}
-	if total != m.Len() {
-		t.Fatalf("shard sizes sum to %d but Len() = %d", total, m.Len())
+	m.mu.Lock()
+	size := len(m.sessions)
+	m.mu.Unlock()
+	if size != m.Len() {
+		t.Fatalf("table holds %d sessions but Len() = %d", size, m.Len())
 	}
 }

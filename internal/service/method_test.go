@@ -9,7 +9,7 @@ import (
 )
 
 func TestSessionMethodThreadsThroughService(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2, Window: 2})
+	_, ts := newTestServer(t, Config{})
 
 	// Default method reads back normalized.
 	info := createSession(t, ts.URL, testSpec)
@@ -49,7 +49,7 @@ func TestSessionMethodThreadsThroughService(t *testing.T) {
 // Sorooshyari–Daut ε-clamps the indefinite target itself, so its session
 // reports none; the generalized method reports its zero clamp.
 func TestSessionInfoReportsOnlyAppliedForcing(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, Window: 2})
+	_, ts := newTestServer(t, Config{})
 	spec := func(method string) string {
 		return `{
 			"model": {"type": "explicit", "covariance": [[1, 0.9, -0.9], [0.9, 1, 0.9], [-0.9, 0.9, 1]]},
@@ -72,7 +72,7 @@ func TestSessionInfoReportsOnlyAppliedForcing(t *testing.T) {
 }
 
 func TestSessionMethodRejections(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, Window: 2})
+	_, ts := newTestServer(t, Config{})
 
 	post := func(spec string) (int, string) {
 		t.Helper()
@@ -100,7 +100,7 @@ func TestSessionMethodRejections(t *testing.T) {
 }
 
 func TestMethodsEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
+	_, ts := newTestServer(t, Config{})
 	resp, err := http.Get(ts.URL + "/v1/methods")
 	if err != nil {
 		t.Fatalf("GET /v1/methods: %v", err)

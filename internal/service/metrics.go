@@ -33,10 +33,10 @@ type metrics struct {
 	bytesWritten   atomic.Int64
 }
 
-// write renders the Prometheus text exposition format. sessions, queue,
-// shardSizes and cacheSize are gauges sampled by the caller (session table
-// size, pool queue depth, per-shard session counts, cached setup artifacts).
-func (m *metrics) write(w io.Writer, sessions, queue int, shardSizes []int, cacheSize int, now time.Time) {
+// write renders the Prometheus text exposition format. sessions and
+// cacheSize are gauges sampled by the caller (session table size, cached
+// setup artifacts).
+func (m *metrics) write(w io.Writer, sessions, cacheSize int, now time.Time) {
 	uptime := now.Sub(m.start).Seconds()
 	blocks := m.blocksServed.Load()
 	var rate float64
@@ -75,17 +75,10 @@ func (m *metrics) write(w io.Writer, sessions, queue int, shardSizes []int, cach
 	fmt.Fprintf(w, "# TYPE fadingd_samples_served_total counter\nfadingd_samples_served_total %d\n", m.samplesServed.Load())
 	fmt.Fprintf(w, "# HELP fadingd_bytes_written_total Payload bytes written to clients.\n")
 	fmt.Fprintf(w, "# TYPE fadingd_bytes_written_total counter\nfadingd_bytes_written_total %d\n", m.bytesWritten.Load())
-	fmt.Fprintf(w, "# HELP fadingd_queue_depth Generation jobs waiting for a worker.\n")
-	fmt.Fprintf(w, "# TYPE fadingd_queue_depth gauge\nfadingd_queue_depth %d\n", queue)
 	fmt.Fprintf(w, "# HELP fadingd_spec_cache_hits_total Session creates served from the setup cache.\n")
 	fmt.Fprintf(w, "# TYPE fadingd_spec_cache_hits_total counter\nfadingd_spec_cache_hits_total %d\n", m.specCacheHits.Load())
 	fmt.Fprintf(w, "# HELP fadingd_spec_cache_misses_total Session creates that performed the full setup.\n")
 	fmt.Fprintf(w, "# TYPE fadingd_spec_cache_misses_total counter\nfadingd_spec_cache_misses_total %d\n", m.specCacheMisses.Load())
 	fmt.Fprintf(w, "# HELP fadingd_spec_cache_size Setup artifacts currently cached.\n")
 	fmt.Fprintf(w, "# TYPE fadingd_spec_cache_size gauge\nfadingd_spec_cache_size %d\n", cacheSize)
-	fmt.Fprintf(w, "# HELP fadingd_shard_sessions Live sessions per table shard.\n")
-	fmt.Fprintf(w, "# TYPE fadingd_shard_sessions gauge\n")
-	for i, n := range shardSizes {
-		fmt.Fprintf(w, "fadingd_shard_sessions{shard=\"%d\"} %d\n", i, n)
-	}
 }

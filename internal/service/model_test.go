@@ -11,7 +11,7 @@ import (
 )
 
 func TestModelsEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
+	_, ts := newTestServer(t, Config{})
 	resp, err := http.Get(ts.URL + "/v1/models")
 	if err != nil {
 		t.Fatalf("GET /v1/models: %v", err)
@@ -39,7 +39,7 @@ func TestModelsEndpoint(t *testing.T) {
 }
 
 func TestSessionFadingThreadsThroughService(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2, Window: 2})
+	_, ts := newTestServer(t, Config{})
 
 	// Default fading reads back normalized.
 	info := createSession(t, ts.URL, testSpec)
@@ -99,7 +99,7 @@ func TestSessionFadingThreadsThroughService(t *testing.T) {
 }
 
 func TestSessionFadingRejections(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, Window: 2})
+	_, ts := newTestServer(t, Config{})
 
 	post := func(spec string) (int, string) {
 		t.Helper()

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"runtime"
 	"strconv"
 	"sync"
 	"time"
@@ -17,26 +16,12 @@ import (
 // Config tunes a Server; every zero field selects its default. Capacity
 // guidance lives in docs/service.md.
 type Config struct {
-	// Workers is the size of the shared generation pool. Default
-	// GOMAXPROCS.
-	Workers int
-	// QueueDepth bounds the pool's job queue — the global backpressure
-	// valve. Default 2×Workers.
-	QueueDepth int
-	// Window is the per-stream budget of in-flight blocks (the bounded
-	// per-session queue): a stream keeps at most Window generation jobs
-	// outstanding, so a slow reader ties up at most Window block buffers and
-	// zero workers. Default 4.
-	Window int
 	// SessionTTL evicts sessions idle longer than this. Default 5m.
 	SessionTTL time.Duration
 	// SweepInterval is the eviction cadence. Default SessionTTL/4.
 	SweepInterval time.Duration
 	// MaxSessions caps the session table. Default 256.
 	MaxSessions int
-	// Shards is the session-table shard count, rounded up to a power of two.
-	// Default: the smallest power of two covering GOMAXPROCS.
-	Shards int
 	// CacheSpecs bounds the content-addressed setup cache: at most this many
 	// spec setup artifacts (coloring root, Doppler plan — one immutable
 	// Stream per distinct spec hash) are kept for reuse across sessions.
@@ -68,15 +53,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Workers == 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.QueueDepth == 0 {
-		c.QueueDepth = 2 * c.Workers
-	}
-	if c.Window == 0 {
-		c.Window = 4
-	}
 	if c.SessionTTL == 0 {
 		c.SessionTTL = 5 * time.Minute
 	}
@@ -85,9 +61,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxSessions == 0 {
 		c.MaxSessions = 256
-	}
-	if c.Shards == 0 {
-		c.Shards = runtime.GOMAXPROCS(0)
 	}
 	if c.CacheSpecs == 0 {
 		c.CacheSpecs = 256
@@ -102,14 +75,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server is the fadingd HTTP service: a session manager, a bounded worker
-// pool, and the handlers tying them together. Create one with New, mount
-// Handler on an http.Server, and call Close after the http.Server has shut
-// down.
+// Server is the fadingd HTTP service: a session manager, a setup cache, and
+// the handlers tying them together. Each stream handler generates the blocks
+// it serves on its own goroutine. Create one with New, mount Handler on an
+// http.Server, and call Close after the http.Server has shut down.
 type Server struct {
 	cfg      Config
 	manager  *Manager
-	pool     *pool
 	cache    *setupCache
 	metrics  *metrics
 	mux      *http.ServeMux
@@ -118,18 +90,14 @@ type Server struct {
 	janitor  sync.WaitGroup
 }
 
-// New builds and starts a Server (the janitor and worker goroutines run
-// until Close).
+// New builds and starts a Server (the janitor goroutine runs until Close).
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	m := &metrics{start: cfg.now()}
 	cache := newSetupCache(cfg.CacheSpecs, m)
 	s := &Server{
-		cfg: cfg,
-		// Free lists sized to the worker count keep a fully fanned-out
-		// session recycling instead of allocating.
-		manager:  newManager(cfg.Shards, cfg.SessionTTL, cfg.MaxSessions, cfg.Workers+cfg.Window, cfg.now, m, cache),
-		pool:     newPool(cfg.Workers, cfg.QueueDepth),
+		cfg:      cfg,
+		manager:  newManager(cfg.SessionTTL, cfg.MaxSessions, cfg.now, m, cache),
 		cache:    cache,
 		metrics:  m,
 		mux:      http.NewServeMux(),
@@ -159,14 +127,12 @@ func (s *Server) BeginShutdown() {
 	s.once.Do(func() { close(s.shutdown) })
 }
 
-// Close terminates every session and stream, stops the janitor and drains
-// the worker pool. Call it after the enclosing http.Server has finished
-// shutting down.
+// Close terminates every session and stream and stops the janitor. Call it
+// after the enclosing http.Server has finished shutting down.
 func (s *Server) Close() {
 	s.BeginShutdown()
 	s.manager.CloseAll()
 	s.janitor.Wait()
-	s.pool.close()
 }
 
 // runJanitor evicts idle sessions until shutdown.
@@ -358,21 +324,24 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.metrics.write(w, s.manager.Len(), s.pool.queueDepth(), s.manager.ShardSizes(), s.cache.size(), s.cfg.now())
+	s.metrics.write(w, s.manager.Len(), s.cache.size(), s.cfg.now())
 }
 
 // trailerBlocksSent is the HTTP trailer carrying the number of blocks
 // actually written. The X-Fadingd-Blocks header is a promise made before the
-// first byte; a pool shutdown, eviction-by-DELETE or generation error
+// first byte; a shutdown, a DELETE or eviction, or a generation error
 // mid-stream can only truncate the body, so the trailer is the in-band
 // signal that lets a client distinguish a complete stream from a cut one.
 const trailerBlocksSent = "X-Fadingd-Blocks-Sent"
 
 // handleStream serves blocks [from, from+count) of a session as NDJSON or
-// binary frames, flushing after every block. Block generation is pipelined
-// through the shared pool with a window of in-flight jobs; blocks are
-// written strictly in order, so the concatenated payload of any combination
-// of resumed ranges is byte-identical to one from-0 pass.
+// binary frames, flushing after every block. The handler generates every
+// block itself, in order, through one Cursor of the session's Stream; block
+// k is a pure function of the spec and k, so the concatenated payload of any
+// combination of resumed ranges is byte-identical to one from-0 pass. Before
+// each block it checks the request context, the session and the server: a
+// client disconnect, a DELETE or eviction, and BeginShutdown each end the
+// stream at the next block boundary.
 //
 // The session is touched once at stream start and once at stream end — never
 // per block — and holds a stream reference in between, so TTL eviction can
@@ -442,6 +411,12 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	gaussian := q.Get("gaussian") == "1"
+	rd, err := sess.acquireReader()
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
+	}
+	defer sess.releaseReader(rd)
 
 	w.Header().Set("X-Fadingd-Session", sess.ID)
 	w.Header().Set("X-Fadingd-From", strconv.FormatUint(from, 10))
@@ -463,47 +438,22 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 
 	enc := newFrameEncoder(format)
 	ctx := r.Context()
-	// pending is the stream's in-flight window, oldest first. Jobs complete
-	// in any order on the pool; writing consumes them strictly in order.
-	pending := make([]*blockJob, 0, s.cfg.Window)
-	next := from
-	for next < end || len(pending) > 0 {
-		for len(pending) < s.cfg.Window && next < end {
-			job := sess.acquireJob()
-			job.index = next
-			if err := s.pool.submit(ctx, sess.done, job); err != nil {
-				// Not submitted: the job is clean, recycle it and stop.
-				sess.releaseJob(job)
-				return
-			}
-			pending = append(pending, job)
-			next++
-		}
-		job := pending[0]
+	for i := from; i < end; i++ {
 		select {
-		case <-job.ready:
 		case <-ctx.Done():
-			return // abandon in-flight jobs; workers never block on them
-		case <-sess.done:
-			return // eviction mid-stream
-		case <-s.shutdown:
 			return
-		}
-		// select picks at random among ready cases, so a job that was
-		// already done can win over shutdown: check again, so no block goes
-		// out after BeginShutdown.
-		select {
+		case <-sess.done:
+			return
 		case <-s.shutdown:
 			return
 		default:
 		}
-		pending = pending[1:]
-		if job.err != nil {
+		if err := rd.cur.BlockAt(i, &rd.block); err != nil {
 			// Headers are long gone; the only honest signal mid-stream is
 			// truncation.
 			return
 		}
-		bytes, err := enc.encode(w, job.index, job.block, gaussian)
+		bytes, err := enc.encode(w, i, &rd.block, gaussian)
 		s.metrics.bytesWritten.Add(int64(bytes))
 		if err != nil {
 			return
@@ -511,7 +461,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		sent++
 		s.metrics.blocksServed.Add(1)
 		s.metrics.samplesServed.Add(int64(sess.N() * sess.BlockLength()))
-		sess.releaseJob(job)
 		if flusher != nil {
 			flusher.Flush()
 		}

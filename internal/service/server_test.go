@@ -3,12 +3,12 @@ package service
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -71,36 +71,36 @@ func fetchStream(t *testing.T, base, id, params string) (int, []byte) {
 }
 
 // TestWireDeterminism is the release gate in unit-test form: for a fixed
-// spec, the concatenated payload must be byte-identical across server worker
-// counts and across any resume point, in both formats.
+// spec, the concatenated payload must be byte-identical across servers and
+// across any resume point, in both formats.
 func TestWireDeterminism(t *testing.T) {
-	_, one := newTestServer(t, Config{Workers: 1, Window: 2})
-	_, four := newTestServer(t, Config{Workers: 4, Window: 3})
+	_, first := newTestServer(t, Config{})
+	_, second := newTestServer(t, Config{})
 
 	for _, format := range []string{FormatNDJSON, FormatBinary} {
-		idOne := createSession(t, one.URL, testSpec).ID
-		idFour := createSession(t, four.URL, testSpec).ID
+		idFirst := createSession(t, first.URL, testSpec).ID
+		idSecond := createSession(t, second.URL, testSpec).ID
 
-		status, fullOne := fetchStream(t, one.URL, idOne, "?format="+format)
+		status, fullFirst := fetchStream(t, first.URL, idFirst, "?format="+format)
 		if status != http.StatusOK {
-			t.Fatalf("[%s] full stream (1 worker): status %d", format, status)
+			t.Fatalf("[%s] full stream (first server): status %d", format, status)
 		}
-		status, fullFour := fetchStream(t, four.URL, idFour, "?format="+format)
+		status, fullSecond := fetchStream(t, second.URL, idSecond, "?format="+format)
 		if status != http.StatusOK {
-			t.Fatalf("[%s] full stream (4 workers): status %d", format, status)
+			t.Fatalf("[%s] full stream (second server): status %d", format, status)
 		}
-		if !bytes.Equal(fullOne, fullFour) {
-			t.Fatalf("[%s] payload differs between 1-worker and 4-worker servers", format)
+		if !bytes.Equal(fullFirst, fullSecond) {
+			t.Fatalf("[%s] payload differs between the two servers", format)
 		}
 
 		// Resume at every split point: head ++ tail must equal the full pass.
 		for from := 1; from < 8; from++ {
-			_, head := fetchStream(t, four.URL, idFour, fmt.Sprintf("?format=%s&count=%d", format, from))
-			status, tail := fetchStream(t, four.URL, idFour, fmt.Sprintf("?format=%s&from=%d", format, from))
+			_, head := fetchStream(t, second.URL, idSecond, fmt.Sprintf("?format=%s&count=%d", format, from))
+			status, tail := fetchStream(t, second.URL, idSecond, fmt.Sprintf("?format=%s&from=%d", format, from))
 			if status != http.StatusOK {
 				t.Fatalf("[%s] resume from=%d: status %d", format, from, status)
 			}
-			if !bytes.Equal(append(head, tail...), fullFour) {
+			if !bytes.Equal(append(head, tail...), fullSecond) {
 				t.Fatalf("[%s] resume from=%d: head+tail != full stream", format, from)
 			}
 		}
@@ -111,7 +111,7 @@ func TestWireDeterminism(t *testing.T) {
 // goroutines at different offsets; every reader must see the same bytes.
 // Run under -race in CI this also proves the serving path is data-race free.
 func TestConcurrentStreamsShareOneSession(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 4, Window: 2, QueueDepth: 4})
+	_, ts := newTestServer(t, Config{})
 	id := createSession(t, ts.URL, testSpec).ID
 	_, full := fetchStream(t, ts.URL, id, "?format=bin")
 
@@ -154,7 +154,7 @@ func TestConcurrentStreamsShareOneSession(t *testing.T) {
 // bit for bit (JSON float64 round-trips exactly through Go's shortest-form
 // encoder).
 func TestNDJSONBinaryEquivalence(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2})
+	_, ts := newTestServer(t, Config{})
 	id := createSession(t, ts.URL, testSpec).ID
 
 	_, ndjson := fetchStream(t, ts.URL, id, "?format=ndjson&gaussian=1")
@@ -267,7 +267,7 @@ func TestMalformedSpecsRejected(t *testing.T) {
 // stream must terminate promptly (truncated, not hung), and the session must
 // be gone afterwards.
 func TestEvictionMidStream(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 2, Window: 2})
+	s, ts := newTestServer(t, Config{})
 	spec := `{"model": {"type": "eq22"}, "seed": 7, "blocks": 100000, "idft_points": 256}`
 	id := createSession(t, ts.URL, spec).ID
 
@@ -526,12 +526,10 @@ func TestHealthzAndMetrics(t *testing.T) {
 	for _, want := range []string{
 		"fadingd_sessions_active 1",
 		"fadingd_blocks_served_total 8",
-		"fadingd_queue_depth ",
 		"fadingd_blocks_per_second ",
 		"fadingd_spec_cache_hits_total 0",
 		"fadingd_spec_cache_misses_total 1",
 		"fadingd_spec_cache_size 1",
-		"fadingd_shard_sessions{shard=\"0\"} ",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics output missing %q:\n%s", want, text)
@@ -546,7 +544,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 // failed generation) the trailer carries the smaller count a client can use
 // to detect the truncation.
 func TestStreamTrailerReportsSentBlocks(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 2, Window: 2})
+	s, ts := newTestServer(t, Config{})
 
 	// Complete stream: trailer == promised header.
 	id := createSession(t, ts.URL, testSpec).ID
@@ -595,10 +593,9 @@ func TestStreamTrailerReportsSentBlocks(t *testing.T) {
 }
 
 // TestServiceGenerationPathNoAllocs is the acceptance gate on the serving
-// hot path: with a pre-warmed session (cursor and job free lists populated,
-// encoder buffer grown), pushing a block through the real pipeline —
-// acquire, pool submit, worker generation, binary encode, release —
-// allocates nothing.
+// hot path: with a pre-warmed session (reader parked, encoder buffer grown),
+// pushing a block through the real pipeline — acquire reader, BlockAt,
+// binary encode, release — allocates nothing.
 func TestServiceGenerationPathNoAllocs(t *testing.T) {
 	spec, err := ParseSpec(strings.NewReader(`{
 		"model": {"type": "eq22"}, "seed": 9, "blocks": 1024, "idft_points": 256
@@ -610,39 +607,80 @@ func TestServiceGenerationPathNoAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("buildStream: %v", err)
 	}
-	sess := newSession(spec, stream, 4, time.Now())
-	p := newPool(1, 2)
-	defer p.close()
+	sess := newSession(spec, stream, time.Now())
 	enc := &binaryEncoder{}
-	job := sess.acquireJob()
-	// Warm: first generation shapes the block, first encode grows the buffer.
-	if err := sess.generateBlock(0, job.block); err != nil {
-		t.Fatalf("warm generateBlock: %v", err)
+	// Warm: the first acquire builds the reader, its first generation shapes
+	// the block, the first encode grows the buffer.
+	rd, err := sess.acquireReader()
+	if err != nil {
+		t.Fatalf("acquireReader: %v", err)
 	}
-	if _, err := enc.encode(io.Discard, 0, job.block, true); err != nil {
+	if err := rd.cur.BlockAt(0, &rd.block); err != nil {
+		t.Fatalf("warm BlockAt: %v", err)
+	}
+	if _, err := enc.encode(io.Discard, 0, &rd.block, true); err != nil {
 		t.Fatalf("warm encode: %v", err)
 	}
-	sess.releaseJob(job)
+	sess.releaseReader(rd)
 
-	ctx := context.Background()
 	var i uint64
 	allocs := testing.AllocsPerRun(100, func() {
-		j := sess.acquireJob()
-		j.index = i % 1024
-		if err := p.submit(ctx, sess.done, j); err != nil {
-			t.Fatalf("submit(%d): %v", j.index, err)
+		rd, err := sess.acquireReader()
+		if err != nil {
+			t.Fatalf("acquireReader: %v", err)
 		}
-		<-j.ready
-		if j.err != nil {
-			t.Fatalf("generateBlock(%d): %v", j.index, j.err)
+		index := i % 1024
+		if err := rd.cur.BlockAt(index, &rd.block); err != nil {
+			t.Fatalf("BlockAt(%d): %v", index, err)
 		}
-		if _, err := enc.encode(io.Discard, j.index, j.block, true); err != nil {
-			t.Fatalf("encode(%d): %v", j.index, err)
+		if _, err := enc.encode(io.Discard, index, &rd.block, true); err != nil {
+			t.Fatalf("encode(%d): %v", index, err)
 		}
-		sess.releaseJob(j)
+		sess.releaseReader(rd)
 		i++
 	})
 	if allocs != 0 {
 		t.Fatalf("service generation path allocated %.1f times per block, want 0", allocs)
+	}
+}
+
+// TestStreamedSessionRetainsOneBlock bounds what a session keeps after one
+// stream at the defaults: the one parked reader, a cursor plus a single
+// block. Streaming 32 blocks of an N = 32, M = 4096 session must grow the
+// heap by less than two blocks' storage (24 bytes per sample: an envelope
+// float64 and a complex128 Gaussian).
+func TestStreamedSessionRetainsOneBlock(t *testing.T) {
+	const n, m, blocks = 32, 4096, 32
+	s, ts := newTestServer(t, Config{})
+	info := createSession(t, ts.URL, fmt.Sprintf(
+		`{"model": {"type": "exponential", "n": %d, "rho": 0.7}, "seed": 11, "blocks": %d, "idft_points": %d}`, n, blocks, m))
+	sess, ok := s.Manager().Get(info.ID)
+	if !ok {
+		t.Fatal("created session not resolvable")
+	}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	resp, err := http.Get(ts.URL + "/v1/sessions/" + info.ID + "/stream?format=bin")
+	if err != nil {
+		t.Fatalf("GET stream: %v", err)
+	}
+	_, err = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("read stream: %v", err)
+	}
+	if sent := resp.Trailer.Get("X-Fadingd-Blocks-Sent"); sent != strconv.Itoa(blocks) {
+		t.Fatalf("stream sent %q blocks, want %d", sent, blocks)
+	}
+	waitForUnpin(t, sess)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+
+	const limit = 2 * n * m * 24
+	if grown := int64(after.HeapAlloc) - int64(before.HeapAlloc); grown >= limit {
+		t.Errorf("heap grew by %.2f MiB after one stream, want < %.2f MiB (two blocks)",
+			float64(grown)/(1<<20), float64(limit)/(1<<20))
 	}
 }

@@ -12,10 +12,9 @@ import (
 )
 
 // Session is one deterministic channel realization being served. The
-// underlying Stream is immutable and random-access, so any number of pool
-// workers can generate any of the session's blocks concurrently; the session
-// only adds bookkeeping (identity, lifecycle, reusable cursors and block
-// buffers).
+// underlying Stream is immutable and random-access, so any goroutine holding
+// a Cursor of it generates any of the session's blocks; the session only adds
+// bookkeeping (identity, lifecycle, one parked reader).
 type Session struct {
 	// ID is the opaque session identifier handed to the client.
 	ID string
@@ -31,57 +30,47 @@ type Session struct {
 
 	// streams counts live stream handlers. A nonzero count pins the session
 	// against TTL eviction (Manager.Sweep); acquisition happens under the
-	// shard lock (Manager.GetForStream), release via endStream.
+	// table lock (Manager.GetForStream), release via endStream.
 	streams atomic.Int64
 
 	// done is closed exactly once when the session is evicted or deleted;
-	// in-flight streams select on it so eviction terminates them promptly.
+	// live streams check it before every block, so eviction ends them at
+	// the next block boundary.
 	done      chan struct{}
 	closeOnce sync.Once
 
-	// cursors and jobs are bounded free lists: steady-state block serving
-	// reuses warmed entries instead of allocating, and the bounds keep one
-	// session from hoarding memory.
-	cursors chan *rayleigh.Cursor
-	jobs    chan *blockJob
+	// parked holds at most one reader for the session's next stream, so
+	// steady-state serving reuses a warmed cursor and block instead of
+	// allocating. A stream takes it with acquireReader and hands it back
+	// with releaseReader.
+	parked atomic.Pointer[reader]
 }
 
-// blockJob is one unit of pool work: generate block index of session sess
-// into block, then signal ready (capacity 1, so the generating worker never
-// blocks even when the consumer is gone).
-type blockJob struct {
-	sess  *Session
-	index uint64
-	block *rayleigh.Block
-	err   error
-	ready chan struct{}
+// reader is one stream's generation state: a cursor over the session's
+// Stream and the block it fills.
+type reader struct {
+	cur   *rayleigh.Cursor
+	block rayleigh.Block
 }
 
 // newSession builds a session's bookkeeping around a prebuilt (possibly
-// cache-shared) Stream. freeListSize bounds the cursor and job free lists;
-// it should cover the worker count so a fully fanned-out session still
-// recycles.
-func newSession(spec *SessionSpec, stream *rayleigh.Stream, freeListSize int, now time.Time) *Session {
-	return newSessionWithID(newSessionID(), spec, stream, freeListSize, now)
+// cache-shared) Stream.
+func newSession(spec *SessionSpec, stream *rayleigh.Stream, now time.Time) *Session {
+	return newSessionWithID(newSessionID(), spec, stream, now)
 }
 
 // newSessionWithID is newSession under a caller-supplied id: the
 // token-rebuild path preserves the origin replica's id, so a session keeps
 // one name across the whole fleet.
-func newSessionWithID(id string, spec *SessionSpec, stream *rayleigh.Stream, freeListSize int, now time.Time) *Session {
-	if freeListSize < 1 {
-		freeListSize = 1
-	}
+func newSessionWithID(id string, spec *SessionSpec, stream *rayleigh.Stream, now time.Time) *Session {
 	s := &Session{
-		ID:      id,
-		Spec:    *spec,
-		stream:  stream,
-		n:       stream.N(),
-		m:       stream.BlockLength(),
-		blocks:  uint64(spec.Blocks),
-		done:    make(chan struct{}),
-		cursors: make(chan *rayleigh.Cursor, freeListSize),
-		jobs:    make(chan *blockJob, freeListSize),
+		ID:     id,
+		Spec:   *spec,
+		stream: stream,
+		n:      stream.N(),
+		m:      stream.BlockLength(),
+		blocks: uint64(spec.Blocks),
+		done:   make(chan struct{}),
 	}
 	s.lastActive.Store(now.UnixNano())
 	return s
@@ -130,7 +119,8 @@ func (s *Session) idle(now time.Time) time.Duration {
 	return now.Sub(time.Unix(0, s.lastActive.Load()))
 }
 
-// close marks the session dead, waking every in-flight stream. Idempotent.
+// close marks the session dead: every live stream ends at its next block
+// boundary. Idempotent.
 func (s *Session) close() {
 	s.closeOnce.Do(func() { close(s.done) })
 }
@@ -145,56 +135,22 @@ func (s *Session) closed() bool {
 	}
 }
 
-// generateBlock produces block index into dst through a recycled cursor.
-// It is the service's generation hot path: with warmed free lists and a
-// power-of-two block length it performs no heap allocation.
-//
-// fadinglint:allocfree
-func (s *Session) generateBlock(index uint64, dst *rayleigh.Block) error {
-	var cur *rayleigh.Cursor
-	select {
-	case cur = <-s.cursors:
-	default:
-		c, err := s.stream.NewCursor()
-		if err != nil {
-			return err
-		}
-		cur = c
+// acquireReader takes the session's parked reader. When none is parked
+// (the first stream, or a second stream running beside the one holding it)
+// it builds a fresh one, which releaseReader parks or lets go.
+func (s *Session) acquireReader() (*reader, error) {
+	if r := s.parked.Swap(nil); r != nil {
+		return r, nil
 	}
-	err := cur.BlockAt(index, dst)
-	select {
-	case s.cursors <- cur:
-	default: // free list full; let the extra cursor go
+	cur, err := s.stream.NewCursor()
+	if err != nil {
+		return nil, err
 	}
-	return err
+	return &reader{cur: cur}, nil
 }
 
-// acquireJob returns a recycled (or new) job bound to this session.
-func (s *Session) acquireJob() *blockJob {
-	select {
-	case j := <-s.jobs:
-		return j
-	default:
-		return &blockJob{
-			sess:  s,
-			block: &rayleigh.Block{},
-			ready: make(chan struct{}, 1),
-		}
-	}
-}
-
-// releaseJob recycles a job whose result has been fully consumed.
-func (s *Session) releaseJob(j *blockJob) {
-	j.err = nil
-	select {
-	case s.jobs <- j:
-	default: // free list full; drop
-	}
-}
-
-// run executes the job against its session. It never blocks on the
-// consumer: ready has capacity 1 and is drained before reuse.
-func (j *blockJob) run() {
-	j.err = j.sess.generateBlock(j.index, j.block)
-	j.ready <- struct{}{}
+// releaseReader parks r for the session's next stream, unless another
+// stream parked one first; then r is dropped.
+func (s *Session) releaseReader(r *reader) {
+	s.parked.CompareAndSwap(nil, r)
 }

@@ -4,10 +4,10 @@
 // and stream blocks of correlated Rayleigh fading envelopes as NDJSON or
 // compact binary frames. Streams are deterministic and resumable — block k
 // of a session is a pure function of the spec, so ?from=k resumption and
-// any worker count reproduce the exact bytes of a from-0 stream — and a
-// bounded worker pool shards block generation across sessions so one slow
-// consumer never stalls the generators. See docs/service.md for the wire
-// protocol.
+// parallel range requests reproduce the exact bytes of a from-0 stream — and
+// each stream handler generates its own blocks through its own Cursor, so one
+// slow consumer holds up only its own stream. See docs/service.md for the
+// wire protocol.
 package service
 
 import (
@@ -74,7 +74,7 @@ type SessionSpec struct {
 	// session creation with its documented error class.
 	Method string `json:"method,omitempty"`
 	// Seed fixes the session's random streams: equal specs produce
-	// byte-identical streams, on any server, at any worker count.
+	// byte-identical streams, on any server.
 	Seed int64 `json:"seed"`
 	// Blocks is the total length of the session's stream in blocks.
 	//lint:allow canonfields Blocks bounds the served range, not the stream; sessions of different lengths share one setup artifact

@@ -120,8 +120,8 @@ type errorEnvelope struct {
 // created on replica A resumes byte-identically from any offset on replica B,
 // which shares only the signing key — no session table, no prior requests.
 func TestClusterSmoke(t *testing.T) {
-	a := newReplica(t, clusterKey, service.Config{Workers: 1, Window: 2})
-	b := newReplica(t, clusterKey, service.Config{Workers: 4, Window: 3})
+	a := newReplica(t, clusterKey, service.Config{})
+	b := newReplica(t, clusterKey, service.Config{})
 
 	info := createOn(t, a.URL, tokenTestSpec)
 	if info.Token == "" {
@@ -163,12 +163,12 @@ func TestClusterSmoke(t *testing.T) {
 
 	// A replica with a mismatched key must refuse: same key id with a
 	// different secret is a signature failure, a foreign key id is unknown.
-	wrongSecret := newReplica(t, mismatchedKey, service.Config{Workers: 1})
+	wrongSecret := newReplica(t, mismatchedKey, service.Config{})
 	status, _, env := streamWith(t, wrongSecret.URL, info.ID, "?format=bin", info.Token, "bearer")
 	if status != http.StatusUnauthorized || env.Code != "token_invalid" {
 		t.Fatalf("mismatched secret: status %d code %q, want 401 token_invalid", status, env.Code)
 	}
-	foreign := newReplica(t, foreignKey, service.Config{Workers: 1})
+	foreign := newReplica(t, foreignKey, service.Config{})
 	status, _, env = streamWith(t, foreign.URL, info.ID, "?format=bin", info.Token, "bearer")
 	if status != http.StatusUnauthorized || env.Code != "token_unknown_key" {
 		t.Fatalf("foreign key id: status %d code %q, want 401 token_unknown_key", status, env.Code)
@@ -180,8 +180,8 @@ func TestClusterSmoke(t *testing.T) {
 // creating an equivalent session there is a cache hit, because the token's
 // canonical spec and the posted spec derive the same address.
 func TestTokenRebuildSharesSetupCache(t *testing.T) {
-	a := newReplica(t, clusterKey, service.Config{Workers: 1})
-	b := newReplica(t, clusterKey, service.Config{Workers: 1})
+	a := newReplica(t, clusterKey, service.Config{})
+	b := newReplica(t, clusterKey, service.Config{})
 
 	info := createOn(t, a.URL, tokenTestSpec)
 	if status, _, _ := streamWith(t, b.URL, info.ID, "?format=bin&count=1", info.Token, "bearer"); status != http.StatusOK {
@@ -222,8 +222,8 @@ func scrapeCounter(t *testing.T, base, name string) int {
 // TestTokenFailurePaths drives every refusal through the wire and asserts
 // both the status and the machine-readable {code,error} envelope.
 func TestTokenFailurePaths(t *testing.T) {
-	origin := newReplica(t, clusterKey, service.Config{Workers: 1})
-	replica := newReplica(t, clusterKey, service.Config{Workers: 1})
+	origin := newReplica(t, clusterKey, service.Config{})
+	replica := newReplica(t, clusterKey, service.Config{})
 	info := createOn(t, origin.URL, tokenTestSpec)
 
 	kr, err := token.ParseKeyring(clusterKey)
@@ -312,7 +312,7 @@ func TestTokenFailurePaths(t *testing.T) {
 	}
 
 	// A keyless replica cannot authenticate any token.
-	keyless := newReplica(t, "", service.Config{Workers: 1})
+	keyless := newReplica(t, "", service.Config{})
 	status, _, env := streamWith(t, keyless.URL, info.ID, "?format=bin", info.Token, "bearer")
 	if status != http.StatusUnauthorized || env.Code != "token_invalid" {
 		t.Fatalf("keyless replica: status %d code %q, want 401 token_invalid", status, env.Code)
@@ -323,8 +323,8 @@ func TestTokenFailurePaths(t *testing.T) {
 // under the old primary verifies on a replica whose ring leads with the new
 // key but retains the old one.
 func TestTokenRotation(t *testing.T) {
-	oldPrimary := newReplica(t, clusterKey, service.Config{Workers: 1})
-	rotated := newReplica(t, "k2:"+strings.Repeat("ab", 32)+","+clusterKey, service.Config{Workers: 1})
+	oldPrimary := newReplica(t, clusterKey, service.Config{})
+	rotated := newReplica(t, "k2:"+strings.Repeat("ab", 32)+","+clusterKey, service.Config{})
 
 	info := createOn(t, oldPrimary.URL, tokenTestSpec)
 	status, _, _ := streamWith(t, rotated.URL, info.ID, "?format=bin&count=1", info.Token, "bearer")
@@ -341,7 +341,7 @@ func TestTokenRotation(t *testing.T) {
 // TestTokenRebuildVsSweepRace hammers token-miss rebuilds against a TTL sweep
 // that evicts everything it can, as fast as it can. Run under -race in CI,
 // this is the regression gate for the adopt-vs-sweep locking discipline: the
-// stream reference must be acquired under the shard lock before the rebuilt
+// stream reference must be acquired under the table lock before the rebuilt
 // session is published, so no request ever observes a half-adopted session.
 func TestTokenRebuildVsSweepRace(t *testing.T) {
 	kr, err := token.ParseKeyring(clusterKey)
@@ -349,7 +349,7 @@ func TestTokenRebuildVsSweepRace(t *testing.T) {
 		t.Fatalf("ParseKeyring: %v", err)
 	}
 	s := service.New(service.Config{
-		Workers: 2, Window: 2, Keyring: kr,
+		Keyring: kr,
 		// Everything idle is instantly expired: each resume likely finds the
 		// table swept and rebuilds, racing the sweeper's eviction scan.
 		SessionTTL:    time.Nanosecond,

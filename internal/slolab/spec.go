@@ -52,9 +52,8 @@ const (
 	// FaultNone runs the plain streaming workload in every phase (baseline
 	// scenarios: the gates are the whole point).
 	FaultNone = "none"
-	// FaultSlowConsumer throttles the client's read side to BytesPerSec,
-	// exercising the server's window-credit pool: a reader slower than the
-	// generators must cost block buffers, never workers.
+	// FaultSlowConsumer throttles the client's read side to BytesPerSec: a
+	// reader slower than the server may hold up only its own stream.
 	FaultSlowConsumer = "slow_consumer"
 	// FaultConnChurn replaces steady streaming with a create → stream →
 	// delete loop over fresh connections (keep-alives disabled during
@@ -204,11 +203,7 @@ type PhaseSpec struct {
 // ServerSpec is the in-process server configuration a scenario may override;
 // zero fields keep the service defaults. Durations are milliseconds in JSON.
 type ServerSpec struct {
-	Workers         int `json:"workers,omitempty"`
-	QueueDepth      int `json:"queue_depth,omitempty"`
-	Window          int `json:"window,omitempty"`
 	MaxSessions     int `json:"max_sessions,omitempty"`
-	Shards          int `json:"shards,omitempty"`
 	CacheSpecs      int `json:"cache_specs,omitempty"`
 	SessionTTLMs    int `json:"session_ttl_ms,omitempty"`
 	CreateTimeoutMs int `json:"create_timeout_ms,omitempty"`
@@ -217,11 +212,7 @@ type ServerSpec struct {
 // config translates the overrides into a service configuration.
 func (s ServerSpec) config() service.Config {
 	return service.Config{
-		Workers:       s.Workers,
-		QueueDepth:    s.QueueDepth,
-		Window:        s.Window,
 		MaxSessions:   s.MaxSessions,
-		Shards:        s.Shards,
 		CacheSpecs:    s.CacheSpecs,
 		SessionTTL:    time.Duration(s.SessionTTLMs) * time.Millisecond,
 		CreateTimeout: time.Duration(s.CreateTimeoutMs) * time.Millisecond,

@@ -3,6 +3,7 @@ package rayleigh
 import (
 	"errors"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -127,6 +128,34 @@ func TestSnapshotsIntoAmortizedAllocations(t *testing.T) {
 	// panels: far below one allocation per snapshot.
 	if perSnapshot := perRun / count; perSnapshot > 0.5 {
 		t.Errorf("SnapshotsInto allocates %.2f per snapshot (%.0f per %d-snapshot run)", perSnapshot, perRun, count)
+	}
+}
+
+// TestSnapshotsIntoParallelReusesWorkerPanels bounds what a warmed parallel
+// SnapshotsInto call allocates. The generator keeps its workers' N×64 chunk
+// panels across calls, so a call at Parallel 4 costs its goroutine starts,
+// about 1 KiB, instead of fresh panels for every worker (over 100 KiB at
+// N = 16).
+func TestSnapshotsIntoParallelReusesWorkerPanels(t *testing.T) {
+	const n, count, calls = 16, 1024, 50
+	g, err := New(Config{Covariance: exponentialCovarianceRows(n, 0.7), Seed: 505, Parallel: 4})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	dst := make([]Snapshot, count)
+	if err := g.SnapshotsInto(dst); err != nil { // shape the storage, build the panels
+		t.Fatalf("SnapshotsInto: %v", err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range calls {
+		if err := g.SnapshotsInto(dst); err != nil {
+			t.Fatalf("SnapshotsInto: %v", err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / calls; perCall >= 8<<10 {
+		t.Errorf("warmed SnapshotsInto at Parallel 4 allocates %d bytes per call, want < 8 KiB", perCall)
 	}
 }
 
