@@ -79,9 +79,10 @@
 //     band: the B = 2·k_m bins where the Eq. (21) filter is non-zero (408 of
 //     4096 at fm = 0.05). One matrix-matrix product colors the N×B band
 //     panel, and each colored row is inverse-transformed in the Block's own
-//     storage through a per-length plan with precomputed twiddle factors and
-//     bit-reversal permutations. With a pre-shaped Block and a power-of-two
-//     IDFT length the call performs no heap allocation at all.
+//     storage through a per-length plan with per-stage twiddle tables. At a
+//     power-of-two IDFT length each colored tap is written straight to its
+//     bit-reversed bin, so the transform skips its permutation pass, and
+//     with a pre-shaped Block the call performs no heap allocation at all.
 //
 // Snapshots are colored in chunks of 64, and every chunk draws from its own
 // random stream, derived deterministically from the seed and the chunk's

@@ -141,16 +141,49 @@ func colorPanelRealWide(ld, wd, zd []complex128, n, m, j0, j1 int) {
 }
 
 // colorPanelReal accumulates one column panel of Z = L·W for purely real L
-// with a 2×2 register tile: two output rows × two columns accumulate in
-// registers across the full k sweep, so the kernel issues four loads per
-// sixteen floating-point operations instead of a z load/store pair per
-// element-op — arithmetic-bound rather than memory-uop-bound. Used for
-// narrow blocks (batched snapshot panels), where the k stride is small
-// enough that the W panel stays L1-resident without set aliasing.
-// Accumulation order over k is unchanged (one ascending chain per output
-// entry), so results match the generic kernel bit for bit.
+// with register tiles. Blocks of four output rows take one column at a time
+// with float accumulators, so each W element loaded feeds eight
+// multiply-adds; the remaining rows go through a 2×2 tile (two rows × two
+// columns), and a last odd row one column at a time. Each tile keeps its
+// accumulators in registers across the full k sweep instead of a z
+// load/store pair per element-op, so the kernel is arithmetic-bound rather
+// than memory-uop-bound. Used for narrow blocks (batched snapshot panels),
+// where the k stride is small enough that the W panel stays L1-resident
+// without set aliasing. Accumulation order over k is unchanged (one
+// ascending chain per output entry), so results match the generic kernel
+// bit for bit.
 func colorPanelReal(ld, wd, zd []complex128, n, m, j0, j1 int) {
 	i := 0
+	for ; i+4 <= n; i += 4 {
+		l0 := ld[i*n : (i+1)*n : (i+1)*n]
+		l1 := ld[(i+1)*n : (i+2)*n : (i+2)*n][:len(l0)]
+		l2 := ld[(i+2)*n : (i+3)*n : (i+3)*n][:len(l0)]
+		l3 := ld[(i+3)*n : (i+4)*n : (i+4)*n][:len(l0)]
+		z0 := zd[i*m+j0 : i*m+j1 : i*m+j1]
+		z1 := zd[(i+1)*m+j0 : (i+1)*m+j1 : (i+1)*m+j1][:len(z0)]
+		z2 := zd[(i+2)*m+j0 : (i+2)*m+j1 : (i+2)*m+j1][:len(z0)]
+		z3 := zd[(i+3)*m+j0 : (i+3)*m+j1 : (i+3)*m+j1][:len(z0)]
+		for q := range z0 {
+			var r0, i0, r1, i1, r2, i2, r3, i3 float64
+			idx := j0 + q
+			for k, lv := range l0 {
+				wv := wd[idx]
+				idx += m
+				wr, wi := real(wv), imag(wv)
+				c0, c1, c2, c3 := real(lv), real(l1[k]), real(l2[k]), real(l3[k])
+				r0 += c0 * wr
+				i0 += c0 * wi
+				r1 += c1 * wr
+				i1 += c1 * wi
+				r2 += c2 * wr
+				i2 += c2 * wi
+				r3 += c3 * wr
+				i3 += c3 * wi
+			}
+			z0[q], z1[q] = complex(r0, i0), complex(r1, i1)
+			z2[q], z3[q] = complex(r2, i2), complex(r3, i3)
+		}
+	}
 	for ; i+2 <= n; i += 2 {
 		l0 := ld[i*n : (i+1)*n : (i+1)*n]
 		l1 := ld[(i+1)*n : (i+2)*n : (i+2)*n]

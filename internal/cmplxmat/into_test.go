@@ -62,7 +62,8 @@ func TestColorBlockRealColoringFastPath(t *testing.T) {
 	// must stay bit-identical to the generic complex kernel (same operations
 	// accumulated in the same order).
 	rng := rand.New(rand.NewSource(23))
-	for _, dims := range []struct{ n, m int }{{6, 64}, {6, 200}} { // narrow and wide kernels
+	// Narrow and wide kernels; n = 7 runs every narrow tile (4-row, 2×2, odd row).
+	for _, dims := range []struct{ n, m int }{{6, 64}, {6, 200}, {7, 64}} {
 		n, m := dims.n, dims.m
 		lc := New(n, n)
 		for i := 0; i < n; i++ {

@@ -66,6 +66,8 @@ func TestBandSynthesisMatchesBlockInto(t *testing.T) {
 		{M: 64, NormalizedDoppler: 1.0 / 64},
 		{M: 256, NormalizedDoppler: 127.0 / 256},
 		{M: 1000, NormalizedDoppler: 0.05},
+		{M: 4096, NormalizedDoppler: 0.05},  // the paper's block
+		{M: 65536, NormalizedDoppler: 0.05}, // fadingd's largest IDFT
 	} {
 		g, err := NewGenerator(spec, 0.5)
 		if err != nil {
@@ -132,5 +134,29 @@ func TestBandSynthesisDoesNotAllocatePow2(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("band draw and synthesis allocate %v per run at power-of-two M", n)
+	}
+}
+
+// BenchmarkSynthesizeInto times the synthesis the real-time block runs per
+// envelope: one band row of the paper's M = 4096, fm = 0.05 filter (B = 408
+// taps) scattered into bit-reversed bins and inverse-transformed.
+// BenchmarkPlanInverse4096 in internal/dsp times the full InverseScaled
+// with its permutation pass instead.
+func BenchmarkSynthesizeInto(b *testing.B) {
+	g, err := NewGenerator(FilterSpec{M: 4096, NormalizedDoppler: 0.05}, 0.5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	band := make([]complex128, g.BandLen())
+	if err := g.BandInto(randx.New(47), band); err != nil {
+		b.Fatal(err)
+	}
+	dst := make([]complex128, 4096)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := g.SynthesizeInto(band, dst); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -124,10 +124,12 @@ func (g *Generator) BandInto(rng *randx.RNG, band []complex128) error {
 // others, and inverse-transforms dst in place with the 1/M normalization of
 // BlockInto. The 1/M factor is applied to the B taps before the transform
 // instead of to the M outputs after it; for power-of-two M the factor is a
-// power of two, so the two orders round identically. IDFT linearity is what
-// lets a caller combine band spectra first: synthesizing Σ a_i·band_i yields
-// Σ a_i·(synthesis of band_i) up to rounding. Concurrency and allocation
-// follow BlockInto.
+// power of two, so the two orders round identically. For power-of-two M
+// each tap is written straight to its bit-reversed bin, which is where the
+// transform's permutation pass would move it, so the transform skips that
+// pass over all M bins. IDFT linearity is what lets a caller combine band
+// spectra first: synthesizing Σ a_i·band_i yields Σ a_i·(synthesis of
+// band_i) up to rounding. Concurrency and allocation follow BlockInto.
 //
 // fadinglint:allocfree
 func (g *Generator) SynthesizeInto(band, dst []complex128) error {
@@ -137,12 +139,21 @@ func (g *Generator) SynthesizeInto(band, dst []complex128) error {
 	}
 	clear(dst)
 	inv := 1 / float64(g.spec.M)
+	pow2 := g.spec.M&(g.spec.M-1) == 0
 	for r, k0 := range g.runs() {
 		for i, v := range band[r*g.km : (r+1)*g.km] {
-			dst[k0+i] = complex(real(v)*inv, imag(v)*inv)
+			bin := k0 + i
+			if pow2 {
+				bin = g.plan.BitReversed(bin)
+			}
+			dst[bin] = complex(real(v)*inv, imag(v)*inv)
 		}
 	}
-	g.plan.Inverse(dst)
+	if pow2 {
+		g.plan.InverseBitReversed(dst)
+	} else {
+		g.plan.Inverse(dst)
+	}
 	return nil
 }
 

@@ -1,7 +1,9 @@
 // Package dsp provides the signal-processing substrate of the real-time
 // fading generator: precomputed discrete Fourier transform plans (radix-4
 // for power-of-two lengths, Bluestein otherwise) with the 1/M normalization
-// the Young–Beaulieu IDFT generator uses.
+// the Young–Beaulieu IDFT generator uses. A power-of-two plan also
+// transforms spectra already stored in bit-reversed order, so a caller that
+// writes a sparse spectrum bin by bin can skip the permutation pass.
 package dsp
 
 import (
@@ -12,12 +14,13 @@ import (
 )
 
 // Plan precomputes everything a transform of one fixed length needs — the
-// bit-reversal permutation and the twiddle-factor table for power-of-two
-// lengths, plus the chirp sequence and its transformed convolution kernel for
-// Bluestein lengths — so repeated transforms never call cmplx.Exp and, for
-// power-of-two lengths, never allocate. This is the engine behind the
-// zero-allocation real-time generation path, where the same IDFT length is
-// transformed once per envelope per block.
+// bit-reversal permutation and, for each radix-4 stage, the twiddle factors
+// of both directions in the order the butterflies read them for
+// power-of-two lengths, plus the chirp sequence and its transformed
+// convolution kernel for Bluestein lengths — so repeated transforms never
+// call cmplx.Exp and, for power-of-two lengths, never allocate. This is the
+// engine behind the zero-allocation real-time generation path, where the
+// same IDFT length is transformed once per envelope per block.
 //
 // A Plan is safe for concurrent use when the length is a power of two (all
 // cached state is read-only). For other lengths the Bluestein convolution
@@ -26,13 +29,12 @@ type Plan struct {
 	n    int
 	pow2 bool
 
-	// Power-of-two state: perm is the bit-reversal permutation, tw the
-	// forward twiddle table tw[k] = exp(-2πi·k/n) for k < n/2, twInv its
-	// conjugate for inverse transforms (a separate table keeps the butterfly
-	// loop free of per-element conjugation).
-	perm  []int32
-	tw    []complex128
-	twInv []complex128
+	// Power-of-two state: perm is the bit-reversal permutation, radix2
+	// marks an odd power of two (its first stage is a lone radix-2 pass),
+	// and stages holds the radix-4 stages in execution order.
+	perm   []int32
+	radix2 bool
+	stages []stage
 
 	// Bluestein state (non-power-of-two lengths): sub is the radix-2 plan of
 	// the convolution length m, chirp the forward chirp exp(-iπl²/n), and
@@ -45,9 +47,20 @@ type Plan struct {
 	scr   []complex128
 }
 
+// stage is one radix-4 pass over groups of four length-q sub-blocks, q =
+// len(fwd) = len(inv). fwd[k] and inv[k] hold the twiddles butterfly k of
+// every group multiplies by, in the forward and inverse direction; entry 0
+// is never read, because the k = 0 butterfly's twiddles are all 1.
+type stage struct{ fwd, inv []twiddles }
+
+// twiddles are the factors of one butterfly: w1 = ω^k and w2 = ω^2k for the
+// stage's root of unity ω, and their product w3 = w1·w2, formed once here
+// instead of in every butterfly.
+type twiddles struct{ w1, w2, w3 complex128 }
+
 // pow2Plans caches power-of-two plans by length. Those plans are read-only
 // after construction, so one shared instance serves every generator of the
-// same length instead of each recomputing an identical twiddle table and
+// same length instead of each recomputing identical twiddle tables and a
 // bit-reversal permutation. Bluestein plans own convolution scratch and are
 // never cached.
 var pow2Plans sync.Map // int -> *Plan
@@ -77,23 +90,63 @@ func NewPlan(n int) *Plan {
 // Len returns the transform length.
 func (p *Plan) Len() int { return p.n }
 
+// BitReversed returns the position of bin k in bit-reversed order, where
+// InverseBitReversed expects it. It is defined for power-of-two plans only.
+func (p *Plan) BitReversed(k int) int { return int(p.perm[k]) }
+
+// initPow2 builds the permutation and the stage tables, with one allocation
+// for every stage's twiddles of both directions. With ω = exp(−2πi/n) and
+// stride s = n/(4q), butterfly k of stage q multiplies by w1 = ω^(k·s) and
+// w2 = ω^(2k·s). The last stage (q = n/4, s = 1) holds ω^j and ω^(2j) for
+// every j < n/4, each from its own cmplx.Exp, so every stage copies its
+// entry k from the last stage's entry k·s; the inverse tables hold the
+// conjugates, and each w3 is the complex product w1·w2.
 func (p *Plan) initPow2() {
 	n := p.n
-	if n == 1 {
-		return
-	}
 	logN := bits.TrailingZeros(uint(n))
 	p.perm = make([]int32, n)
-	for i := 0; i < n; i++ {
+	for i := range p.perm {
 		p.perm[i] = int32(bits.Reverse(uint(i)) >> (bits.UintSize - logN))
 	}
-	p.tw = make([]complex128, n/2)
-	p.twInv = make([]complex128, n/2)
-	for k := range p.tw {
-		angle := -2 * math.Pi * float64(k) / float64(n)
-		p.tw[k] = cmplx.Exp(complex(0, angle))
-		p.twInv[k] = cmplx.Conj(p.tw[k])
+	p.radix2 = logN&1 == 1
+	q0 := 1
+	if p.radix2 {
+		q0 = 2
 	}
+	total, count := 0, 0
+	for q := q0; 4*q <= n; q *= 4 {
+		total += q
+		count++
+	}
+	if count == 0 {
+		return
+	}
+	slab := make([]twiddles, 2*total)
+	p.stages = make([]stage, count)
+	for i := range p.stages {
+		q := q0 << (2 * i)
+		p.stages[i] = stage{fwd: slab[:q:q], inv: slab[q : 2*q : 2*q]}
+		slab = slab[2*q:]
+	}
+	last := p.stages[count-1].fwd
+	for k := range last {
+		last[k].w1, last[k].w2 = root(n, k), root(n, 2*k)
+	}
+	for _, st := range p.stages {
+		stride := n / (4 * len(st.fwd))
+		for k := range st.fwd {
+			w1, w2 := last[k*stride].w1, last[k*stride].w2
+			st.fwd[k] = twiddles{w1, w2, w1 * w2}
+			w1, w2 = cmplx.Conj(w1), cmplx.Conj(w2)
+			st.inv[k] = twiddles{w1, w2, w1 * w2}
+		}
+	}
+}
+
+// root returns exp(-2πi·j/n).
+func root(n, j int) complex128 {
+	angle := -2 * math.Pi * float64(j) / float64(n)
+	return cmplx.Exp(complex(0, angle))
 }
 
 func (p *Plan) initBluestein() {
@@ -148,6 +201,22 @@ func (p *Plan) InverseScaled(x []complex128) {
 	}
 }
 
+// InverseBitReversed computes the in-place unnormalized inverse DFT of a
+// spectrum stored in bit-reversed order (bin k at BitReversed(k)), leaving
+// the time samples in natural order. It is Inverse without the permutation
+// pass, bit for bit, and is defined for power-of-two plans only.
+//
+// fadinglint:allocfree
+func (p *Plan) InverseBitReversed(x []complex128) {
+	if !p.pow2 {
+		panic("dsp: InverseBitReversed needs a power-of-two plan")
+	}
+	if len(x) != p.n {
+		panic("dsp: plan length mismatch")
+	}
+	p.radix4(x, true)
+}
+
 func (p *Plan) transform(x []complex128, inverse bool) {
 	if len(x) != p.n {
 		panic("dsp: plan length mismatch")
@@ -156,6 +225,11 @@ func (p *Plan) transform(x []complex128, inverse bool) {
 		return
 	}
 	if p.pow2 {
+		for i, j := range p.perm {
+			if int(j) > i {
+				x[i], x[j] = x[j], x[i]
+			}
+		}
 		p.radix4(x, inverse)
 		return
 	}
@@ -163,80 +237,58 @@ func (p *Plan) transform(x []complex128, inverse bool) {
 }
 
 // radix4 is an iterative mixed radix-4/radix-2 Cooley–Tukey transform on
-// bit-reversal-permuted data with table-driven twiddles. Radix-4 halves the
-// number of passes over the array relative to radix-2, which dominates once
-// the transform exceeds L1 (a 4096-point block is 64 KiB). With plain
+// bit-reversal-permuted data with per-stage twiddle tables. Radix-4 halves
+// the number of passes over the array relative to radix-2, which dominates
+// once the transform exceeds L1 (a 4096-point block is 64 KiB). With plain
 // bit-reversal (rather than base-4 digit reversal) the two middle sub-blocks
-// of every group arrive swapped, so the butterfly reads its y1 operand at
-// offset 2q and y2 at offset q. An odd power of two takes one trivial
-// radix-2 stage first.
+// of every group arrive swapped, so the butterfly multiplies the sub-block
+// at offset q by w2 and the one at 2q by w1. An odd power of two takes one
+// trivial radix-2 stage first.
+//
+// Both directions run the same butterfly. It forms t = +i·(b−d); the
+// forward butterfly's −i·(b−d) is exactly −t, so its outputs at offsets q
+// and 3q are the inverse formulas' outputs at 3q and q, and swapping the two
+// destination sub-blocks gives the forward result bit for bit.
+//
+// fadinglint:allocfree
 func (p *Plan) radix4(x []complex128, inverse bool) {
-	n := p.n
-	for i, j := range p.perm {
-		if int(j) > i {
-			x[i], x[j] = x[j], x[i]
-		}
-	}
-	tw := p.tw
-	if inverse {
-		tw = p.twInv
-	}
-	size := 1
-	if bits.TrailingZeros(uint(n))&1 == 1 {
+	if p.radix2 {
 		// Lone radix-2 stage: adjacent pairs, unit twiddle.
-		for i := 0; i < n; i += 2 {
-			a, b := x[i], x[i+1]
-			x[i], x[i+1] = a+b, a-b
+		for g := x; len(g) >= 2; g = g[2:] {
+			a, b := g[0], g[1]
+			g[0], g[1] = a+b, a-b
 		}
-		size = 2
 	}
-	for size < n {
-		q := size
-		size <<= 2
-		stride := n / size
-		for start := 0; start < n; start += size {
+	for _, st := range p.stages {
+		q := len(st.inv)
+		for g := x; len(g) >= 4*q; g = g[4*q:] {
+			x0 := g[:q]
+			x1, x2, x3 := g[q:2*q], g[2*q:3*q], g[3*q:4*q]
+			tw, y1, y3 := st.inv, x1, x3
+			if !inverse {
+				tw, y1, y3 = st.fwd, x3, x1
+			}
+			// Equal lengths let the compiler drop every bounds check below.
+			x1, x2, x3 = x1[:len(x0)], x2[:len(x0)], x3[:len(x0)]
+			y1, y3, tw = y1[:len(x0)], y3[:len(x0)], tw[:len(x0)]
+
 			// k = 0: all twiddles are 1.
-			a := x[start]
-			c := x[start+q]
-			b := x[start+2*q]
-			d := x[start+3*q]
-			apc, amc := a+c, a-c
-			bpd, bmd := b+d, b-d
-			x[start] = apc + bpd
-			x[start+2*q] = apc - bpd
-			if inverse {
-				t := complex(-imag(bmd), real(bmd)) // +i·bmd
-				x[start+q] = amc + t
-				x[start+3*q] = amc - t
-			} else {
-				t := complex(imag(bmd), -real(bmd)) // −i·bmd
-				x[start+q] = amc + t
-				x[start+3*q] = amc - t
-			}
-			for k := 1; k < q; k++ {
-				w1 := tw[k*stride]
-				w2 := tw[2*k*stride]
-				w3 := w1 * w2
-				a := x[start+k]
-				c := x[start+q+k] * w2
-				b := x[start+2*q+k] * w1
-				d := x[start+3*q+k] * w3
-				apc, amc := a+c, a-c
-				bpd, bmd := b+d, b-d
-				x[start+k] = apc + bpd
-				x[start+2*q+k] = apc - bpd
-				if inverse {
-					t := complex(-imag(bmd), real(bmd))
-					x[start+q+k] = amc + t
-					x[start+3*q+k] = amc - t
-				} else {
-					t := complex(imag(bmd), -real(bmd))
-					x[start+q+k] = amc + t
-					x[start+3*q+k] = amc - t
-				}
+			x0[0], y1[0], x2[0], y3[0] = butterfly(x0[0], x1[0], x2[0], x3[0])
+			for k := 1; k < len(x0); k++ {
+				w := &tw[k]
+				x0[k], y1[k], x2[k], y3[k] = butterfly(x0[k], x1[k]*w.w2, x2[k]*w.w1, x3[k]*w.w3)
 			}
 		}
 	}
+}
+
+// butterfly is the inverse-direction radix-4 butterfly on twiddled
+// operands: a and c are one radix-2 pair, b and d the other.
+func butterfly(a, c, b, d complex128) (y0, y1, y2, y3 complex128) {
+	apc, amc := a+c, a-c
+	bpd, bmd := b+d, b-d
+	t := complex(-imag(bmd), real(bmd)) // +i·bmd
+	return apc + bpd, amc + t, apc - bpd, amc - t
 }
 
 // bluestein evaluates the arbitrary-length DFT as a cyclic convolution with

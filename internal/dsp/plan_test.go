@@ -116,6 +116,22 @@ func TestPlanLengthMismatchPanics(t *testing.T) {
 	NewPlan(8).Forward(make([]complex128, 4))
 }
 
+func TestInverseBitReversedPanics(t *testing.T) {
+	for name, call := range map[string]func(){
+		"length mismatch":    func() { NewPlan(8).InverseBitReversed(make([]complex128, 4)) },
+		"non-power-of-two n": func() { NewPlan(12).InverseBitReversed(make([]complex128, 12)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			call()
+		}()
+	}
+}
+
 func BenchmarkPlanInverse4096(b *testing.B) {
 	p := NewPlan(4096)
 	x := make([]complex128, 4096)
