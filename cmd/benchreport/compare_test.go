@@ -129,3 +129,22 @@ func TestLoadReportRejectsGarbage(t *testing.T) {
 		t.Error("absent file accepted")
 	}
 }
+
+// TestReportPath pins where a run writes its report: BENCH_core.json by
+// default, the -o path when given, and under -compare nothing unless -o is
+// given.
+func TestReportPath(t *testing.T) {
+	for _, tc := range []struct {
+		name, out, compare, want string
+	}{
+		{"default", "", "", "BENCH_core.json"},
+		{"explicit", "bench-current.json", "", "bench-current.json"},
+		{"compare without -o writes nothing", "", "BENCH_core.json", ""},
+		{"compare to stdout", "-", "BENCH_core.json", "-"},
+		{"compare to another file", "bench-current.json", "BENCH_core.json", "bench-current.json"},
+	} {
+		if got := reportPath(tc.out, tc.compare); got != tc.want {
+			t.Errorf("%s: reportPath(%q, %q) = %q; want %q", tc.name, tc.out, tc.compare, got, tc.want)
+		}
+	}
+}

@@ -15,7 +15,8 @@
 // process exits non-zero when any benchmark's ns/op regresses by more than
 // -tolerance, its allocs/op grows at all, or it disappears from the run. The
 // run must have the GOMAXPROCS the baseline records, or the command exits
-// before benchmarking:
+// before benchmarking. Under -compare the fresh report is written only where
+// -o names:
 //
 //	GOMAXPROCS=1 go run ./cmd/benchreport -o /tmp/bench.json -compare BENCH_core.json -tolerance 0.25
 //
@@ -318,13 +319,23 @@ func sessionCreateBenchmarks(n int) []result {
 	}
 }
 
+// reportPath resolves where the fresh report goes: the -o path when one is
+// given, else BENCH_core.json, or no file at all ("") under -compare, so
+// that the gate never rewrites the baseline it reads unless -o asks.
+func reportPath(out, compare string) string {
+	if out == "" && compare == "" {
+		return "BENCH_core.json"
+	}
+	return out
+}
+
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "benchreport: "+format+"\n", args...)
 	os.Exit(1)
 }
 
 func main() {
-	out := flag.String("o", "BENCH_core.json", "output file ('-' for stdout)")
+	out := flag.String("o", "", "output file ('-' for stdout; default BENCH_core.json, or none with -compare)")
 	comparePath := flag.String("compare", "", "baseline report to gate against (e.g. BENCH_core.json)")
 	tolerance := flag.Float64("tolerance", 0.25, "allowed fractional ns/op regression vs the baseline")
 	sloBaseline := flag.String("slo-compare", "", "baseline BENCH_slo.json to gate a fresh SLO document against")
@@ -343,6 +354,7 @@ func main() {
 		return
 	}
 
+	outPath := reportPath(*out, *comparePath)
 	var baseline report
 	if *comparePath != "" {
 		var err error
@@ -408,13 +420,15 @@ func main() {
 		fatalf("marshal: %v", err)
 	}
 	data = append(data, '\n')
-	if *out == "-" {
+	switch outPath {
+	case "":
+	case "-":
 		os.Stdout.Write(data)
-	} else {
-		if err := os.WriteFile(*out, data, 0o644); err != nil {
-			fatalf("write %s: %v", *out, err)
+	default:
+		if err := os.WriteFile(outPath, data, 0o644); err != nil {
+			fatalf("write %s: %v", outPath, err)
 		}
-		fmt.Printf("wrote %s (%d benchmarks)\n", *out, len(rep.Benchmarks))
+		fmt.Printf("wrote %s (%d benchmarks)\n", outPath, len(rep.Benchmarks))
 	}
 
 	if *comparePath == "" {

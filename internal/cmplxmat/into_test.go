@@ -2,7 +2,6 @@ package cmplxmat
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -139,29 +138,4 @@ func TestViewSharesLeadingStorage(t *testing.T) {
 		}
 	}()
 	View(3, 5, data)
-}
-
-// BenchmarkColorBlock times the real-time coloring GEMM at N = 32 on the two
-// panel widths a block can present at M = 4096, fm = 0.05: all M time samples,
-// or the B = 2·k_m = 408 non-zero Doppler bins the generator colors.
-func BenchmarkColorBlock(b *testing.B) {
-	const n = 32
-	rng := rand.New(rand.NewSource(23))
-	l := New(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			l.Set(i, j, complex(rng.NormFloat64(), 0))
-		}
-	}
-	for _, cols := range []int{4096, 408} {
-		w := randomMatrix(rng, n, cols)
-		z := New(n, cols)
-		b.Run(fmt.Sprintf("N=%d/cols=%d", n, cols), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := ColorBlock(l, w, z); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }

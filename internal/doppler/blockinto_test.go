@@ -68,6 +68,13 @@ func TestBandSynthesisMatchesBlockInto(t *testing.T) {
 		{M: 1000, NormalizedDoppler: 0.05},
 		{M: 4096, NormalizedDoppler: 0.05},  // the paper's block
 		{M: 65536, NormalizedDoppler: 0.05}, // fadingd's largest IDFT
+		// Odd powers of two: the first pass is the radix-2 one.
+		{M: 2048, NormalizedDoppler: 0.05},
+		{M: 8192, NormalizedDoppler: 0.05},
+		// k_m = M/8 at an even power and M/4 at an odd one: the band
+		// reaches every first-pass group.
+		{M: 1024, NormalizedDoppler: 0.125},
+		{M: 2048, NormalizedDoppler: 0.25},
 	} {
 		g, err := NewGenerator(spec, 0.5)
 		if err != nil {

@@ -127,7 +127,11 @@ func (g *Generator) BandInto(rng *randx.RNG, band []complex128) error {
 // power of two, so the two orders round identically. For power-of-two M
 // each tap is written straight to its bit-reversed bin, which is where the
 // transform's permutation pass would move it, so the transform skips that
-// pass over all M bins. IDFT linearity is what lets a caller combine band
+// pass over all M bins. Every tap lies within k_m of bin 0 (mod M), so k_m
+// is the half-width the transform gets: its first pass visits only the
+// groups of bins that band reaches (409 of 1,024 at M = 4096, fm = 0.05)
+// and leaves the cleared rest at +0, bit for bit what the full pass would
+// write. IDFT linearity is what lets a caller combine band
 // spectra first: synthesizing Σ a_i·band_i yields Σ a_i·(synthesis of
 // band_i) up to rounding. Concurrency and allocation follow BlockInto.
 //
@@ -150,7 +154,7 @@ func (g *Generator) SynthesizeInto(band, dst []complex128) error {
 		}
 	}
 	if pow2 {
-		g.plan.InverseBitReversed(dst)
+		g.plan.InverseBitReversed(dst, g.km)
 	} else {
 		g.plan.Inverse(dst)
 	}

@@ -2,8 +2,10 @@
 // fading generator: precomputed discrete Fourier transform plans (radix-4
 // for power-of-two lengths, Bluestein otherwise) with the 1/M normalization
 // the Young–Beaulieu IDFT generator uses. A power-of-two plan also
-// transforms spectra already stored in bit-reversed order, so a caller that
-// writes a sparse spectrum bin by bin can skip the permutation pass.
+// transforms low-pass spectra already stored in bit-reversed order, so a
+// caller that writes a band-limited spectrum bin by bin skips the
+// permutation pass, and the transform's first pass skips the groups of
+// bins outside the band, with the same output bits as the full transform.
 package dsp
 
 import (
@@ -14,13 +16,17 @@ import (
 )
 
 // Plan precomputes everything a transform of one fixed length needs — the
-// bit-reversal permutation and, for each radix-4 stage, the twiddle factors
-// of both directions in the order the butterflies read them for
-// power-of-two lengths, plus the chirp sequence and its transformed
-// convolution kernel for Bluestein lengths — so repeated transforms never
-// call cmplx.Exp and, for power-of-two lengths, never allocate. This is the
-// engine behind the zero-allocation real-time generation path, where the
-// same IDFT length is transformed once per envelope per block.
+// bit-reversal permutation and, for each radix-4 stage after the first
+// pass, the twiddle factors of both directions in the order the
+// butterflies read them for power-of-two lengths, plus the chirp sequence
+// and its transformed convolution kernel for Bluestein lengths — so
+// repeated transforms never call cmplx.Exp and, for power-of-two lengths,
+// never allocate. The first pass (the q = 1 radix-4 stage, or a lone
+// radix-2 pass at odd powers of two) needs no twiddles and runs a dedicated
+// loop over fixed-size groups, as does the q = 4 stage after a radix-4
+// first pass. This is the engine behind the zero-allocation real-time
+// generation path, where the same IDFT length is transformed once per
+// envelope per block.
 //
 // A Plan is safe for concurrent use when the length is a power of two (all
 // cached state is read-only). For other lengths the Bluestein convolution
@@ -30,8 +36,9 @@ type Plan struct {
 	pow2 bool
 
 	// Power-of-two state: perm is the bit-reversal permutation, radix2
-	// marks an odd power of two (its first stage is a lone radix-2 pass),
-	// and stages holds the radix-4 stages in execution order.
+	// marks an odd power of two (its first pass is a lone radix-2 pass
+	// rather than the q = 1 radix-4 stage), and stages holds the radix-4
+	// stages after that first pass, in execution order.
 	perm   []int32
 	radix2 bool
 	stages []stage
@@ -109,7 +116,7 @@ func (p *Plan) initPow2() {
 		p.perm[i] = int32(bits.Reverse(uint(i)) >> (bits.UintSize - logN))
 	}
 	p.radix2 = logN&1 == 1
-	q0 := 1
+	q0 := 4
 	if p.radix2 {
 		q0 = 2
 	}
@@ -202,19 +209,27 @@ func (p *Plan) InverseScaled(x []complex128) {
 }
 
 // InverseBitReversed computes the in-place unnormalized inverse DFT of a
-// spectrum stored in bit-reversed order (bin k at BitReversed(k)), leaving
-// the time samples in natural order. It is Inverse without the permutation
-// pass, bit for bit, and is defined for power-of-two plans only.
+// low-pass spectrum stored in bit-reversed order (bin k at BitReversed(k)),
+// leaving the time samples in natural order. Only bins k ≤ halfWidth and
+// k ≥ Len()−halfWidth may be non-zero; every other bin must hold +0, as
+// clear leaves it. The first pass skips each group of bins that lies wholly
+// outside that band: the pass only adds and subtracts, so such a group's
+// +0 inputs would come out as +0 anyway, and the result is Inverse's
+// without the permutation pass, bit for bit. A halfWidth of Len()/2 or more
+// admits every bin. It is defined for power-of-two plans only.
 //
 // fadinglint:allocfree
-func (p *Plan) InverseBitReversed(x []complex128) {
+func (p *Plan) InverseBitReversed(x []complex128, halfWidth int) {
 	if !p.pow2 {
 		panic("dsp: InverseBitReversed needs a power-of-two plan")
 	}
 	if len(x) != p.n {
 		panic("dsp: plan length mismatch")
 	}
-	p.radix4(x, true)
+	if halfWidth < 0 {
+		panic("dsp: InverseBitReversed half-width must not be negative")
+	}
+	p.radix4(x, true, halfWidth)
 }
 
 func (p *Plan) transform(x []complex128, inverse bool) {
@@ -230,7 +245,7 @@ func (p *Plan) transform(x []complex128, inverse bool) {
 				x[i], x[j] = x[j], x[i]
 			}
 		}
-		p.radix4(x, inverse)
+		p.radix4(x, inverse, p.n)
 		return
 	}
 	p.bluestein(x, inverse)
@@ -242,24 +257,41 @@ func (p *Plan) transform(x []complex128, inverse bool) {
 // once the transform exceeds L1 (a 4096-point block is 64 KiB). With plain
 // bit-reversal (rather than base-4 digit reversal) the two middle sub-blocks
 // of every group arrive swapped, so the butterfly multiplies the sub-block
-// at offset q by w2 and the one at 2q by w1. An odd power of two takes one
-// trivial radix-2 stage first.
+// at offset q by w2 and the one at 2q by w1.
+//
+// The first pass is the q = 1 radix-4 stage, or a lone radix-2 pass at odd
+// powers of two; it has no twiddles and visits only the groups a spectrum
+// of the given half-width reaches (see InverseBitReversed), each group
+// from its start in perm, so a dense transform (half-width n) walks every
+// group in bit-reversed order. After a radix-4 first pass the q = 4 stage
+// runs a dedicated loop over groups of sixteen; every other stage runs one
+// loop over length-q sub-blocks.
 //
 // Both directions run the same butterfly. It forms t = +i·(b−d); the
 // forward butterfly's −i·(b−d) is exactly −t, so its outputs at offsets q
 // and 3q are the inverse formulas' outputs at 3q and q, and swapping the two
 // destination sub-blocks gives the forward result bit for bit.
 //
+// Every loop between a "bce:begin" and a "bce:end" comment compiles without
+// a bounds check; CI builds the package with -d=ssa/check_bce to hold it so.
+//
 // fadinglint:allocfree
-func (p *Plan) radix4(x []complex128, inverse bool) {
+func (p *Plan) radix4(x []complex128, inverse bool, halfWidth int) {
+	stages := p.stages
 	if p.radix2 {
-		// Lone radix-2 stage: adjacent pairs, unit twiddle.
-		for g := x; len(g) >= 2; g = g[2:] {
-			a, b := g[0], g[1]
-			g[0], g[1] = a+b, a-b
+		p.firstRadix2(x, halfWidth)
+	} else {
+		p.firstRadix4(x, inverse, halfWidth)
+		if len(stages) > 0 {
+			tw := stages[0].inv
+			if !inverse {
+				tw = stages[0].fwd
+			}
+			stage4(x, tw, inverse)
+			stages = stages[1:]
 		}
 	}
-	for _, st := range p.stages {
+	for _, st := range stages {
 		q := len(st.inv)
 		for g := x; len(g) >= 4*q; g = g[4*q:] {
 			x0 := g[:q]
@@ -274,11 +306,86 @@ func (p *Plan) radix4(x []complex128, inverse bool) {
 
 			// k = 0: all twiddles are 1.
 			x0[0], y1[0], x2[0], y3[0] = butterfly(x0[0], x1[0], x2[0], x3[0])
+			// bce:begin
 			for k := 1; k < len(x0); k++ {
 				w := &tw[k]
 				x0[k], y1[k], x2[k], y3[k] = butterfly(x0[k], x1[k]*w.w2, x2[k]*w.w1, x3[k]*w.w3)
 			}
+			// bce:end
 		}
+	}
+}
+
+// bandGroups returns the starts of the first-pass groups of width w (4, or
+// 2 at odd powers of two) that a spectrum of half-width b reaches, in two
+// runs. Such a group holds the bins k ≡ r (mod n/w) of one residue r < n/w
+// and starts at perm[r]; it holds a bin k ≤ b or k ≥ n−b only when r ≤ b or
+// r ≥ n/w − b. A b ≥ n/w − 1 puts every group in low, in residue order.
+func (p *Plan) bandGroups(w, b int) (low, high []int32) {
+	groups := p.n / w
+	lo := min(b+1, groups)
+	return p.perm[:lo], p.perm[max(groups-b, lo):groups]
+}
+
+// firstRadix2 is the lone radix-2 pass of an odd power of two over the
+// pairs bandGroups selects, each from its start.
+//
+// fadinglint:allocfree
+func (p *Plan) firstRadix2(x []complex128, halfWidth int) {
+	low, high := p.bandGroups(2, halfWidth)
+	for _, run := range [2][]int32{low, high} {
+		for _, s := range run {
+			g := (*[2]complex128)(x[s:])
+			// bce:begin
+			g[0], g[1] = g[0]+g[1], g[0]-g[1]
+			// bce:end
+		}
+	}
+}
+
+// firstRadix4 is the q = 1 radix-4 stage over the groups bandGroups
+// selects, each from its start. The butterfly's outputs amc ± t go to g[o1]
+// and g[o3], swapped for the forward direction; the mask lets the compiler
+// prove those indices in bounds.
+//
+// fadinglint:allocfree
+func (p *Plan) firstRadix4(x []complex128, inverse bool, halfWidth int) {
+	o1, o3 := 1, 3
+	if !inverse {
+		o1, o3 = 3, 1
+	}
+	low, high := p.bandGroups(4, halfWidth)
+	for _, run := range [2][]int32{low, high} {
+		for _, s := range run {
+			g := (*[4]complex128)(x[s:])
+			// bce:begin
+			g[0], g[o1&3], g[2], g[o3&3] = butterfly(g[0], g[1], g[2], g[3])
+			// bce:end
+		}
+	}
+}
+
+// stage4 is the q = 4 radix-4 stage that follows the q = 1 stage: groups of
+// sixteen whose k = 1, 2, 3 butterflies multiply by the same three twiddle
+// triples in every group, loaded once.
+//
+// fadinglint:allocfree
+func stage4(x []complex128, tw []twiddles, inverse bool) {
+	tw = tw[:4]
+	w1, w2, w3 := tw[1], tw[2], tw[3]
+	for ; len(x) >= 16; x = x[16:] {
+		g := (*[16]complex128)(x)
+		// bce:begin
+		x0, x1, x2, x3 := (*[4]complex128)(g[:4]), (*[4]complex128)(g[4:8]), (*[4]complex128)(g[8:12]), (*[4]complex128)(g[12:])
+		y1, y3 := x1, x3
+		if !inverse {
+			y1, y3 = x3, x1
+		}
+		x0[0], y1[0], x2[0], y3[0] = butterfly(x0[0], x1[0], x2[0], x3[0])
+		x0[1], y1[1], x2[1], y3[1] = butterfly(x0[1], x1[1]*w1.w2, x2[1]*w1.w1, x3[1]*w1.w3)
+		x0[2], y1[2], x2[2], y3[2] = butterfly(x0[2], x1[2]*w2.w2, x2[2]*w2.w1, x3[2]*w2.w3)
+		x0[3], y1[3], x2[3], y3[3] = butterfly(x0[3], x1[3]*w3.w2, x2[3]*w3.w1, x3[3]*w3.w3)
+		// bce:end
 	}
 }
 

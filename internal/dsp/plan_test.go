@@ -1,6 +1,7 @@
 package dsp
 
 import (
+	"math"
 	"math/cmplx"
 	"math/rand"
 	"testing"
@@ -116,10 +117,57 @@ func TestPlanLengthMismatchPanics(t *testing.T) {
 	NewPlan(8).Forward(make([]complex128, 4))
 }
 
+// TestInverseBitReversedBandMatchesDense requires the banded first pass to
+// reproduce the dense transform bit for bit. At every power of two from 2
+// to 2^16 and a spread of half-widths b, a spectrum that is non-zero only
+// at bins k ≤ b and k ≥ n−b, with some of those taps exactly ±0, goes
+// through InverseBitReversed(x, b) and through Inverse, whose first pass
+// visits every group. A skipped group holds four (or two) +0 values, and
+// the pass that skips it only adds and subtracts, so the two agree on every
+// architecture.
+func TestInverseBitReversedBandMatchesDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(127))
+	negZero := math.Copysign(0, -1)
+	zeros := [4]complex128{0, complex(negZero, 0), complex(0, negZero), complex(negZero, negZero)}
+	for n := 2; n <= 1<<16; n <<= 1 {
+		p := NewPlan(n)
+		for _, b := range []int{0, 1, 2, 3, n / 50, n / 20, n/8 - 1, n / 8, n/4 - 1, n / 4, n/2 - 1, n / 2} {
+			if b < 0 {
+				continue
+			}
+			spec := make([]complex128, n)
+			for k := range spec {
+				if k > b && k < n-b {
+					continue
+				}
+				if rng.Intn(6) == 0 {
+					spec[k] = zeros[rng.Intn(len(zeros))]
+				} else {
+					spec[k] = complex(rng.NormFloat64(), rng.NormFloat64())
+				}
+			}
+			want := append([]complex128(nil), spec...)
+			p.Inverse(want)
+			got := make([]complex128, n)
+			for k, v := range spec {
+				got[p.BitReversed(k)] = v
+			}
+			p.InverseBitReversed(got, b)
+			for l := range got {
+				if math.Float64bits(real(got[l])) != math.Float64bits(real(want[l])) ||
+					math.Float64bits(imag(got[l])) != math.Float64bits(imag(want[l])) {
+					t.Fatalf("n=%d half-width %d sample %d: banded %v, dense %v", n, b, l, got[l], want[l])
+				}
+			}
+		}
+	}
+}
+
 func TestInverseBitReversedPanics(t *testing.T) {
 	for name, call := range map[string]func(){
-		"length mismatch":    func() { NewPlan(8).InverseBitReversed(make([]complex128, 4)) },
-		"non-power-of-two n": func() { NewPlan(12).InverseBitReversed(make([]complex128, 12)) },
+		"length mismatch":     func() { NewPlan(8).InverseBitReversed(make([]complex128, 4), 4) },
+		"non-power-of-two n":  func() { NewPlan(12).InverseBitReversed(make([]complex128, 12), 6) },
+		"negative half-width": func() { NewPlan(8).InverseBitReversed(make([]complex128, 8), -1) },
 	} {
 		func() {
 			defer func() {

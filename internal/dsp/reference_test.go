@@ -110,7 +110,7 @@ func TestPlanMatchesReferenceRadix4(t *testing.T) {
 				for k, v := range y {
 					br[p.BitReversed(k)] = v
 				}
-				p.InverseBitReversed(br)
+				p.InverseBitReversed(br, n/2)
 				copy(y, br)
 			}},
 		} {
