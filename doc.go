@@ -84,8 +84,13 @@
 //     bit-reversed bin, so the transform skips its permutation pass, and
 //     its first butterfly pass visits only the groups of bins the band
 //     reaches (409 of 1,024 at M = 4096, fm = 0.05), with the same output
-//     bits as the full pass. With a pre-shaped Block the call performs no
-//     heap allocation at all.
+//     bits as the full pass. On amd64 the later butterfly stages and the
+//     envelope pass run as SSE2 assembly that packs each complex add into
+//     one instruction; it repeats the portable Go loops operation for
+//     operation, so it matches the amd64 Go loops bit for bit. Other
+//     architectures run those Go loops, where the compiler may fuse
+//     multiply-adds (arm64 does), as it already did before the assembly.
+//     With a pre-shaped Block the call performs no heap allocation at all.
 //
 // Snapshots are colored in chunks of 64, and every chunk draws from its own
 // random stream, derived deterministically from the seed and the chunk's

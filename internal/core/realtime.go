@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cmplxmat"
 	"repro/internal/doppler"
+	"repro/internal/dsp"
 	"repro/internal/randx"
 )
 
@@ -365,9 +366,10 @@ func (g *RealTimeGenerator) GenerateBlockAt(index uint64, b *Block, s *BlockScra
 // the block's root into row j of the N×B panel w, and one ColorBlock GEMM
 // colors w into z with the segment's L/σ_g. Each colored row is then
 // scattered into the block's own Gaussian row and inverse-transformed there
-// in place, and a single pass derives the envelopes. With a fading transform
-// configured, the transform rewrites samples and envelopes in place instead;
-// index gives it its global sample offset.
+// in place (dsp's SSE2 stages on amd64), and dsp.Envelope derives the row's
+// envelopes in one pass, bit for bit the plain √(re² + im²) of envAbs. With
+// a fading transform configured, the transform rewrites samples and
+// envelopes in place instead; index gives it its global sample offset.
 //
 // fadinglint:allocfree
 func (g *RealTimeGenerator) fillBlock(index uint64, b *Block, s *BlockScratch) {
@@ -392,9 +394,7 @@ func (g *RealTimeGenerator) fillBlock(index uint64, b *Block, s *BlockScratch) {
 			g.transform.Apply(j, offset, gj, ej)
 			continue
 		}
-		for l, v := range gj {
-			ej[l] = envAbs(v)
-		}
+		dsp.Envelope(ej, gj)
 	}
 	b.SampleVariance = seg.sigmaG2
 }

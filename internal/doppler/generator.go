@@ -131,9 +131,11 @@ func (g *Generator) BandInto(rng *randx.RNG, band []complex128) error {
 // is the half-width the transform gets: its first pass visits only the
 // groups of bins that band reaches (409 of 1,024 at M = 4096, fm = 0.05)
 // and leaves the cleared rest at +0, bit for bit what the full pass would
-// write. IDFT linearity is what lets a caller combine band
-// spectra first: synthesizing Σ a_i·band_i yields Σ a_i·(synthesis of
-// band_i) up to rounding. Concurrency and allocation follow BlockInto.
+// write; its later stages run dsp's SSE2 kernel on amd64, with the bits of
+// dsp's Go loops there, and those Go loops elsewhere. IDFT linearity is
+// what lets a caller combine band spectra first: synthesizing Σ a_i·band_i
+// yields Σ a_i·(synthesis of band_i) up to rounding. Concurrency and
+// allocation follow BlockInto.
 //
 // fadinglint:allocfree
 func (g *Generator) SynthesizeInto(band, dst []complex128) error {

@@ -1,11 +1,24 @@
 // Package dsp provides the signal-processing substrate of the real-time
 // fading generator: precomputed discrete Fourier transform plans (radix-4
 // for power-of-two lengths, Bluestein otherwise) with the 1/M normalization
-// the Young–Beaulieu IDFT generator uses. A power-of-two plan also
+// the Young–Beaulieu IDFT generator uses, and the envelope kernel that turns
+// a row of complex samples into their magnitudes. A power-of-two plan also
 // transforms low-pass spectra already stored in bit-reversed order, so a
 // caller that writes a band-limited spectrum bin by bin skips the
 // permutation pass, and the transform's first pass skips the groups of
 // bins outside the band, with the same output bits as the full transform.
+//
+// On amd64 the radix-4 stages after the first pass and the envelope kernel
+// run as SSE2 assembly (kernel_amd64.s), which every amd64 CPU has. Each
+// packed operation repeats a scalar operation of the Go loop in this file in
+// the same order, without fused multiply-adds, so the assembly gives the
+// amd64 Go loops' bits (kernel_amd64_test.go holds it to that). Every other
+// architecture runs the same Go loops, where the compiler may fuse a
+// multiply into an add (arm64 does), so its bits may differ from amd64's,
+// as they did before the assembly. The assembly writes only the slices it
+// is handed and reads only the plan's read-only twiddle tables. The race
+// detector does not see assembly's memory accesses, so race builds run the
+// Go loops on amd64 too.
 package dsp
 
 import (
@@ -17,16 +30,16 @@ import (
 
 // Plan precomputes everything a transform of one fixed length needs — the
 // bit-reversal permutation and, for each radix-4 stage after the first
-// pass, the twiddle factors of both directions in the order the
-// butterflies read them for power-of-two lengths, plus the chirp sequence
-// and its transformed convolution kernel for Bluestein lengths — so
-// repeated transforms never call cmplx.Exp and, for power-of-two lengths,
-// never allocate. The first pass (the q = 1 radix-4 stage, or a lone
-// radix-2 pass at odd powers of two) needs no twiddles and runs a dedicated
-// loop over fixed-size groups, as does the q = 4 stage after a radix-4
-// first pass. This is the engine behind the zero-allocation real-time
-// generation path, where the same IDFT length is transformed once per
-// envelope per block.
+// pass, the twiddle factors in the order the butterflies read them for
+// power-of-two lengths, plus the chirp sequence and its transformed
+// convolution kernel for Bluestein lengths — so repeated transforms never
+// call cmplx.Exp and, for power-of-two lengths, never allocate. The first
+// pass (the q = 1 radix-4 stage, or a lone radix-2 pass at odd powers of
+// two) needs no twiddles and runs a Go loop over fixed-size groups; every
+// later stage runs the SSE2 kernel on amd64, with the amd64 Go loops' bits,
+// and the Go loops elsewhere. This is the engine behind the zero-allocation
+// real-time generation path, where the same IDFT length is transformed once
+// per envelope per block.
 //
 // A Plan is safe for concurrent use when the length is a power of two (all
 // cached state is read-only). For other lengths the Bluestein convolution
@@ -37,11 +50,14 @@ type Plan struct {
 
 	// Power-of-two state: perm is the bit-reversal permutation, radix2
 	// marks an odd power of two (its first pass is a lone radix-2 pass
-	// rather than the q = 1 radix-4 stage), and stages holds the radix-4
-	// stages after that first pass, in execution order.
+	// rather than the q = 1 radix-4 stage), and stages holds the twiddles of
+	// the radix-4 stages after that first pass, in execution order: entry k
+	// of a stage's q = len(stages[i]) entries holds the factors butterfly k
+	// of every group multiplies by; entry 0 is never read, because the
+	// k = 0 butterfly's factors are all 1.
 	perm   []int32
 	radix2 bool
-	stages []stage
+	stages [][]twiddles
 
 	// Bluestein state (non-power-of-two lengths): sub is the radix-2 plan of
 	// the convolution length m, chirp the forward chirp exp(-iπl²/n), and
@@ -54,16 +70,41 @@ type Plan struct {
 	scr   []complex128
 }
 
-// stage is one radix-4 pass over groups of four length-q sub-blocks, q =
-// len(fwd) = len(inv). fwd[k] and inv[k] hold the twiddles butterfly k of
-// every group multiplies by, in the forward and inverse direction; entry 0
-// is never read, because the k = 0 butterfly's twiddles are all 1.
-type stage struct{ fwd, inv []twiddles }
+// twiddle is one factor w = wr + i·wi of the inverse direction, stored as
+// [wr, wr, −wi, wi]: the broadcast layout in which a packed complex multiply
+// forms x·w as x·[wr, wr] + swap(x)·[−wi, wi]. The forward factor is the
+// conjugate wr − i·wi, whose imaginary part is entry 2, so one table serves
+// both directions.
+type twiddle [4]float64
+
+// at returns the factor whose imaginary part is entry im: 3 for the inverse
+// direction, 2 for the forward one (see imagEntry).
+func (t *twiddle) at(im int) complex128 { return complex(t[0], t[im&3]) }
+
+// imagEntry is the entry of a twiddle that holds the imaginary part of the
+// factor of the given direction.
+func imagEntry(inverse bool) int {
+	if inverse {
+		return 3
+	}
+	return 2
+}
+
+// broadcast lays out the inverse factor conj(f) of the forward factor f.
+func broadcast(f complex128) twiddle {
+	return twiddle{real(f), real(f), imag(f), -imag(f)}
+}
 
 // twiddles are the factors of one butterfly: w1 = ω^k and w2 = ω^2k for the
 // stage's root of unity ω, and their product w3 = w1·w2, formed once here
 // instead of in every butterfly.
-type twiddles struct{ w1, w2, w3 complex128 }
+type twiddles struct{ w1, w2, w3 twiddle }
+
+// factors returns the butterfly's three factors in the direction whose
+// imaginary parts sit at entry im.
+func (t *twiddles) factors(im int) (w1, w2, w3 complex128) {
+	return t.w1.at(im), t.w2.at(im), t.w3.at(im)
+}
 
 // pow2Plans caches power-of-two plans by length. Those plans are read-only
 // after construction, so one shared instance serves every generator of the
@@ -102,12 +143,14 @@ func (p *Plan) Len() int { return p.n }
 func (p *Plan) BitReversed(k int) int { return int(p.perm[k]) }
 
 // initPow2 builds the permutation and the stage tables, with one allocation
-// for every stage's twiddles of both directions. With ω = exp(−2πi/n) and
-// stride s = n/(4q), butterfly k of stage q multiplies by w1 = ω^(k·s) and
-// w2 = ω^(2k·s). The last stage (q = n/4, s = 1) holds ω^j and ω^(2j) for
-// every j < n/4, each from its own cmplx.Exp, so every stage copies its
-// entry k from the last stage's entry k·s; the inverse tables hold the
-// conjugates, and each w3 is the complex product w1·w2.
+// for every stage's twiddles. With ω = exp(−2πi/n) and stride s = n/(4q),
+// butterfly k of stage q multiplies by the forward factors w1 = ω^(k·s) and
+// w2 = ω^(2k·s). The last stage (q = n/4, s = 1) first holds ω^j and ω^(2j)
+// for every j < n/4, each from its own cmplx.Exp, in the four entries of its
+// w1; every stage, the last one last, then lays out its entry k from the
+// last stage's entry k·s, with w3 the complex product w1·w2. The inverse
+// factors are the conjugates, and conj(w1)·conj(w2) is conj(w1·w2) bit for
+// bit, so one table holds both directions' products.
 func (p *Plan) initPow2() {
 	n := p.n
 	logN := bits.TrailingZeros(uint(n))
@@ -128,24 +171,24 @@ func (p *Plan) initPow2() {
 	if count == 0 {
 		return
 	}
-	slab := make([]twiddles, 2*total)
-	p.stages = make([]stage, count)
+	slab := make([]twiddles, total)
+	p.stages = make([][]twiddles, count)
 	for i := range p.stages {
 		q := q0 << (2 * i)
-		p.stages[i] = stage{fwd: slab[:q:q], inv: slab[q : 2*q : 2*q]}
-		slab = slab[2*q:]
+		p.stages[i] = slab[:q:q]
+		slab = slab[q:]
 	}
-	last := p.stages[count-1].fwd
+	last := p.stages[count-1]
 	for k := range last {
-		last[k].w1, last[k].w2 = root(n, k), root(n, 2*k)
+		w1, w2 := root(n, k), root(n, 2*k)
+		last[k].w1 = twiddle{real(w1), imag(w1), real(w2), imag(w2)}
 	}
 	for _, st := range p.stages {
-		stride := n / (4 * len(st.fwd))
-		for k := range st.fwd {
-			w1, w2 := last[k*stride].w1, last[k*stride].w2
-			st.fwd[k] = twiddles{w1, w2, w1 * w2}
-			w1, w2 = cmplx.Conj(w1), cmplx.Conj(w2)
-			st.inv[k] = twiddles{w1, w2, w1 * w2}
+		stride := n / (4 * len(st))
+		for k := range st {
+			r := last[k*stride].w1
+			w1, w2 := complex(r[0], r[1]), complex(r[2], r[3])
+			st[k] = twiddles{broadcast(w1), broadcast(w2), broadcast(w1 * w2)}
 		}
 	}
 }
@@ -264,8 +307,9 @@ func (p *Plan) transform(x []complex128, inverse bool) {
 // of the given half-width reaches (see InverseBitReversed), each group
 // from its start in perm, so a dense transform (half-width n) walks every
 // group in bit-reversed order. After a radix-4 first pass the q = 4 stage
-// runs a dedicated loop over groups of sixteen; every other stage runs one
-// loop over length-q sub-blocks.
+// runs stage4Kernel over groups of sixteen; every other stage runs
+// stageKernel over length-q sub-blocks. On amd64 both are the SSE2 stage
+// assembly; elsewhere they are stage4Go and stageGo.
 //
 // Both directions run the same butterfly. It forms t = +i·(b−d); the
 // forward butterfly's −i·(b−d) is exactly −t, so its outputs at offsets q
@@ -283,36 +327,12 @@ func (p *Plan) radix4(x []complex128, inverse bool, halfWidth int) {
 	} else {
 		p.firstRadix4(x, inverse, halfWidth)
 		if len(stages) > 0 {
-			tw := stages[0].inv
-			if !inverse {
-				tw = stages[0].fwd
-			}
-			stage4(x, tw, inverse)
+			stage4Kernel(x, stages[0], inverse)
 			stages = stages[1:]
 		}
 	}
-	for _, st := range stages {
-		q := len(st.inv)
-		for g := x; len(g) >= 4*q; g = g[4*q:] {
-			x0 := g[:q]
-			x1, x2, x3 := g[q:2*q], g[2*q:3*q], g[3*q:4*q]
-			tw, y1, y3 := st.inv, x1, x3
-			if !inverse {
-				tw, y1, y3 = st.fwd, x3, x1
-			}
-			// Equal lengths let the compiler drop every bounds check below.
-			x1, x2, x3 = x1[:len(x0)], x2[:len(x0)], x3[:len(x0)]
-			y1, y3, tw = y1[:len(x0)], y3[:len(x0)], tw[:len(x0)]
-
-			// k = 0: all twiddles are 1.
-			x0[0], y1[0], x2[0], y3[0] = butterfly(x0[0], x1[0], x2[0], x3[0])
-			// bce:begin
-			for k := 1; k < len(x0); k++ {
-				w := &tw[k]
-				x0[k], y1[k], x2[k], y3[k] = butterfly(x0[k], x1[k]*w.w2, x2[k]*w.w1, x3[k]*w.w3)
-			}
-			// bce:end
-		}
+	for _, tw := range stages {
+		stageKernel(x, tw, inverse)
 	}
 }
 
@@ -365,14 +385,49 @@ func (p *Plan) firstRadix4(x []complex128, inverse bool, halfWidth int) {
 	}
 }
 
-// stage4 is the q = 4 radix-4 stage that follows the q = 1 stage: groups of
-// sixteen whose k = 1, 2, 3 butterflies multiply by the same three twiddle
-// triples in every group, loaded once.
+// stageGo is one radix-4 stage over every group of four length-q
+// sub-blocks of x, q = len(tw) ≥ 2, in the given direction; len(x) is a
+// multiple of 4q. It is the kernel of every architecture but amd64 and the
+// reference the amd64 assembly is tested against.
 //
 // fadinglint:allocfree
-func stage4(x []complex128, tw []twiddles, inverse bool) {
+func stageGo(x []complex128, tw []twiddles, inverse bool) {
+	q := len(tw)
+	im := imagEntry(inverse)
+	for g := x; len(g) >= 4*q; g = g[4*q:] {
+		x0 := g[:q]
+		x1, x2, x3 := g[q:2*q], g[2*q:3*q], g[3*q:4*q]
+		y1, y3 := x1, x3
+		if !inverse {
+			y1, y3 = x3, x1
+		}
+		// Equal lengths let the compiler drop every bounds check below.
+		x1, x2, x3 = x1[:len(x0)], x2[:len(x0)], x3[:len(x0)]
+		y1, y3, t := y1[:len(x0)], y3[:len(x0)], tw[:len(x0)]
+
+		// k = 0: all twiddles are 1.
+		x0[0], y1[0], x2[0], y3[0] = butterfly(x0[0], x1[0], x2[0], x3[0])
+		// bce:begin
+		for k := 1; k < len(x0); k++ {
+			w1, w2, w3 := t[k].factors(im)
+			x0[k], y1[k], x2[k], y3[k] = butterfly(x0[k], x1[k]*w2, x2[k]*w1, x3[k]*w3)
+		}
+		// bce:end
+	}
+}
+
+// stage4Go is the q = 4 radix-4 stage that follows the q = 1 stage, with
+// len(tw) = 4: groups of sixteen whose k = 1, 2, 3 butterflies multiply by
+// the same three twiddle triples in every group, loaded once. Like stageGo
+// it is the kernel off amd64 and the reference on it.
+//
+// fadinglint:allocfree
+func stage4Go(x []complex128, tw []twiddles, inverse bool) {
+	im := imagEntry(inverse)
 	tw = tw[:4]
-	w1, w2, w3 := tw[1], tw[2], tw[3]
+	a1, a2, a3 := tw[1].factors(im)
+	b1, b2, b3 := tw[2].factors(im)
+	c1, c2, c3 := tw[3].factors(im)
 	for ; len(x) >= 16; x = x[16:] {
 		g := (*[16]complex128)(x)
 		// bce:begin
@@ -382,9 +437,9 @@ func stage4(x []complex128, tw []twiddles, inverse bool) {
 			y1, y3 = x3, x1
 		}
 		x0[0], y1[0], x2[0], y3[0] = butterfly(x0[0], x1[0], x2[0], x3[0])
-		x0[1], y1[1], x2[1], y3[1] = butterfly(x0[1], x1[1]*w1.w2, x2[1]*w1.w1, x3[1]*w1.w3)
-		x0[2], y1[2], x2[2], y3[2] = butterfly(x0[2], x1[2]*w2.w2, x2[2]*w2.w1, x3[2]*w2.w3)
-		x0[3], y1[3], x2[3], y3[3] = butterfly(x0[3], x1[3]*w3.w2, x2[3]*w3.w1, x3[3]*w3.w3)
+		x0[1], y1[1], x2[1], y3[1] = butterfly(x0[1], x1[1]*a2, x2[1]*a1, x3[1]*a3)
+		x0[2], y1[2], x2[2], y3[2] = butterfly(x0[2], x1[2]*b2, x2[2]*b1, x3[2]*b3)
+		x0[3], y1[3], x2[3], y3[3] = butterfly(x0[3], x1[3]*c2, x2[3]*c1, x3[3]*c3)
 		// bce:end
 	}
 }
@@ -396,6 +451,33 @@ func butterfly(a, c, b, d complex128) (y0, y1, y2, y3 complex128) {
 	bpd, bmd := b+d, b-d
 	t := complex(-imag(bmd), real(bmd)) // +i·bmd
 	return apc + bpd, amc + t, apc - bpd, amc - t
+}
+
+// Envelope sets r[l] = |z[l]| for every sample of the row z, computed as
+// the plain √(re² + im²): the samples it serves are O(σ_g), far from the
+// overflow and underflow range math.Hypot guards against, and a square root
+// is several times cheaper. On amd64 SSE2 assembly takes two samples per
+// instruction, with the bits of math.Sqrt(re*re + im*im) as amd64 computes
+// it; elsewhere envelopeGo runs. r and z must have the same length.
+//
+// fadinglint:allocfree
+func Envelope(r []float64, z []complex128) {
+	if len(r) != len(z) {
+		panic("dsp: Envelope length mismatch")
+	}
+	envelopeKernel(r, z)
+}
+
+// envelopeGo is Envelope's loop: the kernel off amd64 and the reference on
+// it.
+//
+// fadinglint:allocfree
+func envelopeGo(r []float64, z []complex128) {
+	r = r[:len(z)]
+	for l, v := range z {
+		re, im := real(v), imag(v)
+		r[l] = math.Sqrt(re*re + im*im)
+	}
 }
 
 // bluestein evaluates the arbitrary-length DFT as a cyclic convolution with

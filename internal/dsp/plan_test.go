@@ -180,6 +180,29 @@ func TestInverseBitReversedPanics(t *testing.T) {
 	}
 }
 
+// TestEnvelope checks Envelope against |z| on every architecture, that it
+// allocates nothing, and that rows of different lengths panic.
+func TestEnvelope(t *testing.T) {
+	rng := rand.New(rand.NewSource(139))
+	z := randomComplexSlice(rng, 4096)
+	r := make([]float64, len(z))
+	Envelope(r, z)
+	for l, v := range z {
+		if want := cmplx.Abs(v); math.Abs(r[l]-want) > 1e-15*want {
+			t.Fatalf("sample %d: Envelope %v, |z| = %v", l, r[l], want)
+		}
+	}
+	if n := testing.AllocsPerRun(20, func() { Envelope(r, z) }); n != 0 {
+		t.Errorf("Envelope allocates %v per run", n)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Errorf("length mismatch did not panic")
+		}
+	}()
+	Envelope(r[:len(r)-1], z)
+}
+
 func BenchmarkPlanInverse4096(b *testing.B) {
 	p := NewPlan(4096)
 	x := make([]complex128, 4096)
@@ -189,5 +212,15 @@ func BenchmarkPlanInverse4096(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.InverseScaled(x)
+	}
+}
+
+// BenchmarkEnvelope times the envelope pass of one 4096-sample block row.
+func BenchmarkEnvelope(b *testing.B) {
+	z := randomComplexSlice(rand.New(rand.NewSource(149)), 4096)
+	r := make([]float64, len(z))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Envelope(r, z)
 	}
 }

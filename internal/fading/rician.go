@@ -1,6 +1,10 @@
 package fading
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/dsp"
+)
 
 // rician adds a deterministic line-of-sight component after coloring:
 //
@@ -32,9 +36,7 @@ func (t *rician) Apply(env int, _ uint64, z []complex128, r []float64) {
 	los := t.los[env]
 	s := t.scale
 	for i, v := range z {
-		v = los + complex(s*real(v), s*imag(v))
-		z[i] = v
-		re, im := real(v), imag(v)
-		r[i] = math.Sqrt(re*re + im*im)
+		z[i] = los + complex(s*real(v), s*imag(v))
 	}
+	dsp.Envelope(r, z)
 }

@@ -1,6 +1,10 @@
 package fading
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/dsp"
+)
 
 // suzuki multiplies the Rayleigh fading line by correlated lognormal
 // shadowing:
@@ -61,8 +65,7 @@ func (t *suzuki) Apply(env int, offset uint64, z []complex128, r []float64) {
 		// g remains marginally N(0, 1) between knots, not just at them.
 		g := ((1-w)*a + w*b) / math.Sqrt((1-w)*(1-w)+w*w)
 		l := math.Pow(10, t.sigmaDB*g/20)
-		re, im := real(z[i])*l, imag(z[i])*l
-		z[i] = complex(re, im)
-		r[i] = math.Sqrt(re*re + im*im)
+		z[i] = complex(real(z[i])*l, imag(z[i])*l)
 	}
+	dsp.Envelope(r, z)
 }
