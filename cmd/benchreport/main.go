@@ -134,7 +134,7 @@ func realTimeBenchmarks(name string, k *cmplxmat.Matrix) []result {
 	if err != nil {
 		fatalf("real-time generator %s: %v", name, err)
 	}
-	scratch := newBlockScratch(gen, name)
+	scratch := gen.NewBlockScratch()
 	samples := gen.N() * gen.BlockLength()
 	return []result{
 		measure("RealTimeBlockThroughput/"+name, samples, func(b *testing.B) {
@@ -154,16 +154,6 @@ func realTimeBenchmarks(name string, k *cmplxmat.Matrix) []result {
 			}
 		}),
 	}
-}
-
-// newBlockScratch builds the one block workspace a real-time family reuses
-// for every op.
-func newBlockScratch(gen *core.RealTimeGenerator, name string) *core.BlockScratch {
-	scratch, err := gen.NewBlockScratch()
-	if err != nil {
-		fatalf("block scratch %s: %v", name, err)
-	}
-	return scratch
 }
 
 // backendBatchSize is the snapshots-per-op of the per-backend batched
@@ -257,7 +247,7 @@ func nonstationaryBenchmark(name string, k *cmplxmat.Matrix) []result {
 	if err != nil {
 		fatalf("nonstationary generator %s: %v", name, err)
 	}
-	scratch := newBlockScratch(gen, name)
+	scratch := gen.NewBlockScratch()
 	samples := gen.N() * gen.BlockLength()
 	return []result{
 		measure("RealTimeBlockThroughput/"+name+"/nonstationary_doppler", samples, func(b *testing.B) {

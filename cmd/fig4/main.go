@@ -38,7 +38,7 @@ func main() {
 		seed     = flag.Int64("seed", 1, "random seed")
 		printCov = flag.Bool("print-cov", false, "print the desired covariance matrix and exit")
 		format   = flag.String("format", "table", `output format: "table" or "csv"`)
-		idft     = flag.Int("idft", 4096, "IDFT length M of the Doppler generators")
+		idft     = flag.Int("idft", 4096, "IDFT length M of the Doppler generators, a power of two")
 		fm       = flag.Float64("fm", 0.05, "normalized maximum Doppler frequency Fm/Fs")
 		method   = flag.String("method", "", `generation method ("generalized" default; see scenariorun -methods)`)
 	)

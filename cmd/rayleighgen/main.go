@@ -49,7 +49,7 @@ func main() {
 		dopplerHz   = flag.Float64("doppler", 50, "maximum Doppler shift Fm in Hz (spectral model)")
 		delaySpread = flag.Float64("delay-spread", 1e-6, "RMS delay spread in seconds (spectral model)")
 		fm          = flag.Float64("fm", 0.05, "normalized Doppler Fm/Fs (realtime mode)")
-		idft        = flag.Int("idft", 4096, "IDFT length M (realtime mode)")
+		idft        = flag.Int("idft", 4096, "IDFT length M, a power of two (realtime mode)")
 		seed        = flag.Int64("seed", 1, "random seed")
 		envOnly     = flag.Bool("envelopes-only", false, "emit only the envelopes, not the complex Gaussians")
 		method      = flag.String("method", "", `generation method ("generalized" default; see scenariorun -methods)`)

@@ -19,8 +19,9 @@
 //     Jakes autocorrelation J0(2π·fm·d) imposed by Young–Beaulieu IDFT
 //     Doppler generators, and the coloring step accounts for the Doppler
 //     filter's variance gain (Eq. (19) of the paper) so the cross-envelope
-//     covariance still matches the target. Blocks are read through Cursors,
-//     in order (Next) or at any position (BlockAt).
+//     covariance still matches the target. The IDFT length M, the block
+//     length, must be a power of two. Blocks are read through Cursors, in
+//     order (Next) or at any position (BlockAt).
 //
 // Desired covariance matrices can be supplied directly, or built from the
 // physical correlation models of the paper: SpectralCovariance (time delay
@@ -79,18 +80,18 @@
 //     band: the B = 2·k_m bins where the Eq. (21) filter is non-zero (408 of
 //     4096 at fm = 0.05). One matrix-matrix product colors the N×B band
 //     panel, and each colored row is inverse-transformed in the Block's own
-//     storage through a per-length plan with per-stage twiddle tables. At a
-//     power-of-two IDFT length each colored tap is written straight to its
-//     bit-reversed bin, so the transform skips its permutation pass, and
-//     its first butterfly pass visits only the groups of bins the band
-//     reaches (409 of 1,024 at M = 4096, fm = 0.05), with the same output
-//     bits as the full pass. On amd64 the later butterfly stages and the
-//     envelope pass run as SSE2 assembly that packs each complex add into
-//     one instruction; it repeats the portable Go loops operation for
-//     operation, so it matches the amd64 Go loops bit for bit. Other
-//     architectures run those Go loops, where the compiler may fuse
-//     multiply-adds (arm64 does), as it already did before the assembly.
-//     With a pre-shaped Block the call performs no heap allocation at all.
+//     storage through a per-length plan with per-stage twiddle tables. Each
+//     colored tap is written straight to its bit-reversed bin, so the
+//     transform skips its permutation pass, and its first butterfly pass
+//     visits only the groups of bins the band reaches (409 of 1,024 at
+//     M = 4096, fm = 0.05), with the same output bits as the full pass. On
+//     amd64 the later butterfly stages and the envelope pass run as SSE2
+//     assembly that packs each complex add into one instruction; it repeats
+//     the portable Go loops operation for operation, so it matches the amd64
+//     Go loops bit for bit. Other architectures run those Go loops, where
+//     the compiler may fuse multiply-adds (arm64 does), as it already did
+//     before the assembly. With a pre-shaped Block the call performs no heap
+//     allocation at all.
 //
 // Snapshots are colored in chunks of 64, and every chunk draws from its own
 // random stream, derived deterministically from the seed and the chunk's

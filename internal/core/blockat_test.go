@@ -48,10 +48,7 @@ func TestGenerateBlockAtMatchesBlocksInto(t *testing.T) {
 		{"GenerateBlocksInto/workers=1", blocksInto(1)},
 		{"GenerateBlocksInto/workers=3", blocksInto(3)},
 		{"interleaved", func(t *testing.T, g *RealTimeGenerator, dst []*Block) {
-			s, err := g.NewBlockScratch()
-			if err != nil {
-				t.Fatalf("NewBlockScratch: %v", err)
-			}
+			s := g.NewBlockScratch()
 			if err := g.GenerateBlockAt(0, dst[0], s); err != nil {
 				t.Fatalf("GenerateBlockAt: %v", err)
 			}
@@ -76,10 +73,7 @@ func TestGenerateBlockAtMatchesBlocksInto(t *testing.T) {
 			src.fill(t, gen, dst)
 
 			random := newBlockAtGenerator(t, 128, 42, nil)
-			scratch, err := random.NewBlockScratch()
-			if err != nil {
-				t.Fatalf("NewBlockScratch: %v", err)
-			}
+			scratch := random.NewBlockScratch()
 			got := NewBlock(random.N(), random.BlockLength())
 			// Access out of order on purpose.
 			for _, i := range []int{6, 0, 3, 5, 1, 4, 2} {
@@ -110,11 +104,7 @@ func TestGenerateBlockAtConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			scratch, err := shared.NewBlockScratch()
-			if err != nil {
-				errs[w] = err
-				return
-			}
+			scratch := shared.NewBlockScratch()
 			b := NewBlock(shared.N(), shared.BlockLength())
 			for i := w; i < blocks; i += 4 {
 				if err := shared.GenerateBlockAt(uint64(i), b, scratch); err != nil {
@@ -153,10 +143,7 @@ func TestGenerateBlockAtNoAllocs(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			gen := newBlockAtGenerator(t, 256, 3, tc.tr)
-			scratch, err := gen.NewBlockScratch()
-			if err != nil {
-				t.Fatalf("NewBlockScratch: %v", err)
-			}
+			scratch := gen.NewBlockScratch()
 			b := NewBlock(gen.N(), gen.BlockLength())
 			var i uint64
 			allocs := testing.AllocsPerRun(50, func() {

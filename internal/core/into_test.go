@@ -199,14 +199,8 @@ func blocksEqual(t *testing.T, label string, a, b *Block) {
 // pre-shaped storage equals the block filled into a fresh Block.
 func TestGenerateBlockIntoMatchesGenerateBlock(t *testing.T) {
 	g := newTestRealTimeGenerator(t, 411, 512)
-	fresh, err := g.NewBlockScratch()
-	if err != nil {
-		t.Fatalf("NewBlockScratch: %v", err)
-	}
-	reused, err := g.NewBlockScratch()
-	if err != nil {
-		t.Fatalf("NewBlockScratch: %v", err)
-	}
+	fresh := g.NewBlockScratch()
+	reused := g.NewBlockScratch()
 	into := NewBlock(g.N(), g.BlockLength())
 	for i := uint64(0); i < 3; i++ {
 		want := &Block{}
@@ -228,10 +222,7 @@ func TestGenerateBlockIntoMatchesGenerateBlock(t *testing.T) {
 
 func TestGenerateBlockIntoReshapesWrongBlocks(t *testing.T) {
 	g := newTestRealTimeGenerator(t, 413, 512)
-	s, err := g.NewBlockScratch()
-	if err != nil {
-		t.Fatalf("NewBlockScratch: %v", err)
-	}
+	s := g.NewBlockScratch()
 	b := &Block{} // empty: must be shaped in place
 	if err := g.GenerateBlockAt(0, b, s); err != nil {
 		t.Fatalf("GenerateBlockAt: %v", err)
@@ -245,10 +236,7 @@ func TestGenerateBlockIntoReshapesWrongBlocks(t *testing.T) {
 // the first call shaped, as a stream cursor does.
 func TestGenerateBlockIntoDoesNotAllocate(t *testing.T) {
 	g := newTestRealTimeGenerator(t, 415, 512)
-	s, err := g.NewBlockScratch()
-	if err != nil {
-		t.Fatalf("NewBlockScratch: %v", err)
-	}
+	s := g.NewBlockScratch()
 	b := &Block{}
 	var i uint64
 	if n := testing.AllocsPerRun(10, func() {
@@ -280,17 +268,5 @@ func TestGenerateBlocksIntoValidation(t *testing.T) {
 	}
 	if err := g.GenerateBlocksAt(0, make([]*Block, 2), 1); !errors.Is(err, ErrBadInput) {
 		t.Errorf("nil entries: err = %v", err)
-	}
-}
-
-func TestGenerateBlocksIntoBluesteinLength(t *testing.T) {
-	// Non-power-of-two M exercises the per-worker Doppler generators (the
-	// shared plan scratch would race otherwise).
-	const count = 4
-	g := newTestRealTimeGenerator(t, 421, 600)
-	seq := blocksAt(t, g, 0, count, 1)
-	par := blocksAt(t, g, 0, count, 3)
-	for i := range seq {
-		blocksEqual(t, "bluestein parallel", seq[i], par[i])
 	}
 }

@@ -88,10 +88,7 @@ func TestNonstationaryWorkerAndResumeIdentity(t *testing.T) {
 	}
 	// Random access at every position, from a fresh generator.
 	g := newSegmentedGenerator(t, 77, 512, testTrajectory, nil)
-	s, err := g.NewBlockScratch()
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := g.NewBlockScratch()
 	b := NewBlock(g.N(), g.BlockLength())
 	for _, idx := range []uint64{5, 0, 3, 7, 2} { // out of order on purpose
 		if err := g.GenerateBlockAt(idx, b, s); err != nil {
@@ -152,10 +149,7 @@ func TestTransformOffsetsConsistentAcrossPaths(t *testing.T) {
 		blocksEqual(t, "transform worker invariance", seq[i], par[i])
 	}
 	gAt := mk()
-	s, err := gAt.NewBlockScratch()
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := gAt.NewBlockScratch()
 	b := NewBlock(gAt.N(), m)
 	for _, idx := range []uint64{4, 1, 0} {
 		if err := gAt.GenerateBlockAt(idx, b, s); err != nil {

@@ -139,20 +139,16 @@ type rtSegment struct {
 }
 
 // BlockScratch is the workspace of one block-generating goroutine: the input
-// and output panels of the coloring GEMM, one Doppler generator per
-// trajectory segment, and the two RNGs reseeded for every block (the block's
-// root and the row stream split from it). The panels hold band spectra, not
-// time samples: two N×B_max backing arrays, B_max the widest segment band,
-// which every segment views at its own N×B (so they never grow with the
-// segment count). For power-of-two M the generators are the segments' own
-// (read-only after construction, so concurrent GenerateBlockAt calls are
-// safe); for other lengths each scratch gets private ones because the
-// Bluestein IDFT plan owns convolution scratch.
+// and output panels of the coloring GEMM and the two RNGs reseeded for every
+// block (the block's root and the row stream split from it). The panels hold
+// band spectra, not time samples: two N×B_max backing arrays, B_max the
+// widest segment band, which every segment views at its own N×B (so they
+// never grow with the segment count). The segments' Doppler generators are
+// read-only after construction and shared by every scratch.
 type BlockScratch struct {
-	w, z    []*cmplxmat.Matrix   // per segment, N×B views of the shared panels
-	segGens []*doppler.Generator // indexed like RealTimeGenerator.segments
-	root    *randx.RNG
-	row     *randx.RNG
+	w, z []*cmplxmat.Matrix // per segment, N×B views of the shared panels
+	root *randx.RNG
+	row  *randx.RNG
 }
 
 // RealTimeGenerator implements the combined algorithm of Section 5. Block k
@@ -177,7 +173,6 @@ type RealTimeGenerator struct {
 	blockRoot *randx.RNG
 	n         int
 	m         int
-	inputVar  float64
 	transform Transform
 }
 
@@ -257,7 +252,6 @@ func NewRealTimeGenerator(cfg RealTimeConfig) (*RealTimeGenerator, error) {
 		blockRoot: randx.New(cfg.Seed).SplitAt(uint64(n)),
 		n:         n,
 		m:         cfg.Filter.M,
-		inputVar:  inputVar,
 		transform: cfg.Transform,
 	}, nil
 }
@@ -302,35 +296,25 @@ func (g *RealTimeGenerator) TheoreticalAutocorrelationAt(block uint64, lag int) 
 }
 
 // NewBlockScratch builds a workspace for GenerateBlockAt.
-func (g *RealTimeGenerator) NewBlockScratch() (*BlockScratch, error) {
-	segGens := make([]*doppler.Generator, len(g.segments))
+func (g *RealTimeGenerator) NewBlockScratch() *BlockScratch {
 	widest := 0
 	for si := range g.segments {
 		widest = max(widest, g.segments[si].gen.BandLen())
-		if g.m&(g.m-1) == 0 {
-			segGens[si] = g.segments[si].gen
-			continue
-		}
-		dg, err := doppler.NewGenerator(g.segments[si].spec, g.inputVar)
-		if err != nil {
-			return nil, fmt.Errorf("core: Doppler segment %d: %w", si, err)
-		}
-		segGens[si] = dg
 	}
 	wd := make([]complex128, g.n*widest)
 	zd := make([]complex128, g.n*widest)
 	s := &BlockScratch{
-		w:       make([]*cmplxmat.Matrix, len(g.segments)),
-		z:       make([]*cmplxmat.Matrix, len(g.segments)),
-		segGens: segGens,
-		root:    randx.New(0),
-		row:     randx.New(0),
+		w:    make([]*cmplxmat.Matrix, len(g.segments)),
+		z:    make([]*cmplxmat.Matrix, len(g.segments)),
+		root: randx.New(0),
+		row:  randx.New(0),
 	}
-	for si, dg := range segGens {
-		s.w[si] = cmplxmat.View(g.n, dg.BandLen(), wd)
-		s.z[si] = cmplxmat.View(g.n, dg.BandLen(), zd)
+	for si := range g.segments {
+		b := g.segments[si].gen.BandLen()
+		s.w[si] = cmplxmat.View(g.n, b, wd)
+		s.z[si] = cmplxmat.View(g.n, b, zd)
 	}
-	return s, nil
+	return s
 }
 
 // GenerateBlockAt generates block index into b using the caller-owned
@@ -343,10 +327,9 @@ func (g *RealTimeGenerator) NewBlockScratch() (*BlockScratch, error) {
 // trajectories.
 //
 // The call reads only construction-time generator state, so concurrent
-// GenerateBlockAt calls with distinct b and s are safe (any M; non-power-of-
-// two scratches carry private Doppler generators). With a pre-shaped b and
-// power-of-two M it performs no heap allocation: the scratch's RNGs are
-// reseeded in place from the O(1) split derivation.
+// GenerateBlockAt calls with distinct b and s are safe. With a pre-shaped b
+// it performs no heap allocation: the scratch's RNGs are reseeded in place
+// from the O(1) split derivation.
 //
 // fadinglint:allocfree
 func (g *RealTimeGenerator) GenerateBlockAt(index uint64, b *Block, s *BlockScratch) error {
@@ -375,7 +358,7 @@ func (g *RealTimeGenerator) GenerateBlockAt(index uint64, b *Block, s *BlockScra
 func (g *RealTimeGenerator) fillBlock(index uint64, b *Block, s *BlockScratch) {
 	si := g.segmentIndexAt(index)
 	seg := &g.segments[si]
-	dg := s.segGens[si]
+	dg := seg.gen
 	w, z := s.w[si], s.z[si]
 	s.root.Reseed(g.blockRoot.SplitSeedAt(index))
 	// Panel, band and row lengths are fixed at construction, so neither the
@@ -418,11 +401,7 @@ func (g *RealTimeGenerator) GenerateBlocksAt(first uint64, dst []*Block, workers
 	}
 	scratches := make([]*BlockScratch, max(1, min(workers, len(dst))))
 	for w := range scratches {
-		s, err := g.NewBlockScratch()
-		if err != nil {
-			return err
-		}
-		scratches[w] = s
+		scratches[w] = g.NewBlockScratch()
 	}
 	// Blocks and scratches are non-nil, so GenerateBlockAt cannot fail.
 	if len(scratches) == 1 {

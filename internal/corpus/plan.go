@@ -84,8 +84,8 @@ type GenSizes struct {
 	Draws int `json:"draws,omitempty"`
 	// Blocks is the realtime block count (default 4).
 	Blocks int `json:"blocks,omitempty"`
-	// IDFTPoints is the realtime block length (default 256; keep it a power
-	// of two so the hot path stays allocation-free).
+	// IDFTPoints is the realtime block length (default 256; it must be a
+	// power of two).
 	IDFTPoints int `json:"idft_points,omitempty"`
 	// MaxWorkers is the largest worker count drawn for parallel-identity
 	// sweeps (default 4).

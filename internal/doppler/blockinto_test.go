@@ -2,28 +2,33 @@ package doppler
 
 import (
 	"errors"
-	"math"
 	"testing"
 
 	"repro/internal/randx"
 )
 
+// TestBlockIntoMatchesBlock: a block drawn into reused storage that holds an
+// earlier block equals the same draw into a fresh slice.
 func TestBlockIntoMatchesBlock(t *testing.T) {
-	for _, m := range []int{512, 1000} { // power of two and Bluestein
-		spec := FilterSpec{M: m, NormalizedDoppler: 0.05}
-		g, err := NewGenerator(spec, 0.5)
-		if err != nil {
-			t.Fatalf("NewGenerator(M=%d): %v", m, err)
-		}
-		want := g.Block(randx.New(31))
-		got := make([]complex128, m)
-		if err := g.BlockInto(randx.New(31), got); err != nil {
-			t.Fatalf("BlockInto(M=%d): %v", m, err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("M=%d sample %d: BlockInto %v vs Block %v", m, i, got[i], want[i])
-			}
+	const m = 512
+	g, err := NewGenerator(FilterSpec{M: m, NormalizedDoppler: 0.05}, 0.5)
+	if err != nil {
+		t.Fatalf("NewGenerator: %v", err)
+	}
+	want := make([]complex128, m)
+	if err := g.BlockInto(randx.New(31), want); err != nil {
+		t.Fatalf("BlockInto: %v", err)
+	}
+	got := make([]complex128, m)
+	if err := g.BlockInto(randx.New(7), got); err != nil {
+		t.Fatalf("BlockInto: %v", err)
+	}
+	if err := g.BlockInto(randx.New(31), got); err != nil {
+		t.Fatalf("BlockInto: %v", err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("sample %d: reused %v vs fresh %v", i, got[i], want[i])
 		}
 	}
 }
@@ -50,22 +55,20 @@ func TestBlockIntoDoesNotAllocatePow2(t *testing.T) {
 			t.Fatal(err)
 		}
 	}); n != 0 {
-		t.Errorf("BlockInto allocates %v per run at power-of-two M", n)
+		t.Errorf("BlockInto allocates %v per run", n)
 	}
 }
 
 // TestBandSynthesisMatchesBlockInto: BandInto draws the B = 2·k_m taps of
 // BlockInto's spectrum from the same draws, and SynthesizeInto of that band
-// reproduces BlockInto's block. For power-of-two M the 1/M factor is a power
-// of two, so applying it before the transform rounds exactly as applying it
-// after does and the blocks compare equal; for Bluestein M they agree to
-// rounding.
+// reproduces BlockInto's block exactly. The 1/M factor is a power of two, so
+// applying it before the transform rounds exactly as applying it after
+// does.
 func TestBandSynthesisMatchesBlockInto(t *testing.T) {
 	for _, spec := range []FilterSpec{
 		{M: 512, NormalizedDoppler: 0.05},
 		{M: 64, NormalizedDoppler: 1.0 / 64},
 		{M: 256, NormalizedDoppler: 127.0 / 256},
-		{M: 1000, NormalizedDoppler: 0.05},
 		{M: 4096, NormalizedDoppler: 0.05},  // the paper's block
 		{M: 65536, NormalizedDoppler: 0.05}, // fadingd's largest IDFT
 		// Odd powers of two: the first pass is the radix-2 one.
@@ -98,10 +101,8 @@ func TestBandSynthesisMatchesBlockInto(t *testing.T) {
 		if err := g.SynthesizeInto(band, got); err != nil {
 			t.Fatal(err)
 		}
-		pow2 := spec.M&(spec.M-1) == 0
 		for l := range want {
-			d := want[l] - got[l]
-			if pow2 && d != 0 || math.Hypot(real(d), imag(d)) > 1e-15 {
+			if got[l] != want[l] {
 				t.Fatalf("%+v sample %d: synthesis %v, BlockInto %v", spec, l, got[l], want[l])
 			}
 		}
@@ -140,7 +141,7 @@ func TestBandSynthesisDoesNotAllocatePow2(t *testing.T) {
 			t.Fatal(err)
 		}
 	}); n != 0 {
-		t.Errorf("band draw and synthesis allocate %v per run at power-of-two M", n)
+		t.Errorf("band draw and synthesis allocate %v per run", n)
 	}
 }
 

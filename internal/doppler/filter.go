@@ -18,18 +18,19 @@ var ErrBadParameter = errors.New("doppler: invalid parameter")
 // FilterSpec describes a Doppler filter design.
 type FilterSpec struct {
 	// M is the IDFT length (number of frequency-domain points and of
-	// generated time samples per block).
+	// generated time samples per block). It must be a power of two.
 	M int
 	// NormalizedDoppler is fm = Fm/Fs, the maximum Doppler shift normalized
 	// by the sampling rate. It must lie in (0, 0.5).
 	NormalizedDoppler float64
 }
 
-// Validate checks the filter parameters. The constraint km >= 1 (at least one
-// in-band coefficient) translates to fm >= 1/M.
+// Validate checks the filter parameters. M must be a power of two, the only
+// lengths the IDFT plans of internal/dsp transform. The constraint km >= 1
+// (at least one in-band coefficient) translates to fm >= 1/M.
 func (s FilterSpec) Validate() error {
-	if s.M <= 0 {
-		return fmt.Errorf("doppler: IDFT length M = %d: %w", s.M, ErrBadParameter)
+	if s.M <= 0 || s.M&(s.M-1) != 0 {
+		return fmt.Errorf("doppler: IDFT length M = %d is not a power of two: %w", s.M, ErrBadParameter)
 	}
 	if s.NormalizedDoppler <= 0 || s.NormalizedDoppler >= 0.5 {
 		return fmt.Errorf("doppler: normalized Doppler fm = %g outside (0, 0.5): %w", s.NormalizedDoppler, ErrBadParameter)

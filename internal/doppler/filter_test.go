@@ -29,6 +29,10 @@ func TestFilterSpecValidate(t *testing.T) {
 		{M: 1024, NormalizedDoppler: 0.5},
 		{M: 1024, NormalizedDoppler: -0.1},
 		{M: 8, NormalizedDoppler: 0.01}, // km = 0
+		// Not powers of two.
+		{M: 1000, NormalizedDoppler: 0.05},
+		{M: 4095, NormalizedDoppler: 0.05},
+		{M: 65535, NormalizedDoppler: 0.05},
 	}
 	for _, s := range bad {
 		if err := s.Validate(); err == nil {

@@ -67,24 +67,15 @@ func (g *Generator) BandLen() int { return 2 * g.km }
 // run is k_m bins long.
 func (g *Generator) runs() [2]int { return [2]int{1, g.spec.M - g.km} }
 
-// Block generates one block of M time-domain samples u[0..M−1] using fresh
-// Gaussian input from rng. Each call produces an independent block.
-func (g *Generator) Block(rng *randx.RNG) []complex128 {
-	out := make([]complex128, g.spec.M)
-	// Length is correct by construction, so BlockInto cannot fail.
-	_ = g.BlockInto(rng, out)
-	return out
-}
-
-// BlockInto generates one block of M time-domain samples into dst, which must
-// have length M. The frequency-domain samples are written directly into dst
-// and transformed in place by the cached IDFT plan, so for power-of-two M the
-// call performs no heap allocation. The Gaussian draw order is identical to
-// Block, and the block equals SynthesizeInto of BandInto's draw.
+// BlockInto generates one block of M time-domain samples u[0..M−1] into dst,
+// which must have length M, using fresh Gaussian input from rng; each call
+// produces an independent block. The frequency-domain samples are written
+// directly into dst and transformed in place by the cached IDFT plan, so the
+// call performs no heap allocation. The block equals SynthesizeInto of
+// BandInto's draw.
 //
 // The generator itself is read-only after construction; concurrent BlockInto
-// calls with distinct rng and dst are safe when M is a power of two (the
-// plan's Bluestein scratch for other lengths is shared).
+// calls with distinct rng and dst are safe.
 //
 // fadinglint:allocfree
 func (g *Generator) BlockInto(rng *randx.RNG, dst []complex128) error {
@@ -123,13 +114,13 @@ func (g *Generator) BandInto(rng *randx.RNG, band []complex128) error {
 // ascending k, as BandInto lays them out) into the M bins of dst, zeroes the
 // others, and inverse-transforms dst in place with the 1/M normalization of
 // BlockInto. The 1/M factor is applied to the B taps before the transform
-// instead of to the M outputs after it; for power-of-two M the factor is a
-// power of two, so the two orders round identically. For power-of-two M
-// each tap is written straight to its bit-reversed bin, which is where the
-// transform's permutation pass would move it, so the transform skips that
-// pass over all M bins. Every tap lies within k_m of bin 0 (mod M), so k_m
-// is the half-width the transform gets: its first pass visits only the
-// groups of bins that band reaches (409 of 1,024 at M = 4096, fm = 0.05)
+// instead of to the M outputs after it; M is a power of two, and so is the
+// factor, so the two orders round identically. Each tap is written straight
+// to its bit-reversed bin, which is where the transform's permutation pass
+// would move it, so the transform skips that pass over all M bins. Every
+// tap lies within k_m of bin 0 (mod M), so k_m is the half-width the
+// transform gets: its first pass visits only the groups of bins that band
+// reaches (409 of 1,024 at M = 4096, fm = 0.05)
 // and leaves the cleared rest at +0, bit for bit what the full pass would
 // write; its later stages run dsp's SSE2 kernel on amd64, with the bits of
 // dsp's Go loops there, and those Go loops elsewhere. IDFT linearity is
@@ -145,21 +136,12 @@ func (g *Generator) SynthesizeInto(band, dst []complex128) error {
 	}
 	clear(dst)
 	inv := 1 / float64(g.spec.M)
-	pow2 := g.spec.M&(g.spec.M-1) == 0
 	for r, k0 := range g.runs() {
 		for i, v := range band[r*g.km : (r+1)*g.km] {
-			bin := k0 + i
-			if pow2 {
-				bin = g.plan.BitReversed(bin)
-			}
-			dst[bin] = complex(real(v)*inv, imag(v)*inv)
+			dst[g.plan.BitReversed(k0+i)] = complex(real(v)*inv, imag(v)*inv)
 		}
 	}
-	if pow2 {
-		g.plan.InverseBitReversed(dst, g.km)
-	} else {
-		g.plan.Inverse(dst)
-	}
+	g.plan.InverseBitReversed(dst, g.km)
 	return nil
 }
 

@@ -14,6 +14,16 @@ func newTestRand(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed))
 }
 
+// newBlock draws one block into a fresh slice.
+func newBlock(t *testing.T, g *Generator, rng *randx.RNG) []complex128 {
+	t.Helper()
+	out := make([]complex128, g.spec.M)
+	if err := g.BlockInto(rng, out); err != nil {
+		t.Fatalf("BlockInto: %v", err)
+	}
+	return out
+}
+
 func TestNewGeneratorValidation(t *testing.T) {
 	if _, err := NewGenerator(paperSpec(), 0); err == nil {
 		t.Errorf("NewGenerator accepted zero input variance")
@@ -36,7 +46,7 @@ func TestBlockLengthAndZeroMean(t *testing.T) {
 		t.Fatalf("NewGenerator: %v", err)
 	}
 	rng := randx.New(1)
-	block := g.Block(rng)
+	block := newBlock(t, g, rng)
 	if len(block) != 1024 {
 		t.Fatalf("block length = %d, want 1024", len(block))
 	}
@@ -64,7 +74,7 @@ func TestBlockEmpiricalVarianceMatchesEq19(t *testing.T) {
 	const blocks = 60
 	var power float64
 	for b := 0; b < blocks; b++ {
-		for _, v := range g.Block(rng) {
+		for _, v := range newBlock(t, g, rng) {
 			power += real(v)*real(v) + imag(v)*imag(v)
 		}
 	}
@@ -89,7 +99,7 @@ func TestBlockAutocorrelationFollowsJ0(t *testing.T) {
 	maxLag := 60
 	acc := make([]float64, maxLag+1)
 	for b := 0; b < blocks; b++ {
-		block := g.Block(rng)
+		block := newBlock(t, g, rng)
 		for d := 0; d <= maxLag; d++ {
 			var sum complex128
 			for l := 0; l+d < len(block); l++ {
@@ -120,7 +130,7 @@ func TestBlockRealImagUncorrelated(t *testing.T) {
 	const blocks = 40
 	var cross, power float64
 	for b := 0; b < blocks; b++ {
-		block := g.Block(rng)
+		block := newBlock(t, g, rng)
 		for _, v := range block {
 			cross += real(v) * imag(v)
 			power += real(v)*real(v) + imag(v)*imag(v)
@@ -138,8 +148,8 @@ func TestGeneratorDeterministicForFixedSeed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewGenerator: %v", err)
 	}
-	b1 := g.Block(randx.New(99))
-	b2 := g.Block(randx.New(99))
+	b1 := newBlock(t, g, randx.New(99))
+	b2 := newBlock(t, g, randx.New(99))
 	for i := range b1 {
 		if b1[i] != b2[i] {
 			t.Fatalf("blocks from identical seeds differ at sample %d", i)

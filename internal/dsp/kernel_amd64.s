@@ -19,24 +19,22 @@
 // [xr·wr − xi·wi, xr·wi + xi·wr]; CMUL forms x·[wr, wr] + swap(x)·[−wi, wi]
 // = [xr·wr + xi·(−wi), xi·wr + xr·wi]. Negating a factor negates the product
 // exactly, a − b is a + (−b) in IEEE arithmetic and addition commutes, so
-// the two agree bit for bit; the forward factor wr − i·wi takes SUBPD in
-// place of ADDPD. Nothing here fuses a multiply into an add.
+// the two agree bit for bit. Nothing here fuses a multiply into an add.
 
 // negLo flips the sign of the low lane: XORPD turns [u, v] into [−u, v].
 DATA negLo<>+0(SB)/8, $0x8000000000000000
 DATA negLo<>+8(SB)/8, $0
 GLOBL negLo<>(SB), RODATA|NOPTR, $16
 
-// CMUL sets X to X·w for the twiddle w at off(TW), laid out
-// [wr, wr, −wi, wi]; OP is ADDPD for the inverse factor wr + i·wi and SUBPD
-// for the forward one. T and U are scratch.
-#define CMUL(OP, X, off, TW, T, U) \
+// CMUL sets X to X·w for the twiddle w = wr + i·wi at off(TW), laid out
+// [wr, wr, −wi, wi]. T and U are scratch.
+#define CMUL(X, off, TW, T, U) \
 	PSHUFD $0x4E, X, T;  \
 	MOVUPD off(TW), U;   \
 	MULPD  U, X;         \
 	MOVUPD off+16(TW), U; \
 	MULPD  U, T;         \
-	OP     T, X
+	ADDPD  T, X
 
 // BFLY is the butterfly on a = X0, c = X1, b = X2, d = X3 (X14 = negLo). It
 // leaves y0 in X6, y1 in X7, y2 in X4 and y3 in X0.
@@ -65,24 +63,23 @@ GLOBL negLo<>(SB), RODATA|NOPTR, $16
 	MOVUPD (R10)(R12*1), X3
 
 // TWIDDLE multiplies c, b and d by w2, w1 and w3 of the twiddles at AX.
-#define TWIDDLE(OP) \
-	CMUL(OP, X1, 32, AX, X8, X9);   \
-	CMUL(OP, X2, 0, AX, X10, X11);  \
-	CMUL(OP, X3, 64, AX, X12, X13)
+#define TWIDDLE \
+	CMUL(X1, 32, AX, X8, X9);   \
+	CMUL(X2, 0, AX, X10, X11);  \
+	CMUL(X3, 64, AX, X12, X13)
 
-// STORE writes y0 and y2 to offsets 0 and 2q of R10, y1 to Y1 and y3 to Y3:
-// q and 3q for the inverse direction, 3q and q for the forward one.
-#define STORE(Y1, Y3) \
-	MOVUPD X6, (R10);       \
-	MOVUPD X7, (R10)(Y1*1); \
+// STORE writes y0, y1, y2 and y3 to offsets 0, q, 2q and 3q of R10.
+#define STORE \
+	MOVUPD X6, (R10);        \
+	MOVUPD X7, (R10)(R8*1);  \
 	MOVUPD X4, (R10)(R11*1); \
-	MOVUPD X0, (R10)(Y3*1)
+	MOVUPD X0, (R10)(R12*1)
 
-// func stageKernel(x []complex128, tw []twiddles, inverse bool)
+// func stageKernel(x []complex128, tw []twiddles)
 //
 // stageGo: every group of four length-q sub-blocks of x, q = len(tw) ≥ 2,
 // len(x) a multiple of 4q.
-TEXT ·stageKernel(SB), NOSPLIT, $0-49
+TEXT ·stageKernel(SB), NOSPLIT, $0-48
 	MOVQ   x_base+0(FP), SI
 	MOVQ   x_len+8(FP), CX
 	MOVQ   tw_base+24(FP), DI
@@ -93,62 +90,33 @@ TEXT ·stageKernel(SB), NOSPLIT, $0-49
 	SHLQ   $4, R8           // R8 = q in bytes
 	LEAQ   (R8)(R8*1), R11  // R11 = 2q
 	LEAQ   (R11)(R8*1), R12 // R12 = 3q
-	CMPB   inverse+48(FP), $0
-	JEQ    fwdGroup
 
-invGroup:
+stageGroup:
 	CMPQ SI, CX
 	JAE  stageDone
 	MOVQ SI, R10
 	LEAQ (SI)(R8*1), R9     // R9 = end of sub-block 0
 	LOAD
 	BFLY
-	STORE(R8, R12)
+	STORE
 	MOVQ DI, AX
 	ADDQ $16, R10
 	CMPQ R10, R9
-	JAE  invNext
+	JAE  stageNext
 
-invButterfly:
+stageButterfly:
 	ADDQ $96, AX            // AX = &tw[k]
 	LOAD
-	TWIDDLE(ADDPD)
+	TWIDDLE
 	BFLY
-	STORE(R8, R12)
+	STORE
 	ADDQ $16, R10
 	CMPQ R10, R9
-	JB   invButterfly
+	JB   stageButterfly
 
-invNext:
+stageNext:
 	LEAQ (SI)(R8*4), SI
-	JMP  invGroup
-
-fwdGroup:
-	CMPQ SI, CX
-	JAE  stageDone
-	MOVQ SI, R10
-	LEAQ (SI)(R8*1), R9
-	LOAD
-	BFLY
-	STORE(R12, R8)
-	MOVQ DI, AX
-	ADDQ $16, R10
-	CMPQ R10, R9
-	JAE  fwdNext
-
-fwdButterfly:
-	ADDQ $96, AX
-	LOAD
-	TWIDDLE(SUBPD)
-	BFLY
-	STORE(R12, R8)
-	ADDQ $16, R10
-	CMPQ R10, R9
-	JB   fwdButterfly
-
-fwdNext:
-	LEAQ (SI)(R8*4), SI
-	JMP  fwdGroup
+	JMP  stageGroup
 
 stageDone:
 	RET

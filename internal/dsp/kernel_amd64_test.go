@@ -25,11 +25,11 @@ func sameBits(got, want []complex128) int {
 // hands them. At every power of two from 2 to 2^16 and every half-width b
 // TestInverseBitReversedBandMatchesDense uses, a spectrum non-zero only at
 // bins k ≤ b and k ≥ n−b, some of its taps exactly ±0, goes through the
-// passes of Forward and Inverse (dense first pass) and of
-// InverseBitReversed(x, b) (banded first pass). Before each stage the data
-// is copied; stage4Kernel (stageKernel at q = 4) or stageKernel runs on one
-// copy, stage4Go or stageGo on the other, and the two must agree in every
-// bit.
+// passes of InverseBitReversed(x, n) (the dense first pass InverseScaled
+// runs) and of InverseBitReversed(x, b) (banded first pass). Before each
+// stage the data is copied; stage4Kernel (stageKernel at q = 4) or
+// stageKernel runs on one copy, stage4Go or stageGo on the other, and the
+// two must agree in every bit.
 func TestStageKernelsMatchGoLoops(t *testing.T) {
 	rng := rand.New(rand.NewSource(131))
 	negZero := math.Copysign(0, -1)
@@ -51,23 +51,15 @@ func TestStageKernelsMatchGoLoops(t *testing.T) {
 					spec[k] = complex(rng.NormFloat64(), rng.NormFloat64())
 				}
 			}
-			for _, tc := range []struct {
-				name      string
-				inverse   bool
-				halfWidth int
-			}{
-				{"Forward", false, n},
-				{"Inverse", true, n},
-				{"InverseBitReversed", true, b},
-			} {
+			for _, halfWidth := range []int{n, b} {
 				x := make([]complex128, n)
 				for k, v := range spec {
 					x[p.BitReversed(k)] = v
 				}
 				if p.radix2 {
-					p.firstRadix2(x, tc.halfWidth)
+					p.firstRadix2(x, halfWidth)
 				} else {
-					p.firstRadix4(x, tc.inverse, tc.halfWidth)
+					p.firstRadix4(x, halfWidth)
 				}
 				for i, tw := range p.stages {
 					kernel, loop, name := stageKernel, stageGo, "stageKernel"
@@ -75,11 +67,11 @@ func TestStageKernelsMatchGoLoops(t *testing.T) {
 						kernel, loop, name = stage4Kernel, stage4Go, "stage4Kernel"
 					}
 					want := append([]complex128(nil), x...)
-					loop(want, tw, tc.inverse)
-					kernel(x, tw, tc.inverse)
+					loop(want, tw)
+					kernel(x, tw)
 					if l := sameBits(x, want); l >= 0 {
-						t.Fatalf("%s n=%d half-width %d: %s (q = %d) sample %d = %v, Go loop %v",
-							tc.name, n, b, name, len(tw), l, x[l], want[l])
+						t.Fatalf("n=%d band %d, half-width %d: %s (q = %d) sample %d = %v, Go loop %v",
+							n, b, halfWidth, name, len(tw), l, x[l], want[l])
 					}
 				}
 			}

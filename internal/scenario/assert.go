@@ -481,14 +481,7 @@ func evalIntoIdentity(a *AssertionSpec, data *runData) ([]Check, error) {
 		}
 		// One twin fills a fresh Block per unit, the other reuses one
 		// pre-shaped Block; each has its own scratch.
-		allocScratch, err := gen.NewBlockScratch()
-		if err != nil {
-			return nil, err
-		}
-		intoScratch, err := gen.NewBlockScratch()
-		if err != nil {
-			return nil, err
-		}
+		allocScratch, intoScratch := gen.NewBlockScratch(), gen.NewBlockScratch()
 		dst := core.NewBlock(gen.N(), gen.BlockLength())
 		for i := uint64(0); i < uint64(units); i++ {
 			b := &core.Block{}

@@ -117,27 +117,34 @@ func (c *setupCache) stream(spec *SessionSpec) (*rayleigh.Stream, error) {
 	c.seq++
 	e.lastUsed = c.seq
 	c.entries[key] = e
-	c.evictLocked()
 	c.mu.Unlock()
 	c.metrics.specCacheMisses.Add(1)
 
 	e.stream, e.err = buildStream(spec)
 	close(e.ready)
+	c.mu.Lock()
 	if e.err != nil {
-		// Failed setups are not cached: the entry satisfied concurrent
-		// waiters, but the next create should retry from scratch.
-		c.mu.Lock()
+		// Failed setups are not cached and evict nothing: the entry
+		// satisfied concurrent waiters, but the next create should retry
+		// from scratch.
 		if c.entries[key] == e {
 			delete(c.entries, key)
 		}
-		c.mu.Unlock()
+	} else {
+		// The creating session uses the new setup now, so it is the most
+		// recently used one when the table is brought back within cap.
+		c.seq++
+		e.lastUsed = c.seq
+		c.evictLocked()
 	}
+	c.mu.Unlock()
 	return e.stream, e.err
 }
 
 // evictLocked drops least-recently-used completed entries until the table is
-// within cap. Entries still being built are never evicted (their waiters hold
-// them); the table may transiently exceed cap by the in-flight build count.
+// within cap; it runs after each successful build. Entries still being built
+// are never evicted (their waiters hold them); the table may transiently
+// exceed cap by the in-flight build count.
 func (c *setupCache) evictLocked() {
 	for len(c.entries) > c.cap {
 		var victimKey string

@@ -144,6 +144,37 @@ func TestSetupCacheLRUBound(t *testing.T) {
 	}
 }
 
+// TestSetupCacheFailedSetupEvictsNothing: a create whose setup fails must not
+// cost a cached setup its place. A one-entry cache fed a good spec, a spec
+// whose setup fails (a non-power-of-two IDFT length) and the good spec again
+// serves the third create from the first one's setup.
+func TestSetupCacheFailedSetupEvictsNothing(t *testing.T) {
+	s := New(Config{CacheSpecs: 1})
+	defer s.Close()
+
+	good := `{"model": {"type": "eq22"}, "seed": 1, "blocks": 4, "idft_points": 64}`
+	first, err := s.Manager().Create(mustSpec(t, good))
+	if err != nil {
+		t.Fatalf("Create good: %v", err)
+	}
+	if _, err := s.Manager().Create(mustSpec(t, `{"model": {"type": "eq22"}, "seed": 1, "blocks": 4, "idft_points": 1000}`)); err == nil {
+		t.Fatal("a non-power-of-two IDFT length passed setup")
+	}
+	again, err := s.Manager().Create(mustSpec(t, good))
+	if err != nil {
+		t.Fatalf("Create good again: %v", err)
+	}
+	if again.Stream() != first.Stream() {
+		t.Error("the failed setup evicted the cached one")
+	}
+	if hits, misses := s.metrics.specCacheHits.Load(), s.metrics.specCacheMisses.Load(); hits != 1 || misses != 2 {
+		t.Errorf("cache hits/misses = %d/%d, want 1/2", hits, misses)
+	}
+	if size := s.cache.size(); size != 1 {
+		t.Errorf("cache holds %d setups, want 1", size)
+	}
+}
+
 // TestSetupCacheDisabled covers the escape hatch: a negative cap builds every
 // session from scratch and shares nothing.
 func TestSetupCacheDisabled(t *testing.T) {

@@ -235,6 +235,7 @@ func TestMalformedSpecsRejected(t *testing.T) {
 		"blocks over limit":       `{"model": {"type": "eq22"}, "seed": 1, "blocks": 101}`,
 		"envelopes over limit":    `{"model": {"type": "identity", "n": 9}, "seed": 1, "blocks": 4}`,
 		"bad doppler":             `{"model": {"type": "eq22"}, "seed": 1, "blocks": 4, "normalized_doppler": 0.7}`,
+		"non-power-of-two M":      `{"model": {"type": "eq22"}, "seed": 1, "blocks": 4, "idft_points": 1000}`,
 		"trailing garbage":        `{"model": {"type": "eq22"}, "seed": 1, "blocks": 4} {"again": true}`,
 		"not json":                `hello`,
 	}
@@ -249,10 +250,11 @@ func TestMalformedSpecsRejected(t *testing.T) {
 			t.Errorf("%s: status %d (body %s), want 400", name, resp.StatusCode, body)
 		}
 		var envelope struct {
+			Code  string `json:"code"`
 			Error string `json:"error"`
 		}
-		if err := json.Unmarshal(body, &envelope); err != nil || envelope.Error == "" {
-			t.Errorf("%s: error envelope missing (body %s)", name, body)
+		if err := json.Unmarshal(body, &envelope); err != nil || envelope.Error == "" || envelope.Code != "bad_spec" {
+			t.Errorf("%s: want a bad_spec error envelope (body %s)", name, body)
 		}
 	}
 	if n := s.Manager().Len(); n != 0 {

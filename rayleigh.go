@@ -248,7 +248,8 @@ type RealTimeConfig struct {
 	// processes (same semantics as Config.Covariance).
 	Covariance [][]complex128
 	// IDFTPoints is M, the block length in samples (and IDFT size) of each
-	// Young–Beaulieu Doppler generator. The paper's evaluation uses 4096.
+	// Young–Beaulieu Doppler generator. It must be a power of two; the
+	// paper's evaluation uses 4096.
 	IDFTPoints int
 	// NormalizedDoppler is fm = Fm/Fs, the maximum Doppler shift divided by
 	// the sampling rate; it must lie in (0, 0.5). The paper's evaluation uses

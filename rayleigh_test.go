@@ -247,15 +247,14 @@ func TestRealTimePublicAPI(t *testing.T) {
 		t.Errorf("unexpected clamping for Eq. (22)")
 	}
 
-	if _, err := NewStream(RealTimeConfig{
-		Covariance:        paperSpectralCovariance(t),
-		IDFTPoints:        8,
-		NormalizedDoppler: 0.01,
-	}); err == nil {
-		t.Errorf("invalid Doppler configuration did not error")
-	}
-	if _, err := NewStream(RealTimeConfig{}); err == nil {
-		t.Errorf("empty real-time config did not error")
+	for name, cfg := range map[string]RealTimeConfig{
+		"invalid Doppler configuration": {Covariance: paperSpectralCovariance(t), IDFTPoints: 8, NormalizedDoppler: 0.01},
+		"non-power-of-two IDFT length":  {Covariance: paperSpectralCovariance(t), IDFTPoints: 1000, NormalizedDoppler: 0.05},
+		"empty real-time config":        {},
+	} {
+		if _, err := NewStream(cfg); err == nil {
+			t.Errorf("%s did not error", name)
+		}
 	}
 }
 

@@ -75,13 +75,10 @@ func (s *Stream) Diagnostics() Diagnostics {
 // NewCursor returns a new Cursor positioned at block 0. Cursors are
 // independent: each owns the generation workspace its blocks are computed
 // in, so distinct cursors never contend, and two cursors at the same
-// position produce identical values.
+// position produce identical values. The error is always nil; it stays in
+// the signature so existing callers keep compiling.
 func (s *Stream) NewCursor() (*Cursor, error) {
-	scratch, err := s.inner.NewBlockScratch()
-	if err != nil {
-		return nil, fmt.Errorf("rayleigh: %w", err)
-	}
-	return &Cursor{stream: s, scratch: scratch}, nil
+	return &Cursor{stream: s, scratch: s.inner.NewBlockScratch()}, nil
 }
 
 // Cursor is a position in a Stream plus the private workspace that makes
@@ -106,9 +103,9 @@ func (c *Cursor) Seek(i uint64) { c.pos = i }
 // Next generates the block at the cursor position into b and advances the
 // position by one. It reuses b's storage when b already holds N rows of
 // BlockLength samples; an empty or wrong-shaped b is [re]allocated in place.
-// With a pre-shaped b (one an earlier call filled, say) and a power-of-two
-// IDFT length the call performs no heap allocation, so a live channel
-// simulator can read block after block into one Block.
+// With a pre-shaped b (one an earlier call filled, say) the call performs no
+// heap allocation, so a live channel simulator can read block after block
+// into one Block.
 //
 // fadinglint:allocfree
 func (c *Cursor) Next(b *Block) error {
