@@ -239,7 +239,7 @@ func nonstationaryBenchmark(name string, k *cmplxmat.Matrix) []result {
 		Filter:        doppler.FilterSpec{M: 4096},
 		InputVariance: 0.5,
 		Seed:          67,
-		DopplerSegments: []core.DopplerSegment{
+		DopplerSegments: []chanspec.DopplerSegment{
 			{Blocks: 8, NormalizedDoppler: 0.02},
 			{Blocks: 8, NormalizedDoppler: 0.1},
 		},

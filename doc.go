@@ -27,6 +27,9 @@
 // physical correlation models of the paper: SpectralCovariance (time delay
 // and frequency separation, as between OFDM subcarriers) and
 // SpatialCovariance (antenna spacing in a transmit array, as in MIMO).
+// Construction rejects non-finite input: a NaN or infinite covariance entry,
+// input variance or fading parameter is an error, not a stream of NaN
+// samples.
 //
 // # Generation methods
 //
@@ -60,7 +63,9 @@
 // contract — block k remains a pure function of (spec, seed, k), byte-
 // identical across worker counts and resume points. Models returns the
 // catalog; the math, spec schema and statistical gates are documented in
-// docs/models.md.
+// docs/models.md. FadingParams, DopplerSegment and FadingModelInfo, like
+// MethodInfo, are the types scenario files and fadingd specs decode into, so
+// json.Marshal writes their snake_case keys ("k_factor", "segments", …).
 //
 // # Performance
 //
@@ -73,7 +78,9 @@
 //     matrix-matrix product. With reused destinations the sequential path
 //     allocates nothing in steady state.
 //
-//   - Cursor.Next fills a reusable Block. Coloring acts across the N
+//   - Cursor.Next fills a reusable Block. Snapshot and Block are the
+//     engine's own types, so neither call copies the caller's storage in or
+//     out. Coloring acts across the N
 //     envelopes and the IDFT along time, so the block colors the Doppler
 //     spectra before transforming them, with the same result as Fig. 3's
 //     order up to rounding. Each of the N Doppler processes draws only its

@@ -38,92 +38,30 @@ const (
 const DefaultShadowCoherence = chanspec.DefaultShadowCoherence
 
 // DopplerSegment is one leg of a nonstationary-Doppler velocity trajectory:
-// Blocks consecutive blocks generated with the given normalized maximum
-// Doppler shift. The final segment persists for every block past the end of
-// the trajectory.
-type DopplerSegment struct {
-	// Blocks is the segment length in blocks; it must be positive.
-	Blocks int
-	// NormalizedDoppler is the segment's fm = Fm/Fs, in (0, 0.5).
-	NormalizedDoppler float64
-}
+// Blocks consecutive blocks (a positive count) generated with the normalized
+// maximum Doppler shift NormalizedDoppler, in (0, 0.5). The final segment
+// persists for every block past the end of the trajectory. It is the spec
+// type chanspec.DopplerSegment, whose fields and JSON keys ("blocks",
+// "normalized_doppler") fadingd specs share.
+type DopplerSegment = chanspec.DopplerSegment
 
 // FadingParams carries the per-model parameters of the Fading configuration
-// fields. Each fading model reads only its own fields; the rest may stay zero.
-type FadingParams struct {
-	// KFactor is the Rician K-factor (LOS power / scattered power), ≥ 0.
-	// Read by FadingRician; K = 0 degenerates to Rayleigh.
-	KFactor float64
-	// LOSPhaseRad is the phase of the Rician LOS component (default 0).
-	LOSPhaseRad float64
-	// M is the Nakagami shape parameter, 0.5 ≤ m ≤ 50 (the range the
-	// transform's error bound covers; other values are rejected). Read by
-	// FadingNakagamiM; m = 1 is exactly Rayleigh.
-	M float64
-	// ShadowSigmaDB is the Suzuki lognormal shadowing standard deviation in
-	// dB, > 0. Read by FadingSuzuki.
-	ShadowSigmaDB float64
-	// ShadowCoherence is the Suzuki shadowing coherence length in samples;
-	// zero selects DefaultShadowCoherence.
-	ShadowCoherence int
-	// Segments is the nonstationary-Doppler velocity trajectory. Read by
-	// FadingNonstationaryDoppler; at least one segment is required.
-	Segments []DopplerSegment
-}
+// fields. Each fading model reads only its own fields; the rest may stay
+// zero. The fields are KFactor (finite, ≥ 0) and LOSPhaseRad (finite) for
+// FadingRician; M (0.5 ≤ m ≤ 50) for FadingNakagamiM; ShadowSigmaDB (finite,
+// > 0) and ShadowCoherence (samples, zero selects DefaultShadowCoherence)
+// for FadingSuzuki; and Segments (at least one) for
+// FadingNonstationaryDoppler. It is the spec type chanspec.FadingParams, the
+// "params" object of fadingd specs, whose field comments give the details.
+type FadingParams = chanspec.FadingParams
 
-// FadingModelInfo describes one fading model of the zoo.
-type FadingModelInfo struct {
-	// Name is the Fading configuration value ("rayleigh", "rician", …).
-	Name string
-	// Title is the human-readable model name.
-	Title string
-	// Envelope names the marginal envelope distribution the model produces.
-	Envelope string
-	// Params documents the FadingParams fields the model reads.
-	Params string
-	// Constraints summarizes where the model is available and what its
-	// parameters must satisfy.
-	Constraints string
-	// Notes records composition details and caveats (empty when none).
-	Notes string
-}
+// FadingModelInfo describes one fading model of the zoo: its Name (the
+// Fading configuration value), Title, Envelope distribution, the Params it
+// reads, its Constraints and its Notes (empty when none). It is the spec
+// type chanspec.FadingModelInfo that fadingd's /v1/models endpoint serves.
+type FadingModelInfo = chanspec.FadingModelInfo
 
-// Models returns the catalog of fading models, the Rayleigh default first.
-// It is the public mirror of the fadingd /v1/models endpoint.
-func Models() []FadingModelInfo {
-	infos := chanspec.FadingModels()
-	out := make([]FadingModelInfo, len(infos))
-	for i, m := range infos {
-		out[i] = FadingModelInfo{
-			Name:        m.Name,
-			Title:       m.Title,
-			Envelope:    m.Envelope,
-			Params:      m.Params,
-			Constraints: m.Constraints,
-			Notes:       m.Notes,
-		}
-	}
-	return out
-}
-
-// fadingSpecParams converts public fading parameters to the spec form shared
-// with scenario files and the fadingd service.
-func fadingSpecParams(p *FadingParams) *chanspec.FadingParams {
-	if p == nil {
-		return nil
-	}
-	out := &chanspec.FadingParams{
-		KFactor:         p.KFactor,
-		LOSPhaseRad:     p.LOSPhaseRad,
-		M:               p.M,
-		ShadowSigmaDB:   p.ShadowSigmaDB,
-		ShadowCoherence: p.ShadowCoherence,
-	}
-	if len(p.Segments) > 0 {
-		out.Segments = make([]chanspec.DopplerSegment, len(p.Segments))
-		for i, s := range p.Segments {
-			out.Segments[i] = chanspec.DopplerSegment{Blocks: s.Blocks, NormalizedDoppler: s.NormalizedDoppler}
-		}
-	}
-	return out
-}
+// Models returns the catalog of fading models, the Rayleigh default first:
+// the catalog fadingd's /v1/models endpoint serves. Each call builds a fresh
+// slice, so the caller may modify it.
+func Models() []FadingModelInfo { return chanspec.FadingModels() }

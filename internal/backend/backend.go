@@ -11,6 +11,7 @@ package backend
 
 import (
 	"fmt"
+	"math/cmplx"
 
 	"repro/internal/baseline"
 	"repro/internal/chanspec"
@@ -39,11 +40,11 @@ func New(method, fading string, params *chanspec.FadingParams, k *cmplxmat.Matri
 		return nil, fmt.Errorf("backend: fading %q needs a real-time block mode (snapshots have no time axis): %w",
 			fading, chanspec.ErrBadSpec)
 	}
-	tr, err := fadingTransform(fading, params, k, seed)
+	coloring, _, err := Coloring(method, k)
 	if err != nil {
 		return nil, err
 	}
-	coloring, _, err := Coloring(method, k)
+	tr, err := fadingTransform(fading, params, k, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -64,14 +65,11 @@ func RealTimeConfig(method, fading string, params *chanspec.FadingParams, k *cmp
 	if err != nil {
 		return core.RealTimeConfig{}, err
 	}
-	var segments []core.DopplerSegment
+	var segments []chanspec.DopplerSegment
 	if chanspec.NormalizeFading(fading) == chanspec.FadingNonstationaryDoppler {
 		// fadingTransform validated the model, so params carries the
 		// trajectory.
-		segments = make([]core.DopplerSegment, len(params.Segments))
-		for i, s := range params.Segments {
-			segments[i] = core.DopplerSegment{Blocks: s.Blocks, NormalizedDoppler: s.NormalizedDoppler}
-		}
+		segments = params.Segments
 	}
 	return core.RealTimeConfig{
 		Covariance:         k,
@@ -84,14 +82,11 @@ func RealTimeConfig(method, fading string, params *chanspec.FadingParams, k *cmp
 }
 
 // fadingTransform builds the fading model's sample transform for a
-// covariance target (nil for the Rayleigh default and the panel-level
-// nonstationary model). The target's diagonal supplies the per-envelope mean
-// powers Ω_j; snapshots and real-time blocks both take their transform from
-// here, so the zoo models see one definition of Ω.
-func fadingTransform(fadingModel string, params *chanspec.FadingParams, k *cmplxmat.Matrix, seed int64) (core.Transform, error) {
-	if k == nil {
-		return nil, fmt.Errorf("backend: nil covariance matrix: %w", chanspec.ErrBadSpec)
-	}
+// covariance target that Coloring accepted (nil for the Rayleigh default and
+// the panel-level nonstationary model). The target's diagonal supplies the
+// per-envelope mean powers Ω_j; snapshots and real-time blocks both take
+// their transform from here, so the zoo models see one definition of Ω.
+func fadingTransform(fadingModel string, params *chanspec.FadingParams, k *cmplxmat.Matrix, seed int64) (fading.Transform, error) {
 	powers := make([]float64, k.Rows())
 	for j := range powers {
 		powers[j] = real(k.At(j, j))
@@ -100,9 +95,6 @@ func fadingTransform(fadingModel string, params *chanspec.FadingParams, k *cmplx
 	if err != nil {
 		return nil, fmt.Errorf("backend: %w", err)
 	}
-	if tr == nil {
-		return nil, nil
-	}
 	return tr, nil
 }
 
@@ -110,11 +102,24 @@ func fadingTransform(fadingModel string, params *chanspec.FadingParams, k *cmplx
 // take: the coloring-matrix override and the unit-variance assumption the
 // method carries into the real-time combination of Section 5. The
 // generalized method returns (nil, false) — the engine's own eigen coloring
-// applies. Construction failures carry New's typed error classes.
+// applies. Every method's setup passes through here, so this is where a nil
+// target, or one with a NaN or infinite entry, is rejected
+// (chanspec.ErrBadSpec); other construction failures carry New's typed
+// error classes.
 func Coloring(method string, k *cmplxmat.Matrix) (coloring *cmplxmat.Matrix, assumeUnitVariance bool, err error) {
 	method = chanspec.NormalizeMethod(method)
 	if err := chanspec.ValidateMethod(method); err != nil {
 		return nil, false, fmt.Errorf("backend: %w", err)
+	}
+	if k == nil {
+		return nil, false, fmt.Errorf("backend: nil covariance matrix: %w", chanspec.ErrBadSpec)
+	}
+	for i := 0; i < k.Rows(); i++ {
+		for j := 0; j < k.Cols(); j++ {
+			if v := k.At(i, j); cmplx.IsNaN(v) || cmplx.IsInf(v) {
+				return nil, false, fmt.Errorf("backend: covariance entry (%d, %d) = %v is not finite: %w", i, j, v, chanspec.ErrBadSpec)
+			}
+		}
 	}
 	if method == chanspec.MethodGeneralized {
 		return nil, false, nil

@@ -1,6 +1,9 @@
 package chanspec
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Fading model names. A spec's "model.fading" field selects the envelope
 // distribution layered on top of the correlated complex-Gaussian engine: the
@@ -43,52 +46,83 @@ const (
 // when params.shadow_coherence is omitted.
 const DefaultShadowCoherence = 256
 
+// DefaultIDFTPoints is the block length M, in samples, of a real-time spec
+// that omits it: the paper's 4096.
+const DefaultIDFTPoints = 4096
+
+// DefaultNormalizedDoppler is fm = Fm/Fs of a real-time spec that omits it:
+// the paper's 0.05 (Fm = 50 Hz at Fs = 1 kHz).
+const DefaultNormalizedDoppler = 0.05
+
+// FilterDoppler returns the normalized Doppler a real-time spec's Doppler
+// filter runs at: zero under FadingNonstationaryDoppler, whose segments
+// carry their own; otherwise fm, or DefaultNormalizedDoppler when fm is zero.
+func FilterDoppler(fading string, fm float64) float64 {
+	if NormalizeFading(fading) == FadingNonstationaryDoppler {
+		return 0
+	}
+	if fm != 0 {
+		return fm
+	}
+	return DefaultNormalizedDoppler
+}
+
 // DopplerSegment is one leg of a nonstationary-Doppler velocity trajectory:
 // Blocks consecutive blocks generated with the given normalized maximum
 // Doppler shift. The final segment persists for every block past the end of
-// the trajectory.
+// the trajectory. It is also the public API's rayleigh.DopplerSegment.
 type DopplerSegment struct {
-	Blocks            int     `json:"blocks"`
+	// Blocks is the segment length in blocks; it must be positive.
+	Blocks int `json:"blocks"`
+	// NormalizedDoppler is the segment's fm = Fm/Fs, in (0, 0.5).
 	NormalizedDoppler float64 `json:"normalized_doppler"`
 }
 
-// FadingParams carries the per-model parameters of Model.Params. Each fading
-// model reads only its own fields (documented per field); Canonical drops the
-// rest so equivalent specs hash identically. New exported fields must be
-// copied by canonicalFading for the model that reads them — the canonfields
-// analyzer fails the lint run otherwise.
+// FadingParams carries the per-model parameters of Model.Params, and of the
+// public API's Config.FadingParams and RealTimeConfig.FadingParams (it is
+// also rayleigh.FadingParams). Each fading model reads only its own fields,
+// named per field below; the rest may stay zero, and Canonical drops them so
+// equivalent specs hash identically. New exported fields must be copied by
+// canonicalFading for the model that reads them — the canonfields analyzer
+// fails the lint run otherwise.
 //
 // fadinglint:canon=canonicalFading
 type FadingParams struct {
-	// KFactor is the Rician K-factor (LOS power / scattered power), ≥ 0.
-	// K = 0 degenerates to Rayleigh.
+	// KFactor is the Rician K-factor (LOS power / scattered power), finite
+	// and ≥ 0. Read by FadingRician; K = 0 degenerates to Rayleigh.
 	KFactor float64 `json:"k_factor,omitempty"`
-	// LOSPhaseRad is the phase of the Rician LOS component (default 0).
+	// LOSPhaseRad is the phase of the Rician LOS component, finite (default
+	// 0). Read by FadingRician.
 	LOSPhaseRad float64 `json:"los_phase_rad,omitempty"`
 	// M is the Nakagami shape parameter, 0.5 ≤ m ≤ 50: the range the
-	// transform's 1e-7 error bound covers. m = 1 degenerates to Rayleigh.
+	// transform's 1e-7 error bound covers; other values are rejected. Read
+	// by FadingNakagamiM; m = 1 is exactly Rayleigh.
 	M float64 `json:"m,omitempty"`
 	// ShadowSigmaDB is the Suzuki lognormal shadowing standard deviation in
-	// dB, > 0.
+	// dB, finite and > 0. Read by FadingSuzuki.
 	ShadowSigmaDB float64 `json:"shadow_sigma_db,omitempty"`
 	// ShadowCoherence is the Suzuki shadowing coherence length in samples
-	// (knot spacing of the interpolated shadowing process); zero selects
-	// DefaultShadowCoherence.
+	// (knot spacing of the interpolated shadowing process), ≥ 0; zero
+	// selects DefaultShadowCoherence. Read by FadingSuzuki.
 	ShadowCoherence int `json:"shadow_coherence,omitempty"`
-	// Segments is the nonstationary-Doppler velocity trajectory.
+	// Segments is the nonstationary-Doppler velocity trajectory. Read by
+	// FadingNonstationaryDoppler, which needs at least one segment.
 	Segments []DopplerSegment `json:"segments,omitempty"`
 }
 
-// FadingModelInfo describes one fading model for catalogs, reports and the
-// fadingd /v1/models endpoint.
+// FadingModelInfo describes one fading model for catalogs, reports, the
+// fadingd /v1/models endpoint and the public API's Models (it is also
+// rayleigh.FadingModelInfo).
 type FadingModelInfo struct {
-	// Name is the spec value ("rayleigh", "rician", …).
+	// Name is the spec value and Fading configuration value ("rayleigh",
+	// "rician", …).
 	Name string `json:"name"`
 	// Title is the human-readable model name.
 	Title string `json:"title"`
 	// Envelope names the marginal envelope distribution the model produces.
 	Envelope string `json:"envelope"`
-	// Params documents the model.params fields the model reads.
+	// Params documents the FadingParams fields the model reads, by their
+	// model.params keys.
 	Params string `json:"params,omitempty"`
 	// Constraints summarizes where the model is available and what its
 	// parameters must satisfy.
@@ -137,7 +171,7 @@ func FadingModels() []FadingModelInfo {
 			Envelope:    "Rayleigh per segment; the Doppler spectrum changes at segment boundaries",
 			Params:      "segments: [{blocks > 0, normalized_doppler ∈ (0, 0.5)}, …] (required); the last segment persists past the trajectory end",
 			Constraints: "real-time block modes only (segments are block-aligned); the top-level normalized Doppler must be omitted",
-			Notes:       "block k is still a pure function of (spec, seed, k): segment lookup is O(1) via prefix sums, so resumes and worker counts stay byte-identical",
+			Notes:       "block k is still a pure function of (spec, seed, k): its segment is found from k alone, so resumes and worker counts stay byte-identical",
 		},
 	}
 }
@@ -172,8 +206,11 @@ func ValidateFading(fading string, params *FadingParams) error {
 		if params == nil {
 			return fmt.Errorf("fading %q needs params.k_factor: %w", FadingRician, ErrBadSpec)
 		}
-		if params.KFactor < 0 || params.KFactor != params.KFactor {
-			return fmt.Errorf("fading %q needs k_factor >= 0, got %g: %w", FadingRician, params.KFactor, ErrBadSpec)
+		if !(params.KFactor >= 0) || math.IsInf(params.KFactor, 1) {
+			return fmt.Errorf("fading %q needs a finite k_factor >= 0, got %g: %w", FadingRician, params.KFactor, ErrBadSpec)
+		}
+		if math.IsNaN(params.LOSPhaseRad) || math.IsInf(params.LOSPhaseRad, 0) {
+			return fmt.Errorf("fading %q needs a finite los_phase_rad, got %g: %w", FadingRician, params.LOSPhaseRad, ErrBadSpec)
 		}
 		return nil
 	case FadingNakagamiM:
@@ -192,8 +229,8 @@ func ValidateFading(fading string, params *FadingParams) error {
 		if params == nil {
 			return fmt.Errorf("fading %q needs params.shadow_sigma_db: %w", FadingSuzuki, ErrBadSpec)
 		}
-		if !(params.ShadowSigmaDB > 0) {
-			return fmt.Errorf("fading %q needs shadow_sigma_db > 0, got %g: %w", FadingSuzuki, params.ShadowSigmaDB, ErrBadSpec)
+		if !(params.ShadowSigmaDB > 0) || math.IsInf(params.ShadowSigmaDB, 1) {
+			return fmt.Errorf("fading %q needs a finite shadow_sigma_db > 0, got %g: %w", FadingSuzuki, params.ShadowSigmaDB, ErrBadSpec)
 		}
 		if params.ShadowCoherence < 0 {
 			return fmt.Errorf("fading %q needs shadow_coherence >= 0, got %d: %w", FadingSuzuki, params.ShadowCoherence, ErrBadSpec)
@@ -208,7 +245,7 @@ func ValidateFading(fading string, params *FadingParams) error {
 				return fmt.Errorf("fading %q segment %d needs blocks > 0, got %d: %w",
 					FadingNonstationaryDoppler, i, seg.Blocks, ErrBadSpec)
 			}
-			if seg.NormalizedDoppler <= 0 || seg.NormalizedDoppler >= 0.5 {
+			if !(0 < seg.NormalizedDoppler && seg.NormalizedDoppler < 0.5) {
 				return fmt.Errorf("fading %q segment %d normalized_doppler %g outside (0, 0.5): %w",
 					FadingNonstationaryDoppler, i, seg.NormalizedDoppler, ErrBadSpec)
 			}
@@ -255,6 +292,8 @@ func canonicalFading(fading string, params *FadingParams) (string, *FadingParams
 // SegmentIndexAt returns the index of the trajectory segment covering the
 // given block, treating the last segment as persisting past the end of the
 // trajectory. An empty trajectory returns 0.
+//
+// fadinglint:allocfree
 func SegmentIndexAt(segments []DopplerSegment, block uint64) int {
 	var start uint64
 	for i, seg := range segments {

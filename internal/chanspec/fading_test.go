@@ -3,6 +3,7 @@ package chanspec
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -14,17 +15,21 @@ func TestValidateFading(t *testing.T) {
 		{"warp", nil},
 		{FadingRician, nil},
 		{FadingRician, &FadingParams{KFactor: -1}},
+		{FadingRician, &FadingParams{KFactor: math.Inf(1)}},
+		{FadingRician, &FadingParams{KFactor: 2, LOSPhaseRad: math.NaN()}},
 		{FadingNakagamiM, nil},
 		{FadingNakagamiM, &FadingParams{M: 0.25}},
 		{FadingNakagamiM, &FadingParams{M: 50.5}},
 		{FadingNakagamiM, &FadingParams{M: 1e6}},
 		{FadingSuzuki, nil},
 		{FadingSuzuki, &FadingParams{ShadowSigmaDB: 0}},
+		{FadingSuzuki, &FadingParams{ShadowSigmaDB: math.Inf(1)}},
 		{FadingSuzuki, &FadingParams{ShadowSigmaDB: 4, ShadowCoherence: -1}},
 		{FadingNonstationaryDoppler, nil},
 		{FadingNonstationaryDoppler, &FadingParams{}},
 		{FadingNonstationaryDoppler, &FadingParams{Segments: []DopplerSegment{{Blocks: 0, NormalizedDoppler: 0.1}}}},
 		{FadingNonstationaryDoppler, &FadingParams{Segments: []DopplerSegment{{Blocks: 2, NormalizedDoppler: 0.5}}}},
+		{FadingNonstationaryDoppler, &FadingParams{Segments: []DopplerSegment{{Blocks: 2, NormalizedDoppler: math.NaN()}}}},
 	}
 	for i, c := range bad {
 		if err := ValidateFading(c.fading, c.params); !errors.Is(err, ErrBadSpec) {

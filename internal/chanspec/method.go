@@ -35,10 +35,12 @@ const (
 	MethodSorooshyariDaut = "sorooshyari_daut"
 )
 
-// MethodInfo describes one generation backend for catalogs, reports and the
-// fadingd methods endpoint.
+// MethodInfo describes one generation backend for catalogs, reports, the
+// fadingd methods endpoint and the public API's Methods (it is also
+// rayleigh.MethodInfo).
 type MethodInfo struct {
-	// Name is the spec value ("generalized", "salz_winters", …).
+	// Name is the spec value and Config.Method value ("generalized",
+	// "salz_winters", …).
 	Name string `json:"name"`
 	// Title is the human-readable method name.
 	Title string `json:"title"`

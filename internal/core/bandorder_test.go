@@ -43,7 +43,7 @@ func covarianceForN(n int) *cmplxmat.Matrix {
 // and the same envelope pass or fading transform follows.
 func timeDomainBlock(t *testing.T, g *RealTimeGenerator, index uint64) *Block {
 	t.Helper()
-	seg := &g.segments[g.segmentIndexAt(index)]
+	seg := &g.segments[chanspec.SegmentIndexAt(g.trajectory, index)]
 	w := cmplxmat.New(g.n, g.m)
 	z := cmplxmat.New(g.n, g.m)
 	root := randx.New(g.blockRoot.SplitSeedAt(index))
@@ -64,7 +64,8 @@ func timeDomainBlock(t *testing.T, g *RealTimeGenerator, index uint64) *Block {
 			continue
 		}
 		for l, v := range b.Gaussian[j] {
-			b.Envelopes[j][l] = envAbs(v)
+			re, im := real(v), imag(v)
+			b.Envelopes[j][l] = math.Sqrt(re*re + im*im)
 		}
 	}
 	return b
@@ -79,7 +80,8 @@ func blockDeviation(ref, got *Block) (gauss, env float64) {
 		for l, v := range ref.Gaussian[j] {
 			power += real(v)*real(v) + imag(v)*imag(v)
 			count++
-			gauss = math.Max(gauss, envAbs(got.Gaussian[j][l]-v))
+			d := got.Gaussian[j][l] - v
+			gauss = math.Max(gauss, math.Sqrt(real(d)*real(d)+imag(d)*imag(d)))
 			env = math.Max(env, math.Abs(got.Envelopes[j][l]-ref.Envelopes[j][l]))
 		}
 	}
@@ -150,7 +152,7 @@ func TestBandOrderMatchesTimeDomain(t *testing.T) {
 				Covariance: exponentialCovariance(32, 0.7),
 				Filter:     doppler.FilterSpec{M: m},
 				Seed:       int64(m) + 17,
-				DopplerSegments: []DopplerSegment{
+				DopplerSegments: []chanspec.DopplerSegment{
 					{Blocks: 2, NormalizedDoppler: 0.02},
 					{Blocks: 2, NormalizedDoppler: 0.1},
 				},
@@ -178,9 +180,6 @@ func TestBandOrderMatchesTimeDomain(t *testing.T) {
 				if dg > tol || de > tol {
 					t.Fatalf("block %d: Gaussian deviates by %.3g × RMS, envelope by %.3g × RMS (tolerance %g)",
 						index, dg, de, tol)
-				}
-				if got.SampleVariance != g.segments[g.segmentIndexAt(index)].sigmaG2 {
-					t.Fatalf("block %d SampleVariance %g", index, got.SampleVariance)
 				}
 			}
 		})

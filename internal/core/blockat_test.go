@@ -9,7 +9,7 @@ import (
 	"repro/internal/fading"
 )
 
-func newBlockAtGenerator(t testing.TB, m int, seed int64, tr Transform) *RealTimeGenerator {
+func newBlockAtGenerator(t testing.TB, m int, seed int64, tr fading.Transform) *RealTimeGenerator {
 	t.Helper()
 	k := chanspec.Eq22Covariance()
 	gen, err := NewRealTimeGenerator(RealTimeConfig{
@@ -136,7 +136,7 @@ func TestGenerateBlockAtNoAllocs(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name string
-		tr   Transform
+		tr   fading.Transform
 	}{
 		{chanspec.FadingRayleigh, nil},
 		{chanspec.FadingNakagamiM, nakagami},

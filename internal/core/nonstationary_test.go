@@ -6,9 +6,10 @@ import (
 
 	"repro/internal/chanspec"
 	"repro/internal/doppler"
+	"repro/internal/fading"
 )
 
-func newSegmentedGenerator(t testing.TB, seed int64, m int, segs []DopplerSegment, tr Transform) *RealTimeGenerator {
+func newSegmentedGenerator(t testing.TB, seed int64, m int, segs []chanspec.DopplerSegment, tr fading.Transform) *RealTimeGenerator {
 	t.Helper()
 	g, err := NewRealTimeGenerator(RealTimeConfig{
 		Covariance:      chanspec.Eq22Covariance(),
@@ -23,7 +24,7 @@ func newSegmentedGenerator(t testing.TB, seed int64, m int, segs []DopplerSegmen
 	return g
 }
 
-var testTrajectory = []DopplerSegment{
+var testTrajectory = []chanspec.DopplerSegment{
 	{Blocks: 3, NormalizedDoppler: 0.02},
 	{Blocks: 3, NormalizedDoppler: 0.1},
 }
@@ -33,9 +34,9 @@ func TestNonstationaryValidation(t *testing.T) {
 		{Covariance: chanspec.Eq22Covariance(), Filter: doppler.FilterSpec{M: 512, NormalizedDoppler: 0.05},
 			DopplerSegments: testTrajectory}, // conflicting top-level Doppler
 		{Covariance: chanspec.Eq22Covariance(), Filter: doppler.FilterSpec{M: 512},
-			DopplerSegments: []DopplerSegment{{Blocks: 0, NormalizedDoppler: 0.05}}},
+			DopplerSegments: []chanspec.DopplerSegment{{Blocks: 0, NormalizedDoppler: 0.05}}},
 		{Covariance: chanspec.Eq22Covariance(), Filter: doppler.FilterSpec{M: 512},
-			DopplerSegments: []DopplerSegment{{Blocks: 2, NormalizedDoppler: 0.7}}},
+			DopplerSegments: []chanspec.DopplerSegment{{Blocks: 2, NormalizedDoppler: 0.7}}},
 	}
 	for i, cfg := range bad {
 		if _, err := NewRealTimeGenerator(cfg); err == nil {
@@ -45,8 +46,8 @@ func TestNonstationaryValidation(t *testing.T) {
 }
 
 // TestNonstationarySegmentVariance pins the per-segment σ²_g: blocks in
-// different trajectory legs carry their own Eq. (19) variance, and
-// GenerateBlocksAt walks the trajectory in block order.
+// different trajectory legs are whitened with their own Eq. (19) variance,
+// and the last leg persists past the trajectory end.
 func TestNonstationarySegmentVariance(t *testing.T) {
 	g := newSegmentedGenerator(t, 31, 512, testTrajectory, nil)
 	want0 := g.segments[0].sigmaG2
@@ -57,13 +58,13 @@ func TestNonstationarySegmentVariance(t *testing.T) {
 	if g.SampleVariance() != want0 {
 		t.Fatalf("SampleVariance() = %g, want segment 0's %g", g.SampleVariance(), want0)
 	}
-	for k, b := range blocksAt(t, g, 0, 8, 1) {
+	for k := range uint64(8) {
 		want := want0
 		if k >= 3 {
 			want = want1 // the last segment persists past the trajectory
 		}
-		if b.SampleVariance != want {
-			t.Errorf("block %d SampleVariance = %g, want %g", k, b.SampleVariance, want)
+		if got := blockSigmaG2(g, k); got != want {
+			t.Errorf("block %d σ²_g = %g, want %g", k, got, want)
 		}
 	}
 	if a, b := g.TheoreticalAutocorrelationAt(0, 5), g.TheoreticalAutocorrelationAt(5, 5); a == b {
@@ -95,8 +96,12 @@ func TestNonstationaryWorkerAndResumeIdentity(t *testing.T) {
 			t.Fatalf("GenerateBlockAt(%d): %v", idx, err)
 		}
 		blocksEqual(t, "nonstationary random access", runs[0][idx], b)
-		if b.SampleVariance != runs[0][idx].SampleVariance {
-			t.Fatalf("block %d SampleVariance %g vs %g", idx, b.SampleVariance, runs[0][idx].SampleVariance)
+		want := g.segments[0].sigmaG2
+		if idx >= 3 {
+			want = g.segments[1].sigmaG2
+		}
+		if got := blockSigmaG2(g, idx); got != want {
+			t.Fatalf("block %d σ²_g %g, want %g", idx, got, want)
 		}
 	}
 	// Split batches resume the same sequence across the segment seam.
@@ -160,8 +165,8 @@ func TestTransformOffsetsConsistentAcrossPaths(t *testing.T) {
 	// Envelopes reflect the transformed samples.
 	for j := range seq[0].Gaussian {
 		for l, v := range seq[0].Gaussian[j] {
-			if got := seq[0].Envelopes[j][l]; math.Abs(got-envAbs(v)) > 1e-12 {
-				t.Fatalf("envelope (%d,%d) = %g, want |z| = %g", j, l, got, envAbs(v))
+			if got, want := seq[0].Envelopes[j][l], math.Hypot(real(v), imag(v)); math.Abs(got-want) > 1e-12 {
+				t.Fatalf("envelope (%d,%d) = %g, want |z| = %g", j, l, got, want)
 			}
 		}
 	}

@@ -2,34 +2,17 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/chanspec"
 	"repro/internal/cmplxmat"
 	"repro/internal/doppler"
 	"repro/internal/dsp"
+	"repro/internal/fading"
 	"repro/internal/randx"
 )
-
-// Transform post-processes one envelope row of colored complex-Gaussian
-// samples in place, mapping the correlated Rayleigh fading line to another
-// envelope distribution (Rician, Nakagami-m, Suzuki — see internal/fading).
-// env is the row index, offset the global index of the row's first sample;
-// on return z holds the transformed samples and r their envelopes (r is
-// written, never read). Implementations must be stateless after construction
-// and safe for concurrent use: the parallel block workers share one value.
-type Transform interface {
-	Apply(env int, offset uint64, z []complex128, r []float64)
-}
-
-// DopplerSegment is one leg of a nonstationary-Doppler velocity trajectory:
-// Blocks consecutive blocks generated with the given normalized maximum
-// Doppler shift. The final segment persists for every block past the end of
-// the trajectory.
-type DopplerSegment struct {
-	Blocks            int
-	NormalizedDoppler float64
-}
 
 // RealTimeConfig configures the real-time correlated generator of Section 5
 // (Fig. 3): N Young–Beaulieu Doppler generators feed the coloring step, so
@@ -45,7 +28,8 @@ type RealTimeConfig struct {
 	// its own).
 	Filter doppler.FilterSpec
 	// InputVariance is σ²_orig, the variance of the real Gaussian sequences
-	// feeding each Doppler filter. Zero selects the paper's 1/2.
+	// feeding each Doppler filter. Zero selects the paper's 1/2; any other
+	// value must be finite and positive.
 	InputVariance float64
 	// Seed seeds the random streams (one derived stream per block and
 	// envelope).
@@ -66,8 +50,9 @@ type RealTimeConfig struct {
 	// Transform, when non-nil, post-processes every generated row (the
 	// channel-model zoo's Rician/Nakagami/Suzuki sample transforms). It is
 	// applied inside the block fill, so transformed block k is still a pure
-	// function of the configuration and k.
-	Transform Transform
+	// function of the configuration and k; the parallel block workers share
+	// it.
+	Transform fading.Transform
 	// DopplerSegments, when non-empty, replaces the single Doppler design
 	// with a piecewise trajectory: block k is generated with the Doppler
 	// panel of the segment covering k (the last segment persists past the
@@ -75,20 +60,16 @@ type RealTimeConfig struct {
 	// change per segment; the per-block random streams are unchanged, so
 	// GenerateBlockAt stays O(1) and byte-identical across resume points
 	// and worker counts.
-	DopplerSegments []DopplerSegment
+	DopplerSegments []chanspec.DopplerSegment
 }
 
 // Block is one real-time generation block of M consecutive time samples for
-// each of the N envelopes.
+// each of the N envelopes. It is also the public API's rayleigh.Block.
 type Block struct {
 	// Gaussian[j][l] is z_j at discrete time l.
 	Gaussian [][]complex128
 	// Envelopes[j][l] is r_j = |z_j| at discrete time l.
 	Envelopes [][]float64
-	// SampleVariance is the σ²_g used in the whitening step: the Eq. (19)
-	// value of the block's Doppler segment, or 1 when AssumeUnitVariance was
-	// set.
-	SampleVariance float64
 }
 
 // NewBlock returns a Block with n×m storage carved out of two flat backing
@@ -126,12 +107,10 @@ func (b *Block) ensureShape(n, m int) {
 	}
 }
 
-// rtSegment is one leg of the (possibly trivial) Doppler trajectory: the
-// block range it covers, its Doppler generator, and the coloring matrix
-// rescaled to its Eq. (19) output variance. A stationary generator has
-// exactly one segment starting at block 0.
+// rtSegment is one leg of the (possibly trivial) Doppler trajectory: its
+// Doppler generator and the coloring matrix rescaled to its Eq. (19) output
+// variance. A stationary generator has exactly one segment.
 type rtSegment struct {
-	start    uint64 // first block index covered
 	spec     doppler.FilterSpec
 	gen      *doppler.Generator // shared by the N envelopes, like the filter
 	coloring *cmplxmat.Matrix   // L/σ_g of this segment
@@ -167,13 +146,17 @@ type BlockScratch struct {
 type RealTimeGenerator struct {
 	forced   *ForcedPSD
 	segments []rtSegment
+	// trajectory is the generator's copy of RealTimeConfig.DopplerSegments
+	// (empty when stationary): block k runs segment
+	// chanspec.SegmentIndexAt(trajectory, k).
+	trajectory []chanspec.DopplerSegment
 	// blockRoot is the frozen root of the per-block streams: block k draws
 	// from blockRoot.SplitAt(k). It is never advanced, so GenerateBlockAt
 	// stays a pure function of the seed and the block index.
 	blockRoot *randx.RNG
 	n         int
 	m         int
-	transform Transform
+	transform fading.Transform
 }
 
 // NewRealTimeGenerator validates the configuration and builds the Doppler
@@ -185,32 +168,25 @@ func NewRealTimeGenerator(cfg RealTimeConfig) (*RealTimeGenerator, error) {
 		return nil, fmt.Errorf("core: nil covariance matrix: %w", ErrBadInput)
 	}
 	n := cfg.Covariance.Rows()
+	// doppler.NewGenerator rejects a σ²_orig that is not finite and positive.
 	inputVar := cfg.InputVariance
 	if inputVar == 0 {
 		inputVar = 0.5
-	}
-	if inputVar < 0 {
-		return nil, fmt.Errorf("core: negative Doppler input variance %g: %w", inputVar, ErrBadInput)
 	}
 
 	// Resolve the Doppler trajectory: one stationary segment from Filter, or
 	// one segment per DopplerSegments entry (Filter then contributes only M).
 	specs := []doppler.FilterSpec{cfg.Filter}
-	starts := []uint64{0}
 	if len(cfg.DopplerSegments) > 0 {
 		if cfg.Filter.NormalizedDoppler != 0 {
 			return nil, fmt.Errorf("core: both Filter.NormalizedDoppler and DopplerSegments set: %w", ErrBadInput)
 		}
 		specs = specs[:0]
-		starts = starts[:0]
-		var start uint64
 		for i, seg := range cfg.DopplerSegments {
 			if seg.Blocks <= 0 {
 				return nil, fmt.Errorf("core: Doppler segment %d needs blocks > 0, got %d: %w", i, seg.Blocks, ErrBadInput)
 			}
 			specs = append(specs, doppler.FilterSpec{M: cfg.Filter.M, NormalizedDoppler: seg.NormalizedDoppler})
-			starts = append(starts, start)
-			start += uint64(seg.Blocks)
 		}
 	}
 
@@ -231,7 +207,7 @@ func NewRealTimeGenerator(cfg RealTimeConfig) (*RealTimeGenerator, error) {
 		if cfg.AssumeUnitVariance {
 			sigmaG2 = 1
 		}
-		segments[si] = rtSegment{start: starts[si], spec: spec, gen: dg, sigmaG2: sigmaG2}
+		segments[si] = rtSegment{spec: spec, gen: dg, sigmaG2: sigmaG2}
 	}
 
 	l, forced, err := coloringFor(cfg.Covariance, cfg.Coloring)
@@ -245,8 +221,9 @@ func NewRealTimeGenerator(cfg RealTimeConfig) (*RealTimeGenerator, error) {
 	}
 
 	return &RealTimeGenerator{
-		forced:   forced,
-		segments: segments,
+		forced:     forced,
+		segments:   segments,
+		trajectory: slices.Clone(cfg.DopplerSegments),
 		// Block streams hang off the seed root's (n+1)-th split; moving them
 		// would change every block a seed produces.
 		blockRoot: randx.New(cfg.Seed).SplitAt(uint64(n)),
@@ -270,17 +247,6 @@ func (g *RealTimeGenerator) SampleVariance() float64 { return g.segments[0].sigm
 // when RealTimeConfig.Coloring replaced the forced eigen construction.
 func (g *RealTimeGenerator) Diagnostics() *ForcedPSD { return g.forced }
 
-// segmentIndexAt returns the index of the trajectory segment covering the
-// given block; the final segment persists past the trajectory end.
-func (g *RealTimeGenerator) segmentIndexAt(block uint64) int {
-	for i := len(g.segments) - 1; i > 0; i-- {
-		if block >= g.segments[i].start {
-			return i
-		}
-	}
-	return 0
-}
-
 // TheoreticalAutocorrelation returns the designed per-envelope normalized
 // autocorrelation at the given lag, J0(2π·fm·d), for the first trajectory
 // segment. TheoreticalAutocorrelationAt resolves the segment by block index.
@@ -292,7 +258,7 @@ func (g *RealTimeGenerator) TheoreticalAutocorrelation(lag int) float64 {
 // autocorrelation at the given lag for the Doppler segment covering the
 // given block index.
 func (g *RealTimeGenerator) TheoreticalAutocorrelationAt(block uint64, lag int) float64 {
-	return doppler.TheoreticalAutocorrelation(g.segments[g.segmentIndexAt(block)].spec.NormalizedDoppler, lag)
+	return doppler.TheoreticalAutocorrelation(g.segments[chanspec.SegmentIndexAt(g.trajectory, block)].spec.NormalizedDoppler, lag)
 }
 
 // NewBlockScratch builds a workspace for GenerateBlockAt.
@@ -350,13 +316,13 @@ func (g *RealTimeGenerator) GenerateBlockAt(index uint64, b *Block, s *BlockScra
 // colors w into z with the segment's L/σ_g. Each colored row is then
 // scattered into the block's own Gaussian row and inverse-transformed there
 // in place (dsp's SSE2 stages on amd64), and dsp.Envelope derives the row's
-// envelopes in one pass, bit for bit the plain √(re² + im²) of envAbs. With
-// a fading transform configured, the transform rewrites samples and
-// envelopes in place instead; index gives it its global sample offset.
+// envelopes in one pass. With a fading transform configured, the transform
+// rewrites samples and envelopes in place instead; index gives it its global
+// sample offset.
 //
 // fadinglint:allocfree
 func (g *RealTimeGenerator) fillBlock(index uint64, b *Block, s *BlockScratch) {
-	si := g.segmentIndexAt(index)
+	si := chanspec.SegmentIndexAt(g.trajectory, index)
 	seg := &g.segments[si]
 	dg := seg.gen
 	w, z := s.w[si], s.z[si]
@@ -379,7 +345,6 @@ func (g *RealTimeGenerator) fillBlock(index uint64, b *Block, s *BlockScratch) {
 		}
 		dsp.Envelope(ej, gj)
 	}
-	b.SampleVariance = seg.sigmaG2
 }
 
 // GenerateBlocksAt fills dst[i] with block first+i. workers > 1 fans the

@@ -96,9 +96,15 @@ func TestRealTimeBlockShape(t *testing.T) {
 			}
 		}
 	}
-	if b.SampleVariance != g.SampleVariance() {
-		t.Errorf("block records sample variance %g, generator %g", b.SampleVariance, g.SampleVariance())
+	if sv := blockSigmaG2(g, 0); sv != g.SampleVariance() {
+		t.Errorf("block 0 is whitened with σ²_g = %g, generator reports %g", sv, g.SampleVariance())
 	}
+}
+
+// blockSigmaG2 returns the σ²_g that whitens block k: that of the
+// trajectory segment serving it.
+func blockSigmaG2(g *RealTimeGenerator, k uint64) float64 {
+	return g.segments[chanspec.SegmentIndexAt(g.trajectory, k)].sigmaG2
 }
 
 // TestNewRealTimeGeneratorFootprint bounds what construction allocates at

@@ -7,14 +7,18 @@ import (
 	"sync/atomic"
 
 	"repro/internal/cmplxmat"
+	"repro/internal/dsp"
+	"repro/internal/fading"
 	"repro/internal/randx"
 )
 
 // Snapshot holds one draw of the generator: the N correlated complex
 // Gaussian samples Z = (z_1, …, z_N)ᵀ and their moduli, the Rayleigh
-// envelopes r_j = |z_j|.
+// envelopes r_j = |z_j|. It is also the public API's rayleigh.Snapshot.
 type Snapshot struct {
-	Gaussian  []complex128
+	// Gaussian holds the correlated zero-mean complex Gaussian samples z_j.
+	Gaussian []complex128
+	// Envelopes holds the Rayleigh envelopes r_j = |z_j|.
 	Envelopes []float64
 }
 
@@ -43,7 +47,7 @@ type SnapshotConfig struct {
 	// channel-model zoo's Rician/Nakagami/Suzuki sample transforms). Snapshot
 	// i of the generator's draws, counted across single and batched draws
 	// alike, is transformed at offset i.
-	Transform Transform
+	Transform fading.Transform
 }
 
 // SnapshotGenerator implements steps 3–7 of the algorithm in Section 4.4 for
@@ -66,7 +70,7 @@ type SnapshotGenerator struct {
 	// workerPanels holds one workspace per parallel batch worker, grown to
 	// the largest worker count a call has used.
 	workerPanels []*snapPanels
-	transform    Transform
+	transform    fading.Transform
 	next         uint64 // position of the next snapshot drawn
 }
 
@@ -124,14 +128,6 @@ func NewSnapshotGenerator(cfg SnapshotConfig) (*SnapshotGenerator, error) {
 		n:         cfg.Covariance.Rows(),
 		transform: cfg.Transform,
 	}, nil
-}
-
-// envAbs is |z| via a plain sqrt. Envelope magnitudes are O(σ_g), far from
-// the overflow/underflow range math.Hypot guards against, and sqrt is several
-// times cheaper on the hot path.
-func envAbs(v complex128) float64 {
-	re, im := real(v), imag(v)
-	return math.Sqrt(re*re + im*im)
 }
 
 // N returns the number of envelopes generated per snapshot.
@@ -263,11 +259,10 @@ func (g *SnapshotGenerator) read(i uint64, p *snapPanels, gaussian []complex128,
 	zd := p.z.Data()
 	idx := int(i % batchChunkSize)
 	for k := range gaussian {
-		v := zd[idx]
+		gaussian[k] = zd[idx]
 		idx += batchChunkSize
-		gaussian[k] = v
-		env[k] = envAbs(v)
 	}
+	dsp.Envelope(env, gaussian)
 	if g.transform != nil {
 		for j := range gaussian {
 			g.transform.Apply(j, i, gaussian[j:j+1], env[j:j+1])

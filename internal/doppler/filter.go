@@ -32,7 +32,7 @@ func (s FilterSpec) Validate() error {
 	if s.M <= 0 || s.M&(s.M-1) != 0 {
 		return fmt.Errorf("doppler: IDFT length M = %d is not a power of two: %w", s.M, ErrBadParameter)
 	}
-	if s.NormalizedDoppler <= 0 || s.NormalizedDoppler >= 0.5 {
+	if !(0 < s.NormalizedDoppler && s.NormalizedDoppler < 0.5) {
 		return fmt.Errorf("doppler: normalized Doppler fm = %g outside (0, 0.5): %w", s.NormalizedDoppler, ErrBadParameter)
 	}
 	if s.KM() < 1 {

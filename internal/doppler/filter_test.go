@@ -2,6 +2,7 @@ package doppler
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -28,6 +29,8 @@ func TestFilterSpecValidate(t *testing.T) {
 		{M: 1024, NormalizedDoppler: 0},
 		{M: 1024, NormalizedDoppler: 0.5},
 		{M: 1024, NormalizedDoppler: -0.1},
+		{M: 1024, NormalizedDoppler: math.NaN()},
+		{M: 1024, NormalizedDoppler: math.Inf(1)},
 		{M: 8, NormalizedDoppler: 0.01}, // km = 0
 		// Not powers of two.
 		{M: 1000, NormalizedDoppler: 0.05},
@@ -35,8 +38,14 @@ func TestFilterSpecValidate(t *testing.T) {
 		{M: 65535, NormalizedDoppler: 0.05},
 	}
 	for _, s := range bad {
-		if err := s.Validate(); err == nil {
+		err := s.Validate()
+		if err == nil {
 			t.Errorf("Validate accepted invalid spec %+v", s)
+			continue
+		}
+		// A NaN fm is out of range, not a band too narrow to hold a tap.
+		if math.IsNaN(s.NormalizedDoppler) && !strings.Contains(err.Error(), "outside (0, 0.5)") {
+			t.Errorf("Validate(%+v) = %v, want the fm range error", s, err)
 		}
 	}
 }

@@ -31,10 +31,10 @@ type Generator struct {
 
 // NewGenerator builds a Generator for the given filter spec and input
 // variance σ²_orig (the variance of each real Gaussian sequence feeding the
-// filter).
+// filter), which must be finite and positive.
 func NewGenerator(spec FilterSpec, sigmaOrig2 float64) (*Generator, error) {
-	if sigmaOrig2 <= 0 {
-		return nil, fmt.Errorf("doppler: input variance %g must be positive: %w", sigmaOrig2, ErrBadParameter)
+	if !(0 < sigmaOrig2 && sigmaOrig2 <= math.MaxFloat64) {
+		return nil, fmt.Errorf("doppler: input variance %g must be finite and positive: %w", sigmaOrig2, ErrBadParameter)
 	}
 	coeffs, err := spec.Coefficients()
 	if err != nil {

@@ -25,8 +25,10 @@ func newBlock(t *testing.T, g *Generator, rng *randx.RNG) []complex128 {
 }
 
 func TestNewGeneratorValidation(t *testing.T) {
-	if _, err := NewGenerator(paperSpec(), 0); err == nil {
-		t.Errorf("NewGenerator accepted zero input variance")
+	for _, v := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		if _, err := NewGenerator(paperSpec(), v); err == nil {
+			t.Errorf("NewGenerator accepted input variance %g", v)
+		}
 	}
 	if _, err := NewGenerator(FilterSpec{M: 8, NormalizedDoppler: 0.01}, 1); err == nil {
 		t.Errorf("NewGenerator accepted invalid filter spec")

@@ -14,6 +14,3 @@ func stageKernel(x []complex128, tw []twiddles)
 
 //go:noescape
 func envelopeKernel(r []float64, z []complex128)
-
-// stage4Kernel is stageKernel, which at q = 4 gives stage4Go's bits.
-func stage4Kernel(x []complex128, tw []twiddles) { stageKernel(x, tw) }

@@ -20,16 +20,15 @@ func sameBits(got, want []complex128) int {
 	return -1
 }
 
-// TestStageKernelsMatchGoLoops holds the SSE2 stage kernel to the Go loops
+// TestStageKernelsMatchGoLoops holds the SSE2 stage kernel to the Go loop
 // it replaces on amd64, bit for bit, stage by stage on the data a transform
 // hands them. At every power of two from 2 to 2^16 and every half-width b
 // TestInverseBitReversedBandMatchesDense uses, a spectrum non-zero only at
 // bins k ≤ b and k ≥ n−b, some of its taps exactly ±0, goes through the
 // passes of InverseBitReversed(x, n) (the dense first pass InverseScaled
 // runs) and of InverseBitReversed(x, b) (banded first pass). Before each
-// stage the data is copied; stage4Kernel (stageKernel at q = 4) or
-// stageKernel runs on one copy, stage4Go or stageGo on the other, and the
-// two must agree in every bit.
+// stage, the q = 4 stage included, the data is copied; stageKernel runs on
+// one copy, stageGo on the other, and the two must agree in every bit.
 func TestStageKernelsMatchGoLoops(t *testing.T) {
 	rng := rand.New(rand.NewSource(131))
 	negZero := math.Copysign(0, -1)
@@ -61,17 +60,13 @@ func TestStageKernelsMatchGoLoops(t *testing.T) {
 				} else {
 					p.firstRadix4(x, halfWidth)
 				}
-				for i, tw := range p.stages {
-					kernel, loop, name := stageKernel, stageGo, "stageKernel"
-					if i == 0 && !p.radix2 {
-						kernel, loop, name = stage4Kernel, stage4Go, "stage4Kernel"
-					}
+				for _, tw := range p.stages {
 					want := append([]complex128(nil), x...)
-					loop(want, tw)
-					kernel(x, tw)
+					stageGo(want, tw)
+					stageKernel(x, tw)
 					if l := sameBits(x, want); l >= 0 {
-						t.Fatalf("n=%d band %d, half-width %d: %s (q = %d) sample %d = %v, Go loop %v",
-							n, b, halfWidth, name, len(tw), l, x[l], want[l])
+						t.Fatalf("n=%d band %d, half-width %d: stageKernel (q = %d) sample %d = %v, Go loop %v",
+							n, b, halfWidth, len(tw), l, x[l], want[l])
 					}
 				}
 			}

@@ -7,6 +7,4 @@ package dsp
 
 func stageKernel(x []complex128, tw []twiddles) { stageGo(x, tw) }
 
-func stage4Kernel(x []complex128, tw []twiddles) { stage4Go(x, tw) }
-
 func envelopeKernel(r []float64, z []complex128) { envelopeGo(r, z) }

@@ -209,27 +209,21 @@ func (p *Plan) InverseBitReversed(x []complex128, halfWidth int) {
 // powers of two; it has no twiddles and visits only the groups a spectrum
 // of the given half-width reaches (see InverseBitReversed), each group
 // from its start in perm, so a dense transform (half-width n) walks every
-// group in bit-reversed order. After a radix-4 first pass the q = 4 stage
-// runs stage4Kernel over groups of sixteen; every other stage runs
-// stageKernel over length-q sub-blocks. On amd64 both are the SSE2 stage
-// assembly; elsewhere they are stage4Go and stageGo.
+// group in bit-reversed order. Every later stage, the q = 4 stage after a
+// radix-4 first pass included, runs stageKernel over length-q sub-blocks:
+// the SSE2 stage assembly on amd64, stageGo elsewhere.
 //
 // Every loop between a "bce:begin" and a "bce:end" comment compiles without
 // a bounds check; CI builds the package with -d=ssa/check_bce to hold it so.
 //
 // fadinglint:allocfree
 func (p *Plan) radix4(x []complex128, halfWidth int) {
-	stages := p.stages
 	if p.radix2 {
 		p.firstRadix2(x, halfWidth)
 	} else {
 		p.firstRadix4(x, halfWidth)
-		if len(stages) > 0 {
-			stage4Kernel(x, stages[0])
-			stages = stages[1:]
-		}
 	}
-	for _, tw := range stages {
+	for _, tw := range p.stages {
 		stageKernel(x, tw)
 	}
 }
@@ -298,29 +292,6 @@ func stageGo(x []complex128, tw []twiddles) {
 			w1, w2, w3 := t[k].factors()
 			x0[k], x1[k], x2[k], x3[k] = butterfly(x0[k], x1[k]*w2, x2[k]*w1, x3[k]*w3)
 		}
-		// bce:end
-	}
-}
-
-// stage4Go is the q = 4 radix-4 stage that follows the q = 1 stage, with
-// len(tw) = 4: groups of sixteen whose k = 1, 2, 3 butterflies multiply by
-// the same three twiddle triples in every group, loaded once. Like stageGo
-// it is the kernel off amd64 and the reference on it.
-//
-// fadinglint:allocfree
-func stage4Go(x []complex128, tw []twiddles) {
-	tw = tw[:4]
-	a1, a2, a3 := tw[1].factors()
-	b1, b2, b3 := tw[2].factors()
-	c1, c2, c3 := tw[3].factors()
-	for ; len(x) >= 16; x = x[16:] {
-		g := (*[16]complex128)(x)
-		// bce:begin
-		x0, x1, x2, x3 := (*[4]complex128)(g[:4]), (*[4]complex128)(g[4:8]), (*[4]complex128)(g[8:12]), (*[4]complex128)(g[12:])
-		x0[0], x1[0], x2[0], x3[0] = butterfly(x0[0], x1[0], x2[0], x3[0])
-		x0[1], x1[1], x2[1], x3[1] = butterfly(x0[1], x1[1]*a2, x2[1]*a1, x3[1]*a3)
-		x0[2], x1[2], x2[2], x3[2] = butterfly(x0[2], x1[2]*b2, x2[2]*b1, x3[2]*b3)
-		x0[3], x1[3], x2[3], x3[3] = butterfly(x0[3], x1[3]*c2, x2[3]*c1, x3[3]*c3)
 		// bce:end
 	}
 }

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/backend"
@@ -264,7 +265,7 @@ func collectRealtime(data *runData) error {
 	if err != nil {
 		return err
 	}
-	data.fm = realtimeDoppler(spec)
+	data.fm = chanspec.FilterDoppler(spec.Model.Fading, spec.Generation.NormalizedDoppler)
 	blocks := spec.Generation.Blocks
 	envIdx := neededEnvelopes(spec, AssertEnvelopeMoments, AssertRayleighKS, AssertRayleighChiSquare,
 		AssertNakagamiKS, AssertSuzukiLogMoment)
@@ -371,31 +372,17 @@ func trajectorySegments(spec *Spec) []chanspec.DopplerSegment {
 // combination (the Sorooshyari–Daut backend additionally forces the
 // unit-variance whitening assumption its paper makes).
 func newRealtimeGenerator(spec *Spec, target *cmplxmat.Matrix) (*core.RealTimeGenerator, error) {
-	m := spec.Generation.IDFTPoints
-	if m == 0 {
-		m = 4096
-	}
 	cfg, err := backend.RealTimeConfig(spec.Generation.Method, spec.Model.Fading, spec.Model.Params, target, spec.Seed)
 	if err != nil {
 		return nil, err
 	}
-	cfg.Filter = doppler.FilterSpec{M: m, NormalizedDoppler: realtimeDoppler(spec)}
+	cfg.Filter = doppler.FilterSpec{
+		M:                 cmp.Or(spec.Generation.IDFTPoints, chanspec.DefaultIDFTPoints),
+		NormalizedDoppler: chanspec.FilterDoppler(spec.Model.Fading, spec.Generation.NormalizedDoppler),
+	}
 	cfg.InputVariance = spec.Generation.InputVariance
 	cfg.AssumeUnitVariance = cfg.AssumeUnitVariance || spec.Generation.AssumeUnitVariance
 	return core.NewRealTimeGenerator(cfg)
-}
-
-// realtimeDoppler returns the normalized Doppler in effect (default 0.05; the
-// nonstationary trajectory carries per-segment Doppler instead, so its filter
-// spec stays zero).
-func realtimeDoppler(spec *Spec) float64 {
-	if chanspec.NormalizeFading(spec.Model.Fading) == chanspec.FadingNonstationaryDoppler {
-		return 0
-	}
-	if spec.Generation.NormalizedDoppler != 0 {
-		return spec.Generation.NormalizedDoppler
-	}
-	return 0.05
 }
 
 // assertMaxLag returns the autocorrelation lag bound in effect (default 100).

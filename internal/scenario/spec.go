@@ -191,10 +191,10 @@ type GenerationSpec struct {
 	// Blocks is the number of consecutive real-time blocks (realtime mode).
 	Blocks int `json:"blocks,omitempty"`
 	// IDFTPoints is the Doppler generator block length M (realtime mode);
-	// zero selects the paper's 4096.
+	// zero selects chanspec.DefaultIDFTPoints, the paper's 4096.
 	IDFTPoints int `json:"idft_points,omitempty"`
 	// NormalizedDoppler is fm = Fm/Fs in (0, 0.5) (realtime mode); zero
-	// selects the paper's 0.05.
+	// selects chanspec.DefaultNormalizedDoppler, the paper's 0.05.
 	NormalizedDoppler float64 `json:"normalized_doppler,omitempty"`
 	// InputVariance is σ²_orig of the Doppler filter input (realtime mode);
 	// zero selects the paper's 1/2.

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	rayleigh "repro"
-	"repro/internal/chanspec"
 )
 
 // setupCache is the content-addressed store behind session creation. A
@@ -67,29 +66,8 @@ func buildStream(spec *SessionSpec) (*rayleigh.Stream, error) {
 		Seed:              spec.Seed,
 		Method:            spec.Method,
 		Fading:            spec.Model.Fading,
-		FadingParams:      publicFadingParams(spec.Model.Params),
+		FadingParams:      spec.Model.Params,
 	})
-}
-
-// publicFadingParams converts spec fading parameters to the public API form.
-func publicFadingParams(p *chanspec.FadingParams) *rayleigh.FadingParams {
-	if p == nil {
-		return nil
-	}
-	out := &rayleigh.FadingParams{
-		KFactor:         p.KFactor,
-		LOSPhaseRad:     p.LOSPhaseRad,
-		M:               p.M,
-		ShadowSigmaDB:   p.ShadowSigmaDB,
-		ShadowCoherence: p.ShadowCoherence,
-	}
-	if len(p.Segments) > 0 {
-		out.Segments = make([]rayleigh.DopplerSegment, len(p.Segments))
-		for i, s := range p.Segments {
-			out.Segments[i] = rayleigh.DopplerSegment{Blocks: s.Blocks, NormalizedDoppler: s.NormalizedDoppler}
-		}
-	}
-	return out
 }
 
 // stream returns the shared Stream for spec, building it on a miss. It is

@@ -238,6 +238,8 @@ func TestMalformedSpecsRejected(t *testing.T) {
 		"non-power-of-two M":      `{"model": {"type": "eq22"}, "seed": 1, "blocks": 4, "idft_points": 1000}`,
 		"trailing garbage":        `{"model": {"type": "eq22"}, "seed": 1, "blocks": 4} {"again": true}`,
 		"not json":                `hello`,
+		// The covariance this spectral model builds holds NaN.
+		"non-finite covariance": `{"model":{"type":"spectral","n":3,"carrier_spacing_hz":1e300,"max_doppler_hz":50,"rms_delay_spread_s":1e300,"delay_step_s":1e300},"seed":1,"blocks":2}`,
 	}
 	for name, spec := range cases {
 		resp, err := http.Post(ts.URL+"/v1/sessions", "application/json", strings.NewReader(spec))

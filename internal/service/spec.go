@@ -12,6 +12,7 @@ package service
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -79,11 +80,11 @@ type SessionSpec struct {
 	// Blocks is the total length of the session's stream in blocks.
 	//lint:allow canonfields Blocks bounds the served range, not the stream; sessions of different lengths share one setup artifact
 	Blocks int `json:"blocks"`
-	// IDFTPoints is the block length M in samples; zero selects the paper's
-	// 4096. Powers of two keep the per-block hot path allocation-free.
+	// IDFTPoints is the block length M in samples, a power of two; zero
+	// selects chanspec.DefaultIDFTPoints, the paper's 4096.
 	IDFTPoints int `json:"idft_points,omitempty"`
-	// NormalizedDoppler is fm = Fm/Fs in (0, 0.5); zero selects the paper's
-	// 0.05.
+	// NormalizedDoppler is fm = Fm/Fs in (0, 0.5); zero selects
+	// chanspec.DefaultNormalizedDoppler, the paper's 0.05.
 	NormalizedDoppler float64 `json:"normalized_doppler,omitempty"`
 	// InputVariance is σ²_orig of the Doppler filter input; zero selects the
 	// paper's 1/2.
@@ -149,25 +150,13 @@ func (s *SessionSpec) modelN() int {
 	return s.Model.N
 }
 
-// blockLength returns the block length in effect (default 4096).
-func (s *SessionSpec) blockLength() int {
-	if s.IDFTPoints != 0 {
-		return s.IDFTPoints
-	}
-	return 4096
-}
+// blockLength returns the block length in effect.
+func (s *SessionSpec) blockLength() int { return cmp.Or(s.IDFTPoints, chanspec.DefaultIDFTPoints) }
 
-// doppler returns the normalized Doppler in effect (default the paper's
-// 0.05, matching the scenario engine). The nonstationary-Doppler fading model
-// carries per-segment values instead, so its filter Doppler stays zero.
+// doppler returns the normalized Doppler the filter runs at, as the scenario
+// engine resolves it (see chanspec.FilterDoppler).
 func (s *SessionSpec) doppler() float64 {
-	if chanspec.NormalizeFading(s.Model.Fading) == chanspec.FadingNonstationaryDoppler {
-		return 0
-	}
-	if s.NormalizedDoppler != 0 {
-		return s.NormalizedDoppler
-	}
-	return 0.05
+	return chanspec.FilterDoppler(s.Model.Fading, s.NormalizedDoppler)
 }
 
 // setupKey returns the spec's content address: a hash over every field that

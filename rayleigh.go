@@ -41,45 +41,22 @@ const (
 	MethodSorooshyariDaut = chanspec.MethodSorooshyariDaut
 )
 
-// MethodInfo describes one generation backend.
-type MethodInfo struct {
-	// Name is the Config.Method value.
-	Name string
-	// Title is the human-readable method name.
-	Title string
-	// Citation names the source in the paper's reference list.
-	Citation string
-	// Constraints summarizes the configurations the method supports.
-	Constraints string
-	// Defects summarizes the accuracy losses the paper attributes to the
-	// method on configurations it does accept (empty when none).
-	Defects string
-}
+// MethodInfo describes one generation backend: its Name (the Config.Method
+// value), Title, the Citation in the paper's reference list, the
+// Constraints on the configurations it supports and the Defects the paper
+// attributes to it on configurations it accepts (empty when none). It is the
+// spec type chanspec.MethodInfo that fadingd's /v1/methods endpoint serves.
+type MethodInfo = chanspec.MethodInfo
 
 // Methods returns the catalog of generation backends, generalized first.
-func Methods() []MethodInfo {
-	infos := chanspec.Methods()
-	out := make([]MethodInfo, len(infos))
-	for i, m := range infos {
-		out[i] = MethodInfo{
-			Name:        m.Name,
-			Title:       m.Title,
-			Citation:    m.Citation,
-			Constraints: m.Constraints,
-			Defects:     m.Defects,
-		}
-	}
-	return out
-}
+// Each call builds a fresh slice, so the caller may modify it.
+func Methods() []MethodInfo { return chanspec.Methods() }
 
-// Snapshot is one independent draw: N correlated complex Gaussian samples and
-// their moduli, the Rayleigh envelopes.
-type Snapshot struct {
-	// Gaussian holds the correlated zero-mean complex Gaussian samples z_j.
-	Gaussian []complex128
-	// Envelopes holds the Rayleigh envelopes r_j = |z_j|.
-	Envelopes []float64
-}
+// Snapshot is one independent draw: Gaussian holds the N correlated
+// zero-mean complex Gaussian samples z_j and Envelopes their moduli, the
+// Rayleigh envelopes r_j = |z_j|. It is the engine's snapshot type, so
+// SnapshotsInto fills a caller's slice with no copy.
+type Snapshot = core.Snapshot
 
 // Diagnostics reports how the desired covariance matrix was conditioned
 // before coloring.
@@ -115,7 +92,6 @@ type Generator struct {
 	gen     *core.SnapshotGenerator
 	method  string
 	workers int
-	batch   []core.Snapshot // reusable header scratch for SnapshotsInto
 }
 
 // Config configures a Generator built directly from a covariance matrix.
@@ -160,7 +136,7 @@ func New(cfg Config) (*Generator, error) {
 	if err != nil {
 		return nil, err
 	}
-	gen, err := backend.New(cfg.Method, cfg.Fading, fadingSpecParams(cfg.FadingParams), k, cfg.Seed)
+	gen, err := backend.New(cfg.Method, cfg.Fading, cfg.FadingParams, k, cfg.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("rayleigh: %w", err)
 	}
@@ -198,10 +174,7 @@ func (g *Generator) N() int { return g.gen.N() }
 func (g *Generator) Method() string { return g.method }
 
 // Snapshot draws the next snapshot of the sequence.
-func (g *Generator) Snapshot() Snapshot {
-	s := g.gen.Generate()
-	return Snapshot{Gaussian: s.Gaussian, Envelopes: s.Envelopes}
-}
+func (g *Generator) Snapshot() Snapshot { return g.gen.Generate() }
 
 // SnapshotsInto fills dst with the next len(dst) snapshots, reusing the
 // Gaussian/Envelopes storage of every entry that already has length N
@@ -215,21 +188,8 @@ func (g *Generator) Snapshot() Snapshot {
 // When Config.Parallel > 1 the chunks fan out across that many workers; the
 // output is bit-identical for every worker count.
 func (g *Generator) SnapshotsInto(dst []Snapshot) error {
-	if cap(g.batch) < len(dst) {
-		g.batch = make([]core.Snapshot, len(dst))
-	}
-	batch := g.batch[:len(dst)]
-	for i := range dst {
-		batch[i] = core.Snapshot{Gaussian: dst[i].Gaussian, Envelopes: dst[i].Envelopes}
-	}
-	if err := g.gen.GenerateBatchInto(batch, g.workers); err != nil {
+	if err := g.gen.GenerateBatchInto(dst, g.workers); err != nil {
 		return fmt.Errorf("rayleigh: %w", err)
-	}
-	for i := range dst {
-		dst[i] = Snapshot{Gaussian: batch[i].Gaussian, Envelopes: batch[i].Envelopes}
-		// Drop the scratch's reference so the generator does not pin the
-		// caller's sample storage beyond the call.
-		batch[i] = core.Snapshot{}
 	}
 	return nil
 }
@@ -256,8 +216,9 @@ type RealTimeConfig struct {
 	// 0.05 (Fm = 50 Hz at Fs = 1 kHz).
 	NormalizedDoppler float64
 	// InputVariance is σ²_orig of the Gaussian sequences feeding the Doppler
-	// filters; zero selects the paper's 1/2. The output statistics do not
-	// depend on it because the whitening step uses the measured filter gain.
+	// filters: zero selects the paper's 1/2, and any other value must be
+	// finite and positive. The output statistics do not depend on it because
+	// the whitening step uses the measured filter gain.
 	InputVariance float64
 	// Seed seeds the random streams.
 	Seed int64
@@ -282,13 +243,11 @@ type RealTimeConfig struct {
 }
 
 // Block is one block of M consecutive time samples for each of the N
-// envelopes.
-type Block struct {
-	// Gaussian[j][l] is the complex Gaussian of envelope j at time sample l.
-	Gaussian [][]complex128
-	// Envelopes[j][l] is the Rayleigh envelope |Gaussian[j][l]|.
-	Envelopes [][]float64
-}
+// envelopes: Gaussian[j][l] is the complex Gaussian of envelope j at time
+// sample l and Envelopes[j][l] its envelope |Gaussian[j][l]|. It is the
+// engine's block type, so a Cursor generates straight into the caller's
+// Block.
+type Block = core.Block
 
 // realtimeCoreConfig resolves a public real-time configuration into the core
 // one, threading the selected method's coloring construction (and, for the
@@ -299,7 +258,7 @@ func realtimeCoreConfig(cfg RealTimeConfig) (core.RealTimeConfig, error) {
 	if err != nil {
 		return core.RealTimeConfig{}, err
 	}
-	coreCfg, err := backend.RealTimeConfig(cfg.Method, cfg.Fading, fadingSpecParams(cfg.FadingParams), k, cfg.Seed)
+	coreCfg, err := backend.RealTimeConfig(cfg.Method, cfg.Fading, cfg.FadingParams, k, cfg.Seed)
 	if err != nil {
 		return core.RealTimeConfig{}, fmt.Errorf("rayleigh: %w", err)
 	}

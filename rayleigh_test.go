@@ -126,6 +126,15 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Covariance: [][]complex128{{1, 2}, {3, 4}}}); err == nil {
 		t.Errorf("non-Hermitian covariance did not error")
 	}
+	// A NaN or infinite entry would stream NaN samples; every method rejects
+	// it at construction.
+	for _, v := range []complex128{complex(math.NaN(), 0), complex(0, math.Inf(1)), complex(math.Inf(-1), 0)} {
+		for _, method := range []string{MethodGeneralized, MethodBeaulieuMerani} {
+			if _, err := New(Config{Covariance: [][]complex128{{1, v}, {cmplx.Conj(v), 1}}, Method: method}); err == nil {
+				t.Errorf("%s: covariance entry %v did not error", method, v)
+			}
+		}
+	}
 }
 
 func TestCovarianceFromEnvelopePowers(t *testing.T) {
@@ -251,6 +260,18 @@ func TestRealTimePublicAPI(t *testing.T) {
 		"invalid Doppler configuration": {Covariance: paperSpectralCovariance(t), IDFTPoints: 8, NormalizedDoppler: 0.01},
 		"non-power-of-two IDFT length":  {Covariance: paperSpectralCovariance(t), IDFTPoints: 1000, NormalizedDoppler: 0.05},
 		"empty real-time config":        {},
+		"NaN covariance entry": {Covariance: [][]complex128{{1, complex(math.NaN(), 0)}, {complex(math.NaN(), 0), 1}},
+			IDFTPoints: 512, NormalizedDoppler: 0.05},
+		"infinite covariance entry": {Covariance: [][]complex128{{complex(math.Inf(1), 0), 0}, {0, 1}},
+			IDFTPoints: 512, NormalizedDoppler: 0.05},
+		"NaN input variance": {Covariance: paperSpectralCovariance(t), IDFTPoints: 512, NormalizedDoppler: 0.05,
+			InputVariance: math.NaN()},
+		"infinite Rician K-factor": {Covariance: paperSpectralCovariance(t), IDFTPoints: 512, NormalizedDoppler: 0.05,
+			Fading: FadingRician, FadingParams: &FadingParams{KFactor: math.Inf(1)}},
+		"NaN Rician LOS phase": {Covariance: paperSpectralCovariance(t), IDFTPoints: 512, NormalizedDoppler: 0.05,
+			Fading: FadingRician, FadingParams: &FadingParams{KFactor: 2, LOSPhaseRad: math.NaN()}},
+		"infinite Suzuki shadowing": {Covariance: paperSpectralCovariance(t), IDFTPoints: 512, NormalizedDoppler: 0.05,
+			Fading: FadingSuzuki, FadingParams: &FadingParams{ShadowSigmaDB: math.Inf(1)}},
 	} {
 		if _, err := NewStream(cfg); err == nil {
 			t.Errorf("%s did not error", name)

@@ -89,7 +89,6 @@ type Cursor struct {
 	stream  *Stream
 	scratch *core.BlockScratch
 	pos     uint64
-	header  core.Block
 }
 
 // Position returns the index of the block the next Next call will produce.
@@ -124,11 +123,8 @@ func (c *Cursor) BlockAt(i uint64, b *Block) error {
 	if b == nil {
 		return fmt.Errorf("rayleigh: nil destination block: %w", ErrInvalidConfig)
 	}
-	c.header.Gaussian, c.header.Envelopes = b.Gaussian, b.Envelopes
-	if err := c.stream.inner.GenerateBlockAt(i, &c.header, c.scratch); err != nil {
+	if err := c.stream.inner.GenerateBlockAt(i, b, c.scratch); err != nil {
 		return fmt.Errorf("rayleigh: %w", err)
 	}
-	b.Gaussian, b.Envelopes = c.header.Gaussian, c.header.Envelopes
-	c.header.Gaussian, c.header.Envelopes = nil, nil
 	return nil
 }
