@@ -29,7 +29,10 @@
 // SpatialCovariance (antenna spacing in a transmit array, as in MIMO).
 // Construction rejects non-finite input: a NaN or infinite covariance entry,
 // input variance or fading parameter is an error, not a stream of NaN
-// samples.
+// samples. So is a covariance target outside the scale window, whose largest
+// entry magnitude max |K_ij| is below 1e-100 or above 1e100 (the all-zero
+// target is accepted): beyond it the eigendecomposition's norms underflow or
+// overflow.
 //
 // # Generation methods
 //

@@ -98,14 +98,28 @@ func fadingTransform(fadingModel string, params *chanspec.FadingParams, k *cmplx
 	return tr, nil
 }
 
+// The covariance scale window: a target whose largest entry magnitude
+// max |K_ij| lies outside [minCovarianceScale, maxCovarianceScale] is
+// rejected, the all-zero target excepted (EigenHermitian decomposes it
+// exactly). The window keeps the eigensolver's unscaled norms, the forcing
+// error and the samples well inside the floating-point range: below about
+// 1e-154 the Frobenius norm underflows to 0 and the target decomposes as
+// all-zero; above about 1e154 the norms overflow, the target comes back
+// undiagonalized (an indefinite one served as if PSD), and further out the
+// forcing error and the samples overflow to ±Inf.
+const (
+	minCovarianceScale = 1e-100
+	maxCovarianceScale = 1e100
+)
+
 // Coloring resolves a method name into the coloring knobs both core engines
 // take: the coloring-matrix override and the unit-variance assumption the
 // method carries into the real-time combination of Section 5. The
 // generalized method returns (nil, false) — the engine's own eigen coloring
 // applies. Every method's setup passes through here, so this is where a nil
-// target, or one with a NaN or infinite entry, is rejected
-// (chanspec.ErrBadSpec); other construction failures carry New's typed
-// error classes.
+// target, one with a NaN or infinite entry, or one outside the covariance
+// scale window is rejected (chanspec.ErrBadSpec); other construction
+// failures carry New's typed error classes.
 func Coloring(method string, k *cmplxmat.Matrix) (coloring *cmplxmat.Matrix, assumeUnitVariance bool, err error) {
 	method = chanspec.NormalizeMethod(method)
 	if err := chanspec.ValidateMethod(method); err != nil {
@@ -121,15 +135,12 @@ func Coloring(method string, k *cmplxmat.Matrix) (coloring *cmplxmat.Matrix, ass
 			}
 		}
 	}
+	if s := cmplxmat.MaxAbs(k); s != 0 && (s < minCovarianceScale || s > maxCovarianceScale) {
+		return nil, false, fmt.Errorf("backend: covariance scale max |K_ij| = %g is outside [%g, %g]: %w",
+			s, minCovarianceScale, maxCovarianceScale, chanspec.ErrBadSpec)
+	}
 	if method == chanspec.MethodGeneralized {
 		return nil, false, nil
 	}
-	m, err := baseline.New(method)
-	if err != nil {
-		return nil, false, err
-	}
-	if err := m.Setup(k); err != nil {
-		return nil, false, err
-	}
-	return m.Coloring()
+	return baseline.Coloring(method, k)
 }

@@ -171,4 +171,20 @@ func TestColoring(t *testing.T) {
 	if _, _, err := Coloring(chanspec.MethodErtelReed, eq23()); !errors.Is(err, baseline.ErrUnsupported) {
 		t.Errorf("ertel_reed on N=3 error = %v, want ErrUnsupported", err)
 	}
+	// The covariance scale window: [[1, 2], [2, 1]]·s at max |K_ij| = 2s on
+	// either edge, and the all-zero target, are accepted; just outside is a
+	// spec error.
+	pair := func(s float64) *cmplxmat.Matrix {
+		return cmplxmat.MustFromRows([][]complex128{{complex(s, 0), complex(2*s, 0)}, {complex(2*s, 0), complex(s, 0)}})
+	}
+	for _, k := range []*cmplxmat.Matrix{cmplxmat.New(2, 2), pair(0.5e-100), pair(0.5e100)} {
+		if _, _, err := Coloring(chanspec.MethodGeneralized, k); err != nil {
+			t.Errorf("in-window target %v: %v", k, err)
+		}
+	}
+	for _, k := range []*cmplxmat.Matrix{pair(0.4e-100), pair(0.6e100)} {
+		if _, _, err := Coloring(chanspec.MethodGeneralized, k); !errors.Is(err, chanspec.ErrBadSpec) {
+			t.Errorf("out-of-window target %v error = %v, want ErrBadSpec", k, err)
+		}
+	}
 }

@@ -14,17 +14,17 @@
 //     unit-variance whitening, the method whose real-time combination the
 //     paper corrects.
 //
-// Each method is what the paper's algorithm (Section 4.4) makes of it: setup
-// constraints plus a coloring matrix L. Setup refuses the targets the method
-// cannot realize, and the core engine colors i.i.d. complex Gaussians with the
-// method's L (internal/backend wires the two), so a conventional method and
-// the generalized one differ only in L and in the targets they refuse.
+// Each method is what the paper's algorithm (Section 4.4) makes of it: a
+// function from the covariance target to a coloring matrix L that refuses
+// the targets the method cannot realize. The core engine colors i.i.d.
+// complex Gaussians with the method's L (internal/backend wires the two), so
+// a conventional method and the generalized one differ only in L and in the
+// targets they refuse.
 package baseline
 
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/chanspec"
 	"repro/internal/cmplxmat"
@@ -39,71 +39,40 @@ var ErrUnsupported = errors.New("baseline: configuration not supported by this m
 // Cholesky on a matrix that is not positive definite).
 var ErrSetupFailed = errors.New("baseline: setup failed")
 
-// Method is a conventional generation method reduced to what sets it apart:
-// the targets it refuses and its coloring matrix.
-type Method interface {
-	// Setup prepares the method for the desired covariance matrix K of the
-	// complex Gaussian processes, failing with ErrUnsupported or
-	// ErrSetupFailed when the method cannot realize K.
-	Setup(k *cmplxmat.Matrix) error
-	// Coloring returns the N×N complex coloring matrix L that colors i.i.d.
-	// complex Gaussians of unit variance into the method's output, plus
-	// whether the whitening step assumes unit variance — the Sorooshyari–Daut
-	// defect, which the real-time combination of Section 5 exposes. Methods
-	// whose native coloring is not an N×N complex matrix (Salz–Winters)
-	// return the equivalent proper complex coloring of the covariance their
-	// construction achieves; the method's Setup constraints still apply.
-	// Setup must have succeeded first.
-	Coloring() (l *cmplxmat.Matrix, assumeUnitVariance bool, err error)
-}
-
-// colorer holds the coloring matrix a successful Setup installs and
-// implements Coloring for the methods whose whitening uses the true sample
-// variance.
-type colorer struct {
-	l *cmplxmat.Matrix
-}
-
-// Coloring implements Method.
-func (c *colorer) Coloring() (*cmplxmat.Matrix, bool, error) {
-	if c.l == nil {
-		return nil, false, fmt.Errorf("baseline: Coloring before successful Setup: %w", ErrSetupFailed)
-	}
-	return c.l, false, nil
-}
-
-// eigenColoring returns V·sqrt(Λ) for the eigenvectors V and the
-// non-negative eigenvalues Λ of a covariance matrix.
-func eigenColoring(vectors *cmplxmat.Matrix, values []float64) *cmplxmat.Matrix {
-	n := len(values)
-	l := cmplxmat.New(n, n)
-	for c := 0; c < n; c++ {
-		f := complex(math.Sqrt(values[c]), 0)
-		for r := 0; r < n; r++ {
-			l.Set(r, c, vectors.At(r, c)*f)
-		}
-	}
-	return l
-}
-
-// New returns the baseline method a chanspec method name selects. The
-// generalized engine is not a baseline: resolving it (or an unknown name)
-// is an error, so callers dispatch the default before consulting this
-// registry.
-func New(method string) (Method, error) {
+// Coloring returns the N×N complex coloring matrix L that the named
+// conventional method builds for the covariance matrix K of the complex
+// Gaussian processes: L colors i.i.d. complex Gaussians of unit variance
+// into the method's output. assumeUnitVariance reports whether the method's
+// whitening step assumes unit variance — the Sorooshyari–Daut defect, which
+// the real-time combination of Section 5 exposes. A method whose native
+// coloring is not an N×N complex matrix (Salz–Winters) returns the
+// equivalent proper complex coloring of the covariance its construction
+// achieves; its constraints still apply.
+//
+// Coloring fails with ErrUnsupported or ErrSetupFailed when the method
+// cannot realize K. The generalized engine is not a baseline: naming it (or
+// an unknown method) is ErrUnsupported, so callers dispatch the default
+// first.
+func Coloring(method string, k *cmplxmat.Matrix) (l *cmplxmat.Matrix, assumeUnitVariance bool, err error) {
 	switch chanspec.NormalizeMethod(method) {
 	case chanspec.MethodSalzWinters:
-		return &SalzWintersReal{}, nil
+		l, err = salzWinters(k)
 	case chanspec.MethodErtelReed:
-		return &ErtelReedPair{}, nil
+		l, err = ertelReed(k)
 	case chanspec.MethodBeaulieuMerani:
-		return &CholeskyColoring{}, nil
+		l, err = cholesky(k)
 	case chanspec.MethodNatarajan:
-		return &NatarajanColoring{}, nil
+		l, err = natarajan(k)
 	case chanspec.MethodSorooshyariDaut:
-		return &EpsilonEigen{}, nil
+		l, _, err = EpsilonClamp(k, DefaultEpsilon)
+		assumeUnitVariance = true
+	default:
+		return nil, false, fmt.Errorf("baseline: no baseline method %q: %w", method, ErrUnsupported)
 	}
-	return nil, fmt.Errorf("baseline: no baseline method %q: %w", method, ErrUnsupported)
+	if err != nil {
+		return nil, false, err
+	}
+	return l, assumeUnitVariance, nil
 }
 
 // equalDiagonal reports whether all diagonal entries (powers) are equal

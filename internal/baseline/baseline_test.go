@@ -36,11 +36,11 @@ func rankDeficient() *cmplxmat.Matrix {
 }
 
 // checkSampleCovariance draws snapshots through the core engine with a
-// configured method's coloring and returns the worst absolute entry
-// difference from the target.
-func checkSampleCovariance(t *testing.T, m Method, target *cmplxmat.Matrix, draws int, seed int64) float64 {
+// method's coloring and returns the worst absolute entry difference from the
+// target.
+func checkSampleCovariance(t *testing.T, l, target *cmplxmat.Matrix, draws int, seed int64) float64 {
 	t.Helper()
-	gen := newColoredGenerator(t, m, target, seed)
+	gen := newColoredGenerator(t, l, target, seed)
 	samples := make([][]complex128, draws)
 	for i := range samples {
 		samples[i] = gen.Generate().Gaussian
@@ -48,30 +48,32 @@ func checkSampleCovariance(t *testing.T, m Method, target *cmplxmat.Matrix, draw
 	return sampleCovarianceError(t, samples, target)
 }
 
-func TestCholeskyColoringOnPositiveDefinite(t *testing.T) {
-	m := &CholeskyColoring{}
-	if err := m.Setup(chanspec.Eq22Covariance()); err != nil {
-		t.Fatalf("Setup: %v", err)
+// coloring returns a method's coloring of k, failing the test on an error.
+func coloring(t *testing.T, method string, k *cmplxmat.Matrix) *cmplxmat.Matrix {
+	t.Helper()
+	l, _, err := Coloring(method, k)
+	if err != nil {
+		t.Fatalf("Coloring(%s): %v", method, err)
 	}
-	if d := checkSampleCovariance(t, m, chanspec.Eq22Covariance(), 80000, 1); d > 0.03 {
+	return l
+}
+
+func TestCholeskyColoringOnPositiveDefinite(t *testing.T) {
+	l := coloring(t, chanspec.MethodBeaulieuMerani, chanspec.Eq22Covariance())
+	if d := checkSampleCovariance(t, l, chanspec.Eq22Covariance(), 80000, 1); d > 0.03 {
 		t.Errorf("Cholesky coloring misses the target covariance by %g", d)
 	}
 }
 
 func TestCholeskyColoringFailsOnIndefinite(t *testing.T) {
-	m := &CholeskyColoring{}
-	if err := m.Setup(indefinite()); !errors.Is(err, ErrSetupFailed) {
-		t.Errorf("Setup(indefinite) error = %v, want ErrSetupFailed", err)
-	}
-	if _, _, err := m.Coloring(); !errors.Is(err, ErrSetupFailed) {
-		t.Errorf("Coloring after failed Setup error = %v, want ErrSetupFailed", err)
+	if _, _, err := Coloring(chanspec.MethodBeaulieuMerani, indefinite()); !errors.Is(err, ErrSetupFailed) {
+		t.Errorf("Coloring(indefinite) error = %v, want ErrSetupFailed", err)
 	}
 }
 
 func TestCholeskyColoringFailsOnRankDeficient(t *testing.T) {
-	m := &CholeskyColoring{}
-	if err := m.Setup(rankDeficient()); !errors.Is(err, ErrSetupFailed) {
-		t.Errorf("Setup(rank-deficient) error = %v, want ErrSetupFailed", err)
+	if _, _, err := Coloring(chanspec.MethodBeaulieuMerani, rankDeficient()); !errors.Is(err, ErrSetupFailed) {
+		t.Errorf("Coloring(rank-deficient) error = %v, want ErrSetupFailed", err)
 	}
 }
 
@@ -79,18 +81,13 @@ func TestNatarajanDiscardsImaginaryCovariances(t *testing.T) {
 	// On the real Eq. (23) matrix the method matches the target; on the
 	// complex Eq. (22) matrix it reproduces only the real parts — the bias
 	// the paper criticizes.
-	m := &NatarajanColoring{}
-	if err := m.Setup(eq23()); err != nil {
-		t.Fatalf("Setup(eq23): %v", err)
-	}
-	if d := checkSampleCovariance(t, m, eq23(), 80000, 2); d > 0.03 {
+	l := coloring(t, chanspec.MethodNatarajan, eq23())
+	if d := checkSampleCovariance(t, l, eq23(), 80000, 2); d > 0.03 {
 		t.Errorf("Natarajan coloring misses the real target by %g", d)
 	}
 
-	if err := m.Setup(chanspec.Eq22Covariance()); err != nil {
-		t.Fatalf("Setup(eq22): %v", err)
-	}
-	dTarget := checkSampleCovariance(t, m, chanspec.Eq22Covariance(), 80000, 3)
+	l = coloring(t, chanspec.MethodNatarajan, chanspec.Eq22Covariance())
+	dTarget := checkSampleCovariance(t, l, chanspec.Eq22Covariance(), 80000, 3)
 	if dTarget < 0.2 {
 		t.Errorf("Natarajan coloring should miss the complex target badly, error is only %g", dTarget)
 	}
@@ -101,112 +98,96 @@ func TestNatarajanDiscardsImaginaryCovariances(t *testing.T) {
 			realPart.Set(i, j, complex(real(chanspec.Eq22Covariance().At(i, j)), 0))
 		}
 	}
-	if d := checkSampleCovariance(t, m, realPart, 80000, 4); d > 0.03 {
+	if d := checkSampleCovariance(t, l, realPart, 80000, 4); d > 0.03 {
 		t.Errorf("Natarajan coloring misses even the real part of the target by %g", d)
 	}
 }
 
 func TestErtelReedPair(t *testing.T) {
-	m := &ErtelReedPair{}
 	k := cmplxmat.MustFromRows([][]complex128{
 		{2, 1.2},
 		{1.2, 2},
 	})
-	if err := m.Setup(k); err != nil {
-		t.Fatalf("Setup: %v", err)
-	}
-	if d := checkSampleCovariance(t, m, k, 100000, 5); d > 0.05 {
+	l := coloring(t, chanspec.MethodErtelReed, k)
+	if d := checkSampleCovariance(t, l, k, 100000, 5); d > 0.05 {
 		t.Errorf("Ertel–Reed misses the target covariance by %g", d)
 	}
 }
 
 func TestErtelReedPairRestrictions(t *testing.T) {
-	m := &ErtelReedPair{}
-	if err := m.Setup(chanspec.Eq22Covariance()); !errors.Is(err, ErrUnsupported) {
-		t.Errorf("Setup(N=3) error = %v, want ErrUnsupported", err)
+	if _, _, err := Coloring(chanspec.MethodErtelReed, chanspec.Eq22Covariance()); !errors.Is(err, ErrUnsupported) {
+		t.Errorf("Coloring(N=3) error = %v, want ErrUnsupported", err)
 	}
 	unequal := cmplxmat.MustFromRows([][]complex128{
 		{1, 0.5},
 		{0.5, 2},
 	})
-	if err := m.Setup(unequal); !errors.Is(err, ErrUnsupported) {
-		t.Errorf("Setup(unequal powers) error = %v, want ErrUnsupported", err)
+	if _, _, err := Coloring(chanspec.MethodErtelReed, unequal); !errors.Is(err, ErrUnsupported) {
+		t.Errorf("Coloring(unequal powers) error = %v, want ErrUnsupported", err)
 	}
 	complexCorr := cmplxmat.MustFromRows([][]complex128{
 		{1, 0.5 + 0.3i},
 		{0.5 - 0.3i, 1},
 	})
-	if err := m.Setup(complexCorr); !errors.Is(err, ErrUnsupported) {
-		t.Errorf("Setup(complex correlation) error = %v, want ErrUnsupported", err)
-	}
-	if _, _, err := m.Coloring(); !errors.Is(err, ErrSetupFailed) {
-		t.Errorf("Coloring after failed Setup error = %v, want ErrSetupFailed", err)
+	if _, _, err := Coloring(chanspec.MethodErtelReed, complexCorr); !errors.Is(err, ErrUnsupported) {
+		t.Errorf("Coloring(complex correlation) error = %v, want ErrUnsupported", err)
 	}
 }
 
 func TestSalzWintersRealOnEqualPowerPSD(t *testing.T) {
-	m := &SalzWintersReal{}
-	if err := m.Setup(chanspec.Eq22Covariance()); err != nil {
-		t.Fatalf("Setup: %v", err)
-	}
-	if d := checkSampleCovariance(t, m, chanspec.Eq22Covariance(), 80000, 6); d > 0.04 {
+	l := coloring(t, chanspec.MethodSalzWinters, chanspec.Eq22Covariance())
+	if d := checkSampleCovariance(t, l, chanspec.Eq22Covariance(), 80000, 6); d > 0.04 {
 		t.Errorf("Salz–Winters misses the target covariance by %g", d)
 	}
 }
 
 func TestSalzWintersRejectsUnequalPowers(t *testing.T) {
-	m := &SalzWintersReal{}
 	unequal := cmplxmat.MustFromRows([][]complex128{
 		{1, 0.2},
 		{0.2, 3},
 	})
-	if err := m.Setup(unequal); !errors.Is(err, ErrUnsupported) {
-		t.Errorf("Setup(unequal powers) error = %v, want ErrUnsupported", err)
+	if _, _, err := Coloring(chanspec.MethodSalzWinters, unequal); !errors.Is(err, ErrUnsupported) {
+		t.Errorf("Coloring(unequal powers) error = %v, want ErrUnsupported", err)
 	}
 }
 
 func TestSalzWintersRejectsIndefinite(t *testing.T) {
-	m := &SalzWintersReal{}
-	if err := m.Setup(indefinite()); !errors.Is(err, ErrSetupFailed) {
-		t.Errorf("Setup(indefinite) error = %v, want ErrSetupFailed", err)
-	}
-	if _, _, err := m.Coloring(); !errors.Is(err, ErrSetupFailed) {
-		t.Errorf("Coloring after failed Setup error = %v, want ErrSetupFailed", err)
+	if _, _, err := Coloring(chanspec.MethodSalzWinters, indefinite()); !errors.Is(err, ErrSetupFailed) {
+		t.Errorf("Coloring(indefinite) error = %v, want ErrSetupFailed", err)
 	}
 }
 
 func TestEpsilonEigenOnPositiveDefinite(t *testing.T) {
-	m := &EpsilonEigen{}
-	if err := m.Setup(chanspec.Eq22Covariance()); err != nil {
-		t.Fatalf("Setup: %v", err)
+	l, frobError, err := EpsilonClamp(chanspec.Eq22Covariance(), DefaultEpsilon)
+	if err != nil {
+		t.Fatalf("EpsilonClamp: %v", err)
 	}
-	if d := checkSampleCovariance(t, m, chanspec.Eq22Covariance(), 80000, 7); d > 0.03 {
+	if d := checkSampleCovariance(t, l, chanspec.Eq22Covariance(), 80000, 7); d > 0.03 {
 		t.Errorf("ε-eigen coloring misses the PD target by %g", d)
 	}
-	if m.ApproximationError() > 1e-12 {
-		t.Errorf("ApproximationError = %g for a PD matrix, want 0", m.ApproximationError())
+	if frobError > 1e-12 {
+		t.Errorf("approximation error = %g for a PD matrix, want 0", frobError)
 	}
 }
 
 func TestEpsilonEigenHandlesIndefiniteButWithError(t *testing.T) {
-	m := &EpsilonEigen{Epsilon: 1e-3}
-	if err := m.Setup(indefinite()); err != nil {
-		t.Fatalf("Setup: %v", err)
+	l, frobError, err := EpsilonClamp(indefinite(), 1e-3)
+	if err != nil {
+		t.Fatalf("EpsilonClamp: %v", err)
 	}
-	if m.ApproximationError() <= 0 {
-		t.Errorf("ApproximationError = %g for an indefinite matrix, want > 0", m.ApproximationError())
+	if frobError <= 0 {
+		t.Errorf("approximation error = %g for an indefinite matrix, want > 0", frobError)
 	}
-	// The approximated covariance must be PSD (that is the method's goal).
-	ok, err := cmplxmat.IsPositiveSemiDefinite(m.ApproximatedCovariance(), 1e-9)
+	// The approximated covariance K̂ = L·Lᴴ must be PSD (that is the
+	// method's goal).
+	approximated := cmplxmat.MustMul(l, cmplxmat.ConjTranspose(l))
+	ok, err := cmplxmat.IsPositiveSemiDefinite(approximated, 1e-9)
 	if err != nil || !ok {
 		t.Errorf("ε-approximated covariance is not PSD: %v %v", ok, err)
 	}
 	// Sampling matches the approximated covariance.
-	if d := checkSampleCovariance(t, m, m.ApproximatedCovariance(), 80000, 8); d > 0.03 {
+	if d := checkSampleCovariance(t, l, approximated, 80000, 8); d > 0.03 {
 		t.Errorf("ε-eigen sample covariance misses its own approximation by %g", d)
-	}
-	if _, _, err := (&EpsilonEigen{}).Coloring(); !errors.Is(err, ErrSetupFailed) {
-		t.Errorf("Coloring before Setup error = %v, want ErrSetupFailed", err)
 	}
 }
 
@@ -228,28 +209,27 @@ func TestEpsilonEigenWorseThanZeroClampInFrobenius(t *testing.T) {
 	zeroErr = math.Sqrt(zeroErr)
 
 	for _, eps := range []float64{1e-6, 1e-3, 0.05} {
-		m := &EpsilonEigen{Epsilon: eps}
-		if err := m.Setup(k); err != nil {
-			t.Fatalf("Setup: %v", err)
+		_, frobError, err := EpsilonClamp(k, eps)
+		if err != nil {
+			t.Fatalf("EpsilonClamp: %v", err)
 		}
-		if m.ApproximationError() < zeroErr-1e-12 {
-			t.Errorf("ε=%g approximation error %g is below the zero-clamp error %g", eps, m.ApproximationError(), zeroErr)
+		if frobError < zeroErr-1e-12 {
+			t.Errorf("ε=%g approximation error %g is below the zero-clamp error %g", eps, frobError, zeroErr)
 		}
 	}
 }
 
 func TestValidateCovarianceSharedChecks(t *testing.T) {
-	methods := []Method{&CholeskyColoring{}, &NatarajanColoring{}, &SalzWintersReal{}, &EpsilonEigen{}, &ErtelReedPair{}}
 	nonHermitian := cmplxmat.MustFromRows([][]complex128{{1, 2}, {3, 4}})
-	for _, m := range methods {
-		if err := m.Setup(nil); err == nil {
-			t.Errorf("%T accepted a nil covariance", m)
+	for _, method := range baselineMethods {
+		if _, _, err := Coloring(method, nil); err == nil {
+			t.Errorf("%s accepted a nil covariance", method)
 		}
-		if err := m.Setup(cmplxmat.New(2, 3)); err == nil {
-			t.Errorf("%T accepted a rectangular covariance", m)
+		if _, _, err := Coloring(method, cmplxmat.New(2, 3)); err == nil {
+			t.Errorf("%s accepted a rectangular covariance", method)
 		}
-		if err := m.Setup(nonHermitian); err == nil {
-			t.Errorf("%T accepted a non-Hermitian covariance", m)
+		if _, _, err := Coloring(method, nonHermitian); err == nil {
+			t.Errorf("%s accepted a non-Hermitian covariance", method)
 		}
 	}
 }

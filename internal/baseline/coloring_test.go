@@ -2,7 +2,6 @@ package baseline
 
 import (
 	"errors"
-	"reflect"
 	"testing"
 
 	"repro/internal/chanspec"
@@ -26,39 +25,44 @@ func sampleCovarianceError(t *testing.T, samples [][]complex128, target *cmplxma
 	return cmp.MaxAbs
 }
 
-// newColoredGenerator builds the core snapshot engine with a set-up method's
+// newColoredGenerator builds the core snapshot engine with a method's
 // coloring, the way the backend registry samples every conventional method.
-func newColoredGenerator(t *testing.T, m Method, k *cmplxmat.Matrix, seed int64) *core.SnapshotGenerator {
+func newColoredGenerator(t *testing.T, l, k *cmplxmat.Matrix, seed int64) *core.SnapshotGenerator {
 	t.Helper()
-	l, _, err := m.Coloring()
-	if err != nil {
-		t.Fatalf("%T Coloring: %v", m, err)
-	}
 	gen, err := core.NewSnapshotGenerator(core.SnapshotConfig{Covariance: k, Seed: seed, Coloring: l})
 	if err != nil {
-		t.Fatalf("%T NewSnapshotGenerator: %v", m, err)
+		t.Fatalf("NewSnapshotGenerator: %v", err)
 	}
 	return gen
 }
 
-type methodCase struct {
-	m Method
-	k *cmplxmat.Matrix
+// baselineMethods lists every conventional method Coloring resolves.
+var baselineMethods = []string{
+	chanspec.MethodSalzWinters,
+	chanspec.MethodErtelReed,
+	chanspec.MethodBeaulieuMerani,
+	chanspec.MethodNatarajan,
+	chanspec.MethodSorooshyariDaut,
 }
 
-// allMethods returns one instance of every baseline method with a covariance
-// inside its vocabulary.
+type methodCase struct {
+	method string
+	k      *cmplxmat.Matrix
+}
+
+// allMethods pairs every baseline method with a covariance inside its
+// vocabulary.
 func allMethods() []methodCase {
 	pair := cmplxmat.MustFromRows([][]complex128{
 		{1, 0.6},
 		{0.6, 1},
 	})
 	return []methodCase{
-		{&SalzWintersReal{}, chanspec.Eq22Covariance()},
-		{&ErtelReedPair{}, pair},
-		{&CholeskyColoring{}, chanspec.Eq22Covariance()},
-		{&NatarajanColoring{}, eq23()},
-		{&EpsilonEigen{}, chanspec.Eq22Covariance()},
+		{chanspec.MethodSalzWinters, chanspec.Eq22Covariance()},
+		{chanspec.MethodErtelReed, pair},
+		{chanspec.MethodBeaulieuMerani, chanspec.Eq22Covariance()},
+		{chanspec.MethodNatarajan, eq23()},
+		{chanspec.MethodSorooshyariDaut, chanspec.Eq22Covariance()},
 	}
 }
 
@@ -67,10 +71,7 @@ func allMethods() []methodCase {
 // real Eq. (23) target) as on the complex one.
 func TestGenerateIntoDoesNotAllocate(t *testing.T) {
 	for _, tc := range allMethods() {
-		if err := tc.m.Setup(tc.k); err != nil {
-			t.Fatalf("%T Setup: %v", tc.m, err)
-		}
-		gen := newColoredGenerator(t, tc.m, tc.k, 17)
+		gen := newColoredGenerator(t, coloring(t, tc.method, tc.k), tc.k, 17)
 		gaussian := make([]complex128, gen.N())
 		env := make([]float64, gen.N())
 		if allocs := testing.AllocsPerRun(200, func() {
@@ -78,7 +79,7 @@ func TestGenerateIntoDoesNotAllocate(t *testing.T) {
 				t.Fatal(err)
 			}
 		}); allocs != 0 {
-			t.Errorf("%T GenerateInto allocates %g objects per draw, want 0", tc.m, allocs)
+			t.Errorf("%s GenerateInto allocates %g objects per draw, want 0", tc.method, allocs)
 		}
 	}
 }
@@ -88,10 +89,7 @@ func TestGenerateIntoDoesNotAllocate(t *testing.T) {
 // the real ColorBlock kernel as on the complex one.
 func TestGenerateBatchIntoDoesNotAllocate(t *testing.T) {
 	for _, tc := range allMethods() {
-		if err := tc.m.Setup(tc.k); err != nil {
-			t.Fatalf("%T Setup: %v", tc.m, err)
-		}
-		gen := newColoredGenerator(t, tc.m, tc.k, 31)
+		gen := newColoredGenerator(t, coloring(t, tc.method, tc.k), tc.k, 31)
 		dst := make([]core.Snapshot, 1024)
 		for i := range dst {
 			dst[i].Gaussian = make([]complex128, gen.N())
@@ -102,28 +100,25 @@ func TestGenerateBatchIntoDoesNotAllocate(t *testing.T) {
 				t.Fatal(err)
 			}
 		}); n != 0 {
-			t.Errorf("%T GenerateBatchInto allocates %v per run", tc.m, n)
+			t.Errorf("%s GenerateBatchInto allocates %v per run", tc.method, n)
 		}
 	}
 }
 
 func TestGenerateBatchIntoMatchesCovariance(t *testing.T) {
 	for _, tc := range allMethods() {
-		if err := tc.m.Setup(tc.k); err != nil {
-			t.Fatalf("%T Setup: %v", tc.m, err)
-		}
-		gen := newColoredGenerator(t, tc.m, tc.k, 29)
+		gen := newColoredGenerator(t, coloring(t, tc.method, tc.k), tc.k, 29)
 		const draws = 80000
 		dst := make([]core.Snapshot, draws)
 		if err := gen.GenerateBatchInto(dst, 2); err != nil {
-			t.Fatalf("%T GenerateBatchInto: %v", tc.m, err)
+			t.Fatalf("%s GenerateBatchInto: %v", tc.method, err)
 		}
 		samples := make([][]complex128, draws)
 		for i := range dst {
 			samples[i] = dst[i].Gaussian
 		}
 		if d := sampleCovarianceError(t, samples, tc.k); d > 0.04 {
-			t.Errorf("%T batched sample covariance misses the target by %g", tc.m, d)
+			t.Errorf("%s batched sample covariance misses the target by %g", tc.method, d)
 		}
 	}
 }
@@ -132,26 +127,20 @@ func TestGenerateBatchIntoMatchesCovariance(t *testing.T) {
 // method's coloring achieves the covariance the method claims: K itself
 // inside its vocabulary, Re(K) for the real-forced Cholesky on a complex
 // target, and the ε-clamped approximation for Sorooshyari–Daut on an
-// indefinite one. Coloring must refuse to answer before Setup.
+// indefinite one.
 func TestColoringReconstructsCovariance(t *testing.T) {
 	cases := append(allMethods(),
-		methodCase{&NatarajanColoring{}, chanspec.Eq22Covariance()},
-		methodCase{&EpsilonEigen{}, indefinite()},
+		methodCase{chanspec.MethodNatarajan, chanspec.Eq22Covariance()},
+		methodCase{chanspec.MethodSorooshyariDaut, indefinite()},
 	)
 	for _, tc := range cases {
-		if _, _, err := tc.m.Coloring(); !errors.Is(err, ErrSetupFailed) {
-			t.Errorf("%T Coloring before Setup error = %v, want ErrSetupFailed", tc.m, err)
-		}
-		if err := tc.m.Setup(tc.k); err != nil {
-			t.Fatalf("%T Setup: %v", tc.m, err)
-		}
-		l, assumeUnit, err := tc.m.Coloring()
+		l, assumeUnit, err := Coloring(tc.method, tc.k)
 		if err != nil {
-			t.Fatalf("%T Coloring: %v", tc.m, err)
+			t.Fatalf("%s Coloring: %v", tc.method, err)
 		}
 		achieved := tc.k
-		switch m := tc.m.(type) {
-		case *NatarajanColoring:
+		switch tc.method {
+		case chanspec.MethodNatarajan:
 			n := tc.k.Rows()
 			re := cmplxmat.New(n, n)
 			for i := 0; i < n; i++ {
@@ -160,39 +149,34 @@ func TestColoringReconstructsCovariance(t *testing.T) {
 				}
 			}
 			achieved = re
-		case *EpsilonEigen:
-			achieved = m.ApproximatedCovariance()
+		case chanspec.MethodSorooshyariDaut:
+			eig, err := cmplxmat.EigenHermitian(tc.k)
+			if err != nil {
+				t.Fatalf("EigenHermitian: %v", err)
+			}
+			for i, v := range eig.Values {
+				if v <= 0 {
+					eig.Values[i] = DefaultEpsilon
+				}
+			}
+			achieved = eig.Reconstruct()
 		}
-		if _, isEps := tc.m.(*EpsilonEigen); isEps != assumeUnit {
-			t.Errorf("%T assumeUnitVariance = %v", tc.m, assumeUnit)
+		if isEps := tc.method == chanspec.MethodSorooshyariDaut; isEps != assumeUnit {
+			t.Errorf("%s assumeUnitVariance = %v", tc.method, assumeUnit)
 		}
 		got := cmplxmat.MustMul(l, cmplxmat.ConjTranspose(l))
 		if d := cmplxmat.FrobeniusDistance(got, achieved); d > 1e-9 {
-			t.Errorf("%T on %v: coloring reconstructs covariance with error %g", tc.m, tc.k, d)
+			t.Errorf("%s on %v: coloring reconstructs covariance with error %g", tc.method, tc.k, d)
 		}
 	}
 }
 
-func TestNewFactoryResolvesEveryBaseline(t *testing.T) {
-	want := map[string]Method{
-		chanspec.MethodSalzWinters:     &SalzWintersReal{},
-		chanspec.MethodErtelReed:       &ErtelReedPair{},
-		chanspec.MethodBeaulieuMerani:  &CholeskyColoring{},
-		chanspec.MethodNatarajan:       &NatarajanColoring{},
-		chanspec.MethodSorooshyariDaut: &EpsilonEigen{},
-	}
-	for spec, w := range want {
-		m, err := New(spec)
-		if err != nil {
-			t.Fatalf("New(%q): %v", spec, err)
-		}
-		if reflect.TypeOf(m) != reflect.TypeOf(w) {
-			t.Errorf("New(%q) = %T, want %T", spec, m, w)
-		}
-	}
-	for _, bad := range []string{chanspec.MethodGeneralized, "", "nope"} {
-		if _, err := New(bad); !errors.Is(err, ErrUnsupported) {
-			t.Errorf("New(%q) error = %v, want ErrUnsupported", bad, err)
+// TestColoringRefusesNonBaselines: the generalized engine, its empty-name
+// default and an unknown name are not baseline methods.
+func TestColoringRefusesNonBaselines(t *testing.T) {
+	for _, name := range []string{chanspec.MethodGeneralized, "", "nope"} {
+		if _, _, err := Coloring(name, eq23()); !errors.Is(err, ErrUnsupported) {
+			t.Errorf("Coloring(%q) error = %v, want ErrUnsupported", name, err)
 		}
 	}
 }

@@ -6,28 +6,24 @@ import (
 	"repro/internal/cmplxmat"
 )
 
-// SalzWintersReal is the Salz & Winters [1] construction: the 2N real
-// Gaussian components (x_1…x_N, y_1…y_N) are colored jointly using the real
-// 2N×2N covariance matrix assembled from the Rxx/Rxy blocks. As in [1], the
-// method supports equal powers only, and the real covariance matrix must be
-// positive semi-definite for the coloring matrix to stay real — otherwise
-// Setup fails, which is exactly the limitation the paper points out.
+// salzWinters is the Salz & Winters [1] construction: the 2N real Gaussian
+// components (x_1…x_N, y_1…y_N) are colored jointly using the real 2N×2N
+// covariance matrix assembled from the Rxx/Rxy blocks. As in [1], the method
+// supports equal powers only, and the real covariance matrix must be
+// positive semi-definite for the coloring matrix to stay real — otherwise it
+// fails with ErrSetupFailed, which is exactly the limitation the paper
+// points out.
 //
-// The real 2N coloring has no N×N complex form, so Coloring returns the
+// The real 2N coloring has no N×N complex form, so salzWinters returns the
 // equivalent proper complex coloring of the covariance the construction
 // achieves (the eigen coloring of K): the output process is distributionally
 // identical — same covariance, same properness.
-type SalzWintersReal struct {
-	colorer
-}
-
-// Setup implements Method.
-func (s *SalzWintersReal) Setup(k *cmplxmat.Matrix) error {
+func salzWinters(k *cmplxmat.Matrix) (*cmplxmat.Matrix, error) {
 	if err := validateCovariance(k); err != nil {
-		return err
+		return nil, err
 	}
 	if !equalDiagonal(k, 1e-9) {
-		return fmt.Errorf("baseline: Salz–Winters requires equal powers: %w", ErrUnsupported)
+		return nil, fmt.Errorf("baseline: Salz–Winters requires equal powers: %w", ErrUnsupported)
 	}
 	n := k.Rows()
 
@@ -56,7 +52,7 @@ func (s *SalzWintersReal) Setup(k *cmplxmat.Matrix) error {
 
 	eig, err := cmplxmat.EigenHermitian(big)
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrSetupFailed, err)
+		return nil, fmt.Errorf("%w: %v", ErrSetupFailed, err)
 	}
 	// The construction of [1] requires the real covariance to be PSD so the
 	// coloring matrix stays real; a negative eigenvalue means the method
@@ -65,13 +61,13 @@ func (s *SalzWintersReal) Setup(k *cmplxmat.Matrix) error {
 	scale := maxScale(big)
 	for _, lambda := range eig.Values {
 		if lambda < -1e-9*scale {
-			return fmt.Errorf("baseline: real covariance matrix is not positive semi-definite (eigenvalue %g): %w", lambda, ErrSetupFailed)
+			return nil, fmt.Errorf("baseline: real covariance matrix is not positive semi-definite (eigenvalue %g): %w", lambda, ErrSetupFailed)
 		}
 	}
 
 	eigK, err := cmplxmat.EigenHermitian(k)
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrSetupFailed, err)
+		return nil, fmt.Errorf("%w: %v", ErrSetupFailed, err)
 	}
 	values := make([]float64, n)
 	for c, lambda := range eigK.Values {
@@ -79,6 +75,5 @@ func (s *SalzWintersReal) Setup(k *cmplxmat.Matrix) error {
 		// negatives are round-off.
 		values[c] = max(lambda, 0)
 	}
-	s.l = eigenColoring(eigK.Vectors, values)
-	return nil
+	return cmplxmat.EigenColoring(eigK.Vectors, values), nil
 }

@@ -5,7 +5,8 @@
 // describes. The scenario harness (internal/scenario) and the fadingd
 // streaming service (internal/service) both speak this one spec language, so
 // a channel calibrated in a scenario file can be served over the wire
-// verbatim.
+// verbatim. Every spec, plan and session document is read by one strict
+// decoder, DecodeStrict.
 package chanspec
 
 import (

@@ -117,13 +117,14 @@ func NormalizeMethod(method string) string {
 	return method
 }
 
-// ValidateMethod rejects method names outside the vocabulary. The empty
-// string is accepted as the generalized default.
+// ValidateMethod rejects method names outside the Methods catalog. The
+// empty string is accepted as the generalized default.
 func ValidateMethod(method string) error {
-	switch NormalizeMethod(method) {
-	case MethodGeneralized, MethodSalzWinters, MethodErtelReed,
-		MethodBeaulieuMerani, MethodNatarajan, MethodSorooshyariDaut:
-		return nil
+	name := NormalizeMethod(method)
+	for _, m := range Methods() {
+		if m.Name == name {
+			return nil
+		}
 	}
 	return fmt.Errorf("unknown generation method %q (want one of %v): %w",
 		method, MethodNames(), ErrBadSpec)

@@ -215,6 +215,20 @@ func ReconstructHermitian(v *Matrix, values []float64) *Matrix {
 	return out
 }
 
+// EigenColoring returns the coloring matrix L = V·sqrt(diag(values)) of the
+// Hermitian matrix V·diag(values)·Vᴴ, so that L·Lᴴ reproduces it. The values
+// must be non-negative.
+func EigenColoring(v *Matrix, values []float64) *Matrix {
+	l := New(v.rows, len(values))
+	for j, lambda := range values {
+		s := complex(math.Sqrt(lambda), 0)
+		for i := 0; i < v.rows; i++ {
+			l.Set(i, j, v.At(i, j)*s)
+		}
+	}
+	return l
+}
+
 // MinEigenvalue returns the smallest eigenvalue of a Hermitian matrix. It is
 // a convenience for definiteness checks.
 func MinEigenvalue(a *Matrix) (float64, error) {

@@ -147,6 +147,29 @@ func TestEigenHermitianZeroMatrix(t *testing.T) {
 	}
 }
 
+// TestEigenHermitianAtScaleWindowEdges: at the edges of the covariance scale
+// window the generation backends admit (max |K_ij| from 1e-100 to 1e100) the
+// unscaled norms stay in range, so [[1, 2], [2, 1]]·s still decomposes to
+// −s and 3s.
+func TestEigenHermitianAtScaleWindowEdges(t *testing.T) {
+	for _, maxEntry := range []float64{1e-100, 1e100} {
+		s := maxEntry / 2
+		a := MustFromRows([][]complex128{
+			{complex(s, 0), complex(2*s, 0)},
+			{complex(2*s, 0), complex(s, 0)},
+		})
+		e, err := EigenHermitian(a)
+		if err != nil {
+			t.Fatalf("max |a_ij| = %g: EigenHermitian: %v", maxEntry, err)
+		}
+		for i, want := range []float64{-s, 3 * s} {
+			if math.Abs(e.Values[i]-want) > 1e-12*math.Abs(want) {
+				t.Errorf("max |a_ij| = %g: eigenvalue[%d] = %g, want %g", maxEntry, i, e.Values[i], want)
+			}
+		}
+	}
+}
+
 func TestEigenHermitianRepeatedEigenvalues(t *testing.T) {
 	// 3x3 matrix with a doubly degenerate eigenvalue: I + rank-one update.
 	v := []complex128{complex(1/math.Sqrt(2), 0), complex(0, 1/math.Sqrt(2)), 0}

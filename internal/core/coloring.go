@@ -7,32 +7,18 @@ import (
 	"repro/internal/cmplxmat"
 )
 
-// ColoringMatrix computes the coloring matrix L of Section 4.3 from a forced
-// positive semi-definite covariance matrix: L = V·sqrt(Λ), so that
-// L·Lᴴ = V·Λ·Vᴴ = K̄. No Cholesky factorization is involved, so
-// rank-deficient and (after forcing) previously indefinite covariance
-// matrices are handled without error.
-func ColoringMatrix(f *ForcedPSD) *cmplxmat.Matrix {
-	n := f.Eigenvectors.Rows()
-	l := cmplxmat.New(n, n)
-	for j := 0; j < n; j++ {
-		s := math.Sqrt(f.ClampedEigenvalues[j])
-		for i := 0; i < n; i++ {
-			l.Set(i, j, f.Eigenvectors.At(i, j)*complex(s, 0))
-		}
-	}
-	return l
-}
-
-// ColoringFromCovariance is a convenience that chains ForcePSD and
-// ColoringMatrix: given any Hermitian covariance matrix (definite or not), it
-// returns the coloring matrix together with the forcing diagnostics.
+// ColoringFromCovariance computes the coloring matrix L of Section 4.3 from
+// any Hermitian covariance matrix (definite or not): ForcePSD clamps it to K̄,
+// and L = V·sqrt(Λ), so that L·Lᴴ = V·Λ·Vᴴ = K̄. No Cholesky factorization is
+// involved, so rank-deficient and (after forcing) previously indefinite
+// covariance matrices are handled without error. The forcing diagnostics are
+// returned with L.
 func ColoringFromCovariance(k *cmplxmat.Matrix) (*cmplxmat.Matrix, *ForcedPSD, error) {
 	f, err := ForcePSD(k)
 	if err != nil {
 		return nil, nil, err
 	}
-	return ColoringMatrix(f), f, nil
+	return cmplxmat.EigenColoring(f.Eigenvectors, f.ClampedEigenvalues), f, nil
 }
 
 // coloringFor is the coloring setup both generators share: the coloring

@@ -180,6 +180,7 @@ func TestPlanValidation(t *testing.T) {
 		{"bad-n-axis", `{"name": "x", "seed": 1, "valid": 4, "axes": {"n": [1]}}`},
 		{"negative-size", `{"name": "x", "seed": 1, "valid": 4, "generation": {"draws": -1}}`},
 		{"not-json", `{"name":`},
+		{"trailing-data", `{"name": "x", "seed": 1, "valid": 4} {"x": 1}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

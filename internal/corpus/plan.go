@@ -23,7 +23,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
 
 	"repro/internal/chanspec"
 	"repro/internal/scenario"
@@ -208,14 +207,12 @@ func contains(xs []string, want string) bool {
 	return false
 }
 
-// ParsePlan decodes one plan from JSON. Decoding is strict, matching the
-// scenario loader: unknown fields are rejected so a typo fails loudly
-// instead of silently shrinking the corpus.
+// ParsePlan decodes one plan from JSON. Decoding is strict
+// (chanspec.DecodeStrict): an unknown field fails loudly instead of silently
+// shrinking the corpus, and so does data after the plan.
 func ParsePlan(data []byte) (*Plan, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var p Plan
-	if err := dec.Decode(&p); err != nil {
+	if err := chanspec.DecodeStrict(bytes.NewReader(data), &p); err != nil {
 		return nil, fmt.Errorf("corpus: %w: %w", ErrBadPlan, err)
 	}
 	if err := p.Validate(); err != nil {
@@ -226,15 +223,7 @@ func ParsePlan(data []byte) (*Plan, error) {
 
 // LoadPlan reads and parses one plan file.
 func LoadPlan(path string) (*Plan, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("corpus: %w", err)
-	}
-	p, err := ParsePlan(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return p, nil
+	return chanspec.LoadFile(path, ParsePlan)
 }
 
 // canonicalJSON is the stable plan encoding hashed into the manifest.

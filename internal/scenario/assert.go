@@ -296,19 +296,18 @@ func evalPSDForcing(a *AssertionSpec, data *runData) ([]Check, error) {
 	}
 	if a.ExpectCholeskyFailure {
 		failed := 0.0
-		chol := &baseline.CholeskyColoring{}
-		if err := chol.Setup(data.target); err != nil {
+		if _, _, err := baseline.Coloring(chanspec.MethodBeaulieuMerani, data.target); err != nil {
 			failed = 1
 		}
 		checks = append(checks, check("cholesky baseline fails", failed, 1, "=="))
 	}
 	if a.BeatsEpsilonClamp {
-		eps := &baseline.EpsilonEigen{}
-		if err := eps.Setup(data.target); err != nil {
+		_, epsError, err := baseline.EpsilonClamp(data.target, baseline.DefaultEpsilon)
+		if err != nil {
 			return nil, err
 		}
 		checks = append(checks, check("zero-clamp error vs eps-clamp",
-			data.forced.FrobeniusError, eps.ApproximationError()+1e-12, "<="))
+			data.forced.FrobeniusError, epsError+1e-12, "<="))
 	}
 	return checks, nil
 }

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"repro/internal/chanspec"
 )
 
 // smallSnapshotSpec is a fast-running eq22 snapshot scenario with loose
@@ -289,7 +291,7 @@ func TestModelBuilders(t *testing.T) {
 func TestSnapshotAndBatchedModesAreOneSequence(t *testing.T) {
 	for _, name := range []string{"eq22-snapshot", "exponential-phase-complex"} {
 		path := filepath.Join("..", "..", "scenarios", name+".json")
-		spec, err := LoadFile(path)
+		spec, err := chanspec.LoadFile(path, Parse)
 		if err != nil {
 			t.Fatalf("LoadFile(%s): %v", name, err)
 		}

@@ -240,6 +240,10 @@ func TestMalformedSpecsRejected(t *testing.T) {
 		"not json":                `hello`,
 		// The covariance this spectral model builds holds NaN.
 		"non-finite covariance": `{"model":{"type":"spectral","n":3,"carrier_spacing_hz":1e300,"max_doppler_hz":50,"rms_delay_spread_s":1e300,"delay_step_s":1e300},"seed":1,"blocks":2}`,
+		// Finite covariance targets outside the scale window.
+		"covariance scale 1e-170": `{"model":{"type":"identity","n":2,"power":1e-170},"seed":1,"blocks":2}`,
+		"covariance scale 2e160":  `{"model":{"type":"explicit","covariance":[[1e160,2e160],[2e160,1e160]]},"seed":1,"blocks":2}`,
+		"covariance scale 1e308":  `{"model":{"type":"identity","n":2,"power":1e308},"seed":1,"blocks":2}`,
 	}
 	for name, spec := range cases {
 		resp, err := http.Post(ts.URL+"/v1/sessions", "application/json", strings.NewReader(spec))

@@ -17,7 +17,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -91,19 +90,13 @@ type SessionSpec struct {
 	InputVariance float64 `json:"input_variance,omitempty"`
 }
 
-// ParseSpec decodes one session spec. Decoding is strict, matching the
-// scenario loader: unknown fields are rejected so a typo fails loudly
-// instead of silently selecting a default channel.
+// ParseSpec decodes one session spec. Decoding is strict
+// (chanspec.DecodeStrict): an unknown field fails loudly instead of silently
+// selecting a default channel, and so does a second document in the body.
 func ParseSpec(r io.Reader) (*SessionSpec, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var s SessionSpec
-	if err := dec.Decode(&s); err != nil {
+	if err := chanspec.DecodeStrict(r, &s); err != nil {
 		return nil, fmt.Errorf("service: %w: %w", ErrBadSpec, err)
-	}
-	// A second document in the body is almost certainly a client bug.
-	if err := dec.Decode(new(json.RawMessage)); !errors.Is(err, io.EOF) {
-		return nil, fmt.Errorf("service: trailing data after spec: %w", ErrBadSpec)
 	}
 	return &s, nil
 }

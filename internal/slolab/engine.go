@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/chanspec"
 	"repro/internal/service"
 )
 
@@ -390,11 +391,9 @@ func LoadSessionPool(path string) ([]service.SessionSpec, error) {
 	if err != nil {
 		return nil, fmt.Errorf("slolab: session pool: %w", err)
 	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var pool []service.SessionSpec
-	if err := dec.Decode(&pool); err != nil {
-		return nil, fmt.Errorf("slolab: session pool %s: %w", path, err)
+	if err := chanspec.DecodeStrict(bytes.NewReader(data), &pool); err != nil {
+		return nil, fmt.Errorf("slolab: session pool %s: %w: %w", path, ErrBadSpec, err)
 	}
 	if len(pool) == 0 {
 		return nil, fmt.Errorf("slolab: session pool %s is empty: %w", path, ErrBadSpec)

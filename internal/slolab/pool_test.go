@@ -52,6 +52,7 @@ func TestLoadSessionPoolRejections(t *testing.T) {
 		{"unknown-field", `[{"model": {"type": "identity", "n": 2}, "seed": 0, "total_blocks": 4}]`},
 		{"invalid-template", `[{"model": {"type": "identity", "n": 2}, "seed": 0, "blocks": 0}]`},
 		{"not-an-array", `{"model": {"type": "identity", "n": 2}}`},
+		{"trailing-data", testPool + ` garbage`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -109,16 +109,25 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
+// TestParseRejectsUnknownFields: a typo'd field, like data after the spec,
+// fails the parse instead of being dropped silently.
 func TestParseRejectsUnknownFields(t *testing.T) {
-	_, err := Parse([]byte(`{
-		"name": "x", "seed": 1, "clients": 1,
-		"session": {"model": {"type": "eq22"}, "seed": 0, "blocks": 8},
-		"phases": {"inject": {"units": 4}},
-		"fault": {"type": "none"},
-		"gates": [{"type": "error_rate", "max_rte": 0.1}]
-	}`))
-	if err == nil {
-		t.Fatal("Parse: typo'd gate field accepted silently")
+	spec := func(gateField string) string {
+		return `{
+			"name": "x", "seed": 1, "clients": 1,
+			"session": {"model": {"type": "eq22"}, "seed": 0, "blocks": 8},
+			"phases": {"inject": {"units": 4}},
+			"fault": {"type": "none"},
+			"gates": [{"type": "error_rate", "` + gateField + `": 0.1}]
+		}`
+	}
+	for name, body := range map[string]string{
+		"typo'd gate field":   spec("max_rte"),
+		"data after the spec": spec("max_rate") + " garbage",
+	} {
+		if _, err := Parse([]byte(body)); !errors.Is(err, ErrBadSpec) {
+			t.Errorf("%s: Parse error = %v, want ErrBadSpec", name, err)
+		}
 	}
 }
 

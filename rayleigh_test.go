@@ -135,6 +135,25 @@ func TestNewValidation(t *testing.T) {
 			}
 		}
 	}
+	// So is a finite target outside the covariance scale window.
+	for name, k := range outOfScaleCovariances() {
+		for _, method := range []string{MethodGeneralized, MethodBeaulieuMerani} {
+			if _, err := New(Config{Covariance: k, Method: method}); err == nil {
+				t.Errorf("%s: covariance %s did not error", method, name)
+			}
+		}
+	}
+}
+
+// outOfScaleCovariances are finite targets outside the covariance scale
+// window: too small for the eigensolver's norms (they underflow to 0), too
+// large for them (they overflow), and large enough to overflow a sample.
+func outOfScaleCovariances() map[string][][]complex128 {
+	return map[string][][]complex128{
+		"identity·1e-170":        {{1e-170, 0}, {0, 1e-170}},
+		"[[1, 2], [2, 1]]·1e160": {{1e160, 2e160}, {2e160, 1e160}},
+		"identity·1e308":         {{1e308, 0}, {0, 1e308}},
+	}
 }
 
 func TestCovarianceFromEnvelopePowers(t *testing.T) {
@@ -275,6 +294,11 @@ func TestRealTimePublicAPI(t *testing.T) {
 	} {
 		if _, err := NewStream(cfg); err == nil {
 			t.Errorf("%s did not error", name)
+		}
+	}
+	for name, k := range outOfScaleCovariances() {
+		if _, err := NewStream(RealTimeConfig{Covariance: k, IDFTPoints: 512, NormalizedDoppler: 0.05}); err == nil {
+			t.Errorf("covariance %s did not error", name)
 		}
 	}
 }
