@@ -38,7 +38,7 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/backend"
+	rayleigh "repro"
 	"repro/internal/chanspec"
 	"repro/internal/cmplxmat"
 	"repro/internal/core"
@@ -160,31 +160,37 @@ func realTimeBenchmarks(name string, k *cmplxmat.Matrix) []result {
 // benchmarks (a whole number of 64-snapshot chunks).
 const backendBatchSize = 1024
 
-// backendBenchmarks measures every generation backend's batched path on the
+// batchedThroughput measures SnapshotsInto of one public generator, built by
+// rayleigh.New for cfg, into a pre-shaped batch of backendBatchSize
+// snapshots.
+func batchedThroughput(row string, cfg rayleigh.Config) result {
+	gen, err := rayleigh.New(cfg)
+	if err != nil {
+		fatalf("%s: %v", row, err)
+	}
+	n := gen.N()
+	batch := make([]rayleigh.Snapshot, backendBatchSize)
+	for i := range batch {
+		batch[i].Gaussian = make([]complex128, n)
+		batch[i].Envelopes = make([]float64, n)
+	}
+	return measure(row, n*backendBatchSize, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := gen.SnapshotsInto(batch); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// backendBenchmarks measures every generation method's batched path on the
 // same covariance target, so method overhead regressions are gated like the
 // core engine's. The name scheme is "BackendBatchedThroughput/<target>/<method>".
 func backendBenchmarks(name string, k *cmplxmat.Matrix, methods []string) []result {
 	var out []result
 	for _, method := range methods {
-		gen, err := backend.New(method, chanspec.FadingRayleigh, nil, k, 71)
-		if err != nil {
-			fatalf("backend %s on %s: %v", method, name, err)
-		}
-		n := gen.N()
-		batch := make([]core.Snapshot, backendBatchSize)
-		for i := range batch {
-			batch[i].Gaussian = make([]complex128, n)
-			batch[i].Envelopes = make([]float64, n)
-		}
-		out = append(out, measure(
-			"BackendBatchedThroughput/"+name+"/"+method, n*backendBatchSize,
-			func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if err := gen.GenerateBatchInto(batch, 0); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}))
+		out = append(out, batchedThroughput("BackendBatchedThroughput/"+name+"/"+method,
+			rayleigh.Config{Covariance: k.ToRows(), Seed: 71, Method: method}))
 	}
 	return out
 }
@@ -206,25 +212,8 @@ func fadingModelBenchmarks(name string, k *cmplxmat.Matrix) []result {
 	}
 	var out []result
 	for _, m := range models {
-		gen, err := backend.New(chanspec.MethodGeneralized, m.fading, m.params, k, 71)
-		if err != nil {
-			fatalf("model %s on %s: %v", m.fading, name, err)
-		}
-		n := gen.N()
-		batch := make([]core.Snapshot, backendBatchSize)
-		for i := range batch {
-			batch[i].Gaussian = make([]complex128, n)
-			batch[i].Envelopes = make([]float64, n)
-		}
-		out = append(out, measure(
-			"BackendBatchedThroughput/"+name+"/generalized/"+m.fading, n*backendBatchSize,
-			func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if err := gen.GenerateBatchInto(batch, 0); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}))
+		out = append(out, batchedThroughput("BackendBatchedThroughput/"+name+"/generalized/"+m.fading,
+			rayleigh.Config{Covariance: k.ToRows(), Seed: 71, Fading: m.fading, FadingParams: m.params}))
 	}
 	return out
 }

@@ -3,13 +3,20 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
+
+	"repro/internal/token"
 )
 
 func TestLoadKeyring(t *testing.T) {
 	const keys = "k1:000102030405060708090a0b0c0d0e0f"
+	want, err := token.ParseKeyring(keys)
+	if err != nil {
+		t.Fatal(err)
+	}
 	kr, err := loadKeyring(keys, "")
-	if err != nil || kr == nil || kr.SignerID() != "k1" {
+	if err != nil || !reflect.DeepEqual(kr, want) {
 		t.Fatalf("loadKeyring(flag): kr=%v err=%v", kr, err)
 	}
 	// From file, with surrounding whitespace.
@@ -18,7 +25,7 @@ func TestLoadKeyring(t *testing.T) {
 		t.Fatal(err)
 	}
 	kr, err = loadKeyring("", path)
-	if err != nil || kr == nil || kr.SignerID() != "k1" {
+	if err != nil || !reflect.DeepEqual(kr, want) {
 		t.Fatalf("loadKeyring(file): kr=%v err=%v", kr, err)
 	}
 	if kr, err = loadKeyring("", ""); err != nil || kr != nil {

@@ -113,7 +113,7 @@ func printBlockCovariance(gaussian [][]complex128, target [][]complex128) {
 	if err != nil {
 		log.Fatalf("comparing covariance: %v", err)
 	}
-	fmt.Printf("\nTime-averaged covariance of the block:\n%s", formatMatrix(cov))
+	fmt.Printf("\nTime-averaged covariance of the block:\n%s", formatRows(cov.ToRows()))
 	fmt.Printf("Desired covariance matrix:\n%s", formatRows(target))
 	fmt.Printf("Worst entry deviation: %.4f (Frobenius: %.4f, relative: %.4f)\n",
 		cmp.MaxAbs, cmp.Frobenius, cmp.Relative)
@@ -159,14 +159,6 @@ func formatRows(rows [][]complex128) string {
 		out += "\n"
 	}
 	return out
-}
-
-func formatMatrix(m *cmplxmat.Matrix) string {
-	rows := make([][]complex128, m.Rows())
-	for i := range rows {
-		rows[i] = m.Row(i)
-	}
-	return formatRows(rows)
 }
 
 func writeCSV(w *os.File, dB [][]float64) {

@@ -64,10 +64,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rows := make([][]complex128, covariance.Rows())
-	for i := range rows {
-		rows[i] = covariance.Row(i)
-	}
+	rows := covariance.ToRows()
 
 	w := os.Stdout
 	writeHeader(w, *n, *envOnly)

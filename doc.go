@@ -32,11 +32,18 @@
 // samples. So is a covariance target outside the scale window, whose largest
 // entry magnitude max |K_ij| is below 1e-100 or above 1e100 (the all-zero
 // target is accepted): beyond it the eigendecomposition's norms underflow or
-// overflow.
+// overflow. So is Suzuki shadowing above 100 dB, which could overflow the
+// shadowed samples.
+//
+// New and NewStream are the only constructors of a generator: every caller
+// in this repository — the fadingd service, the scenario gates, the corpus
+// generator's acceptance probe, the benchmark report's per-method rows —
+// resolves a (method, fading model) pair through them, so the gates certify
+// the construction path the service runs.
 //
 // # Generation methods
 //
-// The paper's generalized algorithm is the default backend, and the five
+// The paper's generalized algorithm is the default method, and the five
 // conventional methods its introduction reviews — Salz–Winters, Ertel–Reed,
 // Beaulieu–Merani, Natarajan et al., Sorooshyari–Daut — are selectable
 // through Config.Method / RealTimeConfig.Method, with their documented
@@ -45,7 +52,7 @@
 // ErrMethodSetup, and methods that bias what they accept (real-forced
 // covariances, ε-clamping, unit-variance whitening) do so here too, so the
 // paper's comparative claims are reproducible experiments. Methods returns
-// the catalog; each backend's constraints, failure classes and real-time
+// the catalog; each method's constraints, failure classes and real-time
 // semantics are documented in docs/methods.md, and the scenario harness's
 // "comparison" assertion runs one covariance target across several methods
 // side by side (see the scenarios/compare-*.json specs).
@@ -54,7 +61,7 @@
 //
 // Orthogonal to the method axis, a fading model (Config.Fading /
 // RealTimeConfig.Fading plus FadingParams) reshapes the correlated Rayleigh
-// field any backend produces: FadingRician adds a deterministic
+// field any method produces: FadingRician adds a deterministic
 // line-of-sight component after coloring (K-factor, mean power preserved),
 // FadingNakagamiM applies the probability-integral transform onto a
 // Nakagami-m envelope (tabulated per m, error ≤ 1e-7; see docs/models.md),
@@ -194,4 +201,6 @@
 //
 // A repository-level overview (architecture map, quickstart, methods table)
 // lives in README.md.
+//
+// fadinglint:deterministic
 package rayleigh

@@ -17,9 +17,9 @@
 // Each method is what the paper's algorithm (Section 4.4) makes of it: a
 // function from the covariance target to a coloring matrix L that refuses
 // the targets the method cannot realize. The core engine colors i.i.d.
-// complex Gaussians with the method's L (internal/backend wires the two), so
-// a conventional method and the generalized one differ only in L and in the
-// targets they refuse.
+// complex Gaussians with the method's L (rayleigh.New and rayleigh.NewStream
+// wire the two), so a conventional method and the generalized one differ
+// only in L and in the targets they refuse.
 package baseline
 
 import (

@@ -26,7 +26,7 @@ func sampleCovarianceError(t *testing.T, samples [][]complex128, target *cmplxma
 }
 
 // newColoredGenerator builds the core snapshot engine with a method's
-// coloring, the way the backend registry samples every conventional method.
+// coloring, the way the public constructors sample every conventional method.
 func newColoredGenerator(t *testing.T, l, k *cmplxmat.Matrix, seed int64) *core.SnapshotGenerator {
 	t.Helper()
 	gen, err := core.NewSnapshotGenerator(core.SnapshotConfig{Covariance: k, Seed: seed, Coloring: l})
@@ -159,7 +159,7 @@ func TestColoringReconstructsCovariance(t *testing.T) {
 					eig.Values[i] = DefaultEpsilon
 				}
 			}
-			achieved = eig.Reconstruct()
+			achieved = cmplxmat.ReconstructHermitian(eig.Vectors, eig.Values)
 		}
 		if isEps := tc.method == chanspec.MethodSorooshyariDaut; isEps != assumeUnit {
 			t.Errorf("%s assumeUnitVariance = %v", tc.method, assumeUnit)

@@ -46,6 +46,10 @@ const (
 // when params.shadow_coherence is omitted.
 const DefaultShadowCoherence = 256
 
+// maxShadowSigmaDB is the largest Suzuki shadow_sigma_db ValidateFading
+// accepts; the derivation is next to the check.
+const maxShadowSigmaDB float64 = 100
+
 // DefaultIDFTPoints is the block length M, in samples, of a real-time spec
 // that omits it: the paper's 4096.
 const DefaultIDFTPoints = 4096
@@ -99,7 +103,8 @@ type FadingParams struct {
 	// by FadingNakagamiM; m = 1 is exactly Rayleigh.
 	M float64 `json:"m,omitempty"`
 	// ShadowSigmaDB is the Suzuki lognormal shadowing standard deviation in
-	// dB, finite and > 0. Read by FadingSuzuki.
+	// dB, in (0, 100]: beyond 100 dB the shadowed samples can overflow.
+	// Read by FadingSuzuki.
 	ShadowSigmaDB float64 `json:"shadow_sigma_db,omitempty"`
 	// ShadowCoherence is the Suzuki shadowing coherence length in samples
 	// (knot spacing of the interpolated shadowing process), ≥ 0; zero
@@ -229,8 +234,16 @@ func ValidateFading(fading string, params *FadingParams) error {
 		if params == nil {
 			return fmt.Errorf("fading %q needs params.shadow_sigma_db: %w", FadingSuzuki, ErrBadSpec)
 		}
-		if !(params.ShadowSigmaDB > 0) || math.IsInf(params.ShadowSigmaDB, 1) {
-			return fmt.Errorf("fading %q needs a finite shadow_sigma_db > 0, got %g: %w", FadingSuzuki, params.ShadowSigmaDB, ErrBadSpec)
+		// The cap keeps every shadowed sample finite. A knot is Box–Muller
+		// on 53-bit uniforms, so |knot| ≤ √(−2·ln 2⁻⁵³) = √(106·ln 2) ≈ 8.57,
+		// and the variance-preserving interpolation between two knots is at
+		// most √2 times that: |g| ≤ 12.1. At 100 dB the shadow factor
+		// 10^(σ·g/20) is then at most 10^60.6, so re² in dsp.Envelope stays
+		// finite for every target inside the [1e-100, 1e100] covariance
+		// scale window the constructors enforce.
+		if !(params.ShadowSigmaDB > 0 && params.ShadowSigmaDB <= maxShadowSigmaDB) {
+			return fmt.Errorf("fading %q needs 0 < shadow_sigma_db <= %g, got %g: %w",
+				FadingSuzuki, maxShadowSigmaDB, params.ShadowSigmaDB, ErrBadSpec)
 		}
 		if params.ShadowCoherence < 0 {
 			return fmt.Errorf("fading %q needs shadow_coherence >= 0, got %d: %w", FadingSuzuki, params.ShadowCoherence, ErrBadSpec)

@@ -24,6 +24,9 @@ func TestValidateFading(t *testing.T) {
 		{FadingSuzuki, nil},
 		{FadingSuzuki, &FadingParams{ShadowSigmaDB: 0}},
 		{FadingSuzuki, &FadingParams{ShadowSigmaDB: math.Inf(1)}},
+		{FadingSuzuki, &FadingParams{ShadowSigmaDB: math.NaN()}},
+		{FadingSuzuki, &FadingParams{ShadowSigmaDB: 100.5}},
+		{FadingSuzuki, &FadingParams{ShadowSigmaDB: 1000}},
 		{FadingSuzuki, &FadingParams{ShadowSigmaDB: 4, ShadowCoherence: -1}},
 		{FadingNonstationaryDoppler, nil},
 		{FadingNonstationaryDoppler, &FadingParams{}},
@@ -48,6 +51,7 @@ func TestValidateFading(t *testing.T) {
 		{FadingNakagamiM, &FadingParams{M: 3}},
 		{FadingNakagamiM, &FadingParams{M: 50}},
 		{FadingSuzuki, &FadingParams{ShadowSigmaDB: 4.3}},
+		{FadingSuzuki, &FadingParams{ShadowSigmaDB: 100}},
 		{FadingNonstationaryDoppler, &FadingParams{Segments: []DopplerSegment{
 			{Blocks: 4, NormalizedDoppler: 0.02}, {Blocks: 4, NormalizedDoppler: 0.1},
 		}}},

@@ -55,16 +55,3 @@ func Cholesky(a *Matrix) (*Matrix, error) {
 	}
 	return l, nil
 }
-
-// LowerTriangularFromEigen reports whether a matrix is lower triangular within
-// tolerance. Tests use it to tell a Cholesky factor from an eigen coloring.
-func LowerTriangularFromEigen(m *Matrix, tol float64) bool {
-	for i := 0; i < m.rows; i++ {
-		for j := i + 1; j < m.cols; j++ {
-			if cmplx.Abs(m.At(i, j)) > tol {
-				return false
-			}
-		}
-	}
-	return true
-}

@@ -3,6 +3,7 @@ package cmplxmat
 import (
 	"errors"
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 )
@@ -12,7 +13,7 @@ func TestCholeskyIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Cholesky(I): %v", err)
 	}
-	if !EqualApprox(l, Identity(4), 1e-14) {
+	if !equalApprox(l, Identity(4), 1e-14) {
 		t.Errorf("Cholesky(I) != I")
 	}
 }
@@ -31,7 +32,7 @@ func TestCholeskyKnown(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Cholesky: %v", err)
 	}
-	if !EqualApprox(l, l0, 1e-12) {
+	if !equalApprox(l, l0, 1e-12) {
 		t.Errorf("Cholesky factor mismatch:\ngot\n%v\nwant\n%v", l, l0)
 	}
 }
@@ -54,14 +55,14 @@ func TestCholeskyReconstruction(t *testing.T) {
 		if d := FrobeniusDistance(rec, a); d > 1e-10*math.Max(FrobeniusNorm(a), 1) {
 			t.Errorf("n=%d L·Lᴴ differs from A by %.3e", n, d)
 		}
-		if !LowerTriangularFromEigen(l, 1e-14) {
+		if !lowerTriangular(l, 1e-14) {
 			t.Errorf("n=%d Cholesky factor is not lower triangular", n)
 		}
 	}
 }
 
 func TestCholeskyRejectsIndefinite(t *testing.T) {
-	indef := DiagReal([]float64{1, -1, 2})
+	indef := diagReal([]float64{1, -1, 2})
 	if _, err := Cholesky(indef); !errors.Is(err, ErrNotPositiveDefinite) {
 		t.Errorf("Cholesky(indefinite) error = %v, want ErrNotPositiveDefinite", err)
 	}
@@ -70,7 +71,7 @@ func TestCholeskyRejectsIndefinite(t *testing.T) {
 func TestCholeskyRejectsSemiDefinite(t *testing.T) {
 	// Rank-deficient PSD matrix: outer product of a single vector.
 	v := []complex128{1, 1i, 0.5}
-	a := OuterProduct(v, v)
+	a := outerProduct(v, v)
 	a.Hermitize()
 	if _, err := Cholesky(a); !errors.Is(err, ErrNotPositiveDefinite) {
 		t.Errorf("Cholesky(rank-1 PSD) error = %v, want ErrNotPositiveDefinite", err)
@@ -84,4 +85,16 @@ func TestCholeskyRejectsNonHermitianAndRectangular(t *testing.T) {
 	if _, err := Cholesky(New(2, 3)); !errors.Is(err, ErrDimension) {
 		t.Errorf("Cholesky(rectangular) error = %v, want ErrDimension", err)
 	}
+}
+
+// lowerTriangular reports whether m is lower triangular within tol.
+func lowerTriangular(m *Matrix, tol float64) bool {
+	for i := 0; i < m.rows; i++ {
+		for j := i + 1; j < m.cols; j++ {
+			if cmplx.Abs(m.At(i, j)) > tol {
+				return false
+			}
+		}
+	}
+	return true
 }

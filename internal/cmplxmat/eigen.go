@@ -186,12 +186,6 @@ func sortEigen(values []float64, vectors *Matrix) {
 	copy(vectors.data, perm.data)
 }
 
-// Reconstruct rebuilds V · diag(Values) · Vᴴ from the decomposition. It is
-// primarily used by tests and by consumers that clamp eigenvalues.
-func (e *Eigen) Reconstruct() *Matrix {
-	return ReconstructHermitian(e.Vectors, e.Values)
-}
-
 // ReconstructHermitian returns V · diag(values) · Vᴴ.
 func ReconstructHermitian(v *Matrix, values []float64) *Matrix {
 	n := v.rows
@@ -227,35 +221,4 @@ func EigenColoring(v *Matrix, values []float64) *Matrix {
 		}
 	}
 	return l
-}
-
-// MinEigenvalue returns the smallest eigenvalue of a Hermitian matrix. It is
-// a convenience for definiteness checks.
-func MinEigenvalue(a *Matrix) (float64, error) {
-	e, err := EigenHermitian(a)
-	if err != nil {
-		return 0, err
-	}
-	return e.Values[0], nil
-}
-
-// IsPositiveSemiDefinite reports whether the Hermitian matrix a has all
-// eigenvalues >= -tol (tol absorbs round-off in eigenvalues that are exactly
-// zero in exact arithmetic).
-func IsPositiveSemiDefinite(a *Matrix, tol float64) (bool, error) {
-	min, err := MinEigenvalue(a)
-	if err != nil {
-		return false, err
-	}
-	return min >= -tol, nil
-}
-
-// IsPositiveDefinite reports whether the Hermitian matrix a has all
-// eigenvalues > tol.
-func IsPositiveDefinite(a *Matrix, tol float64) (bool, error) {
-	min, err := MinEigenvalue(a)
-	if err != nil {
-		return false, err
-	}
-	return min > tol, nil
 }

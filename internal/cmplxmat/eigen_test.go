@@ -30,11 +30,11 @@ func randomPSD(rng *rand.Rand, n int) *Matrix {
 			a.Set(i, j, complex(rng.NormFloat64(), rng.NormFloat64()))
 		}
 	}
-	return Gram(a)
+	return gram(a)
 }
 
 func TestEigenHermitianDiagonal(t *testing.T) {
-	d := DiagReal([]float64{3, -1, 2})
+	d := diagReal([]float64{3, -1, 2})
 	e, err := EigenHermitian(d)
 	if err != nil {
 		t.Fatalf("EigenHermitian: %v", err)
@@ -70,7 +70,7 @@ func TestEigenHermitianReconstruction(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d EigenHermitian: %v", n, err)
 		}
-		rec := e.Reconstruct()
+		rec := ReconstructHermitian(e.Vectors, e.Values)
 		scale := math.Max(FrobeniusNorm(a), 1)
 		if d := FrobeniusDistance(rec, a); d > 1e-10*scale {
 			t.Errorf("n=%d reconstruction error %.3e too large", n, d)
@@ -86,7 +86,7 @@ func TestEigenHermitianOrthonormalVectors(t *testing.T) {
 		t.Fatalf("EigenHermitian: %v", err)
 	}
 	vhv := MustMul(ConjTranspose(e.Vectors), e.Vectors)
-	if !EqualApprox(vhv, Identity(10), 1e-10) {
+	if !equalApprox(vhv, Identity(10), 1e-10) {
 		t.Errorf("eigenvector matrix is not unitary: VᴴV deviates from I by %.3e",
 			FrobeniusDistance(vhv, Identity(10)))
 	}
@@ -117,8 +117,8 @@ func TestEigenHermitianTrace(t *testing.T) {
 	for _, v := range e.Values {
 		sum += v
 	}
-	if math.Abs(sum-real(Trace(a))) > 1e-9 {
-		t.Errorf("sum of eigenvalues %g != trace %g", sum, real(Trace(a)))
+	if math.Abs(sum-real(trace(a))) > 1e-9 {
+		t.Errorf("sum of eigenvalues %g != trace %g", sum, real(trace(a)))
 	}
 }
 
@@ -173,7 +173,7 @@ func TestEigenHermitianAtScaleWindowEdges(t *testing.T) {
 func TestEigenHermitianRepeatedEigenvalues(t *testing.T) {
 	// 3x3 matrix with a doubly degenerate eigenvalue: I + rank-one update.
 	v := []complex128{complex(1/math.Sqrt(2), 0), complex(0, 1/math.Sqrt(2)), 0}
-	update := OuterProduct(v, v)
+	update := outerProduct(v, v)
 	a, err := Add(Identity(3), Scale(2, update))
 	if err != nil {
 		t.Fatalf("Add: %v", err)
@@ -189,7 +189,7 @@ func TestEigenHermitianRepeatedEigenvalues(t *testing.T) {
 			t.Errorf("eigenvalue[%d] = %g, want %g", i, e.Values[i], w)
 		}
 	}
-	rec := e.Reconstruct()
+	rec := ReconstructHermitian(e.Vectors, e.Values)
 	if d := FrobeniusDistance(rec, a); d > 1e-10 {
 		t.Errorf("reconstruction error %.3e with repeated eigenvalues", d)
 	}
@@ -198,31 +198,31 @@ func TestEigenHermitianRepeatedEigenvalues(t *testing.T) {
 func TestMinEigenvalueAndDefiniteness(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	psd := randomPSD(rng, 5)
-	min, err := MinEigenvalue(psd)
+	min, err := minEigenvalue(psd)
 	if err != nil {
 		t.Fatalf("MinEigenvalue: %v", err)
 	}
 	if min < -1e-9 {
 		t.Errorf("PSD matrix has min eigenvalue %g", min)
 	}
-	ok, err := IsPositiveSemiDefinite(psd, 1e-9)
+	ok, err := isPositiveSemiDefinite(psd, 1e-9)
 	if err != nil || !ok {
-		t.Errorf("IsPositiveSemiDefinite(PSD) = %v, %v", ok, err)
+		t.Errorf("isPositiveSemiDefinite(PSD) = %v, %v", ok, err)
 	}
 
-	indef := DiagReal([]float64{1, -0.5, 2})
-	ok, err = IsPositiveSemiDefinite(indef, 1e-9)
+	indef := diagReal([]float64{1, -0.5, 2})
+	ok, err = isPositiveSemiDefinite(indef, 1e-9)
 	if err != nil {
 		t.Fatalf("IsPositiveSemiDefinite: %v", err)
 	}
 	if ok {
 		t.Errorf("indefinite matrix reported PSD")
 	}
-	pd, err := IsPositiveDefinite(Identity(3), 1e-12)
+	pd, err := isPositiveDefinite(Identity(3), 1e-12)
 	if err != nil || !pd {
-		t.Errorf("IsPositiveDefinite(I) = %v, %v", pd, err)
+		t.Errorf("isPositiveDefinite(I) = %v, %v", pd, err)
 	}
-	pd, err = IsPositiveDefinite(DiagReal([]float64{1, 0, 2}), 1e-12)
+	pd, err = isPositiveDefinite(diagReal([]float64{1, 0, 2}), 1e-12)
 	if err != nil {
 		t.Fatalf("IsPositiveDefinite: %v", err)
 	}
@@ -234,7 +234,7 @@ func TestMinEigenvalueAndDefiniteness(t *testing.T) {
 func TestReconstructHermitianSubset(t *testing.T) {
 	// Clamping negative eigenvalues to zero through ReconstructHermitian must
 	// produce a PSD matrix — this is the operation the core algorithm uses.
-	a := DiagReal([]float64{2, -1, 3})
+	a := diagReal([]float64{2, -1, 3})
 	e, err := EigenHermitian(a)
 	if err != nil {
 		t.Fatalf("EigenHermitian: %v", err)
@@ -246,12 +246,12 @@ func TestReconstructHermitianSubset(t *testing.T) {
 		}
 	}
 	rec := ReconstructHermitian(e.Vectors, clamped)
-	ok, err := IsPositiveSemiDefinite(rec, 1e-10)
+	ok, err := isPositiveSemiDefinite(rec, 1e-10)
 	if err != nil || !ok {
 		t.Errorf("clamped reconstruction not PSD: %v %v", ok, err)
 	}
 	if math.Abs(real(rec.At(0, 0))-2) > 1e-10 || math.Abs(real(rec.At(2, 2))-3) > 1e-10 {
-		t.Errorf("clamped reconstruction disturbed positive eigenvalues: %v", rec.DiagVals())
+		t.Errorf("clamped reconstruction disturbed positive eigenvalues: %v", diagVals(rec))
 	}
 }
 
@@ -265,8 +265,31 @@ func TestEigenLargeMatrixAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EigenHermitian(64): %v", err)
 	}
-	rec := e.Reconstruct()
+	rec := ReconstructHermitian(e.Vectors, e.Values)
 	if d := FrobeniusDistance(rec, a); d > 1e-9*FrobeniusNorm(a) {
 		t.Errorf("64x64 reconstruction error %.3e too large", d)
 	}
+}
+
+// minEigenvalue returns the smallest eigenvalue of a Hermitian matrix.
+func minEigenvalue(a *Matrix) (float64, error) {
+	e, err := EigenHermitian(a)
+	if err != nil {
+		return 0, err
+	}
+	return e.Values[0], nil
+}
+
+// isPositiveSemiDefinite reports whether the Hermitian matrix a has all
+// eigenvalues >= -tol.
+func isPositiveSemiDefinite(a *Matrix, tol float64) (bool, error) {
+	min, err := minEigenvalue(a)
+	return err == nil && min >= -tol, err
+}
+
+// isPositiveDefinite reports whether the Hermitian matrix a has all
+// eigenvalues > tol.
+func isPositiveDefinite(a *Matrix, tol float64) (bool, error) {
+	min, err := minEigenvalue(a)
+	return err == nil && min > tol, err
 }

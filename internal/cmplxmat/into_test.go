@@ -46,7 +46,7 @@ func TestColorBlockMatchesColumnwiseMulVec(t *testing.T) {
 			for i := 0; i < dims.n; i++ {
 				x[i] = w.At(i, col)
 			}
-			want := MustMulVec(l, x)
+			want := mustMulVec(l, x)
 			for i := 0; i < dims.n; i++ {
 				if z.At(i, col) != want[i] {
 					t.Fatalf("n=%d m=%d entry (%d,%d): %v vs %v", dims.n, dims.m, i, col, z.At(i, col), want[i])
@@ -122,7 +122,7 @@ func TestIntoKernelsDoNotAllocate(t *testing.T) {
 func TestViewSharesLeadingStorage(t *testing.T) {
 	data := make([]complex128, 12)
 	v := View(2, 5, data)
-	if r, c := v.Dims(); r != 2 || c != 5 {
+	if r, c := v.Rows(), v.Cols(); r != 2 || c != 5 {
 		t.Fatalf("View dims %dx%d, want 2x5", r, c)
 	}
 	v.Set(1, 4, 7)

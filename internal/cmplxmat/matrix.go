@@ -70,23 +70,11 @@ func MustFromRows(rows [][]complex128) *Matrix {
 	return m
 }
 
-// DiagReal returns a square diagonal matrix with real diagonal entries.
-func DiagReal(d []float64) *Matrix {
-	m := New(len(d), len(d))
-	for i, v := range d {
-		m.Set(i, i, complex(v, 0))
-	}
-	return m
-}
-
 // Rows returns the number of rows.
 func (m *Matrix) Rows() int { return m.rows }
 
 // Cols returns the number of columns.
 func (m *Matrix) Cols() int { return m.cols }
-
-// Dims returns the matrix dimensions (rows, cols).
-func (m *Matrix) Dims() (int, int) { return m.rows, m.cols }
 
 // IsSquare reports whether the matrix is square.
 func (m *Matrix) IsSquare() bool { return m.rows == m.cols }
@@ -126,17 +114,13 @@ func (m *Matrix) Row(i int) []complex128 {
 	return out
 }
 
-// DiagVals returns a copy of the main diagonal.
-func (m *Matrix) DiagVals() []complex128 {
-	n := m.rows
-	if m.cols < n {
-		n = m.cols
+// ToRows returns a copy of the matrix as row slices, the inverse of FromRows.
+func (m *Matrix) ToRows() [][]complex128 {
+	rows := make([][]complex128, m.rows)
+	for i := range rows {
+		rows[i] = m.Row(i)
 	}
-	out := make([]complex128, n)
-	for i := 0; i < n; i++ {
-		out[i] = m.At(i, i)
-	}
-	return out
+	return rows
 }
 
 // String renders the matrix with %g formatting, one row per line.
@@ -188,18 +172,4 @@ func (m *Matrix) Hermitize() {
 			m.Set(j, i, cmplx.Conj(avg))
 		}
 	}
-}
-
-// EqualApprox reports whether the two matrices have the same shape and all
-// entries differ by at most tol in absolute value.
-func EqualApprox(a, b *Matrix, tol float64) bool {
-	if a.rows != b.rows || a.cols != b.cols {
-		return false
-	}
-	for i := range a.data {
-		if cmplx.Abs(a.data[i]-b.data[i]) > tol {
-			return false
-		}
-	}
-	return true
 }

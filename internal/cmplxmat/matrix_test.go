@@ -2,13 +2,14 @@ package cmplxmat
 
 import (
 	"math"
+	"math/cmplx"
 	"strings"
 	"testing"
 )
 
 func TestNewDimensions(t *testing.T) {
 	m := New(3, 4)
-	if r, c := m.Dims(); r != 3 || c != 4 {
+	if r, c := m.Rows(), m.Cols(); r != 3 || c != 4 {
 		t.Fatalf("Dims() = (%d,%d), want (3,4)", r, c)
 	}
 	if m.IsSquare() {
@@ -104,12 +105,12 @@ func TestMustFromRowsPanics(t *testing.T) {
 }
 
 func TestDiag(t *testing.T) {
-	d := DiagReal([]float64{0.5, -2, 3})
+	d := diagReal([]float64{0.5, -2, 3})
 	if d.Rows() != 3 || d.Cols() != 3 {
 		t.Fatalf("DiagReal dims = %dx%d, want 3x3", d.Rows(), d.Cols())
 	}
 	if d.At(0, 0) != 0.5 || d.At(1, 1) != -2 || d.At(2, 2) != 3 {
-		t.Errorf("DiagReal wrong diagonal: %v", d.DiagVals())
+		t.Errorf("DiagReal wrong diagonal: %v", diagVals(d))
 	}
 	if d.At(0, 1) != 0 || d.At(2, 0) != 0 {
 		t.Errorf("DiagReal off-diagonal not zero")
@@ -136,7 +137,7 @@ func TestRowDiagVals(t *testing.T) {
 	if m.At(1, 0) != 4 {
 		t.Errorf("Row returned aliased storage")
 	}
-	d := m.DiagVals()
+	d := diagVals(m)
 	if len(d) != 2 || d[0] != 1 || d[1] != 5 {
 		t.Errorf("DiagVals = %v", d)
 	}
@@ -201,14 +202,14 @@ func TestHermitizePanicsOnRectangular(t *testing.T) {
 func TestEqualApprox(t *testing.T) {
 	a := MustFromRows([][]complex128{{1, 2}, {3, 4}})
 	b := MustFromRows([][]complex128{{1 + 1e-12, 2}, {3, 4}})
-	if !EqualApprox(a, b, 1e-9) {
+	if !equalApprox(a, b, 1e-9) {
 		t.Errorf("EqualApprox rejected nearly equal matrices")
 	}
-	if EqualApprox(a, b, 1e-15) {
+	if equalApprox(a, b, 1e-15) {
 		t.Errorf("EqualApprox accepted matrices beyond tolerance")
 	}
 	c := New(2, 3)
-	if EqualApprox(a, c, 1) {
+	if equalApprox(a, c, 1) {
 		t.Errorf("EqualApprox accepted different shapes")
 	}
 }
@@ -219,4 +220,36 @@ func TestStringContainsEntries(t *testing.T) {
 	if !strings.Contains(s, "1.5") || !strings.Contains(s, "0.5") {
 		t.Errorf("String() = %q does not mention entries", s)
 	}
+}
+
+// diagReal returns a square diagonal matrix with real diagonal entries.
+func diagReal(d []float64) *Matrix {
+	m := New(len(d), len(d))
+	for i, v := range d {
+		m.Set(i, i, complex(v, 0))
+	}
+	return m
+}
+
+// diagVals returns a copy of the main diagonal.
+func diagVals(m *Matrix) []complex128 {
+	out := make([]complex128, min(m.rows, m.cols))
+	for i := range out {
+		out[i] = m.At(i, i)
+	}
+	return out
+}
+
+// equalApprox reports whether the two matrices have the same shape and all
+// entries differ by at most tol in absolute value.
+func equalApprox(a, b *Matrix, tol float64) bool {
+	if a.rows != b.rows || a.cols != b.cols {
+		return false
+	}
+	for i := range a.data {
+		if cmplx.Abs(a.data[i]-b.data[i]) > tol {
+			return false
+		}
+	}
+	return true
 }

@@ -69,81 +69,12 @@ func MustMul(a, b *Matrix) *Matrix {
 	return out
 }
 
-// MulVec returns the matrix-vector product a * x.
-func MulVec(a *Matrix, x []complex128) ([]complex128, error) {
-	if a.cols != len(x) {
-		return nil, fmt.Errorf("cmplxmat: MulVec %dx%d with vector of length %d: %w", a.rows, a.cols, len(x), ErrDimension)
-	}
-	out := make([]complex128, a.rows)
-	for i := 0; i < a.rows; i++ {
-		var sum complex128
-		row := a.data[i*a.cols : (i+1)*a.cols]
-		for j, v := range row {
-			sum += v * x[j]
-		}
-		out[i] = sum
-	}
-	return out, nil
-}
-
-// MustMulVec is MulVec but panics on dimension mismatch.
-func MustMulVec(a *Matrix, x []complex128) []complex128 {
-	out, err := MulVec(a, x)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
 // ConjTranspose returns the Hermitian (conjugate) transpose Aᴴ.
 func ConjTranspose(a *Matrix) *Matrix {
 	out := New(a.cols, a.rows)
 	for i := 0; i < a.rows; i++ {
 		for j := 0; j < a.cols; j++ {
 			out.Set(j, i, cmplx.Conj(a.At(i, j)))
-		}
-	}
-	return out
-}
-
-// Trace returns the sum of the diagonal entries of a square matrix.
-func Trace(a *Matrix) complex128 {
-	if !a.IsSquare() {
-		panic("cmplxmat: Trace of non-square matrix")
-	}
-	var t complex128
-	for i := 0; i < a.rows; i++ {
-		t += a.At(i, i)
-	}
-	return t
-}
-
-// OuterProduct returns the rank-one matrix x * yᴴ.
-func OuterProduct(x, y []complex128) *Matrix {
-	out := New(len(x), len(y))
-	for i, xv := range x {
-		for j, yv := range y {
-			out.Set(i, j, xv*cmplx.Conj(yv))
-		}
-	}
-	return out
-}
-
-// Gram returns A * Aᴴ, which is Hermitian positive semi-definite for any A.
-func Gram(a *Matrix) *Matrix {
-	out := New(a.rows, a.rows)
-	for i := 0; i < a.rows; i++ {
-		for j := i; j < a.rows; j++ {
-			var s complex128
-			for k := 0; k < a.cols; k++ {
-				s += a.At(i, k) * cmplx.Conj(a.At(j, k))
-			}
-			out.Set(i, j, s)
-			if i != j {
-				out.Set(j, i, cmplx.Conj(s))
-			} else {
-				out.Set(i, i, complex(real(s), 0))
-			}
 		}
 	}
 	return out

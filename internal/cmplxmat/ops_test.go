@@ -1,7 +1,9 @@
 package cmplxmat
 
 import (
+	"fmt"
 	"math"
+	"math/cmplx"
 	"testing"
 )
 
@@ -55,7 +57,7 @@ func TestMul(t *testing.T) {
 		{2, 1},
 		{4, 3},
 	})
-	if !EqualApprox(p, want, 0) {
+	if !equalApprox(p, want, 0) {
 		t.Errorf("Mul = %v, want %v", p, want)
 	}
 
@@ -73,7 +75,7 @@ func TestMulIdentity(t *testing.T) {
 	id := Identity(3)
 	left := MustMul(id, a)
 	right := MustMul(a, id)
-	if !EqualApprox(left, a, 1e-15) || !EqualApprox(right, a, 1e-15) {
+	if !equalApprox(left, a, 1e-15) || !equalApprox(right, a, 1e-15) {
 		t.Errorf("identity multiplication changed the matrix")
 	}
 }
@@ -84,11 +86,11 @@ func TestMulVec(t *testing.T) {
 		{3i, 0},
 	})
 	x := []complex128{1, 1i}
-	y := MustMulVec(a, x)
+	y := mustMulVec(a, x)
 	if y[0] != 1+2i || y[1] != 3i {
 		t.Errorf("MulVec = %v", y)
 	}
-	if _, err := MulVec(a, []complex128{1}); err == nil {
+	if _, err := mulVec(a, []complex128{1}); err == nil {
 		t.Errorf("MulVec with wrong length did not error")
 	}
 }
@@ -113,7 +115,7 @@ func TestTrace(t *testing.T) {
 		{1, 9},
 		{9, 2 + 3i},
 	})
-	if got := Trace(a); got != 3+3i {
+	if got := trace(a); got != 3+3i {
 		t.Errorf("Trace = %v, want (3+3i)", got)
 	}
 	defer func() {
@@ -121,13 +123,13 @@ func TestTrace(t *testing.T) {
 			t.Errorf("Trace of rectangular matrix did not panic")
 		}
 	}()
-	Trace(New(2, 3))
+	trace(New(2, 3))
 }
 
 func TestOuterProduct(t *testing.T) {
 	x := []complex128{1, 2i}
 	y := []complex128{1 + 1i, 3}
-	op := OuterProduct(x, y)
+	op := outerProduct(x, y)
 	// op[i][j] = x[i]*conj(y[j])
 	if op.At(0, 0) != 1*(1-1i) || op.At(1, 1) != 2i*3 {
 		t.Errorf("OuterProduct wrong: %v", op)
@@ -139,11 +141,11 @@ func TestGramIsHermitianPSD(t *testing.T) {
 		{1 + 2i, 0.5, -1},
 		{0, 3i, 2 - 1i},
 	})
-	g := Gram(a)
+	g := gram(a)
 	if !g.IsHermitian(1e-12) {
 		t.Fatalf("Gram matrix is not Hermitian")
 	}
-	ok, err := IsPositiveSemiDefinite(g, 1e-10)
+	ok, err := isPositiveSemiDefinite(g, 1e-10)
 	if err != nil {
 		t.Fatalf("IsPositiveSemiDefinite: %v", err)
 	}
@@ -152,7 +154,7 @@ func TestGramIsHermitianPSD(t *testing.T) {
 	}
 	// Gram must equal A·Aᴴ.
 	want := MustMul(a, ConjTranspose(a))
-	if !EqualApprox(g, want, 1e-12) {
+	if !equalApprox(g, want, 1e-12) {
 		t.Errorf("Gram != A·Aᴴ")
 	}
 }
@@ -178,4 +180,67 @@ func TestNorms(t *testing.T) {
 	if got := FrobeniusDistance(a, b); math.Abs(got-4) > 1e-12 {
 		t.Errorf("FrobeniusDistance = %g, want 4", got)
 	}
+}
+
+// mulVec returns the matrix-vector product a * x.
+func mulVec(a *Matrix, x []complex128) ([]complex128, error) {
+	if a.cols != len(x) {
+		return nil, fmt.Errorf("cmplxmat: mulVec %dx%d with vector of length %d: %w", a.rows, a.cols, len(x), ErrDimension)
+	}
+	out := make([]complex128, a.rows)
+	for i := range out {
+		for j, v := range a.data[i*a.cols : (i+1)*a.cols] {
+			out[i] += v * x[j]
+		}
+	}
+	return out, nil
+}
+
+// mustMulVec is mulVec but panics on dimension mismatch.
+func mustMulVec(a *Matrix, x []complex128) []complex128 {
+	out, err := mulVec(a, x)
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
+// trace returns the sum of the diagonal entries of a square matrix.
+func trace(a *Matrix) complex128 {
+	if !a.IsSquare() {
+		panic("cmplxmat: trace of non-square matrix")
+	}
+	var t complex128
+	for i := 0; i < a.rows; i++ {
+		t += a.At(i, i)
+	}
+	return t
+}
+
+// outerProduct returns the rank-one matrix x * yᴴ.
+func outerProduct(x, y []complex128) *Matrix {
+	out := New(len(x), len(y))
+	for i, xv := range x {
+		for j, yv := range y {
+			out.Set(i, j, xv*cmplx.Conj(yv))
+		}
+	}
+	return out
+}
+
+// gram returns A * Aᴴ, which is Hermitian positive semi-definite for any A.
+func gram(a *Matrix) *Matrix {
+	out := New(a.rows, a.rows)
+	for i := 0; i < a.rows; i++ {
+		for j := i; j < a.rows; j++ {
+			var s complex128
+			for k := 0; k < a.cols; k++ {
+				s += a.At(i, k) * cmplx.Conj(a.At(j, k))
+			}
+			out.Set(i, j, s)
+			out.Set(j, i, cmplx.Conj(s))
+		}
+		out.Set(i, i, complex(real(out.At(i, i)), 0))
+	}
+	return out
 }

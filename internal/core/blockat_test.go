@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
@@ -25,20 +26,17 @@ func newBlockAtGenerator(t testing.TB, m int, seed int64, tr fading.Transform) *
 }
 
 // TestGenerateBlockAtMatchesBlocksInto pins the one-sequence contract: block
-// i is the same from GenerateBlocksAt at any worker count, for any split of
-// the range into calls and any interleaving with single GenerateBlockAt
-// calls, and GenerateBlockAt reproduces it in isolation.
+// i is the same from a fill by any number of goroutines (each with its own
+// scratch), for any split of the range into calls and any interleaving with
+// single GenerateBlockAt calls, and GenerateBlockAt reproduces it in
+// isolation.
 func TestGenerateBlockAtMatchesBlocksInto(t *testing.T) {
 	const blocks = 7
 	blocksInto := func(workers int) func(*testing.T, *RealTimeGenerator, []*Block) {
 		return func(t *testing.T, g *RealTimeGenerator, dst []*Block) {
 			// Two calls: the second resumes where the first stopped.
-			if err := g.GenerateBlocksAt(0, dst[:3], workers); err != nil {
-				t.Fatalf("GenerateBlocksAt(first): %v", err)
-			}
-			if err := g.GenerateBlocksAt(3, dst[3:], workers); err != nil {
-				t.Fatalf("GenerateBlocksAt(second): %v", err)
-			}
+			copy(dst, blocksAt(t, g, 0, 3, workers))
+			copy(dst[3:], blocksAt(t, g, 3, blocks-3, workers))
 		}
 	}
 	sources := []struct {
@@ -52,15 +50,11 @@ func TestGenerateBlockAtMatchesBlocksInto(t *testing.T) {
 			if err := g.GenerateBlockAt(0, dst[0], s); err != nil {
 				t.Fatalf("GenerateBlockAt: %v", err)
 			}
-			if err := g.GenerateBlocksAt(1, dst[1:4], 2); err != nil {
-				t.Fatalf("GenerateBlocksAt: %v", err)
-			}
+			copy(dst[1:], blocksAt(t, g, 1, 3, 2))
 			if err := g.GenerateBlockAt(4, dst[4], s); err != nil {
 				t.Fatalf("GenerateBlockAt: %v", err)
 			}
-			if err := g.GenerateBlocksAt(5, dst[5:], 1); err != nil {
-				t.Fatalf("GenerateBlocksAt: %v", err)
-			}
+			copy(dst[5:], blocksAt(t, g, 5, blocks-5, 1))
 		}},
 	}
 	for _, src := range sources {
@@ -160,15 +154,27 @@ func TestGenerateBlockAtNoAllocs(t *testing.T) {
 }
 
 // blocksAt returns blocks first..first+count-1 of g, filled by workers
-// goroutines.
+// goroutines, each with its own scratch and taking every workers-th block.
 func blocksAt(t testing.TB, g *RealTimeGenerator, first uint64, count, workers int) []*Block {
 	t.Helper()
 	dst := make([]*Block, count)
-	for i := range dst {
-		dst[i] = NewBlock(g.N(), g.BlockLength())
+	workers = max(1, min(workers, count))
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := g.NewBlockScratch()
+			for i := w; i < count && errs[w] == nil; i += workers {
+				dst[i] = NewBlock(g.N(), g.BlockLength())
+				errs[w] = g.GenerateBlockAt(first+uint64(i), dst[i], s)
+			}
+		}()
 	}
-	if err := g.GenerateBlocksAt(first, dst, workers); err != nil {
-		t.Fatalf("GenerateBlocksAt(%d, %d blocks, %d workers): %v", first, count, workers, err)
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatalf("blocksAt(%d, %d blocks, %d workers): %v", first, count, workers, err)
 	}
 	return dst
 }

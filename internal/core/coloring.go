@@ -37,13 +37,6 @@ func coloringFor(k, override *cmplxmat.Matrix) (*cmplxmat.Matrix, *ForcedPSD, er
 	return override, nil, nil
 }
 
-// VerifyColoring returns ‖L·Lᴴ − K̄‖_F, the defect of the coloring matrix
-// against the forced covariance. Tests use it as the reconstruction oracle;
-// a correct decomposition keeps it at round-off level.
-func VerifyColoring(l *cmplxmat.Matrix, f *ForcedPSD) float64 {
-	return cmplxmat.FrobeniusDistance(cmplxmat.MustMul(l, cmplxmat.ConjTranspose(l)), f.Forced)
-}
-
 // ScaleColoring divides the coloring matrix by σ_g, producing the matrix that
 // multiplies the raw Gaussian vector W in step 7 (Z = L·W/σ_g). σ²_g is the
 // variance of the entries of W — unity-free in the snapshot mode where the

@@ -260,13 +260,3 @@ func TestGenerateBlocksIntoWorkerCountInvariance(t *testing.T) {
 		}
 	}
 }
-
-func TestGenerateBlocksIntoValidation(t *testing.T) {
-	g := newTestRealTimeGenerator(t, 419, 512)
-	if err := g.GenerateBlocksAt(0, nil, 1); !errors.Is(err, ErrBadInput) {
-		t.Errorf("empty dst: err = %v", err)
-	}
-	if err := g.GenerateBlocksAt(0, make([]*Block, 2), 1); !errors.Is(err, ErrBadInput) {
-		t.Errorf("nil entries: err = %v", err)
-	}
-}

@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/chanspec"
 	"repro/internal/cmplxmat"
@@ -38,11 +36,10 @@ type RealTimeConfig struct {
 	// the coloring step with σ²_g = 1 regardless of the true Doppler filter
 	// gain. This reproduces the defect of the method in [6] that Section 5
 	// identifies, so the harness can quantify the resulting covariance bias
-	// (the sorooshyari_daut backend sets it). Production use of the
-	// generalized method should leave it false.
+	// (rayleigh.NewStream sets it for the sorooshyari_daut method only).
 	AssumeUnitVariance bool
 	// Coloring overrides the coloring matrix applied to the Doppler panel
-	// (see SnapshotConfig.Coloring): the backend registry threads the
+	// (see SnapshotConfig.Coloring): rayleigh.NewStream threads the
 	// conventional methods' colorings through here, so baseline-backed
 	// real-time streams reuse the whole block engine, including random
 	// access and worker-count invariance.
@@ -345,52 +342,4 @@ func (g *RealTimeGenerator) fillBlock(index uint64, b *Block, s *BlockScratch) {
 		}
 		dsp.Envelope(ej, gj)
 	}
-}
-
-// GenerateBlocksAt fills dst[i] with block first+i. workers > 1 fans the
-// blocks across that many goroutines; every goroutine gets a workspace built
-// for this call, so the call shares nothing with other calls. Since every
-// block is GenerateBlockAt of its index, the output is bit-identical for
-// every worker count and for every split of a range into calls. Entries of
-// dst must be non-nil; their storage is reused when already shaped. A caller
-// that fills one block at a time should keep a BlockScratch and call
-// GenerateBlockAt, which allocates nothing.
-func (g *RealTimeGenerator) GenerateBlocksAt(first uint64, dst []*Block, workers int) error {
-	if len(dst) == 0 {
-		return fmt.Errorf("core: empty block destination: %w", ErrBadInput)
-	}
-	for i, b := range dst {
-		if b == nil {
-			return fmt.Errorf("core: nil destination block %d: %w", i, ErrBadInput)
-		}
-	}
-	scratches := make([]*BlockScratch, max(1, min(workers, len(dst))))
-	for w := range scratches {
-		scratches[w] = g.NewBlockScratch()
-	}
-	// Blocks and scratches are non-nil, so GenerateBlockAt cannot fail.
-	if len(scratches) == 1 {
-		for i, b := range dst {
-			_ = g.GenerateBlockAt(first+uint64(i), b, scratches[0])
-		}
-		return nil
-	}
-	var wg sync.WaitGroup
-	var next atomic.Int64
-	next.Store(-1)
-	wg.Add(len(scratches))
-	for _, s := range scratches {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= len(dst) {
-					return
-				}
-				_ = g.GenerateBlockAt(first+uint64(i), dst[i], s)
-			}
-		}()
-	}
-	wg.Wait()
-	return nil
 }

@@ -38,8 +38,8 @@ type SnapshotConfig struct {
 	Seed int64
 	// Coloring overrides the coloring matrix: when non-nil, this N×N matrix L
 	// is used in step 7 instead of the paper's eigen construction (the caller
-	// guarantees L·Lᴴ equals the covariance it intends to achieve). The
-	// backend registry sets it to run the conventional methods' colorings
+	// guarantees L·Lᴴ equals the covariance it intends to achieve).
+	// rayleigh.New sets it to run the conventional methods' colorings
 	// through this engine. No positive semi-definiteness forcing is applied
 	// to Covariance then, so Diagnostics returns nil.
 	Coloring *cmplxmat.Matrix

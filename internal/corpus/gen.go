@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/backend"
+	rayleigh "repro"
 	"repro/internal/chanspec"
 	"repro/internal/core"
 	"repro/internal/randx"
@@ -126,12 +126,13 @@ func drawValid(p *Plan, rng *randx.RNG, idx int) *ValidEntry {
 	if err != nil {
 		return nil
 	}
-	// Probe method acceptance on the drawn covariance: each backend's
-	// documented rejections (unequal powers, N ≠ 2, complex correlation,
-	// non-PSD targets under Cholesky) discard the combination instead of
-	// producing a spec that cannot run. Every mode colors with the method's
-	// coloring matrix, so one probe serves all of them.
-	if _, _, err := backend.Coloring(method, target); err != nil {
+	// Probe method acceptance on the drawn covariance through the public
+	// constructor: each method's documented rejections (unequal powers,
+	// N ≠ 2, complex correlation, non-PSD targets under Cholesky) discard the
+	// combination instead of producing a spec that cannot run. Every mode
+	// colors with the method's coloring matrix, so one probe serves all of
+	// them.
+	if _, err := rayleigh.New(rayleigh.Config{Covariance: target.ToRows(), Method: method}); err != nil {
 		return nil
 	}
 

@@ -88,21 +88,3 @@ func BuildCovariance(model PairModel, gaussianPowers []float64) (*cmplxmat.Matri
 	k.Hermitize()
 	return k, nil
 }
-
-// UncorrelatedModel describes N mutually independent processes: every
-// cross-covariance is zero. Useful as a degenerate baseline in tests and for
-// generating i.i.d. branches through the same pipeline.
-type UncorrelatedModel struct {
-	N int
-}
-
-// Size implements PairModel.
-func (m UncorrelatedModel) Size() int { return m.N }
-
-// Pair implements PairModel.
-func (m UncorrelatedModel) Pair(k, j int) (CrossCovariance, error) {
-	if k < 0 || k >= m.N || j < 0 || j >= m.N {
-		return CrossCovariance{}, fmt.Errorf("corrmodel: pair (%d,%d) out of range for size %d: %w", k, j, m.N, ErrBadParameter)
-	}
-	return CrossCovariance{}, nil
-}

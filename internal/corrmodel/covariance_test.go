@@ -1,6 +1,7 @@
 package corrmodel
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"testing"
@@ -17,7 +18,7 @@ func TestGaussianEntryFormula(t *testing.T) {
 }
 
 func TestBuildCovarianceDiagonalAndHermitian(t *testing.T) {
-	model := UncorrelatedModel{N: 4}
+	model := uncorrelatedModel{N: 4}
 	powers := []float64{1, 2, 0.5, 3}
 	k, err := BuildCovariance(model, powers)
 	if err != nil {
@@ -41,20 +42,20 @@ func TestBuildCovarianceDiagonalAndHermitian(t *testing.T) {
 }
 
 func TestBuildCovarianceErrors(t *testing.T) {
-	model := UncorrelatedModel{N: 3}
+	model := uncorrelatedModel{N: 3}
 	if _, err := BuildCovariance(model, []float64{1, 2}); err == nil {
 		t.Errorf("power-count mismatch did not error")
 	}
 	if _, err := BuildCovariance(model, []float64{1, -1, 2}); err == nil {
 		t.Errorf("negative power did not error")
 	}
-	if _, err := BuildCovariance(UncorrelatedModel{N: 0}, nil); err == nil {
+	if _, err := BuildCovariance(uncorrelatedModel{N: 0}, nil); err == nil {
 		t.Errorf("zero-size model did not error")
 	}
 }
 
 func TestUncorrelatedModelOutOfRange(t *testing.T) {
-	m := UncorrelatedModel{N: 2}
+	m := uncorrelatedModel{N: 2}
 	if _, err := m.Pair(2, 0); err == nil {
 		t.Errorf("out-of-range Pair did not error")
 	}
@@ -124,4 +125,21 @@ func TestPropertySpatialCovarianceHermitian(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+}
+
+// uncorrelatedModel describes N mutually independent processes: every
+// cross-covariance is zero, the degenerate baseline of BuildCovariance.
+type uncorrelatedModel struct {
+	N int
+}
+
+// Size implements PairModel.
+func (m uncorrelatedModel) Size() int { return m.N }
+
+// Pair implements PairModel.
+func (m uncorrelatedModel) Pair(k, j int) (CrossCovariance, error) {
+	if k < 0 || k >= m.N || j < 0 || j >= m.N {
+		return CrossCovariance{}, fmt.Errorf("corrmodel: pair (%d,%d) out of range for size %d: %w", k, j, m.N, ErrBadParameter)
+	}
+	return CrossCovariance{}, nil
 }

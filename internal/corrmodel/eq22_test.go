@@ -18,7 +18,7 @@ func TestSpectralCovarianceReproducesEq22(t *testing.T) {
 	}
 	want := chanspec.Eq22Covariance()
 	// The paper prints four decimal places; allow for its rounding.
-	if !cmplxmat.EqualApprox(res.Matrix, want, 6e-4) {
+	if d, err := cmplxmat.Sub(res.Matrix, want); err != nil || cmplxmat.MaxAbs(d) > 6e-4 {
 		t.Errorf("spectral covariance does not reproduce Eq. (22):\ngot\n%v\nwant\n%v", res.Matrix, want)
 	}
 }

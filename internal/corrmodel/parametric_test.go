@@ -23,9 +23,8 @@ func TestExponentialModelCovariance(t *testing.T) {
 		}
 	}
 	// Exponential correlation matrices are always positive definite.
-	pd, err := cmplxmat.IsPositiveDefinite(res.Matrix, 1e-10)
-	if err != nil || !pd {
-		t.Errorf("exponential covariance not positive definite: %v %v", pd, err)
+	if e, err := cmplxmat.EigenHermitian(res.Matrix); err != nil || e.Values[0] <= 1e-10 {
+		t.Errorf("exponential covariance not positive definite: %v %v", e, err)
 	}
 }
 
@@ -45,8 +44,7 @@ func TestExponentialModelWithPhase(t *testing.T) {
 		t.Errorf("phased exponential covariance not Hermitian")
 	}
 	// It remains positive definite for |ρ| < 1 regardless of the phase.
-	pd, err := cmplxmat.IsPositiveDefinite(res.Matrix, 1e-10)
-	if err != nil || !pd {
+	if e, err := cmplxmat.EigenHermitian(res.Matrix); err != nil || e.Values[0] <= 1e-10 {
 		t.Errorf("phased exponential covariance not positive definite")
 	}
 }
@@ -103,11 +101,11 @@ func TestConstantModelIndefiniteRegime(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Covariance: %v", err)
 		}
-		min, err := cmplxmat.MinEigenvalue(res.Matrix)
+		e, err := cmplxmat.EigenHermitian(res.Matrix)
 		if err != nil {
-			t.Fatalf("MinEigenvalue: %v", err)
+			t.Fatalf("EigenHermitian: %v", err)
 		}
-		if got := min < 0; got != tc.indefinite {
+		if min := e.Values[0]; (min < 0) != tc.indefinite {
 			t.Errorf("N=%d ρ=%g: min eigenvalue %g, want indefinite=%v", tc.m.N, tc.m.Rho, min, tc.indefinite)
 		}
 	}

@@ -5,7 +5,7 @@ import "testing"
 func TestFillComplexNormalMatchesComplexNormalVector(t *testing.T) {
 	a := New(277)
 	b := New(277)
-	want := a.ComplexNormalVector(50, 1.7)
+	want := a.complexNormalVector(50, 1.7)
 	got := make([]complex128, 50)
 	b.FillComplexNormal(got, 1.7)
 	for i := range want {

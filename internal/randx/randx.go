@@ -123,24 +123,10 @@ func (r *RNG) FillNormal(dst []float64, sigma2 float64) {
 	}
 }
 
-// ComplexNormal returns a zero-mean circularly-symmetric complex Gaussian
-// sample with total variance sigma2 (that is, variance sigma2/2 per real and
+// FillComplexNormal fills dst with independent zero-mean circularly-symmetric
+// complex Gaussian samples of total variance sigma2 (sigma2/2 per real and
 // imaginary dimension), the CN(0, sigma2) convention used throughout the
-// paper.
-func (r *RNG) ComplexNormal(sigma2 float64) complex128 {
-	std := math.Sqrt(sigma2 / 2)
-	return complex(std*r.sm.normFloat64(), std*r.sm.normFloat64())
-}
-
-// ComplexNormalVector returns n independent CN(0, sigma2) samples.
-func (r *RNG) ComplexNormalVector(n int, sigma2 float64) []complex128 {
-	out := make([]complex128, n)
-	r.FillComplexNormal(out, sigma2)
-	return out
-}
-
-// FillComplexNormal fills dst with independent CN(0, sigma2) samples, drawing
-// exactly the same sequence as ComplexNormalVector but without allocating.
+// paper, without allocating.
 //
 // fadinglint:allocfree
 func (r *RNG) FillComplexNormal(dst []complex128, sigma2 float64) {
@@ -157,13 +143,4 @@ func (r *RNG) Rayleigh(sigma float64) float64 {
 	// Inverse-CDF sampling: F(x) = 1 − exp(−x²/(2σ²)).
 	u := r.src.Float64()
 	return sigma * math.Sqrt(-2*math.Log(1-u))
-}
-
-// RayleighVector returns n independent Rayleigh samples with scale sigma.
-func (r *RNG) RayleighVector(n int, sigma float64) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = r.Rayleigh(sigma)
-	}
-	return out
 }

@@ -76,7 +76,7 @@ func TestComplexNormalVariance(t *testing.T) {
 	const sigma2 = 2.5
 	var power, meanRe, meanIm, reVar, imVar float64
 	for i := 0; i < n; i++ {
-		z := rng.ComplexNormal(sigma2)
+		z := rng.complexNormal(sigma2)
 		power += real(z)*real(z) + imag(z)*imag(z)
 		meanRe += real(z)
 		meanIm += imag(z)
@@ -98,7 +98,7 @@ func TestComplexNormalVariance(t *testing.T) {
 
 func TestComplexNormalVector(t *testing.T) {
 	rng := New(4)
-	v := rng.ComplexNormalVector(50000, 1)
+	v := rng.complexNormalVector(50000, 1)
 	if len(v) != 50000 {
 		t.Fatalf("ComplexNormalVector length = %d", len(v))
 	}
@@ -139,7 +139,7 @@ func TestRayleighMoments(t *testing.T) {
 
 func TestRayleighVectorLengthAndPositivity(t *testing.T) {
 	rng := New(6)
-	v := rng.RayleighVector(1000, 0.5)
+	v := rng.rayleighVector(1000, 0.5)
 	if len(v) != 1000 {
 		t.Fatalf("RayleighVector length = %d", len(v))
 	}
@@ -173,4 +173,29 @@ func TestPropertyRayleighQuantileMonotone(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
+}
+
+// complexNormal returns one CN(0, sigma2) sample: the per-sample reference
+// of FillComplexNormal.
+func (r *RNG) complexNormal(sigma2 float64) complex128 {
+	std := math.Sqrt(sigma2 / 2)
+	return complex(std*r.sm.normFloat64(), std*r.sm.normFloat64())
+}
+
+// complexNormalVector returns n independent CN(0, sigma2) samples.
+func (r *RNG) complexNormalVector(n int, sigma2 float64) []complex128 {
+	out := make([]complex128, n)
+	for i := range out {
+		out[i] = r.complexNormal(sigma2)
+	}
+	return out
+}
+
+// rayleighVector returns n independent Rayleigh samples with scale sigma.
+func (r *RNG) rayleighVector(n int, sigma float64) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = r.Rayleigh(sigma)
+	}
+	return out
 }

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/backend"
+	rayleigh "repro"
 	"repro/internal/baseline"
 	"repro/internal/chanspec"
 	"repro/internal/cmplxmat"
@@ -330,14 +330,14 @@ func evalComparison(a *AssertionSpec, data *runData) ([]Check, error) {
 			want = OutcomeOK
 		}
 		outcome := MethodOutcome{Method: method}
-		gen, err := backend.New(method, chanspec.FadingRayleigh, nil, data.target, spec.Seed)
+		gen, err := newGenerator(data, method, spec.Generation.Workers)
 		switch {
 		case err == nil:
 			outcome.Outcome = OutcomeOK
-		case errors.Is(err, baseline.ErrUnsupported):
+		case errors.Is(err, rayleigh.ErrMethodUnsupported):
 			outcome.Outcome = OutcomeUnsupported
 			outcome.Err = err.Error()
-		case errors.Is(err, baseline.ErrSetupFailed):
+		case errors.Is(err, rayleigh.ErrMethodSetup):
 			outcome.Outcome = OutcomeSetupFailed
 			outcome.Err = err.Error()
 		default:
@@ -380,10 +380,10 @@ func evalComparison(a *AssertionSpec, data *runData) ([]Check, error) {
 // measureMethod generates the spec's draw count through the method's batched
 // path and fills the outcome's covariance and envelope-moment measurements
 // (envelope 0, against the target's desired power).
-func measureMethod(gen *core.SnapshotGenerator, data *runData, outcome *MethodOutcome) error {
+func measureMethod(gen *rayleigh.Generator, data *runData, outcome *MethodOutcome) error {
 	draws := data.spec.Generation.Draws
-	batch := make([]core.Snapshot, draws)
-	if err := gen.GenerateBatchInto(batch, data.spec.Generation.Workers); err != nil {
+	batch := make([]rayleigh.Snapshot, draws)
+	if err := gen.SnapshotsInto(batch); err != nil {
 		return err
 	}
 	samples := make([][]complex128, draws)
@@ -451,43 +451,49 @@ func evalIntoIdentity(a *AssertionSpec, data *runData) ([]Check, error) {
 	case ModeSnapshot, ModeBatched:
 		units := identityUnits(a, spec.Generation.Draws, 256)
 		n := data.target.Rows()
-		gaussian := make([]complex128, n)
-		env := make([]float64, n)
-		alloc, err := backend.New(spec.Generation.Method, spec.Model.Fading, spec.Model.Params, data.target, spec.Seed)
+		into := []rayleigh.Snapshot{{Gaussian: make([]complex128, n), Envelopes: make([]float64, n)}}
+		alloc, err := newGenerator(data, spec.Generation.Method, 0)
 		if err != nil {
 			return nil, err
 		}
-		into, err := backend.New(spec.Generation.Method, spec.Model.Fading, spec.Model.Params, data.target, spec.Seed)
+		reuse, err := newGenerator(data, spec.Generation.Method, 0)
 		if err != nil {
 			return nil, err
 		}
 		for i := 0; i < units; i++ {
-			s := alloc.Generate()
-			if err := into.GenerateInto(gaussian, env); err != nil {
+			s := alloc.Snapshot()
+			if err := reuse.SnapshotsInto(into); err != nil {
 				return nil, err
 			}
 			for j := 0; j < n; j++ {
-				if s.Gaussian[j] != gaussian[j] || s.Envelopes[j] != env[j] {
+				if s.Gaussian[j] != into[0].Gaussian[j] || s.Envelopes[j] != into[0].Envelopes[j] {
 					mismatches++
 				}
 			}
 		}
 	case ModeRealtime:
 		units := identityUnits(a, spec.Generation.Blocks, 2)
-		gen, err := newRealtimeGenerator(spec, data.target)
+		stream, err := newStream(data)
 		if err != nil {
 			return nil, err
 		}
 		// One twin fills a fresh Block per unit, the other reuses one
-		// pre-shaped Block; each has its own scratch.
-		allocScratch, intoScratch := gen.NewBlockScratch(), gen.NewBlockScratch()
-		dst := core.NewBlock(gen.N(), gen.BlockLength())
+		// pre-shaped Block; each reads through its own Cursor.
+		allocCur, err := stream.NewCursor()
+		if err != nil {
+			return nil, err
+		}
+		intoCur, err := stream.NewCursor()
+		if err != nil {
+			return nil, err
+		}
+		dst := core.NewBlock(stream.N(), stream.BlockLength())
 		for i := uint64(0); i < uint64(units); i++ {
-			b := &core.Block{}
-			if err := gen.GenerateBlockAt(i, b, allocScratch); err != nil {
+			b := &rayleigh.Block{}
+			if err := allocCur.BlockAt(i, b); err != nil {
 				return nil, err
 			}
-			if err := gen.GenerateBlockAt(i, dst, intoScratch); err != nil {
+			if err := intoCur.BlockAt(i, dst); err != nil {
 				return nil, err
 			}
 			mismatches += blockMismatches(b, dst)
@@ -534,16 +540,15 @@ func evalParallelIdentity(a *AssertionSpec, data *runData) ([]Check, error) {
 }
 
 // batchPair regenerates units snapshots twice from the spec seed through the
-// spec's backend, once per worker count.
-func batchPair(data *runData, units, workersA, workersB int) (a, b []core.Snapshot, err error) {
-	run := func(workers int) ([]core.Snapshot, error) {
-		gen, err := backend.New(data.spec.Generation.Method, data.spec.Model.Fading,
-			data.spec.Model.Params, data.target, data.spec.Seed)
+// spec's method, once per worker count.
+func batchPair(data *runData, units, workersA, workersB int) (a, b []rayleigh.Snapshot, err error) {
+	run := func(workers int) ([]rayleigh.Snapshot, error) {
+		gen, err := newGenerator(data, data.spec.Generation.Method, workers)
 		if err != nil {
 			return nil, err
 		}
-		dst := make([]core.Snapshot, units)
-		if err := gen.GenerateBatchInto(dst, workers); err != nil {
+		dst := make([]rayleigh.Snapshot, units)
+		if err := gen.SnapshotsInto(dst); err != nil {
 			return nil, err
 		}
 		return dst, nil
@@ -558,21 +563,14 @@ func batchPair(data *runData, units, workersA, workersB int) (a, b []core.Snapsh
 }
 
 // blockPair regenerates units realtime blocks twice from the spec seed, once
-// per worker count.
-func blockPair(data *runData, units, workersA, workersB int) (a, b []*core.Block, err error) {
-	run := func(workers int) ([]*core.Block, error) {
-		gen, err := newRealtimeGenerator(data.spec, data.target)
+// per cursor count.
+func blockPair(data *runData, units, workersA, workersB int) (a, b []*rayleigh.Block, err error) {
+	run := func(workers int) ([]*rayleigh.Block, error) {
+		stream, err := newStream(data)
 		if err != nil {
 			return nil, err
 		}
-		dst := make([]*core.Block, units)
-		for i := range dst {
-			dst[i] = core.NewBlock(gen.N(), gen.BlockLength())
-		}
-		if err := gen.GenerateBlocksAt(0, dst, workers); err != nil {
-			return nil, err
-		}
-		return dst, nil
+		return streamBlocks(stream, units, workers)
 	}
 	if a, err = run(workersA); err != nil {
 		return nil, nil, err
@@ -584,7 +582,7 @@ func blockPair(data *runData, units, workersA, workersB int) (a, b []*core.Block
 }
 
 // blockMismatches counts value positions where two blocks differ bitwise.
-func blockMismatches(a, b *core.Block) float64 {
+func blockMismatches(a, b *rayleigh.Block) float64 {
 	var mismatches float64
 	for j := range a.Gaussian {
 		for l := range a.Gaussian[j] {

@@ -2,13 +2,14 @@ package scenario
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
+	"sync"
 
-	"repro/internal/backend"
+	rayleigh "repro"
 	"repro/internal/chanspec"
 	"repro/internal/cmplxmat"
 	"repro/internal/core"
-	"repro/internal/doppler"
 	"repro/internal/stats"
 )
 
@@ -203,16 +204,16 @@ func neededEnvelopes(spec *Spec, types ...string) []int {
 	return out
 }
 
-// collectSnapshots runs the snapshot or batched mode through the backend
-// registry and fills the sample covariance and envelope series of data.
+// collectSnapshots runs the snapshot or batched mode through the public
+// snapshot constructor and fills the sample covariance and envelope series
+// of data.
 func collectSnapshots(data *runData) error {
 	spec := data.spec
 	draws := spec.Generation.Draws
-	gen, err := backend.New(spec.Generation.Method, spec.Model.Fading, spec.Model.Params, data.target, spec.Seed)
+	gen, err := newGenerator(data, spec.Generation.Method, spec.Generation.Workers)
 	if err != nil {
 		return err
 	}
-	n := data.target.Rows()
 	envIdx := neededEnvelopes(spec, AssertEnvelopeMoments, AssertRayleighKS, AssertRayleighChiSquare,
 		AssertNakagamiKS, AssertSuzukiLogMoment)
 	for _, j := range envIdx {
@@ -222,19 +223,16 @@ func collectSnapshots(data *runData) error {
 	samples := make([][]complex128, draws)
 	switch spec.Generation.Mode {
 	case ModeSnapshot:
-		env := make([]float64, n)
 		for i := range samples {
-			samples[i] = make([]complex128, n)
-			if err := gen.GenerateInto(samples[i], env); err != nil {
-				return err
-			}
+			s := gen.Snapshot()
+			samples[i] = s.Gaussian
 			for _, j := range envIdx {
-				data.env[j] = append(data.env[j], env[j])
+				data.env[j] = append(data.env[j], s.Envelopes[j])
 			}
 		}
 	case ModeBatched:
-		batch := make([]core.Snapshot, draws)
-		if err := gen.GenerateBatchInto(batch, spec.Generation.Workers); err != nil {
+		batch := make([]rayleigh.Snapshot, draws)
+		if err := gen.SnapshotsInto(batch); err != nil {
 			return err
 		}
 		for i := range batch {
@@ -261,7 +259,7 @@ func collectSnapshots(data *runData) error {
 // autocorrelation averaged over blocks.
 func collectRealtime(data *runData) error {
 	spec := data.spec
-	gen, err := newRealtimeGenerator(data.spec, data.target)
+	stream, err := newStream(data)
 	if err != nil {
 		return err
 	}
@@ -281,13 +279,8 @@ func collectRealtime(data *runData) error {
 	segments := trajectorySegments(spec)
 
 	n := data.target.Rows()
-	blks := make([]*core.Block, blocks)
-	for i := range blks {
-		blks[i] = core.NewBlock(n, gen.BlockLength())
-	}
-	// Blocks 0..blocks-1 of the served sequence, bit-identical for every
-	// worker count.
-	if err := gen.GenerateBlocksAt(0, blks, spec.Generation.Workers); err != nil {
+	blks, err := streamBlocks(stream, blocks, spec.Generation.Workers)
+	if err != nil {
 		return err
 	}
 	series := make([][]complex128, n)
@@ -346,7 +339,7 @@ func collectRealtime(data *runData) error {
 			}
 		}
 	}
-	data.samples = blocks * gen.BlockLength()
+	data.samples = blocks * stream.BlockLength()
 	for _, j := range neededEnvelopes(spec, AssertRicianK) {
 		var sum complex128
 		for _, z := range series[j] {
@@ -367,22 +360,59 @@ func trajectorySegments(spec *Spec) []chanspec.DopplerSegment {
 	return spec.Model.Params.Segments
 }
 
-// newRealtimeGenerator builds the realtime generator a spec describes,
-// threading the selected method's coloring construction into the Section 5
-// combination (the Sorooshyari–Daut backend additionally forces the
-// unit-variance whitening assumption its paper makes).
-func newRealtimeGenerator(spec *Spec, target *cmplxmat.Matrix) (*core.RealTimeGenerator, error) {
-	cfg, err := backend.RealTimeConfig(spec.Generation.Method, spec.Model.Fading, spec.Model.Params, target, spec.Seed)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Filter = doppler.FilterSpec{
-		M:                 cmp.Or(spec.Generation.IDFTPoints, chanspec.DefaultIDFTPoints),
+// newGenerator builds the spec's snapshot generator under method through the
+// public constructor, with workers as its SnapshotsInto parallelism.
+func newGenerator(data *runData, method string, workers int) (*rayleigh.Generator, error) {
+	spec := data.spec
+	return rayleigh.New(rayleigh.Config{
+		Covariance:   data.target.ToRows(),
+		Seed:         spec.Seed,
+		Parallel:     workers,
+		Method:       method,
+		Fading:       spec.Model.Fading,
+		FadingParams: spec.Model.Params,
+	})
+}
+
+// newStream builds the spec's real-time stream through the public
+// constructor, as fadingd builds a session's.
+func newStream(data *runData) (*rayleigh.Stream, error) {
+	spec := data.spec
+	return rayleigh.NewStream(rayleigh.RealTimeConfig{
+		Covariance:        data.target.ToRows(),
+		IDFTPoints:        cmp.Or(spec.Generation.IDFTPoints, chanspec.DefaultIDFTPoints),
 		NormalizedDoppler: chanspec.FilterDoppler(spec.Model.Fading, spec.Generation.NormalizedDoppler),
+		InputVariance:     spec.Generation.InputVariance,
+		Seed:              spec.Seed,
+		Method:            spec.Generation.Method,
+		Fading:            spec.Model.Fading,
+		FadingParams:      spec.Model.Params,
+	})
+}
+
+// streamBlocks reads blocks 0..count-1 of stream with one Cursor per
+// goroutine, workers of them, each taking every workers-th block. Block k is
+// a pure function of k, so the result is bit-identical for every worker
+// count.
+func streamBlocks(stream *rayleigh.Stream, count, workers int) ([]*rayleigh.Block, error) {
+	blks := make([]*rayleigh.Block, count)
+	workers = max(1, min(workers, count))
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cur, err := stream.NewCursor()
+			for i := w; err == nil && i < count; i += workers {
+				blks[i] = &rayleigh.Block{}
+				err = cur.BlockAt(uint64(i), blks[i])
+			}
+			errs[w] = err
+		}()
 	}
-	cfg.InputVariance = spec.Generation.InputVariance
-	cfg.AssumeUnitVariance = cfg.AssumeUnitVariance || spec.Generation.AssumeUnitVariance
-	return core.NewRealTimeGenerator(cfg)
+	wg.Wait()
+	return blks, errors.Join(errs...)
 }
 
 // assertMaxLag returns the autocorrelation lag bound in effect (default 100).

@@ -123,9 +123,9 @@ func TestBatchedIdentities(t *testing.T) {
 }
 
 // TestRealtimeWorkersCollection pins the realtime collection path: the
-// engine generates through GenerateBlocksAt, whose output is worker-count
-// invariant, so gate observations must be identical for every workers
-// setting, the inline workers = 1 included.
+// engine reads the blocks with one Cursor per worker, and block k is a pure
+// function of k, so gate observations must be identical for every workers
+// setting, the single cursor of workers = 1 included.
 func TestRealtimeWorkersCollection(t *testing.T) {
 	build := func(workers int) *Spec {
 		return &Spec{

@@ -199,23 +199,22 @@ type GenerationSpec struct {
 	// InputVariance is σ²_orig of the Doppler filter input (realtime mode);
 	// zero selects the paper's 1/2.
 	InputVariance float64 `json:"input_variance,omitempty"`
-	// Workers is the worker count of the batched paths (batched and
-	// realtime modes); values <= 1 generate on the calling goroutine. The
-	// output is bit-identical for every value.
+	// Workers is the parallelism of the batched paths: the SnapshotsInto
+	// worker count in batched mode, and in realtime mode the number of
+	// Cursors, one per goroutine, that read the blocks. Values <= 1 generate
+	// on one goroutine. The output is bit-identical for every value.
 	Workers int `json:"workers,omitempty"`
-	// Method selects the generation backend realizing the covariance target:
-	// "generalized" (the default) or one of the conventional methods of the
-	// backend registry ("salz_winters", "ertel_reed", "beaulieu_merani",
-	// "natarajan", "sorooshyari_daut" — see docs/methods.md). A conventional
-	// method that rejects the scenario's target surfaces its typed error as a
-	// run error, so expected failures belong in comparison assertions, not
-	// here. Every method runs through the same engine, so Workers and
-	// parallel_identity apply to all of them.
+	// Method selects the generation method realizing the covariance target:
+	// "generalized" (the default) or one of the conventional methods
+	// ("salz_winters", "ertel_reed", "beaulieu_merani", "natarajan",
+	// "sorooshyari_daut" — see docs/methods.md). A conventional method that
+	// rejects the scenario's target surfaces its typed error as a run error,
+	// so expected failures belong in comparison assertions, not here. Every
+	// method runs through the same engine, so Workers and parallel_identity
+	// apply to all of them. In realtime mode "sorooshyari_daut" also carries
+	// the unit-variance whitening of [6], the defect the paper's Section 5
+	// corrects; pair it with covariance_defect to measure the bias.
 	Method string `json:"method,omitempty"`
-	// AssumeUnitVariance skips the Eq. (19) Doppler-gain correction,
-	// reproducing the defect of [6]. Only meaningful in realtime mode and
-	// only useful together with AssertCovarianceDefect.
-	AssumeUnitVariance bool `json:"assume_unit_variance,omitempty"`
 }
 
 // AssertionSpec is one gate. Type selects the assertion; the other fields
@@ -317,8 +316,7 @@ func (g *GenerationSpec) validate() error {
 		if g.Draws <= 0 {
 			return fmt.Errorf("%s mode needs draws > 0: %w", g.Mode, ErrBadSpec)
 		}
-		if g.Blocks != 0 || g.IDFTPoints != 0 || g.NormalizedDoppler != 0 ||
-			g.InputVariance != 0 || g.AssumeUnitVariance {
+		if g.Blocks != 0 || g.IDFTPoints != 0 || g.NormalizedDoppler != 0 || g.InputVariance != 0 {
 			return fmt.Errorf("%s mode does not accept realtime parameters: %w", g.Mode, ErrBadSpec)
 		}
 		if g.Mode == ModeSnapshot && g.Workers > 1 {

@@ -59,10 +59,14 @@ func TestParseRejectsUnknownFields(t *testing.T) {
 		  "assertions":[{"type":"into_identity"}]}`,
 		`{"name":"x","seed":1,"model":{"type":"eq22"},"generation":{"mode":"snapshot","draws":10},
 		  "assertions":[{"type":"covariance","max_abs_err":0.1}]}`,
+		// The unit-variance defect of [6] is the sorooshyari_daut method,
+		// not a generation knob.
+		`{"name":"x","seed":1,"model":{"type":"eq22"},"generation":{"mode":"realtime","blocks":1,"assume_unit_variance":true},
+		  "assertions":[{"type":"covariance_defect","min_abs_error":0.2}]}`,
 	}
 	for i, c := range cases {
-		if _, err := Parse([]byte(c)); err == nil {
-			t.Errorf("case %d: unknown field accepted", i)
+		if _, err := Parse([]byte(c)); !errors.Is(err, ErrBadSpec) {
+			t.Errorf("case %d: unknown field error = %v, want ErrBadSpec", i, err)
 		}
 	}
 }

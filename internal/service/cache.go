@@ -54,12 +54,8 @@ func buildStream(spec *SessionSpec) (*rayleigh.Stream, error) {
 	if err != nil {
 		return nil, fmt.Errorf("service: %w", err)
 	}
-	rows := make([][]complex128, target.Rows())
-	for i := range rows {
-		rows[i] = target.Row(i)
-	}
 	return rayleigh.NewStream(rayleigh.RealTimeConfig{
-		Covariance:        rows,
+		Covariance:        target.ToRows(),
 		IDFTPoints:        spec.blockLength(),
 		NormalizedDoppler: spec.doppler(),
 		InputVariance:     spec.InputVariance,

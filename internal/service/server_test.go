@@ -244,6 +244,8 @@ func TestMalformedSpecsRejected(t *testing.T) {
 		"covariance scale 1e-170": `{"model":{"type":"identity","n":2,"power":1e-170},"seed":1,"blocks":2}`,
 		"covariance scale 2e160":  `{"model":{"type":"explicit","covariance":[[1e160,2e160],[2e160,1e160]]},"seed":1,"blocks":2}`,
 		"covariance scale 1e308":  `{"model":{"type":"identity","n":2,"power":1e308},"seed":1,"blocks":2}`,
+		// Suzuki shadowing past 100 dB can overflow the samples.
+		"suzuki shadow_sigma_db 1000": `{"model":{"type":"eq22","fading":"suzuki","params":{"shadow_sigma_db":1000}},"seed":1,"blocks":2}`,
 	}
 	for name, spec := range cases {
 		resp, err := http.Post(ts.URL+"/v1/sessions", "application/json", strings.NewReader(spec))

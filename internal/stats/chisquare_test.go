@@ -10,7 +10,7 @@ import (
 func TestChiSquareAcceptsRayleighSample(t *testing.T) {
 	rng := randx.New(1)
 	const sigma = 1.2
-	x := rng.RayleighVector(50000, sigma)
+	x := rayleighVector(rng, 50000, sigma)
 	res, err := ChiSquareRayleigh(x, RayleighDist{Sigma: sigma}, 20, 0)
 	if err != nil {
 		t.Fatalf("ChiSquareRayleigh: %v", err)
@@ -40,7 +40,7 @@ func TestChiSquareRejectsNonRayleighSample(t *testing.T) {
 
 func TestChiSquareWithFittedScale(t *testing.T) {
 	rng := randx.New(3)
-	x := rng.RayleighVector(30000, 0.7)
+	x := rayleighVector(rng, 30000, 0.7)
 	d, err := FitRayleigh(x)
 	if err != nil {
 		t.Fatalf("FitRayleigh: %v", err)

@@ -9,7 +9,7 @@ import (
 
 func TestLaggedAutocorrelationWhiteNoise(t *testing.T) {
 	rng := randx.New(1)
-	x := rng.ComplexNormalVector(100000, 1)
+	x := complexNormalVector(rng, 100000, 1)
 	rho, err := LaggedAutocorrelation(x, 5)
 	if err != nil {
 		t.Fatalf("LaggedAutocorrelation: %v", err)

@@ -227,9 +227,6 @@ func ParseKeyring(s string) (*Keyring, error) {
 	return NewKeyring(keys...)
 }
 
-// SignerID reports the id of the key new tokens are signed with.
-func (kr *Keyring) SignerID() string { return kr.keys[0].ID }
-
 // Sign serializes t and returns the wire token, signed with the ring's
 // primary key. The token must be self-consistent: non-empty id and a
 // SpecHash that matches Spec.

@@ -89,8 +89,8 @@ func TestRotation(t *testing.T) {
 	}
 	// Rotation prepends the new signer and keeps the old key verifying.
 	rotated := testRing(t, "k2026:000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f,old:ffeeddccbbaa99887766554433221100ffeeddccbbaa9988")
-	if rotated.SignerID() != "k2026" {
-		t.Fatalf("SignerID = %q, want k2026", rotated.SignerID())
+	if rotated.keys[0].ID != "k2026" {
+		t.Fatalf("signer = %q, want k2026", rotated.keys[0].ID)
 	}
 	if len(rotated.keys) != 2 || rotated.keys[1].ID != "old" {
 		t.Fatalf("rotated ring keeps %d keys, want k2026 then old", len(rotated.keys))

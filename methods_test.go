@@ -5,6 +5,9 @@ import (
 	"math/cmplx"
 	"reflect"
 	"testing"
+
+	"repro/internal/chanspec"
+	"repro/internal/cmplxmat"
 )
 
 // goldenCovariance is the paper's Eq. (23) matrix: equal powers, real,
@@ -65,6 +68,9 @@ func TestEveryMethodAgreesOnGoldenCovariance(t *testing.T) {
 		if err != nil {
 			t.Fatalf("New(%s): %v", method, err)
 		}
+		if gen.N() != 3 {
+			t.Errorf("%s N = %d, want 3", method, gen.N())
+		}
 		if gen.Method() != method && !(method == "" && gen.Method() == MethodGeneralized) {
 			t.Errorf("Method() = %q, want %q", gen.Method(), method)
 		}
@@ -81,6 +87,30 @@ func TestEveryMethodAgreesOnGoldenCovariance(t *testing.T) {
 	}
 	if d := sampleCovarianceError(t, gen, pair, 60000); d > 0.04 {
 		t.Errorf("ertel_reed misses the pair covariance by %g", d)
+	}
+}
+
+// TestSnapshotsDeterministicPerMethod: two generators built from one Config
+// draw the same snapshots under every method.
+func TestSnapshotsDeterministicPerMethod(t *testing.T) {
+	for _, m := range Methods() {
+		cfg := Config{Method: m.Name, Covariance: goldenCovariance(), Seed: 7}
+		if m.Name == MethodErtelReed {
+			cfg.Covariance = [][]complex128{{1, 0.6}, {0.6, 1}}
+		}
+		a, err := New(cfg)
+		if err != nil {
+			t.Fatalf("New(%s): %v", m.Name, err)
+		}
+		b, err := New(cfg)
+		if err != nil {
+			t.Fatalf("New(%s): %v", m.Name, err)
+		}
+		for i := 0; i < 64; i++ {
+			if sa, sb := a.Snapshot(), b.Snapshot(); !reflect.DeepEqual(sa, sb) {
+				t.Fatalf("%s twin generators diverge at draw %d", m.Name, i)
+			}
+		}
 	}
 }
 
@@ -125,15 +155,67 @@ func TestMethodFailureClasses(t *testing.T) {
 		t.Errorf("NewStream(beaulieu_merani, indefinite) error = %v, want ErrMethodSetup", err)
 	}
 
-	// Unknown names are an invalid configuration, not a method failure.
-	if _, err := New(Config{Method: "nope", Covariance: goldenCovariance(), Seed: 1}); err == nil {
-		t.Errorf("unknown method did not error")
+	// Unknown names are a spec error, not a method failure.
+	if _, err := New(Config{Method: "nope", Covariance: goldenCovariance(), Seed: 1}); !errors.Is(err, chanspec.ErrBadSpec) {
+		t.Errorf("unknown method error = %v, want ErrBadSpec", err)
 	}
 
-	// The generalized engine accepts everything above.
+	// The generalized engine accepts everything above, and the ε-clamp of
+	// Sorooshyari–Daut the indefinite target.
 	for _, cov := range [][][]complex128{unequal, complexPair, indefinite} {
 		if _, err := New(Config{Covariance: cov, Seed: 1}); err != nil {
 			t.Errorf("generalized on %v: %v", cov, err)
+		}
+	}
+	if _, err := New(Config{Method: MethodSorooshyariDaut, Covariance: indefinite, Seed: 1}); err != nil {
+		t.Errorf("sorooshyari_daut on indefinite: %v", err)
+	}
+}
+
+// TestColoring pins methodColoring, the one resolution of a method name
+// into the engine's coloring knobs.
+func TestColoring(t *testing.T) {
+	golden := cmplxmat.MustFromRows(goldenCovariance())
+	// Generalized: no override.
+	l, unit, err := methodColoring(MethodGeneralized, golden)
+	if err != nil || l != nil || unit {
+		t.Errorf("generalized override = (%v, %v, %v), want (nil, false, nil)", l, unit, err)
+	}
+	// Cholesky: L·Lᴴ = K, no unit-variance assumption.
+	l, unit, err = methodColoring(MethodBeaulieuMerani, golden)
+	if err != nil || unit {
+		t.Fatalf("beaulieu override: %v %v", unit, err)
+	}
+	got := cmplxmat.MustMul(l, cmplxmat.ConjTranspose(l))
+	if d := cmplxmat.FrobeniusDistance(got, golden); d > 1e-9 {
+		t.Errorf("cholesky override reconstructs covariance with error %g", d)
+	}
+	// Sorooshyari–Daut carries the unit-variance defect.
+	_, unit, err = methodColoring(MethodSorooshyariDaut, golden)
+	if err != nil || !unit {
+		t.Errorf("sorooshyari override unit = %v (%v), want true", unit, err)
+	}
+	// Failure classes propagate.
+	if _, _, err := methodColoring(MethodBeaulieuMerani, cmplxmat.MustFromRows(indefiniteCovariance())); !errors.Is(err, ErrMethodSetup) {
+		t.Errorf("beaulieu on indefinite error = %v, want ErrMethodSetup", err)
+	}
+	if _, _, err := methodColoring(MethodErtelReed, golden); !errors.Is(err, ErrMethodUnsupported) {
+		t.Errorf("ertel_reed on N=3 error = %v, want ErrMethodUnsupported", err)
+	}
+	// The covariance scale window: [[1, 2], [2, 1]]·s at max |K_ij| = 2s on
+	// either edge, and the all-zero target, are accepted; just outside is a
+	// spec error.
+	pair := func(s float64) *cmplxmat.Matrix {
+		return cmplxmat.MustFromRows([][]complex128{{complex(s, 0), complex(2*s, 0)}, {complex(2*s, 0), complex(s, 0)}})
+	}
+	for _, k := range []*cmplxmat.Matrix{cmplxmat.New(2, 2), pair(0.5e-100), pair(0.5e100)} {
+		if _, _, err := methodColoring(MethodGeneralized, k); err != nil {
+			t.Errorf("in-window target %v: %v", k, err)
+		}
+	}
+	for _, k := range []*cmplxmat.Matrix{pair(0.4e-100), pair(0.6e100)} {
+		if _, _, err := methodColoring(MethodGeneralized, k); !errors.Is(err, chanspec.ErrBadSpec) {
+			t.Errorf("out-of-window target %v error = %v, want ErrBadSpec", k, err)
 		}
 	}
 }
@@ -165,12 +247,21 @@ func TestDiagnosticsReportOnlyAppliedForcing(t *testing.T) {
 	}
 
 	cfg.Method = MethodGeneralized
+	gen, err = New(Config{Covariance: cfg.Covariance, Seed: cfg.Seed})
+	if err != nil {
+		t.Fatalf("New(generalized): %v", err)
+	}
 	stream, err = NewStream(cfg)
 	if err != nil {
 		t.Fatalf("NewStream(generalized): %v", err)
 	}
-	if d := stream.Diagnostics(); d.ClampedEigenvalues != 1 || d.ApproximationError <= 0 {
-		t.Errorf("generalized Stream.Diagnostics() = %+v, want one clamped eigenvalue", d)
+	for name, d := range map[string]Diagnostics{
+		"Generator": gen.Diagnostics(),
+		"Stream":    stream.Diagnostics(),
+	} {
+		if d.ClampedEigenvalues != 1 || d.ApproximationError <= 0 {
+			t.Errorf("generalized %s.Diagnostics() = %+v, want one clamped eigenvalue", name, d)
+		}
 	}
 }
 

@@ -56,7 +56,7 @@ func SpectralCovariance(cfg SpectralConfig) ([][]complex128, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rayleigh: %w", err)
 	}
-	return matrixToRows(res.Matrix.Rows(), res.Matrix.At), nil
+	return res.Matrix.ToRows(), nil
 }
 
 // SpatialConfig describes correlation between the fades seen from a uniform
@@ -94,17 +94,5 @@ func SpatialCovariance(cfg SpatialConfig) ([][]complex128, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rayleigh: %w", err)
 	}
-	return matrixToRows(res.Matrix.Rows(), res.Matrix.At), nil
-}
-
-// matrixToRows copies a square matrix accessor into row-major slices.
-func matrixToRows(n int, at func(i, j int) complex128) [][]complex128 {
-	out := make([][]complex128, n)
-	for i := 0; i < n; i++ {
-		out[i] = make([]complex128, n)
-		for j := 0; j < n; j++ {
-			out[i][j] = at(i, j)
-		}
-	}
-	return out
+	return res.Matrix.ToRows(), nil
 }

@@ -3,13 +3,14 @@ package rayleigh
 import (
 	"errors"
 	"fmt"
+	"math/cmplx"
 
-	"repro/internal/backend"
 	"repro/internal/baseline"
 	"repro/internal/chanspec"
 	"repro/internal/cmplxmat"
 	"repro/internal/core"
 	"repro/internal/doppler"
+	"repro/internal/fading"
 )
 
 // ErrInvalidConfig reports an invalid public-API configuration.
@@ -41,7 +42,7 @@ const (
 	MethodSorooshyariDaut = chanspec.MethodSorooshyariDaut
 )
 
-// MethodInfo describes one generation backend: its Name (the Config.Method
+// MethodInfo describes one generation method: its Name (the Config.Method
 // value), Title, the Citation in the paper's reference list, the
 // Constraints on the configurations it supports and the Defects the paper
 // attributes to it on configurations it accepts (empty when none). It is the
@@ -131,12 +132,27 @@ type Config struct {
 // New builds a Generator for the desired covariance matrix. It is the one
 // snapshot constructor: Config.Method selects the backend, and
 // CovarianceFromEnvelopePowers builds Config.Covariance from envelope powers.
+// The generator colors with the method's coloring matrix and applies the
+// fading model's sample transform to every draw, at the draw's position in
+// the one sequence, so batched and single draws shadow identically.
 func New(cfg Config) (*Generator, error) {
 	k, err := toMatrix(cfg.Covariance)
 	if err != nil {
 		return nil, err
 	}
-	gen, err := backend.New(cfg.Method, cfg.Fading, cfg.FadingParams, k, cfg.Seed)
+	if chanspec.NormalizeFading(cfg.Fading) == chanspec.FadingNonstationaryDoppler {
+		return nil, fmt.Errorf("rayleigh: fading %q needs a real-time block mode (snapshots have no time axis): %w",
+			cfg.Fading, chanspec.ErrBadSpec)
+	}
+	coloring, _, err := methodColoring(cfg.Method, k)
+	if err != nil {
+		return nil, fmt.Errorf("rayleigh: %w", err)
+	}
+	tr, err := fadingTransform(cfg.Fading, cfg.FadingParams, k, cfg.Seed)
+	if err != nil {
+		return nil, fmt.Errorf("rayleigh: %w", err)
+	}
+	gen, err := core.NewSnapshotGenerator(core.SnapshotConfig{Covariance: k, Seed: cfg.Seed, Coloring: coloring, Transform: tr})
 	if err != nil {
 		return nil, fmt.Errorf("rayleigh: %w", err)
 	}
@@ -160,11 +176,7 @@ func CovarianceFromEnvelopePowers(correlation [][]complex128, envelopeVariances 
 	if err != nil {
 		return nil, fmt.Errorf("rayleigh: %w", err)
 	}
-	rows := make([][]complex128, k.Rows())
-	for i := range rows {
-		rows[i] = k.Row(i)
-	}
-	return rows, nil
+	return k.ToRows(), nil
 }
 
 // N returns the number of envelopes per snapshot.
@@ -250,26 +262,99 @@ type RealTimeConfig struct {
 type Block = core.Block
 
 // realtimeCoreConfig resolves a public real-time configuration into the core
-// one, threading the selected method's coloring construction (and, for the
-// Sorooshyari–Daut backend, its unit-variance whitening assumption) into the
-// Section 5 combination.
+// one: the method's coloring and unit-variance whitening assumption (only
+// Sorooshyari–Daut's is true), the fading model's sample transform and, for
+// the nonstationary-Doppler model, its trajectory.
 func realtimeCoreConfig(cfg RealTimeConfig) (core.RealTimeConfig, error) {
 	k, err := toMatrix(cfg.Covariance)
 	if err != nil {
 		return core.RealTimeConfig{}, err
 	}
-	coreCfg, err := backend.RealTimeConfig(cfg.Method, cfg.Fading, cfg.FadingParams, k, cfg.Seed)
+	coloring, assumeUnit, err := methodColoring(cfg.Method, k)
 	if err != nil {
 		return core.RealTimeConfig{}, fmt.Errorf("rayleigh: %w", err)
 	}
-	if len(coreCfg.DopplerSegments) > 0 && cfg.NormalizedDoppler != 0 {
-		return core.RealTimeConfig{}, fmt.Errorf(
-			"rayleigh: fading %q carries per-segment Doppler; NormalizedDoppler must be zero, got %g: %w",
-			cfg.Fading, cfg.NormalizedDoppler, ErrInvalidConfig)
+	tr, err := fadingTransform(cfg.Fading, cfg.FadingParams, k, cfg.Seed)
+	if err != nil {
+		return core.RealTimeConfig{}, fmt.Errorf("rayleigh: %w", err)
 	}
-	coreCfg.Filter = doppler.FilterSpec{M: cfg.IDFTPoints, NormalizedDoppler: cfg.NormalizedDoppler}
-	coreCfg.InputVariance = cfg.InputVariance
-	return coreCfg, nil
+	var segments []chanspec.DopplerSegment
+	if chanspec.NormalizeFading(cfg.Fading) == chanspec.FadingNonstationaryDoppler {
+		// fadingTransform validated the model, so FadingParams carries the
+		// trajectory.
+		segments = cfg.FadingParams.Segments
+		if cfg.NormalizedDoppler != 0 {
+			return core.RealTimeConfig{}, fmt.Errorf(
+				"rayleigh: fading %q carries per-segment Doppler; NormalizedDoppler must be zero, got %g: %w",
+				cfg.Fading, cfg.NormalizedDoppler, ErrInvalidConfig)
+		}
+	}
+	return core.RealTimeConfig{
+		Covariance:         k,
+		Filter:             doppler.FilterSpec{M: cfg.IDFTPoints, NormalizedDoppler: cfg.NormalizedDoppler},
+		InputVariance:      cfg.InputVariance,
+		Seed:               cfg.Seed,
+		AssumeUnitVariance: assumeUnit,
+		Coloring:           coloring,
+		Transform:          tr,
+		DopplerSegments:    segments,
+	}, nil
+}
+
+// The covariance scale window: a target whose largest entry magnitude
+// max |K_ij| lies outside [minCovarianceScale, maxCovarianceScale] is
+// rejected, the all-zero target excepted (EigenHermitian decomposes it
+// exactly). The window keeps the eigensolver's unscaled norms, the forcing
+// error and the samples well inside the floating-point range: below about
+// 1e-154 the Frobenius norm underflows to 0 and the target decomposes as
+// all-zero; above about 1e154 the norms overflow, the target comes back
+// undiagonalized (an indefinite one served as if PSD), and further out the
+// forcing error and the samples overflow to ±Inf.
+const (
+	minCovarianceScale = 1e-100
+	maxCovarianceScale = 1e100
+)
+
+// methodColoring resolves a method name into the coloring knobs both core
+// engines take: the coloring-matrix override and the unit-variance
+// assumption the method carries into the real-time combination of Section 5.
+// The generalized method returns (nil, false): the engine's own eigen
+// coloring applies. Every constructor passes through here, so this is where
+// a target with a NaN or infinite entry, or one outside the covariance scale
+// window, is rejected (chanspec.ErrBadSpec); the conventional methods' own
+// rejections carry ErrMethodUnsupported or ErrMethodSetup.
+func methodColoring(method string, k *cmplxmat.Matrix) (coloring *cmplxmat.Matrix, assumeUnitVariance bool, err error) {
+	method = chanspec.NormalizeMethod(method)
+	if err := chanspec.ValidateMethod(method); err != nil {
+		return nil, false, err
+	}
+	for i := 0; i < k.Rows(); i++ {
+		for j := 0; j < k.Cols(); j++ {
+			if v := k.At(i, j); cmplx.IsNaN(v) || cmplx.IsInf(v) {
+				return nil, false, fmt.Errorf("covariance entry (%d, %d) = %v is not finite: %w", i, j, v, chanspec.ErrBadSpec)
+			}
+		}
+	}
+	if s := cmplxmat.MaxAbs(k); s != 0 && (s < minCovarianceScale || s > maxCovarianceScale) {
+		return nil, false, fmt.Errorf("covariance scale max |K_ij| = %g is outside [%g, %g]: %w",
+			s, minCovarianceScale, maxCovarianceScale, chanspec.ErrBadSpec)
+	}
+	if method == chanspec.MethodGeneralized {
+		return nil, false, nil
+	}
+	return baseline.Coloring(method, k)
+}
+
+// fadingTransform builds the fading model's sample transform for a target
+// methodColoring accepted (nil for the Rayleigh default and the panel-level
+// nonstationary model). The target's diagonal supplies the per-envelope mean
+// powers Ω_j, one definition for snapshots and real-time blocks alike.
+func fadingTransform(model string, params *FadingParams, k *cmplxmat.Matrix, seed int64) (fading.Transform, error) {
+	powers := make([]float64, k.Rows())
+	for j := range powers {
+		powers[j] = real(k.At(j, j))
+	}
+	return fading.New(model, params, powers, seed)
 }
 
 // EnvelopePowerToGaussianPower converts a desired Rayleigh envelope variance

@@ -291,6 +291,8 @@ func TestRealTimePublicAPI(t *testing.T) {
 			Fading: FadingRician, FadingParams: &FadingParams{KFactor: 2, LOSPhaseRad: math.NaN()}},
 		"infinite Suzuki shadowing": {Covariance: paperSpectralCovariance(t), IDFTPoints: 512, NormalizedDoppler: 0.05,
 			Fading: FadingSuzuki, FadingParams: &FadingParams{ShadowSigmaDB: math.Inf(1)}},
+		"Suzuki shadowing over 100 dB": {Covariance: paperSpectralCovariance(t), IDFTPoints: 512, NormalizedDoppler: 0.05,
+			Fading: FadingSuzuki, FadingParams: &FadingParams{ShadowSigmaDB: 1000}},
 	} {
 		if _, err := NewStream(cfg); err == nil {
 			t.Errorf("%s did not error", name)

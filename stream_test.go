@@ -6,10 +6,9 @@ import (
 	"testing"
 
 	"repro/internal/chanspec"
-	"repro/internal/core"
 )
 
-var streamTestCovariance = matrixToRows(3, chanspec.Eq22Covariance().At)
+var streamTestCovariance = chanspec.Eq22Covariance().ToRows()
 
 func streamTestConfig(seed int64) RealTimeConfig {
 	return RealTimeConfig{
@@ -22,10 +21,10 @@ func streamTestConfig(seed int64) RealTimeConfig {
 
 // TestStreamMatchesBlocksInto pins the one real-time block sequence: block k
 // is the same, bit for bit, from Cursor.Next, from Cursor.BlockAt in reverse
-// order and from the batched fill the scenario engine runs (GenerateBlocksAt
-// at 1 and 4 workers, in two uneven calls). The Suzuki transform depends on
-// the sample offset and the nonstationary trajectory changes segment at
-// block 4, inside the second call.
+// order and from the parallel fill the scenario engine runs (one cursor per
+// goroutine, each reading every workers-th block, at 1 and 4 workers). The
+// Suzuki transform depends on the sample offset and the nonstationary
+// trajectory changes segment at block 4.
 func TestStreamMatchesBlocksInto(t *testing.T) {
 	const blocks = 8
 	configs := map[string]RealTimeConfig{
@@ -71,18 +70,26 @@ func TestStreamMatchesBlocksInto(t *testing.T) {
 			}
 
 			for _, workers := range []int{1, 4} {
-				dst := make([]*core.Block, blocks)
-				for i := range dst {
-					dst[i] = &core.Block{}
+				dst := make([]Block, blocks)
+				errs := make([]error, workers)
+				var wg sync.WaitGroup
+				for w := range workers {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						c, err := s.NewCursor()
+						for i := w; err == nil && i < blocks; i += workers {
+							err = c.BlockAt(uint64(i), &dst[i])
+						}
+						errs[w] = err
+					}()
 				}
-				if err := s.inner.GenerateBlocksAt(0, dst[:3], workers); err != nil {
-					t.Fatalf("GenerateBlocksAt(workers=%d, first): %v", workers, err)
-				}
-				if err := s.inner.GenerateBlocksAt(3, dst[3:], workers); err != nil {
-					t.Fatalf("GenerateBlocksAt(workers=%d, second): %v", workers, err)
+				wg.Wait()
+				if err := errors.Join(errs...); err != nil {
+					t.Fatalf("%d cursors: %v", workers, err)
 				}
 				for i := range want {
-					assertBlocksEqual(t, i, want[i], &Block{Gaussian: dst[i].Gaussian, Envelopes: dst[i].Envelopes})
+					assertBlocksEqual(t, i, want[i], &dst[i])
 				}
 			}
 			var got Block
