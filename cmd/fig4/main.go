@@ -4,8 +4,8 @@
 // (three correlated Rayleigh envelopes in dB around their RMS value, plotted
 // over the first 200 samples of a real-time block). Generation goes through
 // the public Stream API, and -method regenerates the figure under any
-// backend of the method registry to visualize where the conventional methods
-// bias the covariance (see docs/methods.md).
+// generation method to visualize where the conventional methods bias the
+// covariance (see docs/methods.md).
 //
 // Usage:
 //

@@ -42,7 +42,7 @@ func TestCholeskyReconstruction(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 8, 16} {
 		// Positive definite: Gram of a random square matrix plus a small ridge.
 		g := randomPSD(rng, n)
-		a, err := Add(g, Scale(complex(0.1, 0), Identity(n)))
+		a, err := add(g, Scale(complex(0.1, 0), Identity(n)))
 		if err != nil {
 			t.Fatalf("Add: %v", err)
 		}

@@ -174,7 +174,7 @@ func TestEigenHermitianRepeatedEigenvalues(t *testing.T) {
 	// 3x3 matrix with a doubly degenerate eigenvalue: I + rank-one update.
 	v := []complex128{complex(1/math.Sqrt(2), 0), complex(0, 1/math.Sqrt(2)), 0}
 	update := outerProduct(v, v)
-	a, err := Add(Identity(3), Scale(2, update))
+	a, err := add(Identity(3), Scale(2, update))
 	if err != nil {
 		t.Fatalf("Add: %v", err)
 	}

@@ -5,18 +5,6 @@ import (
 	"math/cmplx"
 )
 
-// Add returns a + b.
-func Add(a, b *Matrix) (*Matrix, error) {
-	if a.rows != b.rows || a.cols != b.cols {
-		return nil, fmt.Errorf("cmplxmat: Add %dx%d with %dx%d: %w", a.rows, a.cols, b.rows, b.cols, ErrDimension)
-	}
-	out := New(a.rows, a.cols)
-	for i := range a.data {
-		out.data[i] = a.data[i] + b.data[i]
-	}
-	return out, nil
-}
-
 // Sub returns a - b.
 func Sub(a, b *Matrix) (*Matrix, error) {
 	if a.rows != b.rows || a.cols != b.cols {

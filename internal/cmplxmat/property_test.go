@@ -88,7 +88,7 @@ func TestPropertyCholeskyOfRidgedGram(t *testing.T) {
 			}
 		}
 		g := gram(a)
-		pd, err := Add(g, Scale(complex(0.25, 0), Identity(n)))
+		pd, err := add(g, Scale(complex(0.25, 0), Identity(n)))
 		if err != nil {
 			return false
 		}

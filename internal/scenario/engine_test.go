@@ -282,8 +282,8 @@ func TestModelBuilders(t *testing.T) {
 	}
 }
 
-// TestSnapshotAndBatchedModesAreOneSequence: snapshot mode (one GenerateInto
-// per draw) and batched mode (one GenerateBatchInto, at 1 and 4 workers)
+// TestSnapshotAndBatchedModesAreOneSequence: snapshot mode (one Snapshot per
+// draw) and batched mode (one SnapshotsInto, at 1 and 4 workers)
 // read one snapshot sequence, so a committed snapshot spec gives the same
 // Result in either mode apart from Mode itself. eq22-snapshot's 60,000 draws
 // end in a ragged chunk; exponential-phase-complex runs the complex

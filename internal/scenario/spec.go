@@ -27,11 +27,11 @@ var ErrBadSpec = chanspec.ErrBadSpec
 
 // Generation modes.
 const (
-	// ModeSnapshot draws independent snapshots one by one, one GenerateInto
-	// per draw (Section 4.4 of the paper).
+	// ModeSnapshot draws independent snapshots one by one, one
+	// Generator.Snapshot per draw (Section 4.4 of the paper).
 	ModeSnapshot = "snapshot"
 	// ModeBatched draws the same snapshots as ModeSnapshot through one call
-	// of the zero-allocation batched path (GenerateBatchInto), optionally
+	// of the zero-allocation batched path (Generator.SnapshotsInto), optionally
 	// fanned out across Generation.Workers workers: a seeded snapshot
 	// depends on its position only, so the two modes read one sequence.
 	ModeBatched = "batched"
@@ -87,8 +87,9 @@ const (
 	AssertPSDForcing = "psd_forcing"
 	// AssertIntoIdentity requires the allocating and the Into generation
 	// paths to produce bit-identical output from the same seed, under the
-	// spec's method and fading model: Generate vs GenerateInto in snapshot
-	// modes, a fresh Block vs one reused pre-shaped Block in realtime mode.
+	// spec's method and fading model: Snapshot vs SnapshotsInto into one
+	// reused snapshot in snapshot modes, a fresh Block vs one reused
+	// pre-shaped Block in realtime mode.
 	AssertIntoIdentity = "into_identity"
 	// AssertParallelIdentity requires the batched path to produce
 	// bit-identical output at worker count 1 and at Workers.
