@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/chanspec"
 	"repro/internal/cmplxmat"
+	"repro/internal/stats"
 )
 
 // goldenCovariance is the paper's Eq. (23) matrix: equal powers, real,
@@ -68,9 +69,6 @@ func TestEveryMethodAgreesOnGoldenCovariance(t *testing.T) {
 		if err != nil {
 			t.Fatalf("New(%s): %v", method, err)
 		}
-		if gen.N() != 3 {
-			t.Errorf("%s N = %d, want 3", method, gen.N())
-		}
 		if gen.Method() != method && !(method == "" && gen.Method() == MethodGeneralized) {
 			t.Errorf("Method() = %q, want %q", gen.Method(), method)
 		}
@@ -87,6 +85,45 @@ func TestEveryMethodAgreesOnGoldenCovariance(t *testing.T) {
 	}
 	if d := sampleCovarianceError(t, gen, pair, 60000); d > 0.04 {
 		t.Errorf("ertel_reed misses the pair covariance by %g", d)
+	}
+}
+
+// TestEveryBackendMatchesTargetOnGoldenMatrix: every N = 3-capable method
+// built through New reports N = 3, and the stats package's sample covariance
+// of its batched Gaussian draws matches the Eq. (23) target.
+func TestEveryBackendMatchesTargetOnGoldenMatrix(t *testing.T) {
+	golden := cmplxmat.MustFromRows(goldenCovariance())
+	for _, method := range []string{
+		MethodGeneralized, MethodSalzWinters, MethodBeaulieuMerani,
+		MethodNatarajan, MethodSorooshyariDaut,
+	} {
+		gen, err := New(Config{Method: method, Covariance: goldenCovariance(), Seed: 41})
+		if err != nil {
+			t.Fatalf("New(%s): %v", method, err)
+		}
+		if gen.N() != 3 {
+			t.Errorf("%s N = %d, want 3", method, gen.N())
+		}
+		const draws = 60000
+		dst := make([]Snapshot, draws)
+		if err := gen.SnapshotsInto(dst); err != nil {
+			t.Fatalf("%s SnapshotsInto: %v", method, err)
+		}
+		samples := make([][]complex128, draws)
+		for i := range dst {
+			samples[i] = dst[i].Gaussian
+		}
+		cov, err := stats.SampleCovariance(samples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cmp, err := stats.CompareCovariance(cov, golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cmp.MaxAbs > 0.04 {
+			t.Errorf("%s misses the golden covariance by %g", method, cmp.MaxAbs)
+		}
 	}
 }
 
@@ -155,20 +192,69 @@ func TestMethodFailureClasses(t *testing.T) {
 		t.Errorf("NewStream(beaulieu_merani, indefinite) error = %v, want ErrMethodSetup", err)
 	}
 
-	// Unknown names are a spec error, not a method failure.
-	if _, err := New(Config{Method: "nope", Covariance: goldenCovariance(), Seed: 1}); !errors.Is(err, chanspec.ErrBadSpec) {
-		t.Errorf("unknown method error = %v, want ErrBadSpec", err)
+	// Unknown names are an invalid configuration, not a method failure.
+	if _, err := New(Config{Method: "nope", Covariance: goldenCovariance(), Seed: 1}); err == nil {
+		t.Errorf("unknown method did not error")
 	}
 
-	// The generalized engine accepts everything above, and the ε-clamp of
-	// Sorooshyari–Daut the indefinite target.
+	// The generalized engine accepts everything above.
 	for _, cov := range [][][]complex128{unequal, complexPair, indefinite} {
 		if _, err := New(Config{Covariance: cov, Seed: 1}); err != nil {
 			t.Errorf("generalized on %v: %v", cov, err)
 		}
 	}
-	if _, err := New(Config{Method: MethodSorooshyariDaut, Covariance: indefinite, Seed: 1}); err != nil {
-		t.Errorf("sorooshyari_daut on indefinite: %v", err)
+}
+
+// TestConstructionFailureClasses: New rejects a target outside a method's
+// vocabulary or numerical reach with that method's typed error, builds the
+// generalized engine and the ε-clamp of Sorooshyari–Daut on the indefinite
+// target, and rejects an unknown method name as a spec error.
+func TestConstructionFailureClasses(t *testing.T) {
+	// Ertel–Reed cannot express N = 3: out of vocabulary.
+	if _, err := New(Config{Method: MethodErtelReed, Covariance: goldenCovariance(), Seed: 1}); !errors.Is(err, ErrMethodUnsupported) {
+		t.Errorf("ertel_reed on N=3 error = %v, want ErrMethodUnsupported", err)
+	}
+	// Salz–Winters requires equal powers.
+	unequal := [][]complex128{{2, 0.5}, {0.5, 1}}
+	if _, err := New(Config{Method: MethodSalzWinters, Covariance: unequal, Seed: 1}); !errors.Is(err, ErrMethodUnsupported) {
+		t.Errorf("salz_winters on unequal powers error = %v, want ErrMethodUnsupported", err)
+	}
+	// Cholesky-based methods reject indefinite targets numerically.
+	for _, method := range []string{MethodBeaulieuMerani, MethodNatarajan} {
+		if _, err := New(Config{Method: method, Covariance: indefiniteCovariance(), Seed: 1}); !errors.Is(err, ErrMethodSetup) {
+			t.Errorf("%s on indefinite error = %v, want ErrMethodSetup", method, err)
+		}
+	}
+	// The generalized engine and the ε-clamp both accept the indefinite
+	// target.
+	for _, method := range []string{MethodGeneralized, MethodSorooshyariDaut} {
+		if _, err := New(Config{Method: method, Covariance: indefiniteCovariance(), Seed: 1}); err != nil {
+			t.Errorf("%s on indefinite: %v", method, err)
+		}
+	}
+	// Unknown names are a spec error.
+	if _, err := New(Config{Method: "nope", Covariance: goldenCovariance(), Seed: 1}); !errors.Is(err, chanspec.ErrBadSpec) {
+		t.Errorf("unknown method error = %v, want ErrBadSpec", err)
+	}
+}
+
+// TestDiagnosticsOnlyForGeneralized: on the indefinite target the generalized
+// snapshot generator reports its zero clamp, while Sorooshyari–Daut's, whose
+// ε-clamp is part of the method, reports the zero value.
+func TestDiagnosticsOnlyForGeneralized(t *testing.T) {
+	gen, err := New(Config{Method: MethodGeneralized, Covariance: indefiniteCovariance(), Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := gen.Diagnostics(); d.ClampedEigenvalues == 0 {
+		t.Errorf("generalized diagnostics = %+v, want clamped eigenvalues", d)
+	}
+	eps, err := New(Config{Method: MethodSorooshyariDaut, Covariance: indefiniteCovariance(), Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := eps.Diagnostics(); !reflect.DeepEqual(d, Diagnostics{}) {
+		t.Errorf("sorooshyari_daut diagnostics = %+v, want the zero value", d)
 	}
 }
 
@@ -247,21 +333,12 @@ func TestDiagnosticsReportOnlyAppliedForcing(t *testing.T) {
 	}
 
 	cfg.Method = MethodGeneralized
-	gen, err = New(Config{Covariance: cfg.Covariance, Seed: cfg.Seed})
-	if err != nil {
-		t.Fatalf("New(generalized): %v", err)
-	}
 	stream, err = NewStream(cfg)
 	if err != nil {
 		t.Fatalf("NewStream(generalized): %v", err)
 	}
-	for name, d := range map[string]Diagnostics{
-		"Generator": gen.Diagnostics(),
-		"Stream":    stream.Diagnostics(),
-	} {
-		if d.ClampedEigenvalues != 1 || d.ApproximationError <= 0 {
-			t.Errorf("generalized %s.Diagnostics() = %+v, want one clamped eigenvalue", name, d)
-		}
+	if d := stream.Diagnostics(); d.ClampedEigenvalues != 1 || d.ApproximationError <= 0 {
+		t.Errorf("generalized Stream.Diagnostics() = %+v, want one clamped eigenvalue", d)
 	}
 }
 
