@@ -85,28 +85,32 @@ func EigenHermitian(a *Matrix) (*Eigen, error) {
 	}
 
 	values := make([]float64, n)
-	for i := 0; i < n; i++ {
-		values[i] = real(w.At(i, i))
+	for i := range values {
+		values[i] = real(w.data[i*n+i])
 	}
 	sortEigen(values, v)
 	return &Eigen{Values: values, Vectors: v}, nil
 }
 
 // jacobiRotate annihilates w[p][q] (and by symmetry w[q][p]) with a unitary
-// plane rotation, accumulating the rotation into v.
+// plane rotation, accumulating the rotation into v. Both are n×n and are
+// read and written through their backing slices.
 func jacobiRotate(w, v *Matrix, p, q int) {
-	g := w.At(p, q)
+	n := w.rows
+	wd, vd := w.data, v.data
+	pp, pq, qp, qq := p*n+p, p*n+q, q*n+p, q*n+q
+	g := wd[pq]
 	ag := cmplx.Abs(g)
 	if ag == 0 {
 		return
 	}
-	app := real(w.At(p, p))
-	aqq := real(w.At(q, q))
+	app := real(wd[pp])
+	aqq := real(wd[qq])
 	// Skip numerically negligible pivots: rotating on them only stirs
 	// round-off noise.
 	if ag <= 1e-300 || ag <= 1e-17*(math.Abs(app)+math.Abs(aqq)) {
-		w.Set(p, q, 0)
-		w.Set(q, p, 0)
+		wd[pq] = 0
+		wd[qp] = 0
 		return
 	}
 
@@ -133,34 +137,36 @@ func jacobiRotate(w, v *Matrix, p, q int) {
 	upq := complex(s, 0)
 	uqp := complex(-s, 0) * cmplx.Conj(phase)
 	uqq := complex(c, 0) * cmplx.Conj(phase)
+	// The entries of Uᴴ the left multiplication applies.
+	hpp, hpq, hqp, hqq := cmplx.Conj(upp), cmplx.Conj(upq), cmplx.Conj(uqp), cmplx.Conj(uqq)
 
-	n := w.rows
 	// Right multiplication: columns p and q of W.
-	for i := 0; i < n; i++ {
-		wip := w.At(i, p)
-		wiq := w.At(i, q)
-		w.Set(i, p, wip*upp+wiq*uqp)
-		w.Set(i, q, wip*upq+wiq*uqq)
+	for i := 0; i < len(wd); i += n {
+		wip := wd[i+p]
+		wiq := wd[i+q]
+		wd[i+p] = wip*upp + wiq*uqp
+		wd[i+q] = wip*upq + wiq*uqq
 	}
 	// Left multiplication by Uᴴ: rows p and q of W.
-	for j := 0; j < n; j++ {
-		wpj := w.At(p, j)
-		wqj := w.At(q, j)
-		w.Set(p, j, cmplx.Conj(upp)*wpj+cmplx.Conj(uqp)*wqj)
-		w.Set(q, j, cmplx.Conj(upq)*wpj+cmplx.Conj(uqq)*wqj)
+	rowP := wd[p*n : p*n+n]
+	rowQ := wd[q*n : q*n+n]
+	for j, wpj := range rowP {
+		wqj := rowQ[j]
+		rowP[j] = hpp*wpj + hqp*wqj
+		rowQ[j] = hpq*wpj + hqq*wqj
 	}
 	// Clean the annihilated pair and enforce real diagonal against round-off.
-	w.Set(p, q, 0)
-	w.Set(q, p, 0)
-	w.Set(p, p, complex(real(w.At(p, p)), 0))
-	w.Set(q, q, complex(real(w.At(q, q)), 0))
+	wd[pq] = 0
+	wd[qp] = 0
+	wd[pp] = complex(real(wd[pp]), 0)
+	wd[qq] = complex(real(wd[qq]), 0)
 
 	// Accumulate eigenvectors: V ← V·U.
-	for i := 0; i < n; i++ {
-		vip := v.At(i, p)
-		viq := v.At(i, q)
-		v.Set(i, p, vip*upp+viq*uqp)
-		v.Set(i, q, vip*upq+viq*uqq)
+	for i := 0; i < len(vd); i += n {
+		vip := vd[i+p]
+		viq := vd[i+q]
+		vd[i+p] = vip*upp + viq*uqp
+		vd[i+q] = vip*upq + viq*uqq
 	}
 }
 
@@ -175,33 +181,40 @@ func sortEigen(values []float64, vectors *Matrix) {
 	sort.Slice(idx, func(a, b int) bool { return values[idx[a]] < values[idx[b]] })
 
 	sortedVals := make([]float64, n)
-	perm := New(vectors.rows, n)
 	for newCol, oldCol := range idx {
 		sortedVals[newCol] = values[oldCol]
-		for i := 0; i < vectors.rows; i++ {
-			perm.Set(i, newCol, vectors.At(i, oldCol))
-		}
 	}
 	copy(values, sortedVals)
-	copy(vectors.data, perm.data)
+	row := make([]complex128, n)
+	for i := 0; i < len(vectors.data); i += n {
+		for newCol, oldCol := range idx {
+			row[newCol] = vectors.data[i+oldCol]
+		}
+		copy(vectors.data[i:i+n], row)
+	}
 }
 
 // ReconstructHermitian returns V · diag(values) · Vᴴ.
 func ReconstructHermitian(v *Matrix, values []float64) *Matrix {
-	n := v.rows
+	n, vc := v.rows, v.cols
 	out := New(n, n)
-	for k := 0; k < len(values); k++ {
-		lambda := values[k]
+	conjCol := make([]complex128, n)
+	for k, lambda := range values {
 		if lambda == 0 {
 			continue
 		}
+		for j := range conjCol {
+			conjCol[j] = cmplx.Conj(v.data[j*vc+k])
+		}
 		for i := 0; i < n; i++ {
-			vik := v.At(i, k)
+			vik := v.data[i*vc+k]
 			if vik == 0 {
 				continue
 			}
-			for j := 0; j < n; j++ {
-				out.Set(i, j, out.At(i, j)+complex(lambda, 0)*vik*cmplx.Conj(v.At(j, k)))
+			lv := complex(lambda, 0) * vik
+			row := out.data[i*n : i*n+n]
+			for j, c := range conjCol {
+				row[j] += lv * c
 			}
 		}
 	}
@@ -214,10 +227,15 @@ func ReconstructHermitian(v *Matrix, values []float64) *Matrix {
 // must be non-negative.
 func EigenColoring(v *Matrix, values []float64) *Matrix {
 	l := New(v.rows, len(values))
+	sqrts := make([]complex128, len(values))
 	for j, lambda := range values {
-		s := complex(math.Sqrt(lambda), 0)
-		for i := 0; i < v.rows; i++ {
-			l.Set(i, j, v.At(i, j)*s)
+		sqrts[j] = complex(math.Sqrt(lambda), 0)
+	}
+	for i := 0; i < v.rows; i++ {
+		vRow := v.data[i*v.cols : i*v.cols+len(values)]
+		lRow := l.data[i*l.cols : i*l.cols+l.cols]
+		for j, s := range sqrts {
+			lRow[j] = vRow[j] * s
 		}
 	}
 	return l

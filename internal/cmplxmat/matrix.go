@@ -164,12 +164,13 @@ func (m *Matrix) Hermitize() {
 	if !m.IsSquare() {
 		panic("cmplxmat: Hermitize requires a square matrix")
 	}
-	for i := 0; i < m.rows; i++ {
-		m.Set(i, i, complex(real(m.At(i, i)), 0))
-		for j := i + 1; j < m.cols; j++ {
-			avg := (m.At(i, j) + cmplx.Conj(m.At(j, i))) / 2
-			m.Set(i, j, avg)
-			m.Set(j, i, cmplx.Conj(avg))
+	n, d := m.rows, m.data
+	for i := 0; i < n; i++ {
+		d[i*n+i] = complex(real(d[i*n+i]), 0)
+		for j := i + 1; j < n; j++ {
+			avg := (d[i*n+j] + cmplx.Conj(d[j*n+i])) / 2
+			d[i*n+j] = avg
+			d[j*n+i] = cmplx.Conj(avg)
 		}
 	}
 }

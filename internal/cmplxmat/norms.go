@@ -39,11 +39,10 @@ func MaxAbs(a *Matrix) float64 {
 func OffDiagonalNorm(a *Matrix) float64 {
 	var s float64
 	for i := 0; i < a.rows; i++ {
-		for j := 0; j < a.cols; j++ {
+		for j, v := range a.data[i*a.cols : (i+1)*a.cols] {
 			if i == j {
 				continue
 			}
-			v := a.At(i, j)
 			s += real(v)*real(v) + imag(v)*imag(v)
 		}
 	}
