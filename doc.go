@@ -31,9 +31,9 @@
 // input variance or fading parameter is an error, not a stream of NaN
 // samples. So is a covariance target outside the scale window, whose largest
 // entry magnitude max |K_ij| is below 1e-100 or above 1e100 (the all-zero
-// target is accepted): beyond it the eigendecomposition's norms underflow or
-// overflow. So is Suzuki shadowing above 100 dB, which could overflow the
-// shadowed samples.
+// target is accepted): beyond it the PSD-forcing error under- or overflows
+// (to +Inf near 1e154), and near 1e308 the samples overflow. So is Suzuki
+// shadowing above 100 dB, which could overflow the shadowed samples.
 //
 // New and NewStream are the only constructors of a generator: every caller
 // in this repository — the fadingd service, the scenario gates, the corpus

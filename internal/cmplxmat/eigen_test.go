@@ -148,9 +148,8 @@ func TestEigenHermitianZeroMatrix(t *testing.T) {
 }
 
 // TestEigenHermitianAtScaleWindowEdges: at the edges of the covariance scale
-// window the generation backends admit (max |K_ij| from 1e-100 to 1e100) the
-// unscaled norms stay in range, so [[1, 2], [2, 1]]·s still decomposes to
-// −s and 3s.
+// window the constructors admit (max |K_ij| from 1e-100 to 1e100),
+// [[1, 2], [2, 1]]·s decomposes to −s and 3s.
 func TestEigenHermitianAtScaleWindowEdges(t *testing.T) {
 	for _, maxEntry := range []float64{1e-100, 1e100} {
 		s := maxEntry / 2
@@ -165,6 +164,42 @@ func TestEigenHermitianAtScaleWindowEdges(t *testing.T) {
 		for i, want := range []float64{-s, 3 * s} {
 			if math.Abs(e.Values[i]-want) > 1e-12*math.Abs(want) {
 				t.Errorf("max |a_ij| = %g: eigenvalue[%d] = %g, want %g", maxEntry, i, e.Values[i], want)
+			}
+		}
+	}
+}
+
+// TestEigenHermitianScaleInvariant: EigenHermitian(2^k·A) returns the
+// eigenvalues of A times 2^k and the eigenvectors of A, bit for bit, also
+// where the Frobenius norm of 2^k·A under- or overflows (|k| = 600).
+func TestEigenHermitianScaleInvariant(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, n := range []int{2, 5, 16, 32} {
+		a := randomHermitian(rng, n)
+		want, err := EigenHermitian(a)
+		if err != nil {
+			t.Fatalf("N=%d: %v", n, err)
+		}
+		for _, k := range []int{-600, -300, 300, 600} {
+			scaled := New(n, n)
+			for i, x := range a.data {
+				scaled.data[i] = complex(math.Ldexp(real(x), k), math.Ldexp(imag(x), k))
+			}
+			got, err := EigenHermitian(scaled)
+			if err != nil {
+				t.Fatalf("N=%d k=%d: %v", n, k, err)
+			}
+			for i, v := range want.Values {
+				if w := math.Ldexp(v, k); math.Float64bits(got.Values[i]) != math.Float64bits(w) {
+					t.Errorf("N=%d k=%d: eigenvalue[%d] = %g, want %g", n, k, i, got.Values[i], w)
+				}
+			}
+			for i, v := range want.Vectors.data {
+				g := got.Vectors.data[i]
+				if math.Float64bits(real(g)) != math.Float64bits(real(v)) || math.Float64bits(imag(g)) != math.Float64bits(imag(v)) {
+					t.Errorf("N=%d k=%d: eigenvector entry %d = %v, want %v", n, k, i, g, v)
+					break
+				}
 			}
 		}
 	}

@@ -303,13 +303,11 @@ func realtimeCoreConfig(cfg RealTimeConfig) (core.RealTimeConfig, error) {
 
 // The covariance scale window: a target whose largest entry magnitude
 // max |K_ij| lies outside [minCovarianceScale, maxCovarianceScale] is
-// rejected, the all-zero target excepted (EigenHermitian decomposes it
-// exactly). The window keeps the eigensolver's unscaled norms, the forcing
-// error and the samples well inside the floating-point range: below about
-// 1e-154 the Frobenius norm underflows to 0 and the target decomposes as
-// all-zero; above about 1e154 the norms overflow, the target comes back
-// undiagonalized (an indefinite one served as if PSD), and further out the
-// forcing error and the samples overflow to ±Inf.
+// rejected, the all-zero target excepted. EigenHermitian is exact under
+// power-of-two scaling and needs no window; the PSD forcing error and the
+// samples do. The forcing error ‖K − K̄‖_F sums unscaled squares: it
+// overflows to +Inf near 1e154 and reads 0 for an indefinite target near
+// 1e-170. The samples overflow near 1e308.
 const (
 	minCovarianceScale = 1e-100
 	maxCovarianceScale = 1e100

@@ -146,8 +146,8 @@ func TestNewValidation(t *testing.T) {
 }
 
 // outOfScaleCovariances are finite targets outside the covariance scale
-// window: too small for the eigensolver's norms (they underflow to 0), too
-// large for them (they overflow), and large enough to overflow a sample.
+// window: below it, above it where the forcing error of an indefinite target
+// overflows, and large enough to overflow a sample.
 func outOfScaleCovariances() map[string][][]complex128 {
 	return map[string][][]complex128{
 		"identity·1e-170":        {{1e-170, 0}, {0, 1e-170}},
