@@ -204,13 +204,9 @@ func sortEigen(values []float64, vectors *Matrix) {
 func ReconstructHermitian(v *Matrix, values []float64) *Matrix {
 	n, vc := v.rows, v.cols
 	out := New(n, n)
-	conjCol := make([]complex128, n)
 	for k, lambda := range values {
 		if lambda == 0 {
 			continue
-		}
-		for j := range conjCol {
-			conjCol[j] = cmplx.Conj(v.data[j*vc+k])
 		}
 		for i := 0; i < n; i++ {
 			vik := v.data[i*vc+k]
@@ -219,8 +215,8 @@ func ReconstructHermitian(v *Matrix, values []float64) *Matrix {
 			}
 			lv := complex(lambda, 0) * vik
 			row := out.data[i*n : i*n+n]
-			for j, c := range conjCol {
-				row[j] += lv * c
+			for j := range row {
+				row[j] += lv * cmplx.Conj(v.data[j*vc+k])
 			}
 		}
 	}
@@ -233,15 +229,10 @@ func ReconstructHermitian(v *Matrix, values []float64) *Matrix {
 // must be non-negative.
 func EigenColoring(v *Matrix, values []float64) *Matrix {
 	l := New(v.rows, len(values))
-	sqrts := make([]complex128, len(values))
 	for j, lambda := range values {
-		sqrts[j] = complex(math.Sqrt(lambda), 0)
-	}
-	for i := 0; i < v.rows; i++ {
-		vRow := v.data[i*v.cols : i*v.cols+len(values)]
-		lRow := l.data[i*l.cols : i*l.cols+l.cols]
-		for j, s := range sqrts {
-			lRow[j] = vRow[j] * s
+		s := complex(math.Sqrt(lambda), 0)
+		for i := 0; i < v.rows; i++ {
+			l.data[i*l.cols+j] = v.data[i*v.cols+j] * s
 		}
 	}
 	return l
