@@ -99,8 +99,7 @@ func EigenHermitian(a *Matrix) (*Eigen, error) {
 }
 
 // jacobiRotate annihilates w[p][q] (and by symmetry w[q][p]) with a unitary
-// plane rotation, accumulating the rotation into v. Both are n×n and are
-// read and written through their backing slices.
+// plane rotation, accumulating the rotation into v; w and v are n×n.
 func jacobiRotate(w, v *Matrix, p, q int) {
 	n := w.rows
 	wd, vd := w.data, v.data
